@@ -87,7 +87,11 @@ def _get_float(cfg, key, default=None):
 
 
 def _get_int(cfg, key, default=None):
-    return int(_get_float(cfg, key, default))
+    value = _get_float(cfg, key, default)
+    if not float(value).is_integer():
+        raise ConfigError(f"config key {key!r} must be an integer, "
+                          f"got {cfg.get(key, value)!r}")
+    return int(value)
 
 
 def _get_floats(cfg, key, default=None):

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline, RegularGridInterpolator
 
-from .errors import DomainError, StructuralError
+from .errors import ConfigError, DomainError, StructuralError
 
 MAX_DIM = 3
 
@@ -32,7 +33,10 @@ def default_tol(dim):
     """
     env = os.environ.get("HOLDER_TOL")
     if env is not None:
-        return float(env)
+        try:
+            return float(env)
+        except ValueError:
+            raise ConfigError(f"HOLDER_TOL must be a number, got {env!r}") from None
     if dim not in _DEFAULT_TOL:
         raise DomainError(f"unsupported dimension {dim}; grids cover d <= {MAX_DIM}")
     return _DEFAULT_TOL[dim]
@@ -43,6 +47,29 @@ def _trapezoid_weights(lo, hi, n):
     w = np.full(n, h)
     w[0] = w[-1] = h / 2.0
     return w
+
+
+def _tensor_nodes(axes):
+    """All nodes of the tensor grid over ``axes`` as an (N, d) array.
+
+    Rows run in row-major grid order; the array is Fortran-ordered so each
+    coordinate column is contiguous.
+    """
+    shape = tuple(ax.size for ax in axes)
+    nodes = np.empty((int(np.prod(shape)), len(axes)), order="F")
+    for i, ax in enumerate(axes):
+        bshape = [1] * len(axes)
+        bshape[i] = ax.size
+        nodes[:, i].reshape(shape)[...] = ax.reshape(bshape)
+    return nodes
+
+
+class FlatGrid(NamedTuple):
+    """A grid's quadrature as flat arrays: ``<h> = sum(weights * h(nodes))``."""
+
+    nodes: np.ndarray      # (N, d), Fortran order
+    weights: np.ndarray    # (N,)
+    values: np.ndarray     # (N,)
 
 
 @dataclass(frozen=True)
@@ -123,10 +150,20 @@ class GridDensity:
     def cell_widths(self):
         return (self.domain_hi - self.domain_lo) / (np.array(self.points_per_axis) - 1)
 
+    @cached_property
+    def flat(self):
+        """Nodes, weights and values as a read-only :class:`FlatGrid`.
+
+        Built on first use and cached, so a fit against a fixed data grid
+        lays out its nodes once.
+        """
+        nodes = _tensor_nodes(self.axes())
+        nodes.setflags(write=False)
+        return FlatGrid(nodes, self.weights.ravel(), self.values.ravel())
+
     def points(self):
-        """All grid nodes as an (N, d) array in row-major order."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        """All grid nodes as a read-only (N, d) array in row-major grid order."""
+        return self.flat.nodes
 
     # -- construction helpers ----------------------------------------------
 
@@ -141,9 +178,7 @@ class GridDensity:
         if np.isscalar(points_per_axis) or np.ndim(points_per_axis) == 0:
             points_per_axis = (int(points_per_axis),) * lo.size
         shape = tuple(int(n) for n in points_per_axis)
-        axes = [np.linspace(lo[i], hi[i], shape[i]) for i in range(lo.size)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = _tensor_nodes([np.linspace(lo[i], hi[i], shape[i]) for i in range(lo.size)])
         vals = np.asarray(fn(pts), dtype=float).reshape(shape)
         return cls(lo, hi, vals)
 
@@ -231,6 +266,24 @@ def cross_moment(f, g, a):
         raise DomainError(f"cross exponent a={a} < 0 is not supported")
     _require_same_grid(f, g)
     return float(np.sum(f.values * g.values ** a * f.weights))
+
+
+def log_moments(f, log_g, gamma):
+    """``(<f g^gamma>, <g^(1+gamma)>)`` from ``log g`` at the nodes of f.
+
+    ``log_g`` holds log g at ``f.flat.nodes``; -inf marks g = 0.  Working
+    from the logarithm, no candidate grid is built and g never underflows
+    before it is raised to a power.
+    """
+    view = f.flat
+    t = np.exp(gamma * log_g)
+    t *= view.values
+    t *= view.weights
+    cross = float(np.sum(t))
+    np.multiply(log_g, 1.0 + gamma, out=t)
+    np.exp(t, out=t)
+    t *= view.weights
+    return cross, float(np.sum(t))
 
 
 def l1_distance(f, g):

@@ -209,9 +209,29 @@ def _gaussian_full(dim=2):
 
     def logpdf(theta, x):
         m, L = unpack(theta)
-        y = solve_triangular(L, (_as_points(x, d) - m).T, lower=True).T
-        return (-0.5 * np.sum(y * y, axis=1)
-                - 0.5 * d * _LOG_2PI - np.sum(np.log(np.diag(L))))
+        pts = _as_points(x, d)
+        Linv = solve_triangular(L, np.eye(d), lower=True)
+        # y = L^-1 (x - m) one coordinate row at a time, each row overwriting
+        # r[i] in place; going from the last row up, the rows still to come
+        # only read the untouched r[0..i-1]
+        r = [pts[:, j] - m[j] for j in range(d)]
+        tmp = np.empty_like(r[0])
+        for i in reversed(range(d)):
+            r[i] *= Linv[i, i]
+            for j in range(i):
+                r[i] += np.multiply(r[j], Linv[i, j], out=tmp)
+        out = r[0]
+        out *= out
+        for y in r[1:]:
+            y *= y
+            out += y
+        out *= -0.5
+        out -= 0.5 * d * _LOG_2PI + np.sum(np.log(np.diag(L)))
+        return out
+
+    def pdf(theta, x):
+        out = logpdf(theta, x)
+        return np.exp(out, out=out)
 
     def score(theta, x):
         m, L = unpack(theta)
@@ -242,7 +262,7 @@ def _gaussian_full(dim=2):
         name="gaussian-full", dim=d, param_dim=k,
         theta_names=tuple(f"mean{i}" for i in range(d))
         + tuple(f"chol{r}{c}" for r, c in zip(rows, cols)),
-        density=lambda th, x: np.exp(logpdf(th, x)),
+        density=pdf,
         log_density=logpdf,
         score=score,
         sampler=lambda th, n, rng: unpack(th)[0] + rng.standard_normal((n, d)) @ unpack(th)[1].T,
@@ -280,6 +300,14 @@ def _gaussian_mixture(weights=(0.5, 0.5)):
         comp, _, _ = components(theta, x)
         return comp @ w
 
+    def logpdf(theta, x):
+        # log-sum-exp over components: finite wherever any component is
+        m, s = unpack(theta)
+        pts = _as_points(x, 1)[:, 0]
+        log_c = np.log(w / (np.sqrt(2 * np.pi) * s))
+        return reduce(np.logaddexp, (log_c[i] - 0.5 * ((pts - m[i]) / s[i]) ** 2
+                                     for i in range(ncomp)))
+
     def score(theta, x):
         comp, m, s = components(theta, x)
         pts = _as_points(x, 1)[:, 0]
@@ -314,7 +342,7 @@ def _gaussian_mixture(weights=(0.5, 0.5)):
         name="gaussian-mixture-fixed-weights", dim=1, param_dim=k,
         theta_names=tuple(x for i in range(ncomp) for x in (f"mean{i}", f"scale{i}")),
         density=pdf,
-        log_density=lambda th, x: np.log(pdf(th, x)),
+        log_density=logpdf,
         score=score,
         sampler=sampler,
         support=box,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, SingularHessianError
 from .estimators import FitConfig, _fd_gradient, _fd_hessian, fit
-from .models import draw_sample
+from .models import draw_sample, render_density
 from .rng import rng_for
 from .scores import HolderScore
 
@@ -93,7 +93,12 @@ class RedescendReport:
 
 
 class _FrozenQuadrature:
-    """Quadrature grid pinned at theta_star so theta-derivatives stay smooth."""
+    """Quadrature grid pinned at theta_star so theta-derivatives stay smooth.
+
+    ``p_star`` is model(theta_star) rendered on the model's box at theta_star,
+    padded by ``pad`` (but never past a hard support edge); every moment is
+    a weighted sum over its nodes.
+    """
 
     def __init__(self, model, theta_star, pad=1.25, points_per_axis=None):
         theta_star = np.asarray(theta_star, dtype=float)
@@ -106,40 +111,27 @@ class _FrozenQuadrature:
             lo = box_lo
         if not bool(np.all(model.in_support(hi.reshape(1, -1)))):
             hi = box_hi
-        n = model.quad_points if points_per_axis is None else points_per_axis
-        if np.isscalar(n):
-            n = (int(n),) * model.dim
-        axes = [np.linspace(lo[i], hi[i], n[i]) for i in range(model.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.points = np.stack([m.ravel() for m in mesh], axis=-1)
-        per_axis = []
-        for i in range(model.dim):
-            h = (hi[i] - lo[i]) / (n[i] - 1)
-            w = np.full(n[i], h)
-            w[0] = w[-1] = h / 2.0
-            per_axis.append(w)
-        w = per_axis[0]
-        for v in per_axis[1:]:
-            w = np.multiply.outer(w, v)
-        self.weights = w.ravel()
         self.model = model
         self.theta_star = theta_star
-        self.p_star = model.density(theta_star, self.points)
+        self.p_star = render_density(model, theta_star, lo=lo, hi=hi,
+                                     points_per_axis=points_per_axis)
 
     def moments(self, theta):
-        """(<p_star p_theta^gamma-free>, ...) building blocks at one theta."""
-        return self.model.density(np.asarray(theta, dtype=float), self.points)
+        """p_theta at the nodes: the building block of both moments."""
+        return self.model.density(np.asarray(theta, dtype=float), self.p_star.flat.nodes)
 
     def cross(self, p_theta_vals, gamma):
-        return float(np.sum(self.weights * self.p_star * p_theta_vals ** gamma))
+        view = self.p_star.flat
+        return float(np.sum(view.weights * view.values * p_theta_vals ** gamma))
 
     def power(self, p_theta_vals, gamma):
-        return float(np.sum(self.weights * p_theta_vals ** (1.0 + gamma)))
+        return float(np.sum(self.p_star.flat.weights * p_theta_vals ** (1.0 + gamma)))
 
     def score_moment(self, gamma):
         """<p_star^(1+gamma) s_star> and a positive scale for zero tests."""
-        s = self.model.score(self.theta_star, self.points)
-        w = (self.weights * self.p_star ** (1.0 + gamma))[:, None]
+        view = self.p_star.flat
+        s = self.model.score(self.theta_star, view.nodes)
+        w = (view.weights * view.values ** (1.0 + gamma))[:, None]
         return (w * s).sum(axis=0), (w * np.abs(s)).sum(axis=0)
 
 

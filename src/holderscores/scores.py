@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DomainError
-from .grids import GridDensity, cross_moment, integrate, power_moment
+from .grids import GridDensity, cross_moment, integrate, log_moments, power_moment
 from .models import render_density
 from .rng import rng_for
 
@@ -202,15 +202,11 @@ class CompositeScore:
 
     # target moments -----------------------------------------------------------
 
-    def _target_grid(self, g, like=None):
+    def _target_grid(self, g):
         if isinstance(g, GridDensity):
             return g
         model, theta = g
-        if like is None:
-            return render_density(model, theta)
-        # share the reference grid so cross terms are well defined
-        return render_density(model, theta, lo=like.domain_lo, hi=like.domain_hi,
-                              points_per_axis=like.points_per_axis)
+        return render_density(model, theta)
 
     def _target_values_at(self, g, points):
         if isinstance(g, GridDensity):
@@ -221,12 +217,17 @@ class CompositeScore:
     # entry points ---------------------------------------------------------------
 
     def expected(self, f, g):
-        """Population score S(f, g) for grid densities on a shared grid."""
-        grid_g = self._target_grid(g, like=f)
-        g_power = power_moment(grid_g, 1.0 + self.gamma)
+        """Population score S(f, g).
+
+        ``g`` is a grid density on f's grid, or a ``(model, theta)`` pair whose
+        log-density is evaluated once at f's own nodes.
+        """
+        if isinstance(g, GridDensity):
+            cross, g_power = cross_moment(f, g, self.gamma), power_moment(g, 1.0 + self.gamma)
+        else:
+            cross, g_power = log_moments(f, _log_target_at_nodes(f, g), self.gamma)
         if g_power <= 0.0:
             raise DegenerateInputError(f"<g^(1+gamma)> = {g_power}; target carries no mass")
-        cross = cross_moment(f, grid_g, self.gamma)
         return self._combine(cross, g_power)
 
     def empirical(self, sample, g):
@@ -253,19 +254,37 @@ class KL(CompositeScore):
         return "KL()"
 
     def expected(self, f, g):
-        grid_g = self._target_grid(g, like=f)
-        mask = f.values > 0
-        if np.any(grid_g.values[mask] == 0.0):
-            return math.inf  # f puts mass where g has none: infinite divergence
-        cross = float(np.sum(np.where(
-            mask, -f.values * np.log(np.where(mask, grid_g.values, 1.0)), 0.0) * f.weights))
-        return cross + integrate(grid_g)
+        if isinstance(g, GridDensity):
+            mask = f.values > 0
+            if np.any(g.values[mask] == 0.0):
+                return math.inf  # f puts mass where g has none: infinite divergence
+            cross = float(np.sum(np.where(
+                mask, -f.values * np.log(np.where(mask, g.values, 1.0)), 0.0) * f.weights))
+            return cross + integrate(g)
+        view = f.flat
+        log_g = _log_target_at_nodes(f, g)
+        # nodes where f vanishes contribute nothing, even where log g = -inf
+        cross = -float(np.sum(view.values * np.where(view.values > 0, log_g, 0.0)
+                              * view.weights))
+        return cross + float(np.sum(np.exp(log_g) * view.weights))
 
     def empirical(self, sample, g):
-        vals = self._target_values_at(g, sample.points)
-        if np.any(vals <= 0.0):
-            return math.inf
-        return float(np.mean(-np.log(vals))) + integrate(self._target_grid(g))
+        if isinstance(g, GridDensity):
+            vals = g.evaluate(sample.points)
+            if np.any(vals <= 0.0):
+                return math.inf
+            cross = float(np.mean(-np.log(vals)))
+        else:
+            model, theta = g
+            cross = -float(np.mean(model.log_density(np.asarray(theta, dtype=float),
+                                                     sample.points)))
+        return cross + integrate(self._target_grid(g))
+
+
+def _log_target_at_nodes(f, g):
+    """log model(theta) at the nodes of the data grid f, for g = (model, theta)."""
+    model, theta = g
+    return model.log_density(np.asarray(theta, dtype=float), f.flat.nodes)
 
 
 class DensityPower(CompositeScore):

@@ -79,6 +79,14 @@ class TestDivergenceCommand:
                       "family=kl", "p.theta=0,1", "q.theta=0,1", "grid.n=401")
         assert code == 3  # coarse grid cannot meet the absurd tolerance
 
+    def test_non_numeric_holder_tol_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HOLDER_TOL", "abc")
+        code, _ = run(tmp_path, "divergence", "tolabc",
+                      "family=kl", "p.theta=0,1", "q.theta=0,1", "grid.n=401")
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert "HOLDER_TOL" in err and len(err.splitlines()) == 1
+
 
 class TestFitCommand:
     def test_fit_writes_result_row(self, tmp_path):
@@ -91,6 +99,14 @@ class TestFitCommand:
         cells = lines[1].split(",")
         assert cells[-1] == "true"
         assert abs(float(cells[0])) < 0.2
+
+    def test_non_integer_count_exits_2(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "fit", "n27",
+                      "model=gaussian-mean-scale", "family=gamma", "gamma=0.5",
+                      "theta_true=0,1", "n=2.7")
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert "'n'" in err and len(err.splitlines()) == 1
 
     def test_reproducibility_byte_identical(self, tmp_path):
         args = ("model=gaussian-mean-scale", "family=gamma", "gamma=0.5",

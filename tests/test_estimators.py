@@ -44,6 +44,15 @@ class TestFit:
         assert res.converged
         assert res.theta_hat[0] == pytest.approx(sample.points.mean(), abs=1e-7)
 
+    def test_kl_fit_survives_far_outlier(self):
+        # one outlier cluster at z = 50 once made every nearby theta +inf
+        sample = draw_contaminated_sample(GAUSS_MS, [0.0, 1.0], eps=0.01, z=50.0,
+                                          n=2000, seed=0)
+        res = fit(KL(), GAUSS_MS, sample, FitConfig(init_theta=[0.0, 1.0]))
+        pts = sample.points[:, 0]
+        assert res.converged
+        assert np.max(np.abs(res.theta_hat - [pts.mean(), pts.std()])) < 1e-4
+
     def test_gradient_descent_optimizer(self):
         sample = draw_sample(GAUSS_M, [0.4], 500, seed=2)
         res = fit(KL(), GAUSS_M, sample, FitConfig(init_theta=[0.0],

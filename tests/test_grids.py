@@ -40,6 +40,24 @@ class TestIntegrate:
         assert integrate(f) == pytest.approx(15.0, rel=1e-12)
 
 
+class TestFlatView:
+    def test_cached_read_only_node_major(self):
+        vals = np.arange(31 * 41, dtype=float).reshape(31, 41) + 1.0
+        f = GridDensity([-1.0, 0.0], [2.0, 5.0], vals)
+        view = f.flat
+        assert f.flat is view
+        assert view.nodes.shape == (31 * 41, 2)
+        assert view.nodes.flags.f_contiguous
+        assert not view.nodes.flags.writeable
+        # rows follow the row-major grid order of values and weights
+        ax0, ax1 = f.axes()
+        k = 5 * 41 + 7
+        assert np.array_equal(view.nodes[k], [ax0[5], ax1[7]])
+        assert view.values[k] == vals[5, 7]
+        assert view.weights[k] == f.weights[5, 7]
+        assert np.sum(view.weights * view.values) == pytest.approx(integrate(f), rel=1e-14)
+
+
 class TestPowerMoment:
     def test_uniform_any_gamma(self):
         u = GridDensity([0.0], [1.0], np.ones(501))

@@ -56,6 +56,35 @@ def test_sampler_reproducible(kind, hyper, theta):
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_full_log_density_matches_scipy(d):
+    from scipy.stats import multivariate_normal
+    rng = np.random.default_rng(40 + d)
+    model = make_parametric("gaussian-full-d", dim=d)
+    L = np.tril(0.4 * rng.standard_normal((d, d)))
+    L[np.diag_indices(d)] = rng.uniform(0.5, 1.5, d)
+    mean = rng.standard_normal(d)
+    theta = np.concatenate([mean, L[np.tril_indices(d)]])
+    x = 3.0 * rng.standard_normal((500, d))
+    ref = multivariate_normal(mean, L @ L.T).logpdf(x).reshape(-1)
+    for pts in (np.ascontiguousarray(x), np.asfortranarray(x)):
+        got = model.log_density(theta, pts)
+        assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12
+
+
+def test_mixture_log_density_finite_where_density_underflows():
+    model = make_parametric("gaussian-mixture-fixed-weights")
+    theta = np.array([-1.4, 0.8, 1.4, 1.0])
+    x = np.array([-3.0, 0.5, 4.0])
+    assert np.allclose(model.log_density(theta, x), np.log(model.density(theta, x)),
+                       rtol=1e-13, atol=0)
+    # at x = 60 both components underflow; the far one is negligible in log space
+    far = model.log_density(theta, np.array([60.0]))[0]
+    assert model.density(theta, np.array([60.0]))[0] == 0.0
+    expect = np.log(0.5 / np.sqrt(2 * np.pi)) - 0.5 * (60.0 - 1.4) ** 2
+    assert far == pytest.approx(expect, rel=1e-14)
+
+
 class TestFamilyFormulas:
     def test_gaussian_mean_scale_score(self):
         model = make_parametric("gaussian-mean-scale")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,11 +61,42 @@ class TestExpectedScore:
         g = GridDensity([0.0], [1.0], np.where(x < 0.5, 2.0, 0.0))
         assert expected_score(KL(), f, g) == np.inf
 
+    def test_kl_model_target_survives_underflow(self):
+        # N(0, 0.1) underflows to zero on most of the +-8 box where N(0, 1)
+        # has mass; its log-density does not
+        f = render_density(GAUSS, [0.0, 1.0], lo=[-8.0], hi=[8.0], points_per_axis=2001)
+        val = expected_score(KL(), f, (GAUSS, (0.0, 0.1)))
+        closed = math.log(0.1) + 0.5 * math.log(2 * math.pi) + 50.0 + 1.0
+        assert math.isfinite(val)
+        assert val == pytest.approx(closed, rel=1e-8)
+
     def test_degenerate_power_integral_rejected(self):
         f = uniform(101)
         g = GridDensity([0.0], [1.0], np.full(101, 1e-300))
         with pytest.raises(DegenerateInputError):
             expected_score(DensityPower(2.0), f, g)
+
+
+class TestFixedNodeExpected:
+    """A (model, theta) target equals the same model rendered on f's grid."""
+
+    @pytest.mark.parametrize("kind,hyper,theta", [
+        ("gaussian-mean", {}, [0.3]),
+        ("gaussian-mean-scale", {}, [0.3, 1.1]),
+        ("gaussian-full-d", {"dim": 2}, [0.2, -0.1, 1.1, 0.3, 0.8]),
+        ("gaussian-full-d", {"dim": 3}, [0.2, -0.1, 0.1, 1.1, 0.3, 0.8, -0.2, 0.1, 0.9]),
+        ("gaussian-mixture-fixed-weights", {}, [-1.4, 0.8, 1.4, 1.0]),
+        ("exponential-rate", {}, [1.3]),
+    ])
+    def test_matches_rendered_target(self, kind, hyper, theta):
+        model = make_parametric(kind, **hyper)
+        f = render_density(model, theta)
+        cand = np.asarray(theta) * 1.01
+        g = render_density(model, cand, lo=f.domain_lo, hi=f.domain_hi,
+                           points_per_axis=f.points_per_axis)
+        for score in all_families(0.5):
+            assert expected_score(score, f, (model, cand)) == pytest.approx(
+                expected_score(score, f, g), rel=1e-12), repr(score)
 
 
 class TestDivergence:
