@@ -12,8 +12,8 @@ from .scores import (BregmanHolder, CompositeScore, DensityPower, GammaScore,
                      HolderScore, KL, PhiFunction, Pseudospherical, ScoreValue,
                      bregman_to_holder_value, check_equivalence_in_probability,
                      divergence, empirical_score, expected_score,
-                     phi_cubic_tail, phi_gamma_score, phi_kappa, phi_linear,
-                     score_from_config, validate_phi)
+                     phi_cubic_tail, phi_from_config, phi_gamma_score,
+                     phi_kappa, phi_linear, score_from_config, validate_phi)
 from .affine import (AffineMap, EquivarianceReport, ScaleFitReport,
                      fit_scale_exponent, scale_function, transform_density,
                      verify_estimator_equivariance, verify_invariance)
@@ -22,8 +22,8 @@ from .estimators import (ConditionalModel, FitConfig, FitResult,
                          population_fit)
 from .robustness import (InfluenceResult, RedescendReport,
                          VarianceSamenessReport, asymptotic_variance_sameness,
-                         gross_error_sensitivity, influence_function,
-                         objective_hessian, redescend_check)
+                         gross_error_sensitivity, influence_curve,
+                         influence_function, objective_hessian, redescend_check)
 from .rng import rng_for
 
 __version__ = "0.1.0"

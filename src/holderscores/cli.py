@@ -31,8 +31,8 @@ from .grids import GridDensity, default_tol, integrate, read_grid
 from .estimators import FitConfig, fit, fit_regression, make_conditional, population_fit
 from .models import (Sample, draw_contaminated_sample, draw_sample,
                      make_parametric, read_samples, render_density)
-from .robustness import influence_function, redescend_check, _FrozenQuadrature, objective_hessian
-from .scores import GammaScore, KL, divergence, score_from_config, _PHI_BUILTINS
+from .robustness import influence_curve, redescend_check
+from .scores import GammaScore, KL, divergence, phi_from_config, score_from_config
 from .rng import rng_for
 
 COMMANDS = ("score", "divergence", "fit", "regress", "invariance",
@@ -99,8 +99,12 @@ def _get_floats(cfg, key, default=None):
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
         return np.asarray(default, dtype=float)
+    return _parse_floats(key, cfg[key])
+
+
+def _parse_floats(key, text):
     try:
-        return np.array([float(v) for v in cfg[key].split(",") if v.strip() != ""])
+        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError:
         raise ConfigError(f"config key {key!r} must be a csv of numbers") from None
 
@@ -128,25 +132,19 @@ def _model_from_config(cfg, prefix="model"):
     return make_parametric(kind, **hyper)
 
 
-def _density_from_config(cfg, prefix, lo=None, hi=None, n=None):
-    if f"{prefix}.file" in cfg:
-        return read_grid(cfg[f"{prefix}.file"])
-    model = _model_from_config(cfg, prefix=f"{prefix}.model") \
-        if f"{prefix}.model" in cfg else make_parametric("gaussian-mean-scale")
-    theta = _get_floats(cfg, f"{prefix}.theta")
-    return render_density(model, theta, lo=lo, hi=hi, points_per_axis=n)
+def _density_pair(cfg):
+    """p and q on one shared grid (union box of their model supports).
 
-
-def _density_pair(cfg, seed):
-    """p and q on one shared grid (union box of their model supports)."""
+    When either comes from a grid file, the other is rendered on its own
+    model box.
+    """
     if "p.file" in cfg or "q.file" in cfg:
-        p = _density_from_config(cfg, "p")
-        q = _density_from_config(cfg, "q")
-        return p, q
-    mp = _model_from_config(cfg, "p.model") if "p.model" in cfg \
-        else make_parametric("gaussian-mean-scale")
-    mq = _model_from_config(cfg, "q.model") if "q.model" in cfg \
-        else make_parametric("gaussian-mean-scale")
+        return tuple(read_grid(cfg[f"{s}.file"]) if f"{s}.file" in cfg
+                     else render_density(_model_from_config(cfg, f"{s}.model"),
+                                         _get_floats(cfg, f"{s}.theta"))
+                     for s in "pq")
+    mp = _model_from_config(cfg, "p.model")
+    mq = _model_from_config(cfg, "q.model")
     tp = _get_floats(cfg, "p.theta")
     tq = _get_floats(cfg, "q.theta")
     lo_p, hi_p = mp.support(tp)
@@ -220,7 +218,7 @@ def emit_plotdata(outdir, name, columns, rows, comments=()):
 
 def _cmd_score(cfg, outdir, seed, jobs):
     score = score_from_config(cfg)
-    p, q = _density_pair(cfg, seed)
+    p, q = _density_pair(cfg)
     value = divergence(score, p.normalize(), q.normalize())
     header = ["family", "gamma", "s_fg", "s_ff", "divergence"]
     row = [score.name, _fmt(score.gamma), _fmt(value.s_fg), _fmt(value.s_ff),
@@ -229,10 +227,6 @@ def _cmd_score(cfg, outdir, seed, jobs):
     _write_report(outdir, "PASS", [f"score {score.name} computed",
                                    f"divergence={value.divergence!r}"])
     return 0
-
-
-def _cmd_divergence(cfg, outdir, seed, jobs):
-    return _cmd_score(cfg, outdir, seed, jobs)
 
 
 def _cmd_fit(cfg, outdir, seed, jobs):
@@ -348,54 +342,35 @@ def _cmd_invariance(cfg, outdir, seed, jobs):
     return 0 if verdict == "PASS" else 3
 
 
-def _phi_from_config(cfg, gamma):
-    name = cfg.get("phi", "kappa")
-    if name not in _PHI_BUILTINS:
-        raise ConfigError(f"unknown phi builtin {name!r}")
-    kwargs = {}
-    if "kappa" in cfg:
-        kwargs["kappa"] = _get_float(cfg, "kappa")
-    if "c" in cfg:
-        kwargs["c"] = _get_float(cfg, "c")
-    return _PHI_BUILTINS[name](gamma, **kwargs)
+def _influence_table(cfg):
+    """IF(z) at the ';'-separated csv points of ``z``, or along the default ray.
 
-
-def _influence_rows(cfg, seed):
+    Returns the influence curve with the header and rows of its results.csv.
+    """
     gamma = _get_float(cfg, "gamma")
     model = _model_from_config(cfg)
     theta_star = _get_floats(cfg, "theta_star")
-    phi = _phi_from_config(cfg, gamma)
+    phi = phi_from_config(cfg, gamma)
+    z_grid = None
     if "z" in cfg:
-        zs = [np.array([float(v) for v in part.split(",")])
-              for part in cfg["z"].split(";") if part.strip()]
-    else:
-        lo, hi = model.support(theta_star)
-        center, sd = (lo + hi) / 2.0, (hi - lo) / 16.0
-        count = _get_int(cfg, "z.count", 50)
-        zmax = _get_float(cfg, "z.max", 12.0)
-        direction = np.zeros(model.dim)
-        direction[0] = 1.0
-        zs = [center + t * sd * direction
-              for t in np.linspace(0.5, zmax, count)]
-    quad = _FrozenQuadrature(model, theta_star)
-    hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
-    rows = []
-    for z in zs:
-        res = influence_function(phi, gamma, model, theta_star, z,
-                                 hessian=hessian, quad=quad)
-        rows.append((z, res.if_vector, res.norm))
-    return model, rows
+        z_grid = [_parse_floats("z", part) for part in cfg["z"].split(";") if part.strip()]
+        if not z_grid or any(z.size != model.dim for z in z_grid):
+            raise ConfigError(f"config key 'z' must list ';'-separated points "
+                              f"of {model.dim} coordinates")
+    curve = influence_curve(phi, gamma, model, theta_star, z_grid=z_grid,
+                            n_z=_get_int(cfg, "z.count", 50),
+                            max_sd=_get_float(cfg, "z.max", 12.0))
+    header = [f"z{i + 1}" for i in range(model.dim)] \
+        + [f"if_{i + 1}" for i in range(curve[0].if_vector.size)] + ["if_norm"]
+    table = [[_fmt(v) for v in np.concatenate([res.z, res.if_vector, [res.norm]])]
+             for res in curve]
+    return curve, header, table
 
 
 def _cmd_influence(cfg, outdir, seed, jobs):
-    model, rows = _influence_rows(cfg, seed)
-    k = rows[0][1].size
-    header = [f"z{i + 1}" for i in range(model.dim)] \
-        + [f"if_{i + 1}" for i in range(k)] + ["if_norm"]
-    table = [[_fmt(v) for v in np.concatenate([z, vec, [norm]])]
-             for z, vec, norm in rows]
+    curve, header, table = _influence_table(cfg)
     _write_results(outdir, header, table)
-    _write_report(outdir, "PASS", [f"{len(rows)} influence evaluations"])
+    _write_report(outdir, "PASS", [f"{len(curve)} influence evaluations"])
     return 0
 
 
@@ -403,7 +378,7 @@ def _cmd_redescend(cfg, outdir, seed, jobs):
     gamma = _get_float(cfg, "gamma")
     model = _model_from_config(cfg)
     theta_star = _get_floats(cfg, "theta_star")
-    phi = _phi_from_config(cfg, gamma)
+    phi = phi_from_config(cfg, gamma)
     report = redescend_check(phi, gamma, model, theta_star,
                              n_z=_get_int(cfg, "z.count", 25),
                              max_sd=_get_float(cfg, "z.max", 12.0))
@@ -441,19 +416,14 @@ def _contamination_bias(cfg, seed, eps, family):
 def _cmd_sweep(cfg, outdir, seed, jobs):
     kind = cfg.get("sweep.kind")
     if kind == "influence-z":
-        model, rows = _influence_rows(cfg, seed)
-        if len(rows) < 2:
+        curve, header, table = _influence_table(cfg)
+        if len(curve) < 2:
             raise DegenerateInputError("influence sweep needs at least 2 z-values")
-        k = rows[0][1].size
-        header = [f"z{i + 1}" for i in range(model.dim)] \
-            + [f"if_{i + 1}" for i in range(k)] + ["if_norm"]
-        table = [[_fmt(v) for v in np.concatenate([z, vec, [norm]])]
-                 for z, vec, norm in rows]
         _write_results(outdir, header, table)
         emit_plotdata(outdir, "if_norm", ["z_norm", "if_norm"],
-                      [(float(np.linalg.norm(z)), norm) for z, _, norm in rows],
+                      [(float(np.linalg.norm(res.z)), res.norm) for res in curve],
                       comments=["influence norm against contamination distance"])
-        _write_report(outdir, "PASS", [f"{len(rows)} sweep rows"])
+        _write_report(outdir, "PASS", [f"{len(curve)} sweep rows"])
         return 0
 
     if kind == "divergence-gamma":
@@ -461,6 +431,8 @@ def _cmd_sweep(cfg, outdir, seed, jobs):
         families = [f.strip() for f in cfg.get("families", "gamma").split(",")]
         if gammas.size < 2:
             raise DegenerateInputError("gamma sweep needs at least 2 values")
+        p, q = _density_pair(cfg)
+        p, q = p.normalize(), q.normalize()
         results = []
         for fam in families:
             rows = []
@@ -469,8 +441,7 @@ def _cmd_sweep(cfg, outdir, seed, jobs):
                 sub["family"] = fam
                 sub["gamma"] = repr(float(g))
                 score = score_from_config(sub)
-                p, q = _density_pair(cfg, seed)
-                val = divergence(score, p.normalize(), q.normalize()).divergence
+                val = divergence(score, p, q).divergence
                 rows.append((float(g), val))
                 results.append([fam, _fmt(g), _fmt(val)])
             emit_plotdata(outdir, fam, ["gamma", "divergence"], rows,
@@ -485,12 +456,12 @@ def _cmd_sweep(cfg, outdir, seed, jobs):
             raise DegenerateInputError("contamination sweep needs at least 2 levels")
         families = ("gamma-score", "kl")
         tasks = [(float(eps), fam) for fam in families for eps in eps_values]
+        args = ([cfg] * len(tasks), [seed] * len(tasks), *zip(*tasks))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                biases = list(pool.map(_contamination_task,
-                                       [(dict(cfg), seed, eps, fam) for eps, fam in tasks]))
+                biases = list(pool.map(_contamination_bias, *args))
         else:
-            biases = [_contamination_bias(cfg, seed, eps, fam) for eps, fam in tasks]
+            biases = list(map(_contamination_bias, *args))
         results = []
         for fam in families:
             rows = []
@@ -508,14 +479,9 @@ def _cmd_sweep(cfg, outdir, seed, jobs):
                       f"divergence-gamma or contamination")
 
 
-def _contamination_task(args):
-    cfg, seed, eps, fam = args
-    return _contamination_bias(cfg, seed, eps, fam)
-
-
 _RUNNERS = {
     "score": _cmd_score,
-    "divergence": _cmd_divergence,
+    "divergence": _cmd_score,
     "fit": _cmd_fit,
     "regress": _cmd_regress,
     "invariance": _cmd_invariance,

@@ -10,6 +10,7 @@ against the integration tolerance.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional
@@ -399,7 +400,6 @@ _FACTORIES = {
     "gaussian-mean": _gaussian_mean,
     "gaussian-mean-scale": _gaussian_mean_scale,
     "gaussian-full-d": _gaussian_full,
-    "gaussian-full": _gaussian_full,
     "gaussian-mixture-fixed-weights": _gaussian_mixture,
     "exponential-rate": _exponential_rate,
 }
@@ -420,7 +420,11 @@ def make_parametric(kind, **hyper):
         factory = _FACTORIES[kind]
     except KeyError:
         raise ConfigError(f"unknown model kind {kind!r}; choose from "
-                          f"{sorted(set(_FACTORIES) - {'gaussian-full'})}") from None
+                          f"{sorted(_FACTORIES)}") from None
+    unknown = sorted(set(hyper) - set(inspect.signature(factory).parameters))
+    if unknown:
+        raise ConfigError(f"model kind {kind!r} does not take "
+                          f"{', '.join(map(repr, unknown))}")
     return factory(**hyper)
 
 

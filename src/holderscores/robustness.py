@@ -215,7 +215,30 @@ def _default_z_ray(model, theta_star, n_z=25, max_sd=12.0):
     ts = np.linspace(0.5, max_sd, int(n_z))
     direction = np.zeros(model.dim)
     direction[0] = 1.0
-    return np.stack([center + t * sd * direction for t in ts])
+    return center + ts[:, None] * sd * direction
+
+
+def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=12.0,
+                    quad=None):
+    """Influence at every point of ``z_grid``, sharing one quadrature and Hessian.
+
+    ``z_grid`` holds one contamination point per row; by default it is a ray of
+    ``n_z`` points along the first axis, from 0.5 to ``max_sd`` model standard
+    deviations off the centre of the model's box.  Returns a tuple of
+    :class:`InfluenceResult`, one per row, in order.
+    """
+    theta_star = np.asarray(theta_star, dtype=float)
+    if quad is None:
+        quad = _FrozenQuadrature(model, theta_star)
+    hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
+    if z_grid is None:
+        z_grid = _default_z_ray(model, theta_star, n_z=n_z, max_sd=max_sd)
+    z_grid = np.atleast_2d(np.asarray(z_grid, dtype=float))
+    if len(z_grid) == 0:
+        raise DomainError("influence curve needs at least one contamination point")
+    return tuple(influence_function(phi, gamma, model, theta_star, z,
+                                    hessian=hessian, quad=quad)
+                 for z in z_grid)
 
 
 def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=12.0):
@@ -229,10 +252,8 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     """
     theta_star = np.asarray(theta_star, dtype=float)
     quad = _FrozenQuadrature(model, theta_star)
-    hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
-    if z_grid is None:
-        z_grid = _default_z_ray(model, theta_star, n_z=n_z, max_sd=max_sd)
-    z_grid = np.atleast_2d(np.asarray(z_grid, dtype=float))
+    curve = influence_curve(phi, gamma, model, theta_star, z_grid=z_grid,
+                            n_z=n_z, max_sd=max_sd, quad=quad)
 
     phi_d2 = float(phi.d2(1.0))
     condition_met = bool(abs(phi_d2 + gamma * (1.0 + gamma)) < 1e-8)
@@ -256,31 +277,17 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
                       "parameter; the redescending criterion has no power here",
                       stacklevel=2)
 
-    tail = []
-    for z in z_grid:
-        res = influence_function(phi, gamma, model, theta_star, z,
-                                 hessian=hessian, quad=quad)
-        tail.append((float(np.linalg.norm(z)), res.norm))
-
-    limit_vec = np.linalg.solve(hessian, (phi_d2 + gamma * (1.0 + gamma)) * b)
+    tail = tuple((float(np.linalg.norm(res.z)), res.norm) for res in curve)
+    limit_vec = np.linalg.solve(curve[0].hessian, (phi_d2 + gamma * (1.0 + gamma)) * b)
     return RedescendReport(gamma=float(gamma), phi_d2_at_1=phi_d2,
-                           condition_met=condition_met, tail_norms=tuple(tail),
+                           condition_met=condition_met, tail_norms=tail,
                            limit_estimate=float(np.linalg.norm(limit_vec)),
                            model_informative=informative)
 
 
 def gross_error_sensitivity(phi, gamma, model, theta_star, z_grid):
     """sup over the z-grid of ||IF(z)||; finite for redescending scores."""
-    theta_star = np.asarray(theta_star, dtype=float)
-    quad = _FrozenQuadrature(model, theta_star)
-    hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
-    z_grid = np.atleast_2d(np.asarray(z_grid, dtype=float))
-    best = 0.0
-    for z in z_grid:
-        res = influence_function(phi, gamma, model, theta_star, z,
-                                 hessian=hessian, quad=quad)
-        best = max(best, res.norm)
-    return best
+    return max(res.norm for res in influence_curve(phi, gamma, model, theta_star, z_grid))
 
 
 @dataclass(frozen=True)

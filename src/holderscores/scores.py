@@ -512,22 +512,43 @@ def check_equivalence_in_probability(score_a, score_b, trials=200, seed=0):
 
 # -- config mapping ----------------------------------------------------------------
 
+def _number(cfg, key, needed_by):
+    if key not in cfg:
+        raise ConfigError(f"{needed_by} needs a {key!r} key")
+    try:
+        return float(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} must be a number, got {cfg[key]!r}") from None
+
+
+def phi_from_config(cfg, gamma):
+    """Build a builtin shape function from flat config keys: phi, kappa, c.
+
+    ``phi`` names the shape (kappa, gamma-score, linear, cubic-tail; default
+    kappa); ``kappa`` and ``c`` are passed on when present.
+    """
+    name = str(cfg.get("phi", "kappa")).strip().lower()
+    if name not in _PHI_BUILTINS:
+        raise ConfigError(f"unknown phi builtin {name!r}; choose from "
+                          f"{sorted(_PHI_BUILTINS)}")
+    kwargs = {key: _number(cfg, key, "phi") for key in ("kappa", "c") if key in cfg}
+    return _PHI_BUILTINS[name](gamma, **kwargs)
+
+
 def score_from_config(cfg):
     """Build a score from flat config keys: family, gamma, kappa, phi, c.
 
     ``family`` is one of kl, density-power, pseudospherical, gamma, holder,
-    bregman-holder; the holder family additionally needs ``phi`` (a builtin
-    shape name: kappa, gamma-score, linear, cubic-tail).
+    bregman-holder; the holder family takes its shape from
+    :func:`phi_from_config`.  A missing or non-numeric value raises
+    :class:`ConfigError`.
     """
     family = str(cfg.get("family", "")).strip().lower()
     if not family:
         raise ConfigError("score config needs a 'family' key")
     if family == "kl":
         return KL()
-    try:
-        gamma = float(cfg["gamma"])
-    except KeyError:
-        raise ConfigError(f"family {family!r} needs a 'gamma' key") from None
+    gamma = _number(cfg, "gamma", f"family {family!r}")
     if family == "density-power":
         return DensityPower(gamma)
     if family == "pseudospherical":
@@ -535,20 +556,7 @@ def score_from_config(cfg):
     if family == "gamma":
         return GammaScore(gamma)
     if family == "bregman-holder":
-        try:
-            kappa = float(cfg["kappa"])
-        except KeyError:
-            raise ConfigError("bregman-holder needs a 'kappa' key") from None
-        return BregmanHolder(gamma, kappa)
+        return BregmanHolder(gamma, _number(cfg, "kappa", "bregman-holder"))
     if family == "holder":
-        phi_name = str(cfg.get("phi", "")).strip().lower()
-        if phi_name not in _PHI_BUILTINS:
-            raise ConfigError(f"unknown phi builtin {phi_name!r}; choose from "
-                              f"{sorted(_PHI_BUILTINS)}")
-        kwargs = {}
-        if "kappa" in cfg:
-            kwargs["kappa"] = float(cfg["kappa"])
-        if "c" in cfg:
-            kwargs["c"] = float(cfg["c"])
-        return HolderScore(_PHI_BUILTINS[phi_name](gamma, **kwargs))
+        return HolderScore(phi_from_config(cfg, gamma))
     raise ConfigError(f"unknown score family {family!r}")

@@ -274,3 +274,43 @@ class TestSweepCommand:
     def test_unknown_sweep_kind_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "s5", "sweep.kind=nope")
         assert code == 2
+
+
+class TestBadValuesExit2:
+    @pytest.mark.parametrize("command, sets, needle", [
+        ("score", ("family=gamma", "gamma=abc", "p.theta=0,1", "q.theta=0,1"), "'gamma'"),
+        ("divergence", ("family=holder", "phi=kappa", "gamma=0.5", "kappa=x",
+                        "p.theta=0,1", "q.theta=0,1"), "'kappa'"),
+        ("divergence", ("family=bregman-holder", "gamma=0.5", "kappa=x",
+                        "p.theta=0,1", "q.theta=0,1"), "'kappa'"),
+        ("divergence", ("family=holder", "phi=cubic-tail", "gamma=0.5", "c=x",
+                        "p.theta=0,1", "q.theta=0,1"), "'c'"),
+        ("fit", ("model.dim=2", "family=gamma", "gamma=0.5", "theta_true=0,1",
+                 "n=200"), "'dim'"),
+        ("influence", ("gamma=0.5", "theta_star=0,1", "z=1;abc"), "'z'"),
+        ("influence", ("gamma=0.5", "theta_star=0,1", "z=1;2,3"), "'z'"),
+        ("redescend", ("gamma=0.5", "theta_star=0,1", "z.count=0"), "contamination point"),
+    ])
+    def test_one_line_message(self, tmp_path, capsys, command, sets, needle):
+        code, _ = run(tmp_path, command, "bad", *sets)
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert needle in err and len(err.splitlines()) == 1
+
+
+class TestOnePhiParser:
+    def test_redescend_accepts_the_spelling_score_accepts(self, tmp_path):
+        args = ("gamma=0.5", "kappa=1", "model=gaussian-mean-scale", "theta_star=0,1",
+                "z.count=6")
+        code_lower, lower = run(tmp_path, "redescend", "lower", "phi=kappa", *args)
+        code_upper, upper = run(tmp_path, "redescend", "upper", "phi=KAPPA", *args)
+        assert code_lower == code_upper == 0
+        assert (lower / "results.csv").read_bytes() == (upper / "results.csv").read_bytes()
+
+    def test_score_defaults_phi_to_kappa(self, tmp_path):
+        args = ("family=holder", "gamma=0.5", "kappa=1.5", "p.theta=0,1",
+                "q.theta=0.5,1.2", "grid.n=801")
+        code_named, named = run(tmp_path, "score", "named", "phi=kappa", *args)
+        code_default, default = run(tmp_path, "score", "default", *args)
+        assert code_named == code_default == 0
+        assert (named / "results.csv").read_bytes() == (default / "results.csv").read_bytes()

@@ -184,3 +184,15 @@ class TestSample:
         t = read_samples(path)
         assert np.array_equal(s.points, t.points)
         assert np.array_equal(s.covariates, t.covariates)
+
+
+class TestMakeParametric:
+    def test_hyper_parameter_the_kind_does_not_take_rejected(self):
+        with pytest.raises(ConfigError, match="'dim'"):
+            make_parametric("gaussian-mean-scale", dim=2)
+        with pytest.raises(ConfigError, match="'scale'"):
+            make_parametric("gaussian-full-d", dim=2, scale=1.0)
+
+    def test_undocumented_alias_removed(self):
+        with pytest.raises(ConfigError):
+            make_parametric("gaussian-full")

@@ -4,9 +4,10 @@ import pytest
 from holderscores import (DomainError, FitConfig, HolderScore,
                           SingularHessianError, asymptotic_variance_sameness,
                           contaminate, expected_score, gross_error_sensitivity,
-                          influence_function, make_parametric, objective_hessian,
-                          phi_cubic_tail, phi_kappa, population_fit,
-                          redescend_check, render_density)
+                          influence_curve, influence_function, make_parametric,
+                          objective_hessian, phi_cubic_tail, phi_kappa,
+                          population_fit, redescend_check, render_density)
+from holderscores.robustness import _default_z_ray
 
 GAUSS_MS = make_parametric("gaussian-mean-scale")
 GAUSS_M = make_parametric("gaussian-mean")
@@ -250,3 +251,44 @@ class TestSingularHessian:
         phi = phi_kappa(0.5, 1.0)
         with pytest.raises(SingularHessianError):
             objective_hessian(phi, 0.5, mix, [0.0, 1.0, 0.0, 1.0])
+
+
+class TestInfluenceCurve:
+    def test_each_point_matches_influence_function_with_shared_hessian(self):
+        phi = phi_kappa(0.5, 1.0)
+        zs = np.array([[0.3], [1.7], [4.0]])
+        curve = influence_curve(phi, 0.5, GAUSS_MS, [0.0, 1.0], zs)
+        hess = objective_hessian(phi, 0.5, GAUSS_MS, [0.0, 1.0])
+        assert len(curve) == len(zs)
+        for z, res in zip(zs, curve):
+            ref = influence_function(phi, 0.5, GAUSS_MS, [0.0, 1.0], z, hessian=hess)
+            assert np.array_equal(res.hessian, hess)
+            assert np.array_equal(res.z, ref.z)
+            assert np.array_equal(res.if_vector, ref.if_vector)
+            assert res.norm == ref.norm
+
+    def test_gross_error_sensitivity_is_largest_norm(self):
+        phi = phi_kappa(0.5, 1.0)
+        grid = np.linspace(-6, 6, 13).reshape(-1, 1)
+        curve = influence_curve(phi, 0.5, GAUSS_MS, [0.0, 1.0], grid)
+        assert gross_error_sensitivity(phi, 0.5, GAUSS_MS, [0.0, 1.0], grid) \
+            == max(res.norm for res in curve)
+
+    def test_default_ray(self):
+        phi = phi_kappa(0.5, 1.0)
+        curve = influence_curve(phi, 0.5, GAUSS_MS, [0.0, 1.0], n_z=7, max_sd=9.0)
+        ray = _default_z_ray(GAUSS_MS, [0.0, 1.0], n_z=7, max_sd=9.0)
+        assert np.array_equal(np.stack([res.z for res in curve]), ray)
+        # N(0, 1) lives on [-8, 8]: centre 0, one standard deviation per unit
+        assert np.allclose(ray[:, 0], np.linspace(0.5, 9.0, 7), rtol=0, atol=1e-15)
+
+    def test_redescend_tail_is_the_curve(self):
+        phi = phi_kappa(0.5, 1.0)
+        report = redescend_check(phi, 0.5, GAUSS_MS, [0.0, 1.0], n_z=6)
+        curve = influence_curve(phi, 0.5, GAUSS_MS, [0.0, 1.0], n_z=6)
+        assert report.tail_norms == tuple((float(np.linalg.norm(res.z)), res.norm)
+                                          for res in curve)
+
+    def test_empty_ray_rejected(self):
+        with pytest.raises(DomainError):
+            influence_curve(phi_kappa(0.5, 1.0), 0.5, GAUSS_MS, [0.0, 1.0], n_z=0)

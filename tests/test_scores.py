@@ -11,7 +11,8 @@ from holderscores import (BregmanHolder, ConfigError, DegenerateInputError,
                           draw_sample, empirical_score, expected_score,
                           l1_distance, make_parametric, phi_cubic_tail,
                           phi_gamma_score, phi_kappa, phi_linear, power_moment,
-                          render_density, score_from_config, validate_phi)
+                          phi_from_config, render_density, score_from_config,
+                          validate_phi)
 
 GAUSS = make_parametric("gaussian-mean-scale")
 
@@ -349,3 +350,24 @@ class TestScoreConfig:
             score_from_config({"family": "bregman-holder", "gamma": "1", "kappa": "0.5"})
         with pytest.raises(ConfigError):
             score_from_config({"family": "holder", "gamma": "1", "phi": "unknown"})
+
+
+class TestPhiFromConfig:
+    def test_defaults_to_kappa_and_ignores_case(self):
+        assert phi_from_config({}, 0.5).label == "kappa(0.5,1)"
+        assert phi_from_config({"phi": " KAPPA ", "kappa": "1.5"}, 0.5).label \
+            == "kappa(0.5,1.5)"
+        assert phi_from_config({"phi": "cubic-tail", "c": "0.25"}, 0.5).label \
+            == "cubic-tail(0.5,0.25)"
+        assert score_from_config({"family": "holder", "gamma": "0.5"}).phi.label \
+            == "kappa(0.5,1)"
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"family": "gamma", "gamma": "abc"}, "gamma"),
+        ({"family": "bregman-holder", "gamma": "0.5", "kappa": "x"}, "kappa"),
+        ({"family": "holder", "gamma": "0.5", "kappa": "x"}, "kappa"),
+        ({"family": "holder", "gamma": "0.5", "phi": "cubic-tail", "c": "x"}, "c"),
+    ])
+    def test_non_numeric_value_raises_config_error(self, cfg, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            score_from_config(cfg)
