@@ -135,14 +135,20 @@ def _model_from_config(cfg, prefix="model"):
 def _density_pair(cfg):
     """p and q on one shared grid (union box of their model supports).
 
-    When either comes from a grid file, the other is rendered on its own
-    model box.
+    When either comes from a grid file, the other is rendered on that file's
+    box and node counts.
     """
-    if "p.file" in cfg or "q.file" in cfg:
-        return tuple(read_grid(cfg[f"{s}.file"]) if f"{s}.file" in cfg
-                     else render_density(_model_from_config(cfg, f"{s}.model"),
-                                         _get_floats(cfg, f"{s}.theta"))
-                     for s in "pq")
+    files = {s: read_grid(cfg[f"{s}.file"]) for s in "pq" if f"{s}.file" in cfg}
+    if files:
+        like = next(iter(files.values()))
+        for s in "pq":
+            if s not in files:
+                files[s] = render_density(_model_from_config(cfg, f"{s}.model"),
+                                          _get_floats(cfg, f"{s}.theta"),
+                                          lo=like.domain_lo, hi=like.domain_hi,
+                                          points_per_axis=like.points_per_axis)
+                _check_mass(files[s], s)
+        return files["p"], files["q"]
     mp = _model_from_config(cfg, "p.model")
     mq = _model_from_config(cfg, "q.model")
     tp = _get_floats(cfg, "p.theta")
@@ -407,8 +413,7 @@ def _contamination_bias(cfg, seed, eps, family):
         score = KL()
     else:
         score = GammaScore(_get_float(cfg, "gamma", 0.5))
-    fit_cfg = FitConfig(init_theta=theta_true, step_tol=1e-9, grad_tol=1e-2,
-                        seed=seed, polish=True)
+    fit_cfg = FitConfig(init_theta=theta_true, step_tol=1e-9, grad_tol=1e-2, seed=seed)
     res = population_fit(score, model, p_eps, fit_cfg)
     return float(res.theta_hat[0] - theta_true[0])
 

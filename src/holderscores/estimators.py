@@ -4,7 +4,7 @@ Fitting minimizes an empirical composite score over a parametric family.  The
 default optimizer is derivative-free Nelder-Mead (score objectives built from
 generic shape functions can be non-smooth at isolated points); a
 finite-difference gradient descent and jittered multi-start are available,
-and an optional Newton polish sharpens smooth objectives to near machine
+and a Newton polish (on by default) sharpens smooth objectives to near machine
 accuracy.  Population-level fits replace the sample average by quadrature
 against a grid density, which is also how Fisher consistency is verified.
 """
@@ -20,7 +20,7 @@ from scipy.optimize import minimize
 
 from .errors import (ConfigError, DomainError, HolderError, StructuralError,
                      UnsupportedFamilyError)
-from .grids import GridDensity
+from .grids import GridDensity, _trapezoid_weights
 from .scores import BregmanHolder, KL, empirical_score, expected_score
 from .rng import rng_for
 
@@ -32,10 +32,10 @@ class FitConfig:
     """Optimizer settings for one fit.
 
     ``optimizer`` is ``nelder-mead``, ``gradient-descent-with-fd`` or
-    ``multi-start(k)`` (k jittered Nelder-Mead starts).  ``polish`` runs a few
-    guarded Newton steps with finite-difference derivatives after the main
-    optimizer; it is cheap and tightens smooth objectives well past the
-    simplex tolerance.
+    ``multi-start(k)`` (k jittered Nelder-Mead starts).  ``polish`` (on by
+    default) runs a few guarded Newton steps with finite-difference
+    derivatives after the main optimizer; it is cheap and tightens smooth
+    objectives well past the simplex tolerance.
     """
 
     init_theta: np.ndarray
@@ -44,7 +44,7 @@ class FitConfig:
     step_tol: float = 1e-8
     optimizer: str = "nelder-mead"
     seed: int = 0
-    polish: bool = False
+    polish: bool = True
     record_trace: bool = False
 
     def __post_init__(self):
@@ -290,11 +290,8 @@ class ConditionalModel:
 
     def y_grid(self):
         lo, hi = self.y_domain
-        y = np.linspace(lo, hi, self.y_quad_points)
-        w = np.full(y.size, (hi - lo) / (y.size - 1))
-        w[0] /= 2.0
-        w[-1] /= 2.0
-        return y, w
+        n = self.y_quad_points
+        return np.linspace(lo, hi, n), _trapezoid_weights(lo, hi, n)
 
 
 def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):

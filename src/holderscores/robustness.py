@@ -31,13 +31,17 @@ import numpy as np
 
 from .errors import DomainError, SingularHessianError
 from .estimators import FitConfig, _fd_gradient, _fd_hessian, fit
+from .grids import log_moments
 from .models import draw_sample, render_density
 from .rng import rng_for
 from .scores import HolderScore
 
 logger = logging.getLogger(__name__)
 
-_COND_LIMIT = 1e10
+# The rel_step 1e-4 central-difference Hessian carries absolute noise of about
+# eps / h^2 ~ 2e-8, so eigenvalues below ~1e-7 are unresolved; O(1) curvature
+# with a condition number past 1e6 cannot be told apart from a singular one.
+_COND_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -92,71 +96,62 @@ class RedescendReport:
         return "\n".join(lines)
 
 
-class _FrozenQuadrature:
-    """Quadrature grid pinned at theta_star so theta-derivatives stay smooth.
+def _frozen_grid(model, theta_star):
+    """model(theta_star) rendered on its box padded by a factor 1.25.
 
-    ``p_star`` is model(theta_star) rendered on the model's box at theta_star,
-    padded by ``pad`` (but never past a hard support edge); every moment is
-    a weighted sum over its nodes.
+    The padding never crosses a hard support edge (e.g. x >= 0).  Pinning the
+    quadrature at theta_star keeps the objective smooth in theta, which the
+    finite-difference derivatives below rely on.
     """
-
-    def __init__(self, model, theta_star, pad=1.25, points_per_axis=None):
-        theta_star = np.asarray(theta_star, dtype=float)
-        box_lo, box_hi = model.support(theta_star)
-        center, half = (box_lo + box_hi) / 2.0, (box_hi - box_lo) / 2.0
-        lo = center - pad * half
-        hi = center + pad * half
-        # never pad past a hard support edge (e.g. x >= 0)
-        if not bool(np.all(model.in_support(lo.reshape(1, -1)))):
-            lo = box_lo
-        if not bool(np.all(model.in_support(hi.reshape(1, -1)))):
-            hi = box_hi
-        self.model = model
-        self.theta_star = theta_star
-        self.p_star = render_density(model, theta_star, lo=lo, hi=hi,
-                                     points_per_axis=points_per_axis)
-
-    def moments(self, theta):
-        """p_theta at the nodes: the building block of both moments."""
-        return self.model.density(np.asarray(theta, dtype=float), self.p_star.flat.nodes)
-
-    def cross(self, p_theta_vals, gamma):
-        view = self.p_star.flat
-        return float(np.sum(view.weights * view.values * p_theta_vals ** gamma))
-
-    def power(self, p_theta_vals, gamma):
-        return float(np.sum(self.p_star.flat.weights * p_theta_vals ** (1.0 + gamma)))
-
-    def score_moment(self, gamma):
-        """<p_star^(1+gamma) s_star> and a positive scale for zero tests."""
-        view = self.p_star.flat
-        s = self.model.score(self.theta_star, view.nodes)
-        w = (view.weights * view.values ** (1.0 + gamma))[:, None]
-        return (w * s).sum(axis=0), (w * np.abs(s)).sum(axis=0)
+    theta_star = np.asarray(theta_star, dtype=float)
+    box_lo, box_hi = model.support(theta_star)
+    center, half = (box_lo + box_hi) / 2.0, (box_hi - box_lo) / 2.0
+    lo = center - 1.25 * half
+    hi = center + 1.25 * half
+    if not bool(np.all(model.in_support(lo.reshape(1, -1)))):
+        lo = box_lo
+    if not bool(np.all(model.in_support(hi.reshape(1, -1)))):
+        hi = box_hi
+    return render_density(model, theta_star, lo=lo, hi=hi)
 
 
-def _objective(quad, phi, gamma):
+def _moments(quad, model, theta, gamma):
+    """(<p_star p_theta^gamma>, <p_theta^(1+gamma)>) on the frozen grid ``quad``."""
+    return log_moments(quad, model.log_density(np.asarray(theta, dtype=float),
+                                               quad.flat.nodes), gamma)
+
+
+def _score_moment(quad, model, theta, gamma):
+    """<p^(1+gamma) s> at theta over ``quad`` = model(theta) on its frozen grid,
+    and a positive scale for zero tests."""
+    view = quad.flat
+    s = model.score(theta, view.nodes)
+    w = (view.weights * view.values ** (1.0 + gamma))[:, None]
+    return (w * s).sum(axis=0), (w * np.abs(s)).sum(axis=0)
+
+
+def _objective(quad, model, phi, gamma):
     def fun(theta):
-        vals = quad.moments(theta)
-        power = quad.power(vals, gamma)
-        u = quad.cross(vals, gamma) / power
-        return float(phi.value(u)) * power
+        cross, power = _moments(quad, model, theta, gamma)
+        return float(phi.value(cross / power)) * power
     return fun
 
 
 def objective_hessian(phi, gamma, model, theta_star, quad=None, rel_step=1e-4):
     """Central finite-difference Hessian of the population objective.
 
-    Symmetrized by construction; the condition number is logged and a
-    numerically singular matrix raises :class:`SingularHessianError` because
-    the influence solve requires invertible curvature at theta_star.  A
-    non-vanishing gradient triggers a warning: the formulas below assume
-    theta_star is the objective's stationary point.
+    ``quad`` is the frozen quadrature grid, by default model(theta_star) on
+    its padded box.  Symmetrized by construction; the condition number is
+    logged and a numerically singular matrix raises
+    :class:`SingularHessianError` because the influence solve requires
+    invertible curvature at theta_star.  A non-vanishing gradient triggers a
+    warning: the formulas below assume theta_star is the objective's
+    stationary point.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if quad is None:
-        quad = _FrozenQuadrature(model, theta_star)
-    fun = _objective(quad, phi, gamma)
+        quad = _frozen_grid(model, theta_star)
+    fun = _objective(quad, model, phi, gamma)
     grad = _fd_gradient(fun, theta_star)
     hess = _fd_hessian(fun, theta_star, rel_step=rel_step)
     scale = max(float(np.max(np.abs(hess))), 1e-12)
@@ -184,18 +179,17 @@ def influence_function(phi, gamma, model, theta_star, z, hessian=None, quad=None
         raise DomainError("contamination point lies outside the model support; "
                           "the density cannot be evaluated there")
     if quad is None:
-        quad = _FrozenQuadrature(model, theta_star)
+        quad = _frozen_grid(model, theta_star)
     if hessian is None:
         hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
 
     zrow = z.reshape(1, -1)
 
     def bracket(theta):
-        vals = quad.moments(theta)
-        cross = quad.cross(vals, gamma)
-        power = quad.power(vals, gamma)
-        pz = float(model.density(np.asarray(theta, dtype=float), zrow)[0])
-        return float(phi.d1(cross / power)) * (pz ** gamma - cross)
+        cross, power = _moments(quad, model, theta, gamma)
+        log_pz = model.log_density(np.asarray(theta, dtype=float), zrow)[0]
+        pz_gamma = float(np.exp(gamma * log_pz))
+        return float(phi.d1(cross / power)) * (pz_gamma - cross)
 
     grad_term = _fd_gradient(bracket, theta_star, rel_step=1e-4)
     if_vec = -np.linalg.solve(hessian, grad_term)
@@ -229,7 +223,7 @@ def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if quad is None:
-        quad = _FrozenQuadrature(model, theta_star)
+        quad = _frozen_grid(model, theta_star)
     hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
     if z_grid is None:
         z_grid = _default_z_ray(model, theta_star, n_z=n_z, max_sd=max_sd)
@@ -251,24 +245,24 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     test has no power and the report is marked inconclusive.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    quad = _FrozenQuadrature(model, theta_star)
+    quad = _frozen_grid(model, theta_star)
     curve = influence_curve(phi, gamma, model, theta_star, z_grid=z_grid,
                             n_z=n_z, max_sd=max_sd, quad=quad)
 
     phi_d2 = float(phi.d2(1.0))
     condition_met = bool(abs(phi_d2 + gamma * (1.0 + gamma)) < 1e-8)
 
-    b, b_scale = quad.score_moment(gamma)
+    b, b_scale = _score_moment(quad, model, theta_star, gamma)
     informative = bool(np.any(np.abs(b) > 1e-6 * np.maximum(b_scale, 1e-300)))
     if not informative:
         # the criterion needs one nearby parameter with a nonzero moment
         for i in range(5):
             jitter = theta_star * (1.0 + 0.02 * (i + 1)) + 0.01 * (i + 1)
             try:
-                q2 = _FrozenQuadrature(model, jitter)
+                q2 = _frozen_grid(model, jitter)
             except DomainError:
                 continue
-            b2, s2 = q2.score_moment(gamma)
+            b2, s2 = _score_moment(q2, model, jitter, gamma)
             if np.any(np.abs(b2) > 1e-6 * np.maximum(s2, 1e-300)):
                 informative = True
                 break
@@ -330,8 +324,7 @@ def asymptotic_variance_sameness(gamma, model, theta_star, phi_list, n_mc, seed,
                 f"{phi.label}: phi''(1) = {d2:.8g} violates the premise "
                 f"phi''(1) = -gamma(1+gamma) = {-gamma * (1.0 + gamma):.8g}")
     if cfg is None:
-        cfg = FitConfig(init_theta=theta_star, step_tol=1e-7, grad_tol=1e-2,
-                        polish=True)
+        cfg = FitConfig(init_theta=theta_star, step_tol=1e-7, grad_tol=1e-2)
     estimates = np.empty((len(phi_list), int(replicates), theta_star.size))
     for r in range(int(replicates)):
         data = draw_sample(model, theta_star, int(n_mc), rng_for(seed, r))

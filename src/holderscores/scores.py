@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DomainError
-from .grids import GridDensity, cross_moment, integrate, log_moments, power_moment
+from .grids import GridDensity, _require_same_grid, integrate, log_moments, power_moment
 from .models import render_density
 from .rng import rng_for
 
@@ -157,11 +157,12 @@ def phi_cubic_tail(gamma, c=0.5):
         label=f"cubic-tail({gamma:g},{c:g})")
 
 
+# shape name -> (constructor, the config keys it takes besides gamma)
 _PHI_BUILTINS = {
-    "kappa": lambda gamma, kappa=1.0, **kw: phi_kappa(gamma, kappa),
-    "gamma-score": lambda gamma, **kw: phi_gamma_score(gamma),
-    "linear": lambda gamma, **kw: phi_linear(gamma),
-    "cubic-tail": lambda gamma, c=0.5, **kw: phi_cubic_tail(gamma, c),
+    "kappa": (lambda gamma, kappa=1.0: phi_kappa(gamma, kappa), ("kappa",)),
+    "gamma-score": (phi_gamma_score, ()),
+    "linear": (phi_linear, ()),
+    "cubic-tail": (phi_cubic_tail, ("c",)),
 }
 
 
@@ -208,12 +209,6 @@ class CompositeScore:
         model, theta = g
         return render_density(model, theta)
 
-    def _target_values_at(self, g, points):
-        if isinstance(g, GridDensity):
-            return g.evaluate(points)
-        model, theta = g
-        return model.density(np.asarray(theta, dtype=float), points)
-
     # entry points ---------------------------------------------------------------
 
     def expected(self, f, g):
@@ -222,22 +217,17 @@ class CompositeScore:
         ``g`` is a grid density on f's grid, or a ``(model, theta)`` pair whose
         log-density is evaluated once at f's own nodes.
         """
-        if isinstance(g, GridDensity):
-            cross, g_power = cross_moment(f, g, self.gamma), power_moment(g, 1.0 + self.gamma)
-        else:
-            cross, g_power = log_moments(f, _log_target_at_nodes(f, g), self.gamma)
+        cross, g_power = log_moments(f, _log_target_at_nodes(f, g), self.gamma)
         if g_power <= 0.0:
             raise DegenerateInputError(f"<g^(1+gamma)> = {g_power}; target carries no mass")
         return self._combine(cross, g_power)
 
     def empirical(self, sample, g):
         """Empirical score with the cross term replaced by a sample mean."""
-        vals = self._target_values_at(g, sample.points)
-        grid_g = self._target_grid(g)
-        g_power = power_moment(grid_g, 1.0 + self.gamma)
+        g_power = power_moment(self._target_grid(g), 1.0 + self.gamma)
         if g_power <= 0.0:
             raise DegenerateInputError(f"<g^(1+gamma)> = {g_power}; target carries no mass")
-        cross = float(np.mean(vals ** self.gamma))
+        cross = float(np.mean(np.exp(_log_target_at(g, sample.points)) ** self.gamma))
         return self._combine(cross, g_power)
 
 
@@ -254,37 +244,40 @@ class KL(CompositeScore):
         return "KL()"
 
     def expected(self, f, g):
-        if isinstance(g, GridDensity):
-            mask = f.values > 0
-            if np.any(g.values[mask] == 0.0):
-                return math.inf  # f puts mass where g has none: infinite divergence
-            cross = float(np.sum(np.where(
-                mask, -f.values * np.log(np.where(mask, g.values, 1.0)), 0.0) * f.weights))
-            return cross + integrate(g)
         view = f.flat
         log_g = _log_target_at_nodes(f, g)
-        # nodes where f vanishes contribute nothing, even where log g = -inf
+        # nodes where f vanishes contribute nothing, even where log g = -inf;
+        # where f > 0 and g = 0 the cross term is +inf
         cross = -float(np.sum(view.values * np.where(view.values > 0, log_g, 0.0)
                               * view.weights))
         return cross + float(np.sum(np.exp(log_g) * view.weights))
 
     def empirical(self, sample, g):
-        if isinstance(g, GridDensity):
-            vals = g.evaluate(sample.points)
-            if np.any(vals <= 0.0):
-                return math.inf
-            cross = float(np.mean(-np.log(vals)))
-        else:
-            model, theta = g
-            cross = -float(np.mean(model.log_density(np.asarray(theta, dtype=float),
-                                                     sample.points)))
+        cross = -float(np.mean(_log_target_at(g, sample.points)))
         return cross + integrate(self._target_grid(g))
 
 
 def _log_target_at_nodes(f, g):
-    """log model(theta) at the nodes of the data grid f, for g = (model, theta)."""
+    """log g at the nodes of the data grid f; -inf where g vanishes.
+
+    ``g`` is a grid density on f's grid or a ``(model, theta)`` pair.
+    """
+    if isinstance(g, GridDensity):
+        _require_same_grid(f, g)
+        with np.errstate(divide="ignore"):
+            return np.log(g.flat.values)
     model, theta = g
     return model.log_density(np.asarray(theta, dtype=float), f.flat.nodes)
+
+
+def _log_target_at(g, points):
+    """log g at sample points: the interpolated grid density (-inf where it
+    vanishes) or the model's analytic log-density."""
+    if isinstance(g, GridDensity):
+        with np.errstate(divide="ignore"):
+            return np.log(g.evaluate(points))
+    model, theta = g
+    return model.log_density(np.asarray(theta, dtype=float), points)
 
 
 class DensityPower(CompositeScore):
@@ -498,10 +491,10 @@ def check_equivalence_in_probability(score_a, score_b, trials=200, seed=0):
         p = _random_grid_density(rng)
         q = _random_grid_density(rng)
         q2 = _random_grid_density(rng)
-        da = score_a.expected(p, q) - score_a.expected(p, q2)
-        db = score_b.expected(p, q) - score_b.expected(p, q2)
-        scale_a = abs(score_a.expected(p, q)) + abs(score_a.expected(p, q2))
-        scale_b = abs(score_b.expected(p, q)) + abs(score_b.expected(p, q2))
+        a, a2 = score_a.expected(p, q), score_a.expected(p, q2)
+        b, b2 = score_b.expected(p, q), score_b.expected(p, q2)
+        da, db = a - a2, b - b2
+        scale_a, scale_b = abs(a) + abs(a2), abs(b) + abs(b2)
         sa = 0 if abs(da) <= 1e-12 * max(scale_a, 1.0) else int(np.sign(da))
         sb = 0 if abs(db) <= 1e-12 * max(scale_b, 1.0) else int(np.sign(db))
         if sa != 0 and sb != 0 and sa != sb:
@@ -525,14 +518,18 @@ def phi_from_config(cfg, gamma):
     """Build a builtin shape function from flat config keys: phi, kappa, c.
 
     ``phi`` names the shape (kappa, gamma-score, linear, cubic-tail; default
-    kappa); ``kappa`` and ``c`` are passed on when present.
+    kappa); ``kappa`` and ``c`` are passed on when present.  A ``kappa`` or
+    ``c`` key that the named shape does not take raises :class:`ConfigError`.
     """
     name = str(cfg.get("phi", "kappa")).strip().lower()
     if name not in _PHI_BUILTINS:
         raise ConfigError(f"unknown phi builtin {name!r}; choose from "
                           f"{sorted(_PHI_BUILTINS)}")
-    kwargs = {key: _number(cfg, key, "phi") for key in ("kappa", "c") if key in cfg}
-    return _PHI_BUILTINS[name](gamma, **kwargs)
+    build, takes = _PHI_BUILTINS[name]
+    for key in ("kappa", "c"):
+        if key in cfg and key not in takes:
+            raise ConfigError(f"phi {name!r} takes no {key!r} key")
+    return build(gamma, **{key: _number(cfg, key, "phi") for key in takes if key in cfg})
 
 
 def score_from_config(cfg):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from holderscores import (GammaScore, KL, divergence, make_parametric, read_grid,
+                          render_density, write_grid)
 from holderscores.cli import main
 
 
@@ -24,7 +26,7 @@ def run(tmp_path, command, name, *sets, seed=None, config_text=None, jobs=None):
 class TestDispatch:
     def test_unknown_command_exits_64(self, capsys):
         assert main(["frobnicate", "--out", "/tmp/x"]) == 64
-        assert "Usage" in capsys.readouterr().out or True
+        assert "Usage" in capsys.readouterr().out
 
     def test_no_args_exits_64(self):
         assert main([]) == 64
@@ -86,6 +88,42 @@ class TestDivergenceCommand:
         assert code == 2
         err = capsys.readouterr().err.strip()
         assert "HOLDER_TOL" in err and len(err.splitlines()) == 1
+
+
+class TestGridFileInput:
+    GAUSS = make_parametric("gaussian-mean-scale")
+
+    def grid_file(self, tmp_path, half_width):
+        path = tmp_path / "p.grid"
+        write_grid(render_density(self.GAUSS, [0.0, 1.0], lo=[-half_width],
+                                  hi=[half_width], points_per_axis=801), path)
+        return path
+
+    @pytest.mark.parametrize("score, family_sets, file_side", [
+        (GammaScore(0.5), ("family=gamma", "gamma=0.5"), "p"),
+        (KL(), ("family=kl",), "q"),
+    ])
+    def test_model_side_rendered_on_the_file_grid(self, tmp_path, score, family_sets,
+                                                  file_side):
+        path = self.grid_file(tmp_path, 9.0)
+        model_side = "q" if file_side == "p" else "p"
+        code, out = run(tmp_path, "divergence", "mixed", *family_sets,
+                        f"{file_side}.file={path}", f"{model_side}.theta=0.2,1.1")
+        assert code == 0
+        grid = read_grid(path)
+        model = render_density(self.GAUSS, [0.2, 1.1], lo=grid.domain_lo,
+                               hi=grid.domain_hi, points_per_axis=grid.points_per_axis)
+        pair = (grid, model) if file_side == "p" else (model, grid)
+        expected = divergence(score, *(g.normalize() for g in pair)).divergence
+        assert float((out / "results.csv").read_text().splitlines()[1]
+                     .split(",")[-1]) == expected
+
+    def test_model_truncated_by_the_file_box_exits_3(self, tmp_path, capsys):
+        path = self.grid_file(tmp_path, 2.0)
+        code, _ = run(tmp_path, "divergence", "narrow", "family=kl",
+                      f"p.file={path}", "q.theta=0,1")
+        assert code == 3
+        assert "q integrates to" in capsys.readouterr().err
 
 
 class TestFitCommand:
@@ -290,6 +328,7 @@ class TestBadValuesExit2:
         ("influence", ("gamma=0.5", "theta_star=0,1", "z=1;abc"), "'z'"),
         ("influence", ("gamma=0.5", "theta_star=0,1", "z=1;2,3"), "'z'"),
         ("redescend", ("gamma=0.5", "theta_star=0,1", "z.count=0"), "contamination point"),
+        ("redescend", ("phi=linear", "kappa=3", "gamma=0.5", "theta_star=0,1"), "'kappa'"),
     ])
     def test_one_line_message(self, tmp_path, capsys, command, sets, needle):
         code, _ = run(tmp_path, command, "bad", *sets)

@@ -30,6 +30,9 @@ class TestFitConfig:
     def test_multistart_spelling_accepted(self):
         FitConfig(init_theta=[0.0], optimizer="multi-start(5)")
 
+    def test_polish_on_by_default(self):
+        assert FitConfig(init_theta=[0.0]).polish is True
+
     def test_csv_row(self):
         from holderscores import FitResult
         res = FitResult(theta_hat=np.array([0.5, 1.25]), objective_value=-1.5,

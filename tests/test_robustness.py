@@ -7,7 +7,7 @@ from holderscores import (DomainError, FitConfig, HolderScore,
                           influence_curve, influence_function, make_parametric,
                           objective_hessian, phi_cubic_tail, phi_kappa,
                           population_fit, redescend_check, render_density)
-from holderscores.robustness import _default_z_ray
+from holderscores.robustness import _default_z_ray, _frozen_grid, _objective
 
 GAUSS_MS = make_parametric("gaussian-mean-scale")
 GAUSS_M = make_parametric("gaussian-mean")
@@ -47,6 +47,22 @@ def fourth_order_hessian(fun, x, h=5e-5):
     return out
 
 
+class TestFrozenGrid:
+    def test_objective_is_the_holder_score_on_the_frozen_grid(self):
+        phi = phi_kappa(0.5, 1.5)
+        quad = _frozen_grid(GAUSS_MS, [0.0, 1.0])
+        fun = _objective(quad, GAUSS_MS, phi, 0.5)
+        for theta in ([0.0, 1.0], [0.3, 1.2]):
+            assert fun(theta) == expected_score(HolderScore(phi), quad, (GAUSS_MS, theta))
+
+    def test_padding_stops_at_a_hard_support_edge(self):
+        expo = make_parametric("exponential-rate")
+        lo, hi = expo.support(np.array([1.3]))
+        quad = _frozen_grid(expo, [1.3])
+        assert quad.domain_lo[0] == lo[0] == 0.0
+        assert quad.domain_hi[0] == pytest.approx(hi[0] + 0.25 * (hi[0] - lo[0]) / 2)
+
+
 class TestObjectiveHessian:
     def test_gaussian_mean_gamma_score_positive(self):
         phi = phi_kappa(0.5, 1.0)
@@ -72,8 +88,7 @@ class TestObjectiveHessian:
         with pytest.warns(UserWarning, match="stationary"):
             # the quadrature grid is pinned at theta_star, so moving theta_star
             # away from the objective minimum leaves a visible gradient
-            from holderscores.robustness import _FrozenQuadrature
-            quad = _FrozenQuadrature(GAUSS_MS, quad_theta)
+            quad = _frozen_grid(GAUSS_MS, quad_theta)
             objective_hessian(phi, 0.5, GAUSS_MS, [0.5, 1.3], quad=quad)
 
 

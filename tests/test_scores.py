@@ -303,6 +303,19 @@ class TestEquivalence:
             GammaScore(0.5), BregmanHolder(0.5, 1.0), trials=100, seed=3)
         assert report.passed
 
+    def test_each_expected_score_computed_once(self):
+        calls = []
+
+        class Counting(GammaScore):
+            def expected(self, f, g):
+                calls.append(self)
+                return super().expected(f, g)
+
+        a, b = Counting(0.5), Counting(0.5)
+        assert check_equivalence_in_probability(a, b, trials=3, seed=4).passed
+        # S(p, q) and S(p, q') once each, per score and trial
+        assert calls.count(a) == calls.count(b) == 6
+
     def test_kappa_one_bregman_is_pseudospherical_exactly(self):
         p, q = gaussian_pair([0.0, 1.0], [0.5, 0.8])
         for f, g in [(p, q), (q, p)]:
@@ -371,3 +384,11 @@ class TestPhiFromConfig:
     def test_non_numeric_value_raises_config_error(self, cfg, key):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             score_from_config(cfg)
+
+    @pytest.mark.parametrize("name, key", [
+        ("linear", "kappa"), ("gamma-score", "kappa"), ("cubic-tail", "kappa"),
+        ("kappa", "c"), ("linear", "c"), ("gamma-score", "c"),
+    ])
+    def test_key_the_shape_does_not_take_raises(self, name, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            phi_from_config({"phi": name, key: "3"}, 0.5)
