@@ -102,6 +102,14 @@ def _get_floats(cfg, key, default=None):
     return _parse_floats(key, cfg[key])
 
 
+def _get_vector(cfg, key, size, default=None):
+    """A csv vector of exactly ``size`` numbers: a parameter vector, or ``a``."""
+    vec = _get_floats(cfg, key, default)
+    if vec.size != size:
+        raise ConfigError(f"config key {key!r} needs {size} values, got {vec.size}")
+    return vec
+
+
 def _parse_floats(key, text):
     try:
         return np.array([float(v) for v in text.split(",") if v.strip() != ""])
@@ -143,16 +151,17 @@ def _density_pair(cfg):
         like = next(iter(files.values()))
         for s in "pq":
             if s not in files:
-                files[s] = render_density(_model_from_config(cfg, f"{s}.model"),
-                                          _get_floats(cfg, f"{s}.theta"),
+                model = _model_from_config(cfg, f"{s}.model")
+                theta = _get_vector(cfg, f"{s}.theta", model.param_dim)
+                files[s] = render_density(model, theta,
                                           lo=like.domain_lo, hi=like.domain_hi,
                                           points_per_axis=like.points_per_axis)
                 _check_mass(files[s], s)
         return files["p"], files["q"]
     mp = _model_from_config(cfg, "p.model")
     mq = _model_from_config(cfg, "q.model")
-    tp = _get_floats(cfg, "p.theta")
-    tq = _get_floats(cfg, "q.theta")
+    tp = _get_vector(cfg, "p.theta", mp.param_dim)
+    tq = _get_vector(cfg, "q.theta", mq.param_dim)
     lo_p, hi_p = mp.support(tp)
     lo_q, hi_q = mq.support(tq)
     lo, hi = np.minimum(lo_p, lo_q), np.maximum(hi_p, hi_q)
@@ -173,10 +182,7 @@ def _check_mass(g, label):
 
 
 def _fit_config(cfg, model_dim_k, seed, default_init):
-    init = _get_floats(cfg, "init", default_init)
-    if init.size != model_dim_k:
-        raise ConfigError(f"init expects {model_dim_k} values")
-    return FitConfig(init_theta=init,
+    return FitConfig(init_theta=_get_vector(cfg, "init", model_dim_k, default_init),
                      max_iters=_get_int(cfg, "max_iters", 2000),
                      grad_tol=_get_float(cfg, "grad_tol", 1e-4),
                      step_tol=_get_float(cfg, "step_tol", 1e-8),
@@ -242,7 +248,7 @@ def _cmd_fit(cfg, outdir, seed, jobs):
         sample = read_samples(cfg["data"])
         default_init = None
     else:
-        theta_true = _get_floats(cfg, "theta_true")
+        theta_true = _get_vector(cfg, "theta_true", model.param_dim)
         n = _get_int(cfg, "n", 1000)
         eps = _get_float(cfg, "eps", 0.0)
         if eps > 0:
@@ -267,8 +273,7 @@ def _cmd_fit(cfg, outdir, seed, jobs):
 def _cmd_regress(cfg, outdir, seed, jobs):
     gamma = _get_float(cfg, "gamma")
     kappa = _get_float(cfg, "kappa")
-    noise = cfg.get("noise", "fit")
-    noise_val = None if noise == "fit" else float(noise)
+    noise_val = None if cfg.get("noise", "fit") == "fit" else _get_float(cfg, "noise")
     x_dim = _get_int(cfg, "x_dim", 1)
     cmodel = make_conditional("linear-gaussian", x_dim=x_dim, noise=noise_val,
                               y_lo=_get_float(cfg, "y.lo", -30.0),
@@ -279,7 +284,7 @@ def _cmd_regress(cfg, outdir, seed, jobs):
             raise ConfigError("regression data must carry x columns")
         default_init = None
     else:
-        a = _get_floats(cfg, "a")
+        a = _get_vector(cfg, "a", x_dim)
         b = _get_float(cfg, "b")
         s = _get_float(cfg, "s", 1.0)
         n = _get_int(cfg, "n", 500)
@@ -327,6 +332,8 @@ def _cmd_invariance(cfg, outdir, seed, jobs):
     amap = AffineMap.from_config(
         f"sigma={cfg.get('sigma', '1')}; mu={cfg.get('mu', '0')}")
     pairs = _get_int(cfg, "pairs", 5)
+    if pairs < 1:
+        raise ConfigError(f"config key 'pairs' must be at least 1, got {pairs}")
     n = _get_int(cfg, "grid.n", 1201 if amap.dim == 1 else 241)
     tol = _get_float(cfg, "tol", 1e-5)
     h = abs(amap.det_sigma) ** (-score.affine_scale_exponent)
@@ -355,7 +362,7 @@ def _influence_table(cfg):
     """
     gamma = _get_float(cfg, "gamma")
     model = _model_from_config(cfg)
-    theta_star = _get_floats(cfg, "theta_star")
+    theta_star = _get_vector(cfg, "theta_star", model.param_dim)
     phi = phi_from_config(cfg, gamma)
     z_grid = None
     if "z" in cfg:
@@ -383,7 +390,7 @@ def _cmd_influence(cfg, outdir, seed, jobs):
 def _cmd_redescend(cfg, outdir, seed, jobs):
     gamma = _get_float(cfg, "gamma")
     model = _model_from_config(cfg)
-    theta_star = _get_floats(cfg, "theta_star")
+    theta_star = _get_vector(cfg, "theta_star", model.param_dim)
     phi = phi_from_config(cfg, gamma)
     report = redescend_check(phi, gamma, model, theta_star,
                              n_z=_get_int(cfg, "z.count", 25),
@@ -406,7 +413,7 @@ def _contamination_bias(cfg, seed, eps, family):
     from .models import contaminate
 
     model = _model_from_config(cfg)
-    theta_true = _get_floats(cfg, "theta_true")
+    theta_true = _get_vector(cfg, "theta_true", model.param_dim)
     z = _get_floats(cfg, "z", [10.0])
     p_eps = contaminate(model, theta_true, eps, z)
     if family == "kl":

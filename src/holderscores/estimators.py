@@ -20,7 +20,7 @@ from scipy.optimize import minimize
 
 from .errors import (ConfigError, DomainError, HolderError, StructuralError,
                      UnsupportedFamilyError)
-from .grids import GridDensity, _trapezoid_weights
+from .grids import GridDensity, _box_quadrature, _power_sum
 from .scores import BregmanHolder, KL, empirical_score, expected_score
 from .rng import rng_for
 
@@ -290,8 +290,8 @@ class ConditionalModel:
 
     def y_grid(self):
         lo, hi = self.y_domain
-        n = self.y_quad_points
-        return np.linspace(lo, hi, n), _trapezoid_weights(lo, hi, n)
+        (ygrid,), wy = _box_quadrature((lo,), (hi,), (self.y_quad_points,))
+        return ygrid, wy
 
 
 def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):
@@ -361,13 +361,11 @@ def averaged_score(score, cmodel, theta, sample):
 
     Only the Bregman-representable members average into a plain sum over the
     observations: KL and the (gamma, kappa) family.  For the latter the value
-    is
-
-        (1/n) sum_i M_i^(kappa/(1+gamma)) (1 - 1/kappa - q(y_i|x_i)^gamma / M_i),
-
+    is the mean over observations of ``score._combine(q(y_i|x_i)^gamma, M_i)``,
     with M_i the y-integral of q(.|x_i)^(1+gamma) computed by quadrature on
-    the declared y-domain.  A general shape-function family has no such
-    empirical form and is rejected.
+    the declared y-domain.  Both powers are formed from the log-density, so
+    an observation far in the tail keeps a finite value.  A general
+    shape-function family has no such empirical form and is rejected.
     """
     if sample.covariates is None:
         raise StructuralError("averaged scores need covariates in the sample")
@@ -376,22 +374,15 @@ def averaged_score(score, cmodel, theta, sample):
     x = sample.covariates
     ygrid, wy = cmodel.y_grid()
 
-    if isinstance(score, KL):
-        qi = cmodel.cond_density(theta, y, x)
-        if np.any(qi <= 0.0):
-            return np.inf
-        grid_vals = cmodel.cond_density(theta, ygrid[None, :], x)
-        return float(np.mean(-np.log(qi)) + np.mean(grid_vals @ wy))
-    if isinstance(score, BregmanHolder):
-        gamma, kappa = score.gamma, score.kappa
-        grid_vals = cmodel.cond_density(theta, ygrid[None, :], x)
-        m_int = (grid_vals ** (1.0 + gamma)) @ wy
+    if isinstance(score, (KL, BregmanHolder)):
+        log_grid = cmodel.cond_log_density(theta, ygrid[None, :], x)
+        m_int = _power_sum(wy, log_grid, 1.0 + score.gamma)
+        log_qi = cmodel.cond_log_density(theta, y, x)
+        if isinstance(score, KL):
+            return float(np.mean(-log_qi) + np.mean(m_int))
         if np.any(m_int <= 0.0):
             return np.inf
-        qi = cmodel.cond_density(theta, y, x)
-        terms = m_int ** (kappa / (1.0 + gamma)) \
-            * (1.0 - 1.0 / kappa - qi ** gamma / m_int)
-        return float(np.mean(terms))
+        return float(np.mean(score._combine(np.exp(score.gamma * log_qi), m_int)))
     raise UnsupportedFamilyError(
         f"{score.name} cannot be averaged over covariates: only Bregman-representable "
         "families (kl, bregman-holder) admit an empirical per-observation sum")

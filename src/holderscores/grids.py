@@ -42,11 +42,23 @@ def default_tol(dim):
     return _DEFAULT_TOL[dim]
 
 
-def _trapezoid_weights(lo, hi, n):
-    h = (hi - lo) / (n - 1)
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2.0
-    return w
+def _box_quadrature(lo, hi, shape):
+    """The tensor trapezoid rule on the box [lo, hi] with ``shape`` nodes.
+
+    Returns the per-axis node vectors and the weights as an array of
+    ``shape``; every quadrature weight in the package comes from here.
+    """
+    if len(shape) != len(lo):
+        raise StructuralError(f"{len(shape)} node counts for a {len(lo)}-dimensional box")
+    if any(n < 2 for n in shape):
+        raise StructuralError("need at least 2 points per axis")
+    axes, per_axis = [], []
+    for a, b, n in zip(lo, hi, shape):
+        axes.append(np.linspace(a, b, n))
+        w = np.full(n, (b - a) / (n - 1))
+        w[0] = w[-1] = w[0] / 2.0
+        per_axis.append(w)
+    return axes, reduce(np.multiply.outer, per_axis)
 
 
 def _tensor_nodes(axes):
@@ -110,8 +122,6 @@ class GridDensity:
             raise DomainError(f"dimension {d} outside supported range 1..{MAX_DIM}")
         if vals.ndim != d:
             raise StructuralError(f"values has {vals.ndim} axes but the domain is {d}-dimensional")
-        if any(n < 2 for n in vals.shape):
-            raise StructuralError("need at least 2 points per axis")
         if not np.all(hi > lo):
             raise DomainError("domain_hi must exceed domain_lo on every axis")
         if not np.all(np.isfinite(vals)):
@@ -121,8 +131,7 @@ class GridDensity:
         if not np.any(vals > 0):
             raise DomainError("at least one value must be positive (zero function excluded)")
 
-        per_axis = [_trapezoid_weights(lo[i], hi[i], vals.shape[i]) for i in range(d)]
-        w = reduce(np.multiply.outer, per_axis)
+        _, w = _box_quadrature(lo, hi, vals.shape)
 
         for arr in (lo, hi, vals, w):
             arr.setflags(write=False)
@@ -178,7 +187,7 @@ class GridDensity:
         if np.isscalar(points_per_axis) or np.ndim(points_per_axis) == 0:
             points_per_axis = (int(points_per_axis),) * lo.size
         shape = tuple(int(n) for n in points_per_axis)
-        pts = _tensor_nodes([np.linspace(lo[i], hi[i], shape[i]) for i in range(lo.size)])
+        pts = _tensor_nodes(_box_quadrature(lo, hi, shape)[0])
         vals = np.asarray(fn(pts), dtype=float).reshape(shape)
         return cls(lo, hi, vals)
 
@@ -268,22 +277,31 @@ def cross_moment(f, g, a):
     return float(np.sum(f.values * g.values ** a * f.weights))
 
 
+def _power_sum(weights, log_g, a, out=None):
+    """``sum(weights * exp(a * log_g))`` over the last axis; -inf marks g = 0.
+
+    Formed from the logarithm, g never underflows before it is raised to a.
+    ``weights`` broadcasts against ``log_g``; ``out`` is optional scratch
+    space of the product's shape.
+    """
+    t = np.multiply(log_g, a, out=out)
+    np.exp(t, out=t)
+    t = np.multiply(t, weights, out=out)
+    return np.sum(t, axis=-1)
+
+
 def log_moments(f, log_g, gamma):
     """``(<f g^gamma>, <g^(1+gamma)>)`` from ``log g`` at the nodes of f.
 
-    ``log_g`` holds log g at ``f.flat.nodes``; -inf marks g = 0.  Working
-    from the logarithm, no candidate grid is built and g never underflows
-    before it is raised to a power.
+    ``log_g`` holds log g at ``f.flat.nodes``; -inf marks g = 0.  No
+    candidate grid is built.
     """
     view = f.flat
     t = np.exp(gamma * log_g)
     t *= view.values
     t *= view.weights
     cross = float(np.sum(t))
-    np.multiply(log_g, 1.0 + gamma, out=t)
-    np.exp(t, out=t)
-    t *= view.weights
-    return cross, float(np.sum(t))
+    return cross, float(_power_sum(view.weights, log_g, 1.0 + gamma, out=t))
 
 
 def l1_distance(f, g):
@@ -344,6 +362,13 @@ def read_grid(path):
             raise StructuralError(f"malformed grid header: {header!r}") from exc
         if len(shape) != dim or lo.size != dim or hi.size != dim:
             raise StructuralError("grid header fields disagree on dimension")
-        vals = np.fromiter((float(line) for line in fh if line.strip()),
-                           dtype=float, count=int(np.prod(shape)))
+        if min(shape) < 2:
+            raise StructuralError(f"grid header needs at least 2 points per axis: {header!r}")
+        try:
+            vals = np.array([float(line) for line in fh if line.strip()])
+        except ValueError as exc:
+            raise StructuralError(f"grid body: {exc}") from None
+    if vals.size != np.prod(shape):
+        raise StructuralError(f"grid header declares {int(np.prod(shape))} values, "
+                              f"the body holds {vals.size}")
     return GridDensity(lo, hi, vals.reshape(shape))

@@ -440,11 +440,14 @@ def draw_contaminated_sample(model, theta, eps, z, n, seed):
     """Sample from (1 - eps) * model(theta) + eps * delta_z."""
     if not 0.0 <= eps < 1.0:
         raise DomainError("contamination level must satisfy 0 <= eps < 1")
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.size != model.dim:
+        raise StructuralError("contamination point has wrong dimension")
     rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed)
     pts = model.sampler(np.asarray(theta, dtype=float), int(n), rng)
     mask = rng.random(int(n)) < eps
     pts = np.array(pts)
-    pts[mask] = np.atleast_1d(np.asarray(z, dtype=float))
+    pts[mask] = z
     return Sample(points=pts)
 
 
@@ -527,10 +530,13 @@ def read_samples(path):
         cols = [c.strip() for c in header.split(",")]
         if cols[-1] != "y":
             raise StructuralError(f"sample file must end with a 'y' column, got {cols!r}")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(cols):
+        try:
+            rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+        except ValueError as exc:
+            raise StructuralError(f"sample file: {exc}") from None
+    if not rows or any(len(row) != len(cols) for row in rows):
         raise StructuralError("sample rows disagree with the header")
+    data = np.asarray(rows, dtype=float)
     if len(cols) == 1:
         return Sample(points=data[:, 0])
     return Sample(points=data[:, -1], covariates=data[:, :-1])

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, SingularHessianError
 from .estimators import FitConfig, _fd_gradient, _fd_hessian, fit
-from .grids import log_moments
+from .grids import _power_sum, log_moments
 from .models import draw_sample, render_density
 from .rng import rng_for
 from .scores import HolderScore
@@ -122,12 +122,13 @@ def _moments(quad, model, theta, gamma):
 
 
 def _score_moment(quad, model, theta, gamma):
-    """<p^(1+gamma) s> at theta over ``quad`` = model(theta) on its frozen grid,
+    """<p^(1+gamma) s> at theta over the nodes of the frozen grid ``quad``,
     and a positive scale for zero tests."""
     view = quad.flat
-    s = model.score(theta, view.nodes)
-    w = (view.weights * view.values ** (1.0 + gamma))[:, None]
-    return (w * s).sum(axis=0), (w * np.abs(s)).sum(axis=0)
+    s = model.score(theta, view.nodes).T
+    log_p = model.log_density(np.asarray(theta, dtype=float), view.nodes)
+    return (_power_sum(view.weights * s, log_p, 1.0 + gamma),
+            _power_sum(view.weights * np.abs(s), log_p, 1.0 + gamma))
 
 
 def _objective(quad, model, phi, gamma):
@@ -204,6 +205,8 @@ def influence_function(phi, gamma, model, theta_star, z, hessian=None, quad=None
 
 
 def _default_z_ray(model, theta_star, n_z=25, max_sd=12.0):
+    if n_z < 1:
+        raise DomainError("influence curve needs at least one contamination point")
     lo, hi = model.support(np.asarray(theta_star, dtype=float))
     center, sd = (lo + hi) / 2.0, (hi - lo) / 16.0
     ts = np.linspace(0.5, max_sd, int(n_z))

@@ -35,8 +35,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DomainError
-from .grids import GridDensity, _require_same_grid, integrate, log_moments, power_moment
-from .models import render_density
+from .grids import (GridDensity, _box_quadrature, _power_sum, _require_same_grid,
+                    _tensor_nodes, log_moments)
 from .rng import rng_for
 
 _FD_STEP = 1e-5
@@ -201,14 +201,6 @@ class CompositeScore:
     def _combine(self, cross, g_power):
         raise NotImplementedError
 
-    # target moments -----------------------------------------------------------
-
-    def _target_grid(self, g):
-        if isinstance(g, GridDensity):
-            return g
-        model, theta = g
-        return render_density(model, theta)
-
     # entry points ---------------------------------------------------------------
 
     def expected(self, f, g):
@@ -224,10 +216,8 @@ class CompositeScore:
 
     def empirical(self, sample, g):
         """Empirical score with the cross term replaced by a sample mean."""
-        g_power = power_moment(self._target_grid(g), 1.0 + self.gamma)
-        if g_power <= 0.0:
-            raise DegenerateInputError(f"<g^(1+gamma)> = {g_power}; target carries no mass")
-        cross = float(np.mean(np.exp(_log_target_at(g, sample.points)) ** self.gamma))
+        g_power = _candidate_power(g, 1.0 + self.gamma)
+        cross = float(np.mean(np.exp(self.gamma * _log_target_at(g, sample.points))))
         return self._combine(cross, g_power)
 
 
@@ -250,11 +240,11 @@ class KL(CompositeScore):
         # where f > 0 and g = 0 the cross term is +inf
         cross = -float(np.sum(view.values * np.where(view.values > 0, log_g, 0.0)
                               * view.weights))
-        return cross + float(np.sum(np.exp(log_g) * view.weights))
+        return cross + float(_power_sum(view.weights, log_g, 1.0))
 
     def empirical(self, sample, g):
         cross = -float(np.mean(_log_target_at(g, sample.points)))
-        return cross + integrate(self._target_grid(g))
+        return cross + _candidate_power(g, 1.0)
 
 
 def _log_target_at_nodes(f, g):
@@ -268,6 +258,26 @@ def _log_target_at_nodes(f, g):
             return np.log(g.flat.values)
     model, theta = g
     return model.log_density(np.asarray(theta, dtype=float), f.flat.nodes)
+
+
+def _candidate_power(g, a):
+    """<g^a> over g's own grid, or over the box of a ``(model, theta)`` pair
+    without rendering it; anything but a finite positive value raises."""
+    if isinstance(g, GridDensity):
+        weights = g.weights.ravel()
+        with np.errstate(divide="ignore"):
+            log_g = np.log(g.values.ravel())
+    else:
+        model, theta = g
+        theta = np.asarray(theta, dtype=float)
+        lo, hi = model.support(theta)
+        axes, weights = _box_quadrature(lo, hi, (model.quad_points,) * model.dim)
+        weights = weights.ravel()
+        log_g = model.log_density(theta, _tensor_nodes(axes))
+    power = float(_power_sum(weights, log_g, a))
+    if not (np.isfinite(power) and power > 0.0):
+        raise DegenerateInputError(f"<g^{a:g}> = {power}; target carries no finite mass")
+    return power
 
 
 def _log_target_at(g, points):
@@ -398,7 +408,7 @@ def empirical_score(score, sample, g):
 
     ``g`` is either a :class:`GridDensity` or a ``(model, theta)`` pair; in
     the latter case the power integral runs over the model's quadrature box
-    and the sample values use the analytic density.
+    and the sample values use the analytic log-density.
     """
     return score.empirical(sample, g)
 

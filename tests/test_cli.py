@@ -1,9 +1,13 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holderscores import (GammaScore, KL, divergence, make_parametric, read_grid,
                           render_density, write_grid)
-from holderscores.cli import main
+from holderscores.cli import load_config, main
 
 
 def run(tmp_path, command, name, *sets, seed=None, config_text=None, jobs=None):
@@ -329,6 +333,19 @@ class TestBadValuesExit2:
         ("influence", ("gamma=0.5", "theta_star=0,1", "z=1;2,3"), "'z'"),
         ("redescend", ("gamma=0.5", "theta_star=0,1", "z.count=0"), "contamination point"),
         ("redescend", ("phi=linear", "kappa=3", "gamma=0.5", "theta_star=0,1"), "'kappa'"),
+        ("regress", ("gamma=0.5", "kappa=1", "noise=abc", "a=1", "b=0"), "'noise'"),
+        ("influence", ("gamma=0.5", "theta_star=0,1", "z.count=-3"), "contamination point"),
+        ("divergence", ("family=kl", "p.theta=0,1", "q.theta=0,1", "grid.n=-5"), "2 points"),
+        ("invariance", ("family=holder", "gamma=0.5", "pairs=0"), "'pairs'"),
+        ("divergence", ("family=kl", "p.model=gaussian-mean", "p.theta=0,7",
+                        "q.theta=0,1"), "'p.theta'"),
+        ("divergence", ("family=kl", "p.theta=0,1", "q.theta=0"), "'q.theta'"),
+        ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1,2"), "'theta_true'"),
+        ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1", "init=0"), "'init'"),
+        ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1", "eps=0.1", "z=1,2"),
+         "contamination point"),
+        ("redescend", ("gamma=0.5", "model=gaussian-mean", "theta_star=0,5"), "'theta_star'"),
+        ("regress", ("gamma=0.5", "kappa=1", "a=1,2", "b=0"), "'a'"),
     ])
     def test_one_line_message(self, tmp_path, capsys, command, sets, needle):
         code, _ = run(tmp_path, command, "bad", *sets)
@@ -353,3 +370,24 @@ class TestOnePhiParser:
         code_default, default = run(tmp_path, "score", "default", *args)
         assert code_named == code_default == 0
         assert (named / "results.csv").read_bytes() == (default / "results.csv").read_bytes()
+
+
+# the config file format reserves '#' (comment) and ';' (pair separator); a key
+# holds no '=' either, and a pair stays on one line
+_CONFIG_TEXT = st.text(st.characters(min_codepoint=9, max_codepoint=126,
+                                     exclude_characters="\n\r#;"))
+
+
+class TestLoadConfigProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(_CONFIG_TEXT.filter(lambda k: "=" not in k), _CONFIG_TEXT),
+                          max_size=8),
+           separator=st.sampled_from(["\n", ";", " ; "]))
+    def test_file_gives_the_dict_set_gives(self, pairs, separator):
+        items = [f"{key}={value}" for key, value in pairs]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/run.cfg"
+            with open(path, "w") as fh:
+                fh.write(separator.join(items) + "\n")
+            from_file = load_config(path)
+        assert from_file == load_config(None, items)

@@ -216,6 +216,21 @@ class TestAveragedScore:
         val = averaged_score(KL(), self.cmodel, self.theta, self.sample)
         assert np.isfinite(val)
 
+    def test_kl_average_finite_where_outlier_densities_underflow(self):
+        cmodel = make_conditional("linear-gaussian", noise=0.5)
+        rng = rng_for(12)
+        x = rng.uniform(-3, 3, size=(400, 1))
+        y = 1.2 * x[:, 0] + 0.3 + 0.5 * rng.standard_normal(400)
+        y[:4] = 25.0
+        theta = np.array([1.2, 0.3])
+        assert np.any(cmodel.cond_density(theta, y, x) == 0.0)
+        got = averaged_score(KL(), cmodel, theta, Sample(points=y, covariates=x))
+        # <q(.|x)> is 1 to rounding on the default y-domain, so the score is
+        # the mean negative log-likelihood plus one
+        u = (y - x[:, 0] * 1.2 - 0.3) / 0.5
+        want = np.mean(0.5 * u * u + np.log(0.5 * np.sqrt(2 * np.pi))) + 1.0
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestFitRegression:
     def make_data(self, n=400, a=1.2, b=-0.7, s=0.5, seed=5, out_eps=0.0, out_y=20.0):

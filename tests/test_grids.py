@@ -223,6 +223,14 @@ class TestGridFile:
             g = read_grid(path)
         assert np.array_equal(f.values, g.values)
 
+    @pytest.mark.parametrize("body", ["0.5\n1.0\n2.0\n0.5\n", "0.5\n1.0\n", "0.5\n1.0\nabc\n"],
+                             ids=["one-value-too-many", "one-value-too-few", "not-a-number"])
+    def test_body_disagreeing_with_header_rejected(self, tmp_path, body):
+        path = tmp_path / "body.grid"
+        path.write_text("holder-grid v1; dim=1; lo=0.0; hi=1.0; n=3\n" + body)
+        with pytest.raises(StructuralError):
+            read_grid(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.grid"
         path.write_text("not a grid\n1.0\n")

@@ -185,6 +185,15 @@ class TestSample:
         assert np.array_equal(s.points, t.points)
         assert np.array_equal(s.covariates, t.covariates)
 
+    @pytest.mark.parametrize("text", ["x1,y\n0.5,1.0\n0.25,abc\n", "x1,y\n0.5,1.0\n0.25\n",
+                                      "y\n1.0\n2.0,3.0\n"],
+                             ids=["not-a-number", "short-row", "long-row"])
+    def test_csv_bad_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(StructuralError):
+            read_samples(path)
+
 
 class TestMakeParametric:
     def test_hyper_parameter_the_kind_does_not_take_rejected(self):

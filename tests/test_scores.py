@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from holderscores import (BregmanHolder, ConfigError, DegenerateInputError,
                           DensityPower, DomainError, GammaScore, GridDensity,
@@ -9,7 +12,7 @@ from holderscores import (BregmanHolder, ConfigError, DegenerateInputError,
                           Sample, bregman_to_holder_value,
                           check_equivalence_in_probability, divergence,
                           draw_sample, empirical_score, expected_score,
-                          l1_distance, make_parametric, phi_cubic_tail,
+                          integrate, l1_distance, make_parametric, phi_cubic_tail,
                           phi_gamma_score, phi_kappa, phi_linear, power_moment,
                           phi_from_config, render_density, score_from_config,
                           validate_phi)
@@ -205,6 +208,85 @@ class TestEmpiricalScore:
         g = GridDensity([0.0], [1.0], np.where(x < 0.5, 2.0, 0.0))
         s = Sample(points=np.array([0.9]))
         assert empirical_score(KL(), s, g) == np.inf
+
+
+class TestEmpiricalPowerFromLogDensity:
+    """The empirical power term is summed as w * exp(a log g) over the nodes of
+    the model's box; it agrees with the rendered grid wherever nothing
+    underflows, and stays finite where the density itself does."""
+
+    KINDS = [
+        ("gaussian-mean", {}, [0.3]),
+        ("gaussian-mean-scale", {}, [-0.4, 1.3]),
+        ("gaussian-full-d", {"dim": 2}, [0.2, -0.1, 1.1, 0.3, 0.8]),
+        ("gaussian-mixture-fixed-weights", {}, [-1.5, 0.8, 1.2, 1.1]),
+        ("exponential-rate", {}, [1.4]),
+    ]
+
+    @pytest.mark.parametrize("kind,hyper,theta", KINDS, ids=[k[0] for k in KINDS])
+    @pytest.mark.parametrize("score", [KL(), GammaScore(0.5), HolderScore(phi_kappa(0.5, 1.5))],
+                             ids=["kl", "gamma", "holder"])
+    def test_matches_the_rendered_grid(self, kind, hyper, theta, score):
+        model = make_parametric(kind, **hyper)
+        theta = np.asarray(theta)
+        sample = draw_sample(model, theta, 50, seed=9)
+        cand = 1.05 * theta
+        grid = render_density(model, cand)
+        log_g = model.log_density(cand, sample.points)
+        if isinstance(score, KL):
+            want = -np.mean(log_g) + integrate(grid)
+        else:
+            want = score._combine(np.mean(np.exp(log_g) ** score.gamma),
+                                  power_moment(grid, 1 + score.gamma))
+        got = empirical_score(score, sample, (model, cand))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_gamma_score_finite_where_every_sample_density_underflows(self):
+        gamma, scale = 0.5, 0.02
+        theta = np.array([0.0, scale])
+        sample = Sample(points=0.9 + 0.01 * np.random.default_rng(4).standard_normal(20))
+        assert np.all(GAUSS.density(theta, sample.points) == 0.0)
+        got = empirical_score(GammaScore(gamma), sample, (GAUSS, theta))
+        cross = np.mean(np.exp(gamma * GAUSS.log_density(theta, sample.points)))
+        # closed form of <N(0, s^2)^(1+gamma)>
+        power = (2 * np.pi * scale ** 2) ** (-gamma / 2) / np.sqrt(1 + gamma)
+        want = -np.log(cross / power ** (gamma / (1 + gamma))) / gamma
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_power_term_without_finite_mass_raises(self):
+        # the density at the mode, 1/(s sqrt(2 pi)), overflows
+        with pytest.raises(DegenerateInputError), np.errstate(over="ignore"):
+            empirical_score(GammaScore(0.5), Sample(points=[0.0]),
+                            (GAUSS, np.array([0.0, 1e-310])))
+
+
+def _positive_grid_pair():
+    shapes = st.one_of(st.tuples(st.integers(2, 40)),
+                       st.tuples(st.integers(2, 8), st.integers(2, 8)))
+    values = st.floats(min_value=1e-3, max_value=1e3)
+    return shapes.flatmap(lambda shape: st.tuples(arrays(float, shape, elements=values),
+                                                  arrays(float, shape, elements=values)))
+
+
+class TestDivergenceNonnegativeProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(pair=_positive_grid_pair(), gamma=st.floats(0.1, 2.0), kappa=st.floats(1.0, 3.0),
+           normalize=st.booleans())
+    def test_every_family_on_positive_grid_pairs(self, pair, gamma, kappa, normalize):
+        # Holder's inequality holds for the weighted sums themselves, so the
+        # gap is nonnegative for unnormalized pairs too
+        lo, hi = np.zeros(pair[0].ndim), np.ones(pair[0].ndim)
+        f, g = (GridDensity(lo, hi, v) for v in pair)
+        if normalize:
+            f, g = f.normalize(), g.normalize()
+        families = [KL(), DensityPower(gamma), Pseudospherical(gamma), GammaScore(gamma),
+                    BregmanHolder(gamma, kappa),
+                    HolderScore(phi_kappa(gamma, kappa)), HolderScore(phi_linear(gamma)),
+                    HolderScore(phi_cubic_tail(gamma, 0.5))]
+        for score in families:
+            value = divergence(score, f, g)
+            scale = max(abs(value.s_fg) + abs(value.s_ff), 1.0)
+            assert value.divergence >= -1e-10 * scale, score
 
 
 class TestPhiKappa:
