@@ -186,7 +186,7 @@ def _fit_config(cfg, model_dim_k, seed, default_init):
                      max_iters=_get_int(cfg, "max_iters", 2000),
                      grad_tol=_get_float(cfg, "grad_tol", 1e-4),
                      step_tol=_get_float(cfg, "step_tol", 1e-8),
-                     optimizer=cfg.get("optimizer", "nelder-mead"),
+                     optimizer=cfg.get("optimizer", "l-bfgs-b"),
                      seed=seed,
                      polish=_get_bool(cfg, "polish", True))
 

@@ -1,12 +1,19 @@
 """Optimum-score estimation for densities and conditional densities.
 
-Fitting minimizes an empirical composite score over a parametric family.  The
-default optimizer is derivative-free Nelder-Mead (score objectives built from
-generic shape functions can be non-smooth at isolated points); a
-finite-difference gradient descent and jittered multi-start are available,
-and a Newton polish (on by default) sharpens smooth objectives to near machine
-accuracy.  Population-level fits replace the sample average by quadrature
-against a grid density, which is also how Fisher consistency is verified.
+Fitting minimizes an empirical composite score over a parametric family.
+Every objective comes with its exact theta-gradient (the score's
+``empirical_gradient``/``expected_gradient``, or
+:func:`averaged_score_gradient`), so the default optimizer is L-BFGS-B.
+A trial step out of the parameter domain (a +inf value) is rejected by the
+line search like any step that raises the value.  Where L-BFGS-B stops
+abnormally (a failed line search, for instance near a kink of a shape
+function), starts at +inf or meets a gradient that is not finite,
+derivative-free Nelder-Mead takes over from the best point it reached; Nelder-Mead alone and
+jittered multi-start are available too.  A Newton polish (on by default)
+builds one Hessian from central differences of the exact gradient and takes
+up to three guarded steps with it, and ``converged`` tests the exact gradient.
+Population-level fits replace the sample average by quadrature against a grid
+density, which is also how Fisher consistency is verified.
 """
 
 from __future__ import annotations
@@ -25,24 +32,33 @@ from .scores import BregmanHolder, KL, empirical_score, expected_score
 from .rng import rng_for
 
 _MULTISTART_RE = re.compile(r"^multi-start\((\d+)\)$")
+_OPTIMIZERS = ("l-bfgs-b", "gradient-descent-with-fd", "nelder-mead")
+# L-BFGS-B also stops once a step lowers f by less than this relative amount,
+# a few ulps: past that the line search would only fail on rounding noise
+_LBFGSB_FTOL = 1e-15
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Optimizer settings for one fit.
 
-    ``optimizer`` is ``nelder-mead``, ``gradient-descent-with-fd`` or
-    ``multi-start(k)`` (k jittered Nelder-Mead starts).  ``polish`` (on by
-    default) runs a few guarded Newton steps with finite-difference
-    derivatives after the main optimizer; it is cheap and tightens smooth
-    objectives well past the simplex tolerance.
+    ``optimizer`` is ``l-bfgs-b`` (the default; ``gradient-descent-with-fd``
+    is an alias), ``nelder-mead`` or ``multi-start(k)`` (k jittered L-BFGS-B
+    starts, the best kept).  L-BFGS-B stops once the largest gradient
+    component is at most ``step_tol``; Nelder-Mead uses ``step_tol`` as its
+    simplex size tolerance, and both stop after ``max_iters`` iterations,
+    which is reported as non-convergence.  ``polish`` (on by default) runs up
+    to three guarded Newton steps on one Hessian from central differences of
+    the exact gradient; it is cheap and tightens smooth objectives to near
+    machine accuracy.  A fit has ``converged`` when its optimizer stopped on
+    its tolerance and the exact gradient norm is below ``grad_tol``.
     """
 
     init_theta: np.ndarray
     max_iters: int = 2000
     grad_tol: float = 1e-4
     step_tol: float = 1e-8
-    optimizer: str = "nelder-mead"
+    optimizer: str = "l-bfgs-b"
     seed: int = 0
     polish: bool = True
     record_trace: bool = False
@@ -54,7 +70,7 @@ class FitConfig:
             raise ConfigError("max_iters must be at least 1")
         if self.grad_tol <= 0 or self.step_tol <= 0:
             raise ConfigError("tolerances must be positive")
-        if self.optimizer not in ("nelder-mead", "gradient-descent-with-fd") \
+        if self.optimizer not in _OPTIMIZERS \
                 and not _MULTISTART_RE.match(self.optimizer):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
@@ -65,7 +81,7 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of one fit; ``converged`` additionally requires a small
-    finite-difference gradient at the reported optimum."""
+    exact gradient at the reported optimum."""
 
     theta_hat: np.ndarray
     objective_value: float
@@ -80,55 +96,35 @@ class FitResult:
         return ",".join(cells)
 
 
-# -- finite-difference machinery -------------------------------------------------
+# -- optimizer machinery -----------------------------------------------------------
 
-def _fd_gradient(fun, x, rel_step=1e-6):
+class _AbnormalStop(Exception):
+    """L-BFGS-B started at +inf or met a gradient that is not finite."""
+
+
+def _gradient_hessian(grad, x, rel_step=1e-5):
+    """Central differences of the exact gradient (2k calls), symmetrized."""
     x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
+    cols = []
     for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
         e = np.zeros(x.size)
-        e[i] = h
-        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
-    return g
-
-
-def _fd_hessian(fun, x, rel_step=1e-4):
-    x = np.asarray(x, dtype=float)
-    k = x.size
-    steps = np.array([rel_step * max(1.0, abs(x[i])) for i in range(k)])
-    hess = np.empty((k, k))
-    f0 = fun(x)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = steps[i]
-        hess[i, i] = (fun(x + ei) - 2.0 * f0 + fun(x - ei)) / steps[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = steps[j]
-            val = (fun(x + ei + ej) - fun(x + ei - ej)
-                   - fun(x - ei + ej) + fun(x - ei - ej)) / (4.0 * steps[i] * steps[j])
-            hess[i, j] = hess[j, i] = val
+        e[i] = rel_step * max(1.0, abs(x[i]))
+        cols.append((grad(x + e) - grad(x - e)) / (2.0 * e[i]))
+    hess = np.array(cols)
     return 0.5 * (hess + hess.T)
 
 
-def _newton_polish(fun, x, max_steps=3):
-    """Guarded Newton steps; accepted only while finite and descending."""
-    x = np.asarray(x, dtype=float)
-    fx = fun(x)
+def _newton_polish(fun, grad, x, fx, max_steps=3):
+    """Guarded Newton steps on one gradient-difference Hessian; a step is
+    kept only while the value stays finite and does not rise."""
+    hess = _gradient_hessian(grad, x)
+    if not np.all(np.isfinite(hess)) or np.min(np.linalg.eigvalsh(hess)) <= 0:
+        return x, fx
     for _ in range(max_steps):
-        g = _fd_gradient(fun, x)
+        g = grad(x)
         if not np.all(np.isfinite(g)):
             break
-        hess = _fd_hessian(fun, x)
-        if not np.all(np.isfinite(hess)):
-            break
-        try:
-            if np.min(np.linalg.eigvalsh(hess)) <= 0:
-                break
-            step = np.linalg.solve(hess, g)
-        except np.linalg.LinAlgError:
-            break
+        step = np.linalg.solve(hess, g)
         x_new = x - step
         f_new = fun(x_new)
         if not np.isfinite(f_new) or f_new > fx + 1e-15:
@@ -151,9 +147,30 @@ def _guarded(objective):
     return wrapped
 
 
-def _run_nelder_mead(fun, x0, cfg):
+def _guarded_gradient(gradient):
+    """NaN where the objective raises, as :func:`_guarded` gives +inf."""
+    def wrapped(theta):
+        try:
+            return np.asarray(gradient(theta), dtype=float)
+        except HolderError:
+            return np.full(np.size(theta), np.nan)
+    return wrapped
+
+
+def _iteration_log(cfg):
+    """A scipy callback counting iterations, and the trace it fills."""
     trace = [] if cfg.record_trace else None
-    callback = (lambda xk: trace.append(float(fun(xk)))) if cfg.record_trace else None
+    count = [0]
+
+    def callback(intermediate_result):
+        count[0] += 1
+        if trace is not None:
+            trace.append(float(intermediate_result.fun))
+    return callback, count, trace
+
+
+def _run_nelder_mead(fun, x0, cfg):
+    callback, _, trace = _iteration_log(cfg)
     f0 = fun(x0)
     fatol = max(1e-13, 1e-11 * (1.0 + (abs(f0) if np.isfinite(f0) else 0.0)))
     with np.errstate(invalid="ignore"):  # simplex may hold +inf sentinels
@@ -166,43 +183,61 @@ def _run_nelder_mead(fun, x0, cfg):
     return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit), bool(res.success), trace
 
 
-def _run_gradient_descent(fun, x0, cfg):
-    x = np.asarray(x0, dtype=float)
-    fx = fun(x)
-    trace = [] if cfg.record_trace else None
-    iters = 0
-    hit_tol = False
-    for iters in range(1, cfg.max_iters + 1):
-        g = _fd_gradient(fun, x)
+def _run_lbfgsb(fun, grad, x0, cfg):
+    """L-BFGS-B with the exact gradient; Nelder-Mead from its best point when
+    it stops abnormally, starts at +inf or meets a gradient that is not
+    finite."""
+    callback, count, trace = _iteration_log(cfg)
+    best = [np.inf, np.array(x0, dtype=float)]
+    ceiling = []
+    outside = [None]
+
+    def value(x):
+        fx = fun(x)
+        if not ceiling:
+            if np.isinf(fx):
+                raise _AbnormalStop
+            ceiling.append(fx + abs(fx) + 1.0)
+        if np.isinf(fx):
+            # a trial step left the parameter domain.  scipy's line search
+            # cannot step back from +inf (it reports convergence where it
+            # stands), so it gets a finite value above the start instead,
+            # which it never accepts
+            outside[0] = np.array(x)
+            return ceiling[0]
+        if fx < best[0]:
+            best[:] = fx, np.array(x)
+        return fx
+
+    def jac(x):
+        if outside[0] is not None and np.array_equal(x, outside[0]):
+            return np.zeros(np.size(x))
+        g = grad(x)
         if not np.all(np.isfinite(g)):
-            break
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < cfg.grad_tol:
-            hit_tol = True
-            break
-        step = 1.0
-        improved = False
-        while step * gnorm > cfg.step_tol * 1e-3:
-            x_new = x - step * g
-            f_new = fun(x_new)
-            if np.isfinite(f_new) and f_new < fx - 1e-4 * step * gnorm ** 2:
-                x, fx = x_new, f_new
-                improved = True
-                break
-            step *= 0.5
-        if cfg.record_trace:
-            trace.append(fx)
-        if not improved:
-            hit_tol = step * gnorm <= cfg.step_tol
-            break
-    return x, fx, iters, hit_tol, trace
+            raise _AbnormalStop
+        return g
+
+    try:
+        res = minimize(value, x0, jac=jac, method="L-BFGS-B", callback=callback,
+                       options={"maxiter": cfg.max_iters, "ftol": _LBFGSB_FTOL,
+                                "gtol": cfg.step_tol})
+        if res.status != 2:  # 0 converged, 1 out of iterations
+            return np.asarray(res.x, dtype=float), float(res.fun), count[0], \
+                res.status == 0, trace
+    except _AbnormalStop:
+        pass
+    x, fx, iters, ok, nm_trace = _run_nelder_mead(fun, best[1], cfg)
+    if trace is not None:
+        trace.extend(nm_trace)
+    return x, fx, count[0] + iters, ok, trace
 
 
-def _minimize(objective, cfg):
+def _minimize(objective, gradient, cfg):
     fun = _guarded(objective)
+    grad = _guarded_gradient(gradient)
     match = _MULTISTART_RE.match(cfg.optimizer)
-    if cfg.optimizer == "gradient-descent-with-fd":
-        x, fx, iters, ok, trace = _run_gradient_descent(fun, cfg.init_theta, cfg)
+    if cfg.optimizer == "nelder-mead":
+        x, fx, iters, ok, trace = _run_nelder_mead(fun, cfg.init_theta, cfg)
     elif match:
         k = int(match.group(1))
         best = None
@@ -214,20 +249,20 @@ def _minimize(objective, cfg):
                 rng = rng_for(cfg.seed, i)
                 scale = 0.5 * (1.0 + np.abs(cfg.init_theta))
                 x0 = cfg.init_theta + scale * rng.standard_normal(cfg.init_theta.size)
-            x, fx, iters, ok, trace = _run_nelder_mead(fun, x0, cfg)
+            x, fx, iters, ok, trace = _run_lbfgsb(fun, grad, x0, cfg)
             total_iters += iters
             # ties within step_tol keep the earliest start for determinism
             if best is None or fx < best[1] - cfg.step_tol:
                 best = (x, fx, total_iters, ok, trace)
         x, fx, iters, ok, trace = best
     else:
-        x, fx, iters, ok, trace = _run_nelder_mead(fun, cfg.init_theta, cfg)
+        x, fx, iters, ok, trace = _run_lbfgsb(fun, grad, cfg.init_theta, cfg)
 
-    if cfg.polish:
-        x, fx = _newton_polish(fun, x)
+    if cfg.polish and np.isfinite(fx):
+        x, fx = _newton_polish(fun, grad, x, fx)
 
-    grad = _fd_gradient(fun, x)
-    grad_ok = bool(np.all(np.isfinite(grad)) and np.linalg.norm(grad) < cfg.grad_tol)
+    g = grad(x)
+    grad_ok = bool(np.all(np.isfinite(g)) and np.linalg.norm(g) < cfg.grad_tol)
     return FitResult(theta_hat=x, objective_value=fx, iterations=iters,
                      converged=bool(ok and grad_ok),
                      trace=tuple(trace) if trace is not None else None)
@@ -248,7 +283,10 @@ def fit(score, model, sample, cfg):
     def objective(theta):
         return empirical_score(score, sample, (model, theta))
 
-    return _minimize(objective, cfg)
+    def gradient(theta):
+        return score.empirical_gradient(sample, (model, theta))
+
+    return _minimize(objective, gradient, cfg)
 
 
 def population_fit(score, model, p_true, cfg):
@@ -264,7 +302,10 @@ def population_fit(score, model, p_true, cfg):
     def objective(theta):
         return expected_score(score, p_true, (model, theta))
 
-    return _minimize(objective, cfg)
+    def gradient(theta):
+        return score.expected_gradient(p_true, (model, theta))
+
+    return _minimize(objective, gradient, cfg)
 
 
 # -- conditional models ---------------------------------------------------------------
@@ -275,7 +316,10 @@ class ConditionalModel:
 
     ``cond_density(theta, y, x)`` broadcasts y against the mean produced from
     the (n, m) covariate array, so both per-observation values (y of shape
-    (n,)) and quadrature grids (y of shape (1, ny)) work.
+    (n,)) and quadrature grids (y of shape (1, ny)) work; so do
+    ``cond_log_density`` and ``cond_score``, which returns (n, k) or
+    (n, ny, k).  Observations must lie inside ``y_domain``, the box of the
+    y-quadrature.
     """
 
     name: str
@@ -306,6 +350,8 @@ def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):
     m = int(x_dim)
     if m < 1:
         raise ConfigError("x_dim must be at least 1")
+    if not (np.isfinite(y_lo) and np.isfinite(y_hi) and y_lo < y_hi):
+        raise ConfigError(f"the y-domain needs finite y_lo < y_hi, got [{y_lo}, {y_hi}]")
     fixed_noise = None if noise is None else float(noise)
     if fixed_noise is not None and fixed_noise <= 0:
         raise ConfigError("fixed noise scale must be positive")
@@ -340,12 +386,22 @@ def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):
     def score_fn(theta, y, x):
         a, b, s = unpack(theta)
         xm = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.asarray(y, dtype=float) - mean(theta, x)
-        cols = [xm[:, j] * r / s ** 2 for j in range(m)]
-        cols.append(r / s ** 2)
+        mu = xm @ a + b
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 2:
+            xm, mu = xm[:, None, :], mu[:, None]
+        # one contiguous block per parameter, filled in place: on a y-grid the
+        # score is the largest array a regression fit builds
+        out = np.empty((k,) + np.broadcast_shapes(y.shape, mu.shape))
+        u = np.subtract(y, mu, out=out[m])
+        u /= s * s                      # d/db = (y - mu) / s^2
+        for j in range(m):
+            np.multiply(xm[..., j], u, out=out[j])
         if fixed_noise is None:
-            cols.append(r * r / s ** 3 - 1.0 / s)
-        return np.stack(cols, axis=1)
+            np.multiply(u, u, out=out[m + 1])   # (y - mu)^2 / s^3 - 1 / s
+            out[m + 1] *= s
+            out[m + 1] -= 1.0 / s
+        return np.moveaxis(out, 0, -1)
 
     names = tuple(f"a{j + 1}" for j in range(m)) + ("b",)
     if fixed_noise is None:
@@ -356,6 +412,22 @@ def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):
         y_domain=(float(y_lo), float(y_hi)))
 
 
+def _averaged_inputs(score, cmodel, sample):
+    """Observations, covariates and the y-quadrature of an averaged score."""
+    if sample.covariates is None:
+        raise StructuralError("averaged scores need covariates in the sample")
+    if not isinstance(score, (KL, BregmanHolder)):
+        raise UnsupportedFamilyError(
+            f"{score.name} cannot be averaged over covariates: only Bregman-representable "
+            "families (kl, bregman-holder) admit an empirical per-observation sum")
+    y = sample.points[:, 0]
+    lo, hi = cmodel.y_domain
+    if np.any(y < lo) or np.any(y > hi):
+        raise DomainError(f"observations span [{y.min():g}, {y.max():g}], outside the "
+                          f"y-domain [{lo:g}, {hi:g}] of the y-quadrature")
+    return y, sample.covariates, *cmodel.y_grid()
+
+
 def averaged_score(score, cmodel, theta, sample):
     """Covariate-averaged empirical score of a conditional family.
 
@@ -363,29 +435,39 @@ def averaged_score(score, cmodel, theta, sample):
     observations: KL and the (gamma, kappa) family.  For the latter the value
     is the mean over observations of ``score._combine(q(y_i|x_i)^gamma, M_i)``,
     with M_i the y-integral of q(.|x_i)^(1+gamma) computed by quadrature on
-    the declared y-domain.  Both powers are formed from the log-density, so
-    an observation far in the tail keeps a finite value.  A general
-    shape-function family has no such empirical form and is rejected.
+    the declared y-domain, which must hold every observation.  Both powers are
+    formed from the log-density, so an observation far in the tail keeps a
+    finite value.  A general shape-function family has no such empirical form
+    and is rejected.
     """
-    if sample.covariates is None:
-        raise StructuralError("averaged scores need covariates in the sample")
+    y, x, ygrid, wy = _averaged_inputs(score, cmodel, sample)
     theta = np.asarray(theta, dtype=float)
-    y = sample.points[:, 0]
-    x = sample.covariates
-    ygrid, wy = cmodel.y_grid()
+    m_int = _power_sum(wy, cmodel.cond_log_density(theta, ygrid[None, :], x),
+                       1.0 + score.gamma)
+    log_qi = cmodel.cond_log_density(theta, y, x)
+    if isinstance(score, KL):
+        return float(np.mean(-log_qi) + np.mean(m_int))
+    if np.any(m_int <= 0.0):
+        return np.inf
+    return float(np.mean(score._combine(np.exp(score.gamma * log_qi), m_int)))
 
-    if isinstance(score, (KL, BregmanHolder)):
-        log_grid = cmodel.cond_log_density(theta, ygrid[None, :], x)
-        m_int = _power_sum(wy, log_grid, 1.0 + score.gamma)
-        log_qi = cmodel.cond_log_density(theta, y, x)
-        if isinstance(score, KL):
-            return float(np.mean(-log_qi) + np.mean(m_int))
-        if np.any(m_int <= 0.0):
-            return np.inf
-        return float(np.mean(score._combine(np.exp(score.gamma * log_qi), m_int)))
-    raise UnsupportedFamilyError(
-        f"{score.name} cannot be averaged over covariates: only Bregman-representable "
-        "families (kl, bregman-holder) admit an empirical per-observation sum")
+
+def averaged_score_gradient(score, cmodel, theta, sample):
+    """theta-gradient of :func:`averaged_score`, from ``cmodel.cond_score``:
+    d q_i^gamma = gamma q_i^gamma s_i and dM_i = (1+gamma) <q^(1+gamma) s>_y."""
+    y, x, ygrid, wy = _averaged_inputs(score, cmodel, sample)
+    theta = np.asarray(theta, dtype=float)
+    a = 1.0 + score.gamma
+    weighted = cmodel.cond_log_density(theta, ygrid[None, :], x)
+    m_int = _power_sum(wy, weighted, a, out=weighted)                 # now wy q^a
+    s_grid = np.moveaxis(cmodel.cond_score(theta, ygrid[None, :], x), -1, 0)
+    dm_int = a * np.einsum("kny,ny->kn", s_grid, weighted)            # (k, n)
+    s_i = cmodel.cond_score(theta, y, x).T                            # (k, n)
+    if isinstance(score, KL):
+        return np.mean(dm_int - s_i, axis=1)
+    q_gamma = np.exp(score.gamma * cmodel.cond_log_density(theta, y, x))
+    d_cross, d_power = score._partials(q_gamma, m_int)
+    return (s_i @ (score.gamma * q_gamma * d_cross) + dm_int @ d_power) / y.size
 
 
 def fit_regression(gamma, kappa, cmodel, sample, cfg):
@@ -401,8 +483,12 @@ def fit_regression(gamma, kappa, cmodel, sample, cfg):
     if sample.covariates is None:
         raise StructuralError("fit_regression needs covariates")
     score = BregmanHolder(gamma, kappa)
+    _averaged_inputs(score, cmodel, sample)
 
     def objective(theta):
         return averaged_score(score, cmodel, theta, sample)
 
-    return _minimize(objective, cfg)
+    def gradient(theta):
+        return averaged_score_gradient(score, cmodel, theta, sample)
+
+    return _minimize(objective, gradient, cfg)

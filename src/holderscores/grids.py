@@ -277,16 +277,20 @@ def cross_moment(f, g, a):
     return float(np.sum(f.values * g.values ** a * f.weights))
 
 
-def _power_sum(weights, log_g, a, out=None):
+def _power_sum(weights, log_g, a, out=None, columns=None):
     """``sum(weights * exp(a * log_g))`` over the last axis; -inf marks g = 0.
 
     Formed from the logarithm, g never underflows before it is raised to a.
-    ``weights`` broadcasts against ``log_g``; ``out`` is optional scratch
-    space of the product's shape.
+    ``weights`` broadcasts against ``log_g``; ``out``, optional space of the
+    product's shape, is left holding the products.  With ``columns``, a (k, N) array such as
+    the model score at N nodes, the k sums ``columns @ (weights * g^a)`` are
+    returned instead: one matrix-vector product, no (k, N) temporary.
     """
     t = np.multiply(log_g, a, out=out)
     np.exp(t, out=t)
     t = np.multiply(t, weights, out=out)
+    if columns is not None:
+        return columns @ t
     return np.sum(t, axis=-1)
 
 

@@ -40,7 +40,9 @@ class ParametricModel:
     density, log_density : callable(theta, x) -> (n,)
         Evaluated at an (n, d) array of points (1-d models also accept (n,)).
     score : callable(theta, x) -> (n, k)
-        Gradient of the log-density with respect to theta.
+        Gradient of the log-density with respect to theta; the built-in
+        families return it Fortran-ordered, so ``score(...).T`` is a
+        contiguous (k, n) array of columns.
     sampler : callable(theta, n, rng) -> (n, d)
     support : callable(theta) -> (lo, hi)
         Quadrature box; the mathematical support may be larger.
@@ -163,7 +165,7 @@ def _gaussian_mean_scale():
     def score(theta, x):
         m, s = unpack(theta)
         r = _as_points(x, 1)[:, 0] - m
-        return np.stack([r / (s * s), r * r / s ** 3 - 1.0 / s], axis=1)
+        return np.stack([r / (s * s), r * r / s ** 3 - 1.0 / s]).T
 
     def push(theta, sigma, mu):
         m, s = unpack(theta)
@@ -208,24 +210,29 @@ def _gaussian_full(dim=2):
             raise DomainError("Cholesky diagonal must be positive")
         return m, L
 
-    def logpdf(theta, x):
+    def whiten(theta, x):
+        """L, L^-1 and the coordinate columns of y = L^-1 (x - m)."""
         m, L = unpack(theta)
         pts = _as_points(x, d)
         Linv = solve_triangular(L, np.eye(d), lower=True)
-        # y = L^-1 (x - m) one coordinate row at a time, each row overwriting
-        # r[i] in place; going from the last row up, the rows still to come
-        # only read the untouched r[0..i-1]
+        # one coordinate row at a time, each row overwriting r[i] in place;
+        # going from the last row up, the rows still to come only read the
+        # untouched r[0..i-1]
         r = [pts[:, j] - m[j] for j in range(d)]
         tmp = np.empty_like(r[0])
         for i in reversed(range(d)):
             r[i] *= Linv[i, i]
             for j in range(i):
                 r[i] += np.multiply(r[j], Linv[i, j], out=tmp)
-        out = r[0]
+        return L, Linv, r
+
+    def logpdf(theta, x):
+        L, _, y = whiten(theta, x)
+        out = y[0]
         out *= out
-        for y in r[1:]:
-            y *= y
-            out += y
+        for y_i in y[1:]:
+            y_i *= y_i
+            out += y_i
         out *= -0.5
         out -= 0.5 * d * _LOG_2PI + np.sum(np.log(np.diag(L)))
         return out
@@ -235,15 +242,21 @@ def _gaussian_full(dim=2):
         return np.exp(out, out=out)
 
     def score(theta, x):
-        m, L = unpack(theta)
-        pts = _as_points(x, d)
-        y = solve_triangular(L, (pts - m).T, lower=True).T       # (n, d)
-        Linv_T = solve_triangular(L, np.eye(d), lower=True).T    # L^-T
-        g_mean = y @ Linv_T.T                                    # Sigma^-1 (x - m)
-        # d log p / d L = L^-T (y y^T - I), lower triangle in vech order
-        outer = np.einsum("ni,nj->nij", y, y) - np.eye(d)
-        g_L = np.einsum("ik,nkj->nij", Linv_T, outer)
-        return np.concatenate([g_mean, g_L[:, rows, cols]], axis=1)
+        # column-wise, like logpdf: the mean gradient Sigma^-1 (x - m) = L^-T y,
+        # and d log p / d L = L^-T (y y^T - I), whose lower-triangle entry
+        # (i, j) is g_mean[i] y[j] - [i == j] / L[i, i]
+        _, Linv, y = whiten(theta, x)
+        out = np.empty((y[0].size, k), order="F")
+        tmp = np.empty_like(y[0])
+        for i in range(d):
+            g_mean = np.multiply(y[i], Linv[i, i], out=out[:, i])
+            for j in range(i + 1, d):
+                g_mean += np.multiply(y[j], Linv[j, i], out=tmp)
+        for c, (i, j) in enumerate(zip(rows, cols)):
+            g_chol = np.multiply(out[:, i], y[j], out=out[:, d + c])
+            if i == j:
+                g_chol -= Linv[i, i]
+        return out
 
     def push(theta, sigma, mu):
         m, L = unpack(theta)
@@ -310,15 +323,16 @@ def _gaussian_mixture(weights=(0.5, 0.5)):
                                      for i in range(ncomp)))
 
     def score(theta, x):
-        comp, m, s = components(theta, x)
+        # responsibilities as a softmax of the log-components, finite where
+        # the density itself underflows
+        m, s = unpack(theta)
         pts = _as_points(x, 1)[:, 0]
-        p = comp @ w
         r = pts[:, None] - m
-        dm = w * comp * r / (s * s) / p[:, None]
-        ds = w * comp * (r * r / s ** 3 - 1.0 / s) / p[:, None]
-        out = np.empty((pts.size, k))
-        out[:, 0::2] = dm
-        out[:, 1::2] = ds
+        log_c = np.log(w / (np.sqrt(2 * np.pi) * s)) - 0.5 * (r / s) ** 2
+        resp = np.exp(log_c - logpdf(theta, pts)[:, None])
+        out = np.empty((pts.size, k), order="F")
+        out[:, 0::2] = resp * r / (s * s)
+        out[:, 1::2] = resp * (r * r / s ** 3 - 1.0 / s)
         return out
 
     def sampler(theta, n, rng):

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, SingularHessianError
-from .estimators import FitConfig, _fd_gradient, _fd_hessian, fit
+from .estimators import FitConfig, _gradient_hessian, fit
 from .grids import _power_sum, log_moments
 from .models import draw_sample, render_density
 from .rng import rng_for
@@ -38,9 +38,14 @@ from .scores import HolderScore
 
 logger = logging.getLogger(__name__)
 
-# The rel_step 1e-4 central-difference Hessian carries absolute noise of about
-# eps / h^2 ~ 2e-8, so eigenvalues below ~1e-7 are unresolved; O(1) curvature
-# with a condition number past 1e6 cannot be told apart from a singular one.
+# The Hessian is a rel_step 1e-5 central difference of the exact gradient.
+# Measured: an off-diagonal that vanishes by symmetry (gaussian-mean-scale at
+# (0, 1)) reads 3e-13, against 5.6e-9 for the former second differences of
+# the value, and the truncation error is ~9e-11 (2-D gaussian-full, steps
+# 1e-5 against 1e-6).  Eigenvalues below ~1e-9 are therefore unresolved; the
+# collapsed mixture of the singular-curvature test reads 1.4e-12 and 1.6e-11
+# next to O(0.1) curvature (cond 1.2e11).  The limit stays at 1e6: O(1)
+# curvature with a larger condition number is treated as singular.
 _COND_LIMIT = 1e6
 
 
@@ -101,7 +106,7 @@ def _frozen_grid(model, theta_star):
 
     The padding never crosses a hard support edge (e.g. x >= 0).  Pinning the
     quadrature at theta_star keeps the objective smooth in theta, which the
-    finite-difference derivatives below rely on.
+    difference quotients below rely on.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     box_lo, box_hi = model.support(theta_star)
@@ -127,34 +132,43 @@ def _score_moment(quad, model, theta, gamma):
     view = quad.flat
     s = model.score(theta, view.nodes).T
     log_p = model.log_density(np.asarray(theta, dtype=float), view.nodes)
-    return (_power_sum(view.weights * s, log_p, 1.0 + gamma),
-            _power_sum(view.weights * np.abs(s), log_p, 1.0 + gamma))
+    return (_power_sum(view.weights, log_p, 1.0 + gamma, columns=s),
+            _power_sum(view.weights, log_p, 1.0 + gamma, columns=np.abs(s)))
 
 
-def _objective(quad, model, phi, gamma):
-    def fun(theta):
-        cross, power = _moments(quad, model, theta, gamma)
-        return float(phi.value(cross / power)) * power
-    return fun
+def _fd_gradient(fun, x, rel_step):
+    x = np.asarray(x, dtype=float)
+    g = np.empty(x.size)
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = rel_step * max(1.0, abs(x[i]))
+        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * e[i])
+    return g
 
 
-def objective_hessian(phi, gamma, model, theta_star, quad=None, rel_step=1e-4):
-    """Central finite-difference Hessian of the population objective.
+def objective_hessian(phi, gamma, model, theta_star, quad=None, rel_step=1e-5):
+    """Hessian of the population objective from its exact gradient.
 
-    ``quad`` is the frozen quadrature grid, by default model(theta_star) on
-    its padded box.  Symmetrized by construction; the condition number is
-    logged and a numerically singular matrix raises
-    :class:`SingularHessianError` because the influence solve requires
-    invertible curvature at theta_star.  A non-vanishing gradient triggers a
-    warning: the formulas below assume theta_star is the objective's
-    stationary point.
+    The objective phi(u) <p_theta^(1+gamma)> on the frozen quadrature grid
+    ``quad`` (by default model(theta_star) on its padded box) is
+    ``HolderScore(phi).expected(quad, (model, theta))``; its exact gradient
+    is differenced centrally with relative step ``rel_step`` (2k calls) and
+    symmetrized.  The condition number is logged and a numerically singular
+    matrix raises :class:`SingularHessianError` because the influence solve
+    requires invertible curvature at theta_star.  A non-vanishing exact
+    gradient triggers a warning: the formulas below assume theta_star is the
+    objective's stationary point.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if quad is None:
         quad = _frozen_grid(model, theta_star)
-    fun = _objective(quad, model, phi, gamma)
-    grad = _fd_gradient(fun, theta_star)
-    hess = _fd_hessian(fun, theta_star, rel_step=rel_step)
+    score = HolderScore(replace(phi, gamma=gamma))
+
+    def gradient(theta):
+        return score.expected_gradient(quad, (model, theta))
+
+    grad = gradient(theta_star)
+    hess = _gradient_hessian(gradient, theta_star, rel_step=rel_step)
     scale = max(float(np.max(np.abs(hess))), 1e-12)
     if float(np.linalg.norm(grad)) > 1e-2 * scale:
         warnings.warn("objective gradient is not negligible at theta_star; "

@@ -24,6 +24,16 @@ discrete values as well, not merely in the continuum limit.
 
 Empirical forms replace the cross term with a sample average, which is what
 the optimum-score estimators in :mod:`holderscores.estimators` minimize.
+
+For a candidate ``(model, theta)`` the theta-gradient is exact: each family
+gives its partials ``(dS/dcross, dS/dpower)`` and the moments differentiate
+through the model score s = d log g / dtheta,
+
+    d<f g^gamma>/dtheta = gamma <f g^gamma s>,
+    d<g^(1+gamma)>/dtheta = (1+gamma) <g^(1+gamma) s>
+
+(KL: ``-<f s> + <g s>``).  ``expected_gradient`` and ``empirical_gradient``
+sit beside the value methods ``expected`` and ``empirical``.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, DomainError
+from .errors import ConfigError, DegenerateInputError, DomainError, StructuralError
 from .grids import (GridDensity, _box_quadrature, _power_sum, _require_same_grid,
                     _tensor_nodes, log_moments)
 from .rng import rng_for
@@ -181,8 +191,9 @@ class CompositeScore:
     """Base class for the score families.
 
     Subclasses provide ``_combine(cross, g_power)`` mapping the two moments
-    of the target to the score value; the KL family overrides the entry
-    points because it uses logarithmic moments.
+    of the target to the score value and ``_partials(cross, g_power)``, its
+    two partial derivatives; the KL family overrides the entry points because
+    it uses logarithmic moments.
     """
 
     name = "composite"
@@ -199,6 +210,9 @@ class CompositeScore:
         return f"{self.__class__.__name__}(gamma={self.gamma:g})"
 
     def _combine(self, cross, g_power):
+        raise NotImplementedError
+
+    def _partials(self, cross, g_power):
         raise NotImplementedError
 
     # entry points ---------------------------------------------------------------
@@ -219,6 +233,26 @@ class CompositeScore:
         g_power = _candidate_power(g, 1.0 + self.gamma)
         cross = float(np.mean(np.exp(self.gamma * _log_target_at(g, sample.points))))
         return self._combine(cross, g_power)
+
+    def expected_gradient(self, f, g):
+        """theta-gradient of ``expected(f, g)`` for a ``(model, theta)`` target."""
+        view = f.flat
+        log_g, s = _log_and_score(g, view.nodes)
+        cross, g_power = log_moments(f, log_g, self.gamma)
+        a, b = self._partials(cross, _positive_power(g_power, 1.0 + self.gamma))
+        d_cross = _power_sum(view.weights * view.values, log_g, self.gamma, columns=s)
+        return a * self.gamma * d_cross + b * _power_gradient(view.weights, log_g, s, self.gamma)
+
+    def empirical_gradient(self, sample, g):
+        """theta-gradient of ``empirical(sample, g)`` for a ``(model, theta)`` target."""
+        nodes, weights = _model_box(*g)
+        log_box, s_box = _log_and_score(g, nodes)
+        log_x, s_x = _log_and_score(g, sample.points)
+        g_power = _positive_power(_power_sum(weights, log_box, 1.0 + self.gamma),
+                                  1.0 + self.gamma)
+        a, b = self._partials(float(np.mean(np.exp(self.gamma * log_x))), g_power)
+        d_cross = _power_sum(1.0 / sample.n, log_x, self.gamma, columns=s_x)
+        return a * self.gamma * d_cross + b * _power_gradient(weights, log_box, s_box, self.gamma)
 
 
 class KL(CompositeScore):
@@ -246,6 +280,17 @@ class KL(CompositeScore):
         cross = -float(np.mean(_log_target_at(g, sample.points)))
         return cross + _candidate_power(g, 1.0)
 
+    def expected_gradient(self, f, g):
+        view = f.flat
+        log_g, s = _log_and_score(g, view.nodes)
+        return -(s @ (view.weights * view.values)) + _power_gradient(view.weights, log_g, s, 0.0)
+
+    def empirical_gradient(self, sample, g):
+        nodes, weights = _model_box(*g)
+        log_box, s_box = _log_and_score(g, nodes)
+        _, s_x = _log_and_score(g, sample.points)
+        return -np.mean(s_x, axis=1) + _power_gradient(weights, log_box, s_box, 0.0)
+
 
 def _log_target_at_nodes(f, g):
     """log g at the nodes of the data grid f; -inf where g vanishes.
@@ -260,6 +305,13 @@ def _log_target_at_nodes(f, g):
     return model.log_density(np.asarray(theta, dtype=float), f.flat.nodes)
 
 
+def _model_box(model, theta):
+    """Nodes and weights of the quadrature box of model(theta)."""
+    lo, hi = model.support(np.asarray(theta, dtype=float))
+    axes, weights = _box_quadrature(lo, hi, (model.quad_points,) * model.dim)
+    return _tensor_nodes(axes), weights.ravel()
+
+
 def _candidate_power(g, a):
     """<g^a> over g's own grid, or over the box of a ``(model, theta)`` pair
     without rendering it; anything but a finite positive value raises."""
@@ -268,16 +320,31 @@ def _candidate_power(g, a):
         with np.errstate(divide="ignore"):
             log_g = np.log(g.values.ravel())
     else:
-        model, theta = g
-        theta = np.asarray(theta, dtype=float)
-        lo, hi = model.support(theta)
-        axes, weights = _box_quadrature(lo, hi, (model.quad_points,) * model.dim)
-        weights = weights.ravel()
-        log_g = model.log_density(theta, _tensor_nodes(axes))
-    power = float(_power_sum(weights, log_g, a))
+        nodes, weights = _model_box(*g)
+        log_g = _log_target_at(g, nodes)
+    return _positive_power(_power_sum(weights, log_g, a), a)
+
+
+def _positive_power(power, a):
+    power = float(power)
     if not (np.isfinite(power) and power > 0.0):
         raise DegenerateInputError(f"<g^{a:g}> = {power}; target carries no finite mass")
     return power
+
+
+def _log_and_score(g, points):
+    """log g and its theta-gradient s, as (k, n) columns, at ``points`` for a
+    ``(model, theta)`` pair; gradients need such a target, not a grid."""
+    if isinstance(g, GridDensity):
+        raise StructuralError("theta-gradients need a (model, theta) target")
+    model, theta = g
+    theta = np.asarray(theta, dtype=float)
+    return model.log_density(theta, points), model.score(theta, points).T
+
+
+def _power_gradient(weights, log_g, s, gamma):
+    """d<g^(1+gamma)>/dtheta = (1+gamma) <g^(1+gamma) s> from (k, n) score columns."""
+    return (1.0 + gamma) * _power_sum(weights, log_g, 1.0 + gamma, columns=s)
 
 
 def _log_target_at(g, points):
@@ -298,6 +365,9 @@ class DensityPower(CompositeScore):
     def _combine(self, cross, g_power):
         return g_power - (1.0 + self.gamma) / self.gamma * cross
 
+    def _partials(self, cross, g_power):
+        return -(1.0 + self.gamma) / self.gamma, 1.0
+
 
 class Pseudospherical(CompositeScore):
     """Pseudospherical score -<f g^gamma> / <g^(1+gamma)>^(gamma/(1+gamma))."""
@@ -306,6 +376,10 @@ class Pseudospherical(CompositeScore):
 
     def _combine(self, cross, g_power):
         return -cross / g_power ** (self.gamma / (1.0 + self.gamma))
+
+    def _partials(self, cross, g_power):
+        b = self.gamma / (1.0 + self.gamma)
+        return -g_power ** -b, b * cross * g_power ** (-b - 1.0)
 
 
 class GammaScore(CompositeScore):
@@ -323,6 +397,11 @@ class GammaScore(CompositeScore):
         if ps >= 0.0:
             return math.inf
         return -math.log(-ps) / self.gamma
+
+    def _partials(self, cross, g_power):
+        if cross <= 0.0:  # where the value is +inf
+            return math.nan, math.nan
+        return -1.0 / (self.gamma * cross), 1.0 / ((1.0 + self.gamma) * g_power)
 
 
 class HolderScore(CompositeScore):
@@ -345,6 +424,11 @@ class HolderScore(CompositeScore):
 
     def _combine(self, cross, g_power):
         return float(self.phi.value(cross / g_power)) * g_power
+
+    def _partials(self, cross, g_power):
+        r = cross / g_power
+        d1 = self.phi.d1(r)
+        return d1, self.phi.value(r) - r * d1
 
 
 class BregmanHolder(CompositeScore):
@@ -370,6 +454,12 @@ class BregmanHolder(CompositeScore):
     def _combine(self, cross, g_power):
         return g_power ** (self.kappa / (1.0 + self.gamma)) * \
             (1.0 - 1.0 / self.kappa - cross / g_power)
+
+    def _partials(self, cross, g_power):
+        # elementwise, for the per-observation moments of averaged_score
+        e = self.kappa / (1.0 + self.gamma)
+        scale = g_power ** (e - 1.0)
+        return -scale, scale * (e * (1.0 - 1.0 / self.kappa) - (e - 1.0) * cross / g_power)
 
 
 def bregman_to_holder_value(value, gamma, kappa):

@@ -207,6 +207,19 @@ class TestRegressCommand:
         assert abs(float(cells[0]) - 0.8) < 0.1
 
 
+class TestRegressYDomain:
+    @pytest.mark.parametrize("sets, needle", [
+        (("y.lo=5", "y.hi=-5"), "y-domain"),
+        (("y.lo=-2", "y.hi=2", "s=1"), "outside the y-domain"),
+    ], ids=["empty-domain", "observations-outside"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, sets, needle):
+        code, _ = run(tmp_path, "regress", "ydom", "gamma=0.5", "kappa=1", "a=1", "b=0",
+                      "n=100", *sets)
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert needle in err and len(err.splitlines()) == 1
+
+
 class TestInvarianceCommand:
     def test_diagonal_map_residuals(self, tmp_path):
         code, out = run(tmp_path, "invariance", "i1",

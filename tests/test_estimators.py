@@ -3,10 +3,12 @@ import pytest
 
 from holderscores import (BregmanHolder, ConfigError, DomainError, FitConfig,
                           GammaScore, HolderScore, KL, Pseudospherical, Sample,
-                          UnsupportedFamilyError, averaged_score, contaminate,
+                          UnsupportedFamilyError, averaged_score,
+                          averaged_score_gradient, contaminate,
                           draw_contaminated_sample, draw_sample, fit,
                           fit_regression, make_conditional, make_parametric,
                           phi_kappa, population_fit, render_density, rng_for)
+from holderscores import estimators
 
 GAUSS_MS = make_parametric("gaussian-mean-scale")
 GAUSS_M = make_parametric("gaussian-mean")
@@ -121,6 +123,116 @@ class TestFit:
         assert 1.4 < rmse[2000] / rmse[8000] < 2.6
 
 
+class CountingScore:
+    """A score that counts its value evaluations; gradients pass through."""
+
+    def __init__(self, score):
+        self.score = score
+        self.values = 0
+
+    def __getattr__(self, name):
+        return getattr(self.score, name)
+
+    def expected(self, f, g):
+        self.values += 1
+        return self.score.expected(f, g)
+
+    def empirical(self, sample, g):
+        self.values += 1
+        return self.score.empirical(sample, g)
+
+
+class WrongSignGradient(CountingScore):
+    """Gradients pointing uphill: every L-BFGS-B line search fails."""
+
+    def empirical_gradient(self, sample, g):
+        return -self.score.empirical_gradient(sample, g)
+
+
+class NanGradient(CountingScore):
+    def empirical_gradient(self, sample, g):
+        return np.full(np.size(g[1]), np.nan)
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("score", [GammaScore(0.5), HolderScore(phi_kappa(0.5, 1.5)),
+                                       KL()], ids=lambda s: s.name)
+    def test_2d_population_fit_within_50_evaluations(self, score):
+        # criterion 5's gaussian-full-d case
+        model = make_parametric("gaussian-full-d", dim=2)
+        theta_star = np.array([0.2, -0.1, 1.1, 0.3, 0.8])
+        counted = CountingScore(score)
+        res = population_fit(counted, model, render_density(model, theta_star),
+                             FitConfig(init_theta=theta_star * 1.05 + 0.02,
+                                       step_tol=1e-9, grad_tol=1e-2))
+        assert res.converged
+        assert np.max(np.abs(res.theta_hat - theta_star)) < 1e-8
+        assert counted.values <= 50
+
+    def test_default_is_l_bfgs_b_and_alias_matches(self):
+        assert FitConfig(init_theta=[0.0]).optimizer == "l-bfgs-b"
+        sample = draw_sample(GAUSS_MS, [0.3, 1.2], 500, seed=4)
+        runs = [fit(GammaScore(0.5), GAUSS_MS, sample,
+                    FitConfig(init_theta=[0.0, 1.0], optimizer=name))
+                for name in ("l-bfgs-b", "gradient-descent-with-fd")]
+        assert np.array_equal(runs[0].theta_hat, runs[1].theta_hat)
+        assert runs[0].iterations == runs[1].iterations
+
+    @pytest.mark.parametrize("wrapper", [WrongSignGradient, NanGradient])
+    def test_abnormal_stop_falls_back_to_nelder_mead(self, wrapper, monkeypatch):
+        calls = []
+        run_nm = estimators._run_nelder_mead
+
+        def spy(fun, x0, cfg):
+            calls.append(np.array(x0))
+            return run_nm(fun, x0, cfg)
+
+        monkeypatch.setattr(estimators, "_run_nelder_mead", spy)
+        sample = draw_sample(GAUSS_MS, [0.3, 1.2], 800, seed=5)
+        score = wrapper(HolderScore(phi_kappa(0.5, 1.0)))
+        res = fit(score, GAUSS_MS, sample,
+                  FitConfig(init_theta=[0.0, 1.0], step_tol=1e-9, grad_tol=1e-3,
+                            polish=False))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        nm = fit(HolderScore(phi_kappa(0.5, 1.0)), GAUSS_MS, sample,
+                 FitConfig(init_theta=[0.0, 1.0], step_tol=1e-9, optimizer="nelder-mead"))
+        assert np.max(np.abs(res.theta_hat - nm.theta_hat)) < 1e-6
+        if wrapper is WrongSignGradient:
+            # the exact gradient's norm is blind to its sign
+            assert res.converged
+        else:
+            assert not res.converged
+
+    def test_step_out_of_the_domain_is_stepped_back_from(self, monkeypatch):
+        # from s = 0.5 on data with s = 0.1 the first unit step of L-BFGS-B
+        # makes the scale negative; the line search must step back rather
+        # than hand over to Nelder-Mead or stop where it stands
+        monkeypatch.setattr(estimators, "_run_nelder_mead", None)
+        sample = draw_sample(GAUSS_MS, [0.3, 0.1], 500, seed=5)
+        values = []
+        guarded = estimators._guarded
+
+        def spy(objective):
+            fun = guarded(objective)
+            return lambda theta: values.append(fun(theta)) or values[-1]
+
+        monkeypatch.setattr(estimators, "_guarded", spy)
+        res = fit(KL(), GAUSS_MS, sample, FitConfig(init_theta=[0.3, 0.5]))
+        pts = sample.points[:, 0]
+        assert np.isinf(values).any()
+        assert res.converged
+        assert np.max(np.abs(res.theta_hat - [pts.mean(), pts.std()])) < 1e-6
+
+    def test_iteration_limit_is_not_retried(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_run_nelder_mead", None)
+        sample = draw_sample(GAUSS_MS, [0.0, 1.0], 200, seed=3)
+        res = fit(HolderScore(phi_kappa(0.5, 1.0)), GAUSS_MS, sample,
+                  FitConfig(init_theta=[5.0, 5.0], max_iters=2))
+        assert res.iterations == 2
+        assert not res.converged
+
+
 class TestPopulationFit:
     @pytest.mark.parametrize("score", [
         KL(), GammaScore(0.5), BregmanHolder(0.5, 2.0),
@@ -230,6 +342,49 @@ class TestAveragedScore:
         u = (y - x[:, 0] * 1.2 - 0.3) / 0.5
         want = np.mean(0.5 * u * u + np.log(0.5 * np.sqrt(2 * np.pi))) + 1.0
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestAveragedScoreGradient:
+    @pytest.mark.parametrize("noise,theta", [(0.8, [1.4, -0.4]), (None, [1.4, -0.4, 0.9])],
+                             ids=["fixed-noise", "fitted-noise"])
+    @pytest.mark.parametrize("score", [KL(), BregmanHolder(0.5, 1.0), BregmanHolder(0.5, 1.5)],
+                             ids=repr)
+    def test_matches_central_differences(self, noise, theta, score):
+        cmodel = make_conditional("linear-gaussian", noise=noise, y_lo=-12.0, y_hi=12.0)
+        rng = rng_for(31)
+        x = rng.uniform(-2, 2, size=(300, 1))
+        sample = Sample(points=1.5 * x[:, 0] - 0.5 + 0.8 * rng.standard_normal(300),
+                        covariates=x)
+        theta = np.array(theta)
+        exact = averaged_score_gradient(score, cmodel, theta, sample)
+        numeric = np.empty(theta.size)
+        for i in range(theta.size):
+            e = np.zeros(theta.size)
+            e[i] = 1e-6 * max(1.0, abs(theta[i]))
+            numeric[i] = (averaged_score(score, cmodel, theta + e, sample)
+                          - averaged_score(score, cmodel, theta - e, sample)) / (2 * e[i])
+        assert np.max(np.abs(exact - numeric)) <= 1e-6 * np.max(np.abs(numeric))
+
+
+class TestYDomain:
+    def test_empty_y_domain_rejected(self):
+        with pytest.raises(ConfigError):
+            make_conditional("linear-gaussian", y_lo=5.0, y_hi=-5.0)
+        with pytest.raises(ConfigError):
+            make_conditional("linear-gaussian", y_lo=1.0, y_hi=1.0)
+
+    def test_observations_outside_the_y_domain_rejected(self):
+        rng = rng_for(7)
+        x = rng.uniform(-3, 3, size=(200, 1))
+        sample = Sample(points=x[:, 0] + 0.5 * rng.standard_normal(200), covariates=x)
+        cmodel = make_conditional("linear-gaussian", y_lo=-2.0, y_hi=2.0)
+        score = BregmanHolder(0.5, 1.0)
+        with pytest.raises(DomainError, match="y-domain"):
+            averaged_score(score, cmodel, [1.0, 0.0, 0.5], sample)
+        with pytest.raises(DomainError, match="y-domain"):
+            averaged_score_gradient(score, cmodel, [1.0, 0.0, 0.5], sample)
+        with pytest.raises(DomainError, match="y-domain"):
+            fit_regression(0.5, 1.0, cmodel, sample, cfg_for([1.0, 0.0, 0.5]))
 
 
 class TestFitRegression:

@@ -85,6 +85,40 @@ def test_mixture_log_density_finite_where_density_underflows():
     assert far == pytest.approx(expect, rel=1e-14)
 
 
+def test_mixture_score_finite_where_density_underflows():
+    # at x = 40 the mixture density underflows; the responsibilities come
+    # from the log-components, so the far component takes all of the score
+    model = make_parametric("gaussian-mixture-fixed-weights")
+    theta = np.array([-1.4, 0.8, 1.4, 1.0])
+    assert model.density(theta, np.array([40.0]))[0] == 0.0
+    got = model.score(theta, np.array([40.0]))[0]
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got[:2])) < 1e-200
+    assert got[2] == pytest.approx(38.6, rel=1e-13)
+    assert got[3] == pytest.approx(38.6 ** 2 - 1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_full_score_columns(d):
+    # column-wise against the matrix formula: d/dm = Sigma^-1 (x - m),
+    # d/dL = L^-T (y y^T - I) with y = L^-1 (x - m), in vech order
+    rng = np.random.default_rng(50 + d)
+    model = make_parametric("gaussian-full-d", dim=d)
+    L = np.tril(0.4 * rng.standard_normal((d, d)))
+    L[np.diag_indices(d)] = rng.uniform(0.5, 1.5, d)
+    mean = rng.standard_normal(d)
+    theta = np.concatenate([mean, L[np.tril_indices(d)]])
+    x = 3.0 * rng.standard_normal((200, d))
+    y = np.linalg.solve(L, (x - mean).T).T
+    g_mean = np.linalg.solve(L @ L.T, (x - mean).T).T
+    g_L = np.einsum("ik,nkj->nij", np.linalg.inv(L).T,
+                    np.einsum("ni,nj->nij", y, y) - np.eye(d))
+    want = np.concatenate([g_mean, g_L[(slice(None),) + np.tril_indices(d)]], axis=1)
+    got = model.score(theta, x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
 class TestFamilyFormulas:
     def test_gaussian_mean_scale_score(self):
         model = make_parametric("gaussian-mean-scale")

@@ -7,7 +7,7 @@ from holderscores import (DomainError, FitConfig, HolderScore,
                           influence_curve, influence_function, make_parametric,
                           objective_hessian, phi_cubic_tail, phi_kappa,
                           population_fit, redescend_check, render_density)
-from holderscores.robustness import _default_z_ray, _frozen_grid, _objective
+from holderscores.robustness import _default_z_ray, _frozen_grid
 
 GAUSS_MS = make_parametric("gaussian-mean-scale")
 GAUSS_M = make_parametric("gaussian-mean")
@@ -48,13 +48,6 @@ def fourth_order_hessian(fun, x, h=5e-5):
 
 
 class TestFrozenGrid:
-    def test_objective_is_the_holder_score_on_the_frozen_grid(self):
-        phi = phi_kappa(0.5, 1.5)
-        quad = _frozen_grid(GAUSS_MS, [0.0, 1.0])
-        fun = _objective(quad, GAUSS_MS, phi, 0.5)
-        for theta in ([0.0, 1.0], [0.3, 1.2]):
-            assert fun(theta) == expected_score(HolderScore(phi), quad, (GAUSS_MS, theta))
-
     def test_padding_stops_at_a_hard_support_edge(self):
         expo = make_parametric("exponential-rate")
         lo, hi = expo.support(np.array([1.3]))

@@ -15,7 +15,7 @@ from holderscores import (BregmanHolder, ConfigError, DegenerateInputError,
                           integrate, l1_distance, make_parametric, phi_cubic_tail,
                           phi_gamma_score, phi_kappa, phi_linear, power_moment,
                           phi_from_config, render_density, score_from_config,
-                          validate_phi)
+                          StructuralError, validate_phi)
 
 GAUSS = make_parametric("gaussian-mean-scale")
 
@@ -258,6 +258,44 @@ class TestEmpiricalPowerFromLogDensity:
         with pytest.raises(DegenerateInputError), np.errstate(over="ignore"):
             empirical_score(GammaScore(0.5), Sample(points=[0.0]),
                             (GAUSS, np.array([0.0, 1e-310])))
+
+
+def central_fd(fun, theta, rel_step=1e-5):
+    grad = np.empty(theta.size)
+    for i in range(theta.size):
+        e = np.zeros(theta.size)
+        e[i] = rel_step * max(1.0, abs(theta[i]))
+        grad[i] = (fun(theta + e) - fun(theta - e)) / (2.0 * e[i])
+    return grad
+
+
+class TestExactGradient:
+    """expected_gradient and empirical_gradient against central differences
+    of the value, for every model and family, away from the optimum."""
+
+    KINDS = TestEmpiricalPowerFromLogDensity.KINDS
+
+    @pytest.mark.parametrize("kind,hyper,theta", KINDS, ids=[k[0] for k in KINDS])
+    @pytest.mark.parametrize("score", all_families(0.5),
+                             ids=lambda s: s.name)
+    def test_matches_central_differences(self, kind, hyper, theta, score):
+        model = make_parametric(kind, **hyper)
+        theta = np.asarray(theta, dtype=float)
+        p_true = render_density(model, theta)
+        sample = draw_sample(model, theta, 300, seed=1)
+        cand = 1.05 * theta + 0.02
+        for exact, value in (
+                (score.expected_gradient(p_true, (model, cand)),
+                 lambda t: score.expected(p_true, (model, t))),
+                (score.empirical_gradient(sample, (model, cand)),
+                 lambda t: score.empirical(sample, (model, t)))):
+            numeric = central_fd(value, cand)
+            assert np.max(np.abs(exact - numeric)) <= 1e-6 * np.max(np.abs(numeric))
+
+    def test_grid_target_has_no_gradient(self):
+        p, q = gaussian_pair([0.0, 1.0], [0.2, 1.1])
+        with pytest.raises(StructuralError):
+            GammaScore(0.5).expected_gradient(p, q)
 
 
 def _positive_grid_pair():
