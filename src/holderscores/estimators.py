@@ -18,6 +18,7 @@ density, which is also how Fisher consistency is verified.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -27,7 +28,8 @@ from scipy.optimize import minimize
 
 from .errors import (ConfigError, DomainError, HolderError, StructuralError,
                      UnsupportedFamilyError)
-from .grids import GridDensity, _box_quadrature, _power_sum
+from .grids import GridDensity, _box_quadrature
+from .models import _gaussian_power
 from .scores import BregmanHolder, KL, empirical_score, expected_score
 from .rng import rng_for
 
@@ -169,8 +171,35 @@ def _iteration_log(cfg):
     return callback, count, trace
 
 
+def _remember_last(fun, x=None, fx=None):
+    """``fun`` with a one-entry memo of its last point and value, optionally
+    seeded with a point whose value is already known."""
+    last = [None if x is None else np.array(x, dtype=float), fx]
+
+    def wrapped(x):
+        if last[0] is None or not np.array_equal(x, last[0]):
+            last[:] = np.array(x, dtype=float), fun(x)
+        return last[1]
+    return wrapped
+
+
+def _initial_simplex(x0):
+    """scipy's default Nelder-Mead simplex, each coordinate in turn scaled by
+    1.05 or, at 0, set to 0.00025, except that a coordinate whose 5% step is
+    shorter than 0.00025 moves by 0.00025: from a start such as -5e-16 (an
+    L-BFGS-B best point one rounding step off 0) the default is degenerate."""
+    x0 = np.asarray(x0, dtype=float)
+    sim = np.tile(x0, (x0.size + 1, 1))
+    for k in range(x0.size):
+        big = 0.05 * abs(x0[k]) >= 0.00025
+        sim[k + 1, k] = 1.05 * x0[k] if big else x0[k] + 0.00025
+    return sim
+
+
 def _run_nelder_mead(fun, x0, cfg):
     callback, _, trace = _iteration_log(cfg)
+    # the start value sets fatol and is scipy's first evaluation as well
+    fun = _remember_last(fun)
     f0 = fun(x0)
     fatol = max(1e-13, 1e-11 * (1.0 + (abs(f0) if np.isfinite(f0) else 0.0)))
     with np.errstate(invalid="ignore"):  # simplex may hold +inf sentinels
@@ -178,7 +207,8 @@ def _run_nelder_mead(fun, x0, cfg):
                        options={"maxiter": cfg.max_iters,
                                 "xatol": cfg.step_tol,
                                 "fatol": fatol,
-                                "maxfev": 50 * cfg.max_iters},
+                                "maxfev": 50 * cfg.max_iters,
+                                "initial_simplex": _initial_simplex(x0)},
                        callback=callback)
     return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit), bool(res.success), trace
 
@@ -226,7 +256,8 @@ def _run_lbfgsb(fun, grad, x0, cfg):
                 res.status == 0, trace
     except _AbnormalStop:
         pass
-    x, fx, iters, ok, nm_trace = _run_nelder_mead(fun, best[1], cfg)
+    x, fx, iters, ok, nm_trace = _run_nelder_mead(_remember_last(fun, best[1], best[0]),
+                                                  best[1], cfg)
     if trace is not None:
         trace.extend(nm_trace)
     return x, fx, count[0] + iters, ok, trace
@@ -316,10 +347,13 @@ class ConditionalModel:
 
     ``cond_density(theta, y, x)`` broadcasts y against the mean produced from
     the (n, m) covariate array, so both per-observation values (y of shape
-    (n,)) and quadrature grids (y of shape (1, ny)) work; so do
-    ``cond_log_density`` and ``cond_score``, which returns (n, k) or
-    (n, ny, k).  Observations must lie inside ``y_domain``, the box of the
-    y-quadrature.
+    (n,)) and quadrature grids (y of shape (1, ny)) work; so does
+    ``cond_log_density``.  ``cond_score(theta, y, x)`` gives the (n, k)
+    theta-gradient of the log-density at the observations.
+    ``power_moment(theta, a)`` is the y-integral <q(.|x)^a> in closed form
+    with its theta-gradient; for the location-scale family it is the same
+    for every x.  Observations must lie inside ``y_domain``, the box of the
+    reference y-quadrature ``y_grid``.
     """
 
     name: str
@@ -329,6 +363,7 @@ class ConditionalModel:
     cond_density: Callable
     cond_log_density: Callable
     cond_score: Callable
+    power_moment: Callable
     y_domain: tuple
     y_quad_points: int = 513
 
@@ -386,22 +421,20 @@ def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):
     def score_fn(theta, y, x):
         a, b, s = unpack(theta)
         xm = np.atleast_2d(np.asarray(x, dtype=float))
-        mu = xm @ a + b
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 2:
-            xm, mu = xm[:, None, :], mu[:, None]
-        # one contiguous block per parameter, filled in place: on a y-grid the
-        # score is the largest array a regression fit builds
-        out = np.empty((k,) + np.broadcast_shapes(y.shape, mu.shape))
-        u = np.subtract(y, mu, out=out[m])
-        u /= s * s                      # d/db = (y - mu) / s^2
-        for j in range(m):
-            np.multiply(xm[..., j], u, out=out[j])
+        u = (np.asarray(y, dtype=float) - (xm @ a + b)) / (s * s)   # d/db
+        cols = [xm[:, j] * u for j in range(m)] + [u]
         if fixed_noise is None:
-            np.multiply(u, u, out=out[m + 1])   # (y - mu)^2 / s^3 - 1 / s
-            out[m + 1] *= s
-            out[m + 1] -= 1.0 / s
-        return np.moveaxis(out, 0, -1)
+            cols.append(u * u * s - 1.0 / s)    # (y - mu)^2 / s^3 - 1 / s
+        return np.stack(cols, axis=-1)
+
+    def power(theta, a):
+        # M = (2 pi s^2)^(-(a-1)/2) a^(-1/2), whatever x and the mean
+        s = unpack(theta)[2]
+        p = _gaussian_power(1, math.log(s), a)
+        grad = np.zeros(k)
+        if fixed_noise is None:
+            grad[m + 1] = -(a - 1.0) / s * p
+        return p, grad
 
     names = tuple(f"a{j + 1}" for j in range(m)) + ("b",)
     if fixed_noise is None:
@@ -409,11 +442,11 @@ def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):
     return ConditionalModel(
         name="linear-gaussian", param_dim=k, x_dim=m, theta_names=names,
         cond_density=pdf, cond_log_density=logpdf, cond_score=score_fn,
-        y_domain=(float(y_lo), float(y_hi)))
+        power_moment=power, y_domain=(float(y_lo), float(y_hi)))
 
 
 def _averaged_inputs(score, cmodel, sample):
-    """Observations, covariates and the y-quadrature of an averaged score."""
+    """Observations and covariates of an averaged score."""
     if sample.covariates is None:
         raise StructuralError("averaged scores need covariates in the sample")
     if not isinstance(score, (KL, BregmanHolder)):
@@ -424,8 +457,8 @@ def _averaged_inputs(score, cmodel, sample):
     lo, hi = cmodel.y_domain
     if np.any(y < lo) or np.any(y > hi):
         raise DomainError(f"observations span [{y.min():g}, {y.max():g}], outside the "
-                          f"y-domain [{lo:g}, {hi:g}] of the y-quadrature")
-    return y, sample.covariates, *cmodel.y_grid()
+                          f"y-domain [{lo:g}, {hi:g}]")
+    return y, sample.covariates
 
 
 def averaged_score(score, cmodel, theta, sample):
@@ -434,40 +467,35 @@ def averaged_score(score, cmodel, theta, sample):
     Only the Bregman-representable members average into a plain sum over the
     observations: KL and the (gamma, kappa) family.  For the latter the value
     is the mean over observations of ``score._combine(q(y_i|x_i)^gamma, M_i)``,
-    with M_i the y-integral of q(.|x_i)^(1+gamma) computed by quadrature on
-    the declared y-domain, which must hold every observation.  Both powers are
-    formed from the log-density, so an observation far in the tail keeps a
-    finite value.  A general shape-function family has no such empirical form
-    and is rejected.
+    with M_i the y-integral of q(.|x_i)^(1+gamma) in the model's closed form
+    (``cmodel.power_moment``).  Every observation must lie in the declared
+    y-domain.  The cross term is formed from the log-density, so an
+    observation far in the tail keeps a finite value.  A general
+    shape-function family has no such empirical form and is rejected.
     """
-    y, x, ygrid, wy = _averaged_inputs(score, cmodel, sample)
+    y, x = _averaged_inputs(score, cmodel, sample)
     theta = np.asarray(theta, dtype=float)
-    m_int = _power_sum(wy, cmodel.cond_log_density(theta, ygrid[None, :], x),
-                       1.0 + score.gamma)
+    m_int = cmodel.power_moment(theta, 1.0 + score.gamma)[0]
     log_qi = cmodel.cond_log_density(theta, y, x)
     if isinstance(score, KL):
-        return float(np.mean(-log_qi) + np.mean(m_int))
-    if np.any(m_int <= 0.0):
-        return np.inf
+        return float(np.mean(-log_qi) + m_int)
+    if not 0.0 < m_int < math.inf:
+        return math.inf
     return float(np.mean(score._combine(np.exp(score.gamma * log_qi), m_int)))
 
 
 def averaged_score_gradient(score, cmodel, theta, sample):
-    """theta-gradient of :func:`averaged_score`, from ``cmodel.cond_score``:
-    d q_i^gamma = gamma q_i^gamma s_i and dM_i = (1+gamma) <q^(1+gamma) s>_y."""
-    y, x, ygrid, wy = _averaged_inputs(score, cmodel, sample)
+    """theta-gradient of :func:`averaged_score`, from ``cmodel.cond_score``
+    and ``cmodel.power_moment``: d q_i^gamma = gamma q_i^gamma s_i."""
+    y, x = _averaged_inputs(score, cmodel, sample)
     theta = np.asarray(theta, dtype=float)
-    a = 1.0 + score.gamma
-    weighted = cmodel.cond_log_density(theta, ygrid[None, :], x)
-    m_int = _power_sum(wy, weighted, a, out=weighted)                 # now wy q^a
-    s_grid = np.moveaxis(cmodel.cond_score(theta, ygrid[None, :], x), -1, 0)
-    dm_int = a * np.einsum("kny,ny->kn", s_grid, weighted)            # (k, n)
+    m_int, dm_int = cmodel.power_moment(theta, 1.0 + score.gamma)
     s_i = cmodel.cond_score(theta, y, x).T                            # (k, n)
     if isinstance(score, KL):
-        return np.mean(dm_int - s_i, axis=1)
+        return dm_int - np.mean(s_i, axis=1)
     q_gamma = np.exp(score.gamma * cmodel.cond_log_density(theta, y, x))
     d_cross, d_power = score._partials(q_gamma, m_int)
-    return (s_i @ (score.gamma * q_gamma * d_cross) + dm_int @ d_power) / y.size
+    return (s_i @ (score.gamma * q_gamma * d_cross) + dm_int * np.sum(d_power)) / y.size
 
 
 def fit_regression(gamma, kappa, cmodel, sample, cfg):

@@ -5,12 +5,14 @@ suites: Gaussians in one and several dimensions, a fixed-weight Gaussian
 mixture and the exponential distribution.  Each family carries an analytic
 score function (gradient of the log-density in the parameter), a seeded
 sampler and a quadrature box wide enough that truncated mass is negligible
-against the integration tolerance.
+against the integration tolerance; all but the mixture also carry their
+power integral <g^a> in closed form.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional
@@ -52,6 +54,9 @@ class ParametricModel:
     push_params : callable(theta, sigma, mu) -> theta', optional
         Parameter pushforward for data mapped through x -> sigma^-1 (x - mu);
         None when the family is not closed under affine maps.
+    power_moment : callable(theta, a) -> (<g^a>, d<g^a>/dtheta), optional
+        The power integral over all of R^d in closed form, formed from logs;
+        None when the family has none, and the quadrature box is summed.
     """
 
     name: str
@@ -65,6 +70,7 @@ class ParametricModel:
     support: Callable
     in_support: Callable
     push_params: Optional[Callable] = None
+    power_moment: Optional[Callable] = None
     quad_points: int = 2001
 
 
@@ -118,6 +124,19 @@ def _as_points(x, dim):
     return x
 
 
+def _gaussian_power(d, log_det_chol, a):
+    """<N^a> of a d-dimensional Gaussian whose Cholesky factor has log-determinant
+    ``log_det_chol`` (sum of log L_ii):
+
+        log <N^a> = -(a-1)/2 (d log 2pi + 2 log_det_chol) - d/2 log a.
+
+    Its derivative in each L_ii is -(a-1)/L_ii <N^a>, and it does not depend
+    on the mean or the off-diagonal entries.
+    """
+    return float(np.exp(-0.5 * (a - 1.0) * (d * _LOG_2PI + 2.0 * log_det_chol)
+                        - 0.5 * d * math.log(a)))
+
+
 # -- 1-d Gaussian families ----------------------------------------------------
 
 def _gaussian_mean(scale=1.0):
@@ -134,6 +153,9 @@ def _gaussian_mean(scale=1.0):
         m = float(np.asarray(theta).ravel()[0])
         return ((_as_points(x, 1)[:, 0] - m) / (s * s)).reshape(-1, 1)
 
+    def power(theta, a):
+        return _gaussian_power(1, math.log(s), a), np.zeros(1)
+
     return ParametricModel(
         name="gaussian-mean", dim=1, param_dim=1, theta_names=("mean",),
         density=lambda th, x: np.exp(logpdf(th, x)),
@@ -147,6 +169,7 @@ def _gaussian_mean(scale=1.0):
         push_params=lambda th, sigma, mu: np.array(
             [(float(np.asarray(th).ravel()[0]) - float(np.ravel(mu)[0]))
              / float(np.ravel(sigma)[0])]),
+        power_moment=power,
     )
 
 
@@ -167,6 +190,11 @@ def _gaussian_mean_scale():
         r = _as_points(x, 1)[:, 0] - m
         return np.stack([r / (s * s), r * r / s ** 3 - 1.0 / s]).T
 
+    def power(theta, a):
+        _, s = unpack(theta)
+        p = _gaussian_power(1, math.log(s), a)
+        return p, np.array([0.0, -(a - 1.0) / s * p])
+
     def push(theta, sigma, mu):
         m, s = unpack(theta)
         sig = float(np.ravel(sigma)[0])
@@ -183,6 +211,7 @@ def _gaussian_mean_scale():
                             np.array([unpack(th)[0] + _GAUSS_HALF_WIDTH * unpack(th)[1]])),
         in_support=lambda x: np.ones(_as_points(x, 1).shape[0], dtype=bool),
         push_params=push,
+        power_moment=power,
     )
 
 
@@ -258,6 +287,16 @@ def _gaussian_full(dim=2):
                 g_chol -= Linv[i, i]
         return out
 
+    diag = rows == cols
+
+    def power(theta, a):
+        _, L = unpack(theta)
+        chol = np.diag(L)
+        p = _gaussian_power(d, float(np.sum(np.log(chol))), a)
+        grad = np.zeros(k)
+        grad[d:][diag] = -(a - 1.0) / chol * p
+        return p, grad
+
     def push(theta, sigma, mu):
         m, L = unpack(theta)
         sig = np.asarray(sigma, dtype=float).reshape(d, d)
@@ -283,6 +322,7 @@ def _gaussian_full(dim=2):
         support=box,
         in_support=lambda x: np.ones(_as_points(x, d).shape[0], dtype=bool),
         push_params=push,
+        power_moment=power,
         quad_points=257 if d == 2 else (2001 if d == 1 else 81),
     )
 
@@ -395,6 +435,11 @@ def _exponential_rate():
             raise DomainError("score undefined outside the support x >= 0")
         return (1.0 / lam - pts).reshape(-1, 1)
 
+    def power(theta, a):
+        lam = rate(theta)
+        p = float(np.exp((a - 1.0) * math.log(lam) - math.log(a)))
+        return p, np.array([(a - 1.0) / lam * p])
+
     return ParametricModel(
         name="exponential-rate", dim=1, param_dim=1, theta_names=("rate",),
         density=pdf,
@@ -404,6 +449,7 @@ def _exponential_rate():
         support=lambda th: (np.array([0.0]), np.array([_EXPON_CUTOFF / rate(th)])),
         in_support=lambda x: _as_points(x, 1)[:, 0] >= 0,
         push_params=None,
+        power_moment=power,
         # the trapezoid rule is only O(h^2) here (the integrand's derivative
         # does not vanish at x = 0), so the default grid is much denser
         quad_points=150001,

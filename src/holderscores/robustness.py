@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,30 +121,28 @@ def _frozen_grid(model, theta_star):
     return render_density(model, theta_star, lo=lo, hi=hi)
 
 
-def _moments(quad, model, theta, gamma):
-    """(<p_star p_theta^gamma>, <p_theta^(1+gamma)>) on the frozen grid ``quad``."""
-    return log_moments(quad, model.log_density(np.asarray(theta, dtype=float),
-                                               quad.flat.nodes), gamma)
+class _GridMoments(NamedTuple):
+    """The frozen-grid moments at one theta, and their score-weighted forms."""
+
+    cross: float              # <p_star p^gamma>
+    power: float              # <p^(1+gamma)>
+    cross_s: np.ndarray       # <p_star p^gamma s>
+    power_s: np.ndarray       # <p^(1+gamma) s>
+    power_abs_s: np.ndarray   # <p^(1+gamma) |s|>, a positive scale for zero tests
 
 
-def _score_moment(quad, model, theta, gamma):
-    """<p^(1+gamma) s> at theta over the nodes of the frozen grid ``quad``,
-    and a positive scale for zero tests."""
+def _grid_moments(quad, model, theta, gamma):
+    """:class:`_GridMoments` of model(theta) over the nodes of the frozen grid
+    ``quad``, from one ``log_density`` and one ``score`` call."""
     view = quad.flat
+    theta = np.asarray(theta, dtype=float)
+    log_p = model.log_density(theta, view.nodes)
     s = model.score(theta, view.nodes).T
-    log_p = model.log_density(np.asarray(theta, dtype=float), view.nodes)
-    return (_power_sum(view.weights, log_p, 1.0 + gamma, columns=s),
-            _power_sum(view.weights, log_p, 1.0 + gamma, columns=np.abs(s)))
-
-
-def _fd_gradient(fun, x, rel_step):
-    x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = rel_step * max(1.0, abs(x[i]))
-        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * e[i])
-    return g
+    cross, power = log_moments(quad, log_p, gamma)
+    cross_s = _power_sum(view.weights * view.values, log_p, gamma, columns=s)
+    t = np.exp((1.0 + gamma) * log_p)
+    t *= view.weights
+    return _GridMoments(cross, power, cross_s, s @ t, np.abs(s) @ t)
 
 
 def objective_hessian(phi, gamma, model, theta_star, quad=None, rel_step=1e-5):
@@ -184,38 +183,60 @@ def objective_hessian(phi, gamma, model, theta_star, quad=None, rel_step=1e-5):
     return hess
 
 
+def _check_z(model, z_rows):
+    if z_rows.shape[1] != model.dim:
+        raise DomainError("contamination point has wrong dimension")
+    if not bool(np.all(model.in_support(z_rows))):
+        raise DomainError("contamination point lies outside the model support; "
+                          "the density cannot be evaluated there")
+
+
+def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
+    """:class:`InfluenceResult` for each row of ``z_rows``.
+
+    The bracket B(theta) = phi'(r) (p_theta(z)^gamma - c), with c and P the
+    frozen-grid moments and r = c / P, has the exact gradient
+
+        phi''(r) r_theta (p(z)^gamma - c) + phi'(r) (gamma p(z)^gamma s(z) - c_theta),
+        r_theta = (c_theta - r P_theta) / P,
+
+    with c_theta = gamma <p_star p^gamma s> and P_theta = (1+gamma) <p^(1+gamma) s>.
+    Everything but p(z) and s(z) is formed once, and those come from one
+    ``log_density`` and one ``score`` call at all rows.
+    """
+    c, power = moments.cross, moments.power
+    r = c / power
+    d_cross = gamma * moments.cross_s
+    d_r = (d_cross - r * (1.0 + gamma) * moments.power_s) / power
+    pz_gamma = np.exp(gamma * model.log_density(theta_star, z_rows))
+    s_z = model.score(theta_star, z_rows)
+    grad_terms = (float(phi.d2(r)) * np.outer(pz_gamma - c, d_r)
+                  + float(phi.d1(r)) * (gamma * pz_gamma[:, None] * s_z - d_cross))
+    results = []
+    for z, grad_term in zip(z_rows, grad_terms):
+        if_vec = -np.linalg.solve(hessian, grad_term)
+        residual = float(np.linalg.norm(hessian @ if_vec + grad_term))
+        tol = 1e-8 * max(1.0, float(np.linalg.norm(grad_term)))
+        if residual > tol:
+            raise SingularHessianError(
+                f"linear solve residual {residual:.3e} exceeds tolerance {tol:.3e}")
+        results.append(InfluenceResult(z=z, if_vector=if_vec, hessian=hessian,
+                                       gradient_term=grad_term,
+                                       norm=float(np.linalg.norm(if_vec))))
+    return tuple(results)
+
+
 def influence_function(phi, gamma, model, theta_star, z, hessian=None, quad=None):
     """Influence vector at a contamination point z (exact point-mass terms)."""
     theta_star = np.asarray(theta_star, dtype=float)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.size != model.dim:
-        raise DomainError("contamination point has wrong dimension")
-    if not bool(np.all(model.in_support(z.reshape(1, -1)))):
-        raise DomainError("contamination point lies outside the model support; "
-                          "the density cannot be evaluated there")
+    z_rows = np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1)
+    _check_z(model, z_rows)
     if quad is None:
         quad = _frozen_grid(model, theta_star)
     if hessian is None:
         hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
-
-    zrow = z.reshape(1, -1)
-
-    def bracket(theta):
-        cross, power = _moments(quad, model, theta, gamma)
-        log_pz = model.log_density(np.asarray(theta, dtype=float), zrow)[0]
-        pz_gamma = float(np.exp(gamma * log_pz))
-        return float(phi.d1(cross / power)) * (pz_gamma - cross)
-
-    grad_term = _fd_gradient(bracket, theta_star, rel_step=1e-4)
-    if_vec = -np.linalg.solve(hessian, grad_term)
-    residual = float(np.linalg.norm(hessian @ if_vec + grad_term))
-    tol = 1e-8 * max(1.0, float(np.linalg.norm(grad_term)))
-    if residual > tol:
-        raise SingularHessianError(
-            f"linear solve residual {residual:.3e} exceeds tolerance {tol:.3e}")
-    return InfluenceResult(z=z, if_vector=if_vec, hessian=hessian,
-                           gradient_term=grad_term,
-                           norm=float(np.linalg.norm(if_vec)))
+    return _influence_rows(phi, gamma, model, theta_star, z_rows, hessian,
+                           _grid_moments(quad, model, theta_star, gamma))[0]
 
 
 def _default_z_ray(model, theta_star, n_z=25, max_sd=12.0):
@@ -241,15 +262,20 @@ def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     theta_star = np.asarray(theta_star, dtype=float)
     if quad is None:
         quad = _frozen_grid(model, theta_star)
+    return _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad,
+                  _grid_moments(quad, model, theta_star, gamma))
+
+
+def _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad, moments):
+    """:func:`influence_curve` with the frozen-grid moments at theta_star given."""
     hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
     if z_grid is None:
         z_grid = _default_z_ray(model, theta_star, n_z=n_z, max_sd=max_sd)
     z_grid = np.atleast_2d(np.asarray(z_grid, dtype=float))
     if len(z_grid) == 0:
         raise DomainError("influence curve needs at least one contamination point")
-    return tuple(influence_function(phi, gamma, model, theta_star, z,
-                                    hessian=hessian, quad=quad)
-                 for z in z_grid)
+    _check_z(model, z_grid)
+    return _influence_rows(phi, gamma, model, theta_star, z_grid, hessian, moments)
 
 
 def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=12.0):
@@ -263,14 +289,14 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     """
     theta_star = np.asarray(theta_star, dtype=float)
     quad = _frozen_grid(model, theta_star)
-    curve = influence_curve(phi, gamma, model, theta_star, z_grid=z_grid,
-                            n_z=n_z, max_sd=max_sd, quad=quad)
+    moments = _grid_moments(quad, model, theta_star, gamma)
+    curve = _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad, moments)
 
     phi_d2 = float(phi.d2(1.0))
     condition_met = bool(abs(phi_d2 + gamma * (1.0 + gamma)) < 1e-8)
 
-    b, b_scale = _score_moment(quad, model, theta_star, gamma)
-    informative = bool(np.any(np.abs(b) > 1e-6 * np.maximum(b_scale, 1e-300)))
+    b = moments.power_s
+    informative = bool(np.any(np.abs(b) > 1e-6 * np.maximum(moments.power_abs_s, 1e-300)))
     if not informative:
         # the criterion needs one nearby parameter with a nonzero moment
         for i in range(5):
@@ -279,8 +305,8 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
                 q2 = _frozen_grid(model, jitter)
             except DomainError:
                 continue
-            b2, s2 = _score_moment(q2, model, jitter, gamma)
-            if np.any(np.abs(b2) > 1e-6 * np.maximum(s2, 1e-300)):
+            m2 = _grid_moments(q2, model, jitter, gamma)
+            if np.any(np.abs(m2.power_s) > 1e-6 * np.maximum(m2.power_abs_s, 1e-300)):
                 informative = True
                 break
     if not informative:

@@ -245,14 +245,11 @@ class CompositeScore:
 
     def empirical_gradient(self, sample, g):
         """theta-gradient of ``empirical(sample, g)`` for a ``(model, theta)`` target."""
-        nodes, weights = _model_box(*g)
-        log_box, s_box = _log_and_score(g, nodes)
         log_x, s_x = _log_and_score(g, sample.points)
-        g_power = _positive_power(_power_sum(weights, log_box, 1.0 + self.gamma),
-                                  1.0 + self.gamma)
+        g_power, d_power = _candidate_power_gradient(g, 1.0 + self.gamma)
         a, b = self._partials(float(np.mean(np.exp(self.gamma * log_x))), g_power)
         d_cross = _power_sum(1.0 / sample.n, log_x, self.gamma, columns=s_x)
-        return a * self.gamma * d_cross + b * _power_gradient(weights, log_box, s_box, self.gamma)
+        return a * self.gamma * d_cross + b * d_power
 
 
 class KL(CompositeScore):
@@ -286,10 +283,8 @@ class KL(CompositeScore):
         return -(s @ (view.weights * view.values)) + _power_gradient(view.weights, log_g, s, 0.0)
 
     def empirical_gradient(self, sample, g):
-        nodes, weights = _model_box(*g)
-        log_box, s_box = _log_and_score(g, nodes)
         _, s_x = _log_and_score(g, sample.points)
-        return -np.mean(s_x, axis=1) + _power_gradient(weights, log_box, s_box, 0.0)
+        return -np.mean(s_x, axis=1) + _candidate_power_gradient(g, 1.0)[1]
 
 
 def _log_target_at_nodes(f, g):
@@ -313,16 +308,36 @@ def _model_box(model, theta):
 
 
 def _candidate_power(g, a):
-    """<g^a> over g's own grid, or over the box of a ``(model, theta)`` pair
-    without rendering it; anything but a finite positive value raises."""
+    """<g^a> over g's own grid, or for a ``(model, theta)`` pair its closed
+    form or, where it has none, the sum over its box without rendering it;
+    anything but a finite positive value raises."""
     if isinstance(g, GridDensity):
         weights = g.weights.ravel()
         with np.errstate(divide="ignore"):
             log_g = np.log(g.values.ravel())
     else:
-        nodes, weights = _model_box(*g)
+        model, theta = g
+        if model.power_moment is not None:
+            return _positive_power(model.power_moment(np.asarray(theta, dtype=float), a)[0], a)
+        nodes, weights = _model_box(model, theta)
         log_g = _log_target_at(g, nodes)
     return _positive_power(_power_sum(weights, log_g, a), a)
+
+
+def _candidate_power_gradient(g, a):
+    """<g^a> and its theta-gradient for a ``(model, theta)`` pair: the model's
+    closed form, or, where it has none, the sum over its quadrature box
+    (never rendered); anything but a finite positive value raises."""
+    model, theta = g
+    theta = np.asarray(theta, dtype=float)
+    if model.power_moment is not None:
+        power, d_power = model.power_moment(theta, a)
+    else:
+        nodes, weights = _model_box(model, theta)
+        log_box, s_box = _log_and_score(g, nodes)
+        power = _power_sum(weights, log_box, a)
+        d_power = a * _power_sum(weights, log_box, a, columns=s_box)
+    return _positive_power(power, a), d_power
 
 
 def _positive_power(power, a):
@@ -497,7 +512,8 @@ def empirical_score(score, sample, g):
     """Empirical score of a target g against observed points.
 
     ``g`` is either a :class:`GridDensity` or a ``(model, theta)`` pair; in
-    the latter case the power integral runs over the model's quadrature box
+    the latter case the power integral is the model's closed form
+    (``power_moment``), or a sum over its quadrature box where it has none,
     and the sample values use the analytic log-density.
     """
     return score.empirical(sample, g)

@@ -204,6 +204,33 @@ class TestOptimizer:
         else:
             assert not res.converged
 
+    @pytest.mark.parametrize("route", ["nelder-mead", "fallback"])
+    def test_nelder_mead_start_evaluated_once(self, route, monkeypatch):
+        # Nelder-Mead evaluates its start for fatol and again in scipy; on a
+        # fallback the start is L-BFGS-B's best point, already evaluated
+        starts, points = [], []
+        run_nm, guarded = estimators._run_nelder_mead, estimators._guarded
+
+        def spy_nm(fun, x0, cfg):
+            starts.append(np.array(x0))
+            return run_nm(fun, x0, cfg)
+
+        def spy_guarded(objective):
+            fun = guarded(objective)
+            return lambda theta: points.append(np.array(theta)) or fun(theta)
+
+        monkeypatch.setattr(estimators, "_run_nelder_mead", spy_nm)
+        monkeypatch.setattr(estimators, "_guarded", spy_guarded)
+        sample = draw_sample(GAUSS_MS, [0.3, 1.2], 800, seed=5)
+        score = HolderScore(phi_kappa(0.5, 1.0))
+        if route == "fallback":
+            score = WrongSignGradient(score)
+        fit(score, GAUSS_MS, sample,
+            FitConfig(init_theta=[0.0, 1.0], optimizer="nelder-mead" if route ==
+                      "nelder-mead" else "l-bfgs-b", polish=False))
+        assert len(starts) == 1
+        assert sum(np.array_equal(x, starts[0]) for x in points) == 1
+
     def test_step_out_of_the_domain_is_stepped_back_from(self, monkeypatch):
         # from s = 0.5 on data with s = 0.1 the first unit step of L-BFGS-B
         # makes the scale negative; the line search must step back rather
@@ -459,6 +486,20 @@ class TestConditionalModel:
         dens = cmodel.cond_density([1.0, 0.3], ygrid[None, :], x)
         masses = dens @ wy
         assert np.max(np.abs(masses - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("a", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("noise,theta", [(0.7, [1.0, 0.3]), (None, [1.0, 0.3, 0.9])],
+                             ids=["fixed-noise", "fitted-noise"])
+    def test_power_moment_matches_the_y_grid(self, noise, theta, a):
+        cmodel = make_conditional("linear-gaussian", noise=noise, y_lo=-12, y_hi=12)
+        power, grad = cmodel.power_moment(theta, a)
+        ygrid, wy = cmodel.y_grid()
+        for x in ([0.5], [-1.0], [2.0]):
+            xs = np.tile(x, (ygrid.size, 1))
+            t = wy * np.exp(a * cmodel.cond_log_density(theta, ygrid, xs))
+            s = cmodel.cond_score(theta, ygrid, xs).T
+            assert power == pytest.approx(t.sum(), rel=1e-12)
+            assert np.all(np.abs(grad - a * (s @ t)) <= 1e-12 * a * (np.abs(s) @ t))
 
     def test_cond_score_matches_fd(self):
         cmodel = make_conditional("linear-gaussian", y_lo=-12, y_hi=12)

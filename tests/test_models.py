@@ -119,6 +119,56 @@ def test_gaussian_full_score_columns(d):
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
+def _box_power(model, theta, a):
+    """<g^a> and its theta-gradient summed over the model's rendered box, with
+    a scale for the gradient: a <g^a |s|>."""
+    flat = render_density(model, theta).flat
+    t = flat.weights * np.exp(a * model.log_density(theta, flat.nodes))
+    s = model.score(theta, flat.nodes).T
+    return t.sum(), a * (s @ t), a * (np.abs(s) @ t)
+
+
+def _random_chol_theta(d, seed):
+    rng = np.random.default_rng(seed)
+    L = np.tril(0.4 * rng.standard_normal((d, d)))
+    L[np.diag_indices(d)] = rng.uniform(0.6, 1.4, d)
+    return np.concatenate([rng.standard_normal(d), L[np.tril_indices(d)]])
+
+
+GAUSSIAN_KINDS = [
+    ("gaussian-mean", {}, np.array([0.3])),
+    ("gaussian-mean", {"scale": 0.7}, np.array([-0.2])),
+    ("gaussian-mean-scale", {}, np.array([-0.4, 1.3])),
+    ("gaussian-full-d", {"dim": 1}, np.array([0.2, 0.9])),
+    ("gaussian-full-d", {"dim": 2}, np.array([0.2, -0.1, 1.1, 0.3, 0.8])),
+    ("gaussian-full-d", {"dim": 3}, _random_chol_theta(3, 8)),
+]
+
+
+class TestPowerMoment:
+    @pytest.mark.parametrize("a", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("kind,hyper,theta", GAUSSIAN_KINDS,
+                             ids=["mean", "mean-scale0.7", "mean-scale", "full-1",
+                                  "full-2", "full-3"])
+    def test_gaussian_closed_form_matches_quadrature(self, kind, hyper, theta, a):
+        model = make_parametric(kind, **hyper)
+        power, grad = model.power_moment(theta, a)
+        box_power, box_grad, scale = _box_power(model, theta, a)
+        assert power == pytest.approx(box_power, rel=1e-12)
+        assert grad.shape == (model.param_dim,)
+        assert np.all(np.abs(grad - box_grad) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("a", [1.0, 1.5, 3.0])
+    def test_exponential_closed_form(self, a):
+        model = make_parametric("exponential-rate")
+        power, grad = model.power_moment([1.4], a)
+        assert power == pytest.approx(1.4 ** (a - 1) / a, rel=1e-14)
+        assert grad[0] == pytest.approx((a - 1) * 1.4 ** (a - 2) / a, rel=1e-14, abs=0)
+
+    def test_mixture_has_no_closed_form(self):
+        assert make_parametric("gaussian-mixture-fixed-weights").power_moment is None
+
+
 class TestFamilyFormulas:
     def test_gaussian_mean_scale_score(self):
         model = make_parametric("gaussian-mean-scale")

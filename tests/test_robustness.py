@@ -7,6 +7,7 @@ from holderscores import (DomainError, FitConfig, HolderScore,
                           influence_curve, influence_function, make_parametric,
                           objective_hessian, phi_cubic_tail, phi_kappa,
                           population_fit, redescend_check, render_density)
+from holderscores.grids import log_moments
 from holderscores.robustness import _default_z_ray, _frozen_grid
 
 GAUSS_MS = make_parametric("gaussian-mean-scale")
@@ -300,3 +301,40 @@ class TestInfluenceCurve:
     def test_empty_ray_rejected(self):
         with pytest.raises(DomainError):
             influence_curve(phi_kappa(0.5, 1.0), 0.5, GAUSS_MS, [0.0, 1.0], n_z=0)
+
+
+class TestBracketGradient:
+    """The exact influence-bracket gradient against central differences of
+    the bracket phi'(r(theta)) (p_theta(z)^gamma - c(theta)) on the frozen grid."""
+
+    @pytest.mark.parametrize("kind,hyper,theta_star,zs", [
+        ("gaussian-mean-scale", {}, [0.1, 1.2], [[-2.0], [0.4], [3.5], [9.0]]),
+        ("gaussian-full-d", {"dim": 2}, [0.2, -0.1, 1.1, 0.3, 0.8],
+         [[0.2, -0.1], [1.5, -0.5], [-3.0, 2.0]]),
+    ], ids=["mean-scale", "full-2"])
+    # kappa = 1.5 would make phi linear at gamma = 0.5, with no phi'' term
+    @pytest.mark.parametrize("phi", [phi_kappa(0.5, 1.0), phi_kappa(0.5, 2.0)],
+                             ids=["kappa1", "kappa2"])
+    def test_matches_central_differences(self, kind, hyper, theta_star, zs, phi):
+        model = make_parametric(kind, **hyper)
+        theta_star = np.asarray(theta_star, dtype=float)
+        gamma = phi.gamma
+        quad = _frozen_grid(model, theta_star)
+
+        def bracket(theta, z):
+            cross, power = log_moments(quad, model.log_density(theta, quad.flat.nodes), gamma)
+            pz_gamma = np.exp(gamma * model.log_density(theta, z.reshape(1, -1))[0])
+            return float(phi.d1(cross / power)) * (pz_gamma - cross)
+
+        curve = influence_curve(phi, gamma, model, theta_star, zs, quad=quad)
+        exact = np.stack([res.gradient_term for res in curve])
+        numeric = np.empty_like(exact)
+        for i in range(theta_star.size):
+            e = np.zeros(theta_star.size)
+            e[i] = 1e-5 * max(1.0, abs(theta_star[i]))
+            for row, res in enumerate(curve):
+                numeric[row, i] = (bracket(theta_star + e, res.z)
+                                   - bracket(theta_star - e, res.z)) / (2 * e[i])
+        # far out the bracket gradient redescends towards its limit, so the
+        # differences are measured against the largest entry on the ray
+        assert np.max(np.abs(exact - numeric)) <= 1e-7 * np.max(np.abs(numeric))
