@@ -1,17 +1,19 @@
 """Optimum-score estimation for densities and conditional densities.
 
 Fitting minimizes an empirical composite score over a parametric family.
-Every objective comes with its exact theta-gradient (the score's
-``empirical_gradient``/``expected_gradient``, or
-:func:`averaged_score_gradient`), so the default optimizer is L-BFGS-B.
-A trial step out of the parameter domain (a +inf value) is rejected by the
-line search like any step that raises the value.  Where L-BFGS-B stops
-abnormally (a failed line search, for instance near a kink of a shape
-function), starts at +inf or meets a gradient that is not finite,
-derivative-free Nelder-Mead takes over from the best point it reached; Nelder-Mead alone and
-jittered multi-start are available too.  A Newton polish (on by default)
-builds one Hessian from central differences of the exact gradient and takes
-up to three guarded steps with it, and ``converged`` tests the exact gradient.
+Every objective has a pair form giving its value and exact theta-gradient
+from one model evaluation (the score's ``empirical_with_gradient``/
+``expected_with_gradient``, or :func:`averaged_score_with_gradient`), so the
+default optimizer is L-BFGS-B.  A trial step out of the parameter domain (a
++inf value) is rejected by the line search like any step that raises the
+value.  Where L-BFGS-B stops abnormally (a failed line search, for instance
+near a kink of a shape function), starts at +inf or meets a gradient that is
+not finite, Nelder-Mead takes over on the value alone from the best point it
+reached; Nelder-Mead alone and jittered multi-start are available too.  A
+Newton polish (on by default) builds one Hessian from central differences of
+the exact gradient and takes up to three guarded steps with it, and
+``converged`` tests the exact gradient.  The last and the best point are
+remembered, so each distinct theta costs one model evaluation.
 Population-level fits replace the sample average by quadrature against a grid
 density, which is also how Fisher consistency is verified.
 """
@@ -83,13 +85,15 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of one fit; ``converged`` additionally requires a small
-    exact gradient at the reported optimum."""
+    exact gradient at the reported optimum.  ``n_evals`` counts the objective
+    evaluations paid for (value or pair); memo hits are not counted."""
 
     theta_hat: np.ndarray
     objective_value: float
     iterations: int
     converged: bool
     trace: Optional[tuple] = None
+    n_evals: int = 0
 
     def csv_row(self):
         cells = [repr(float(v)) for v in self.theta_hat]
@@ -116,47 +120,68 @@ def _gradient_hessian(grad, x, rel_step=1e-5):
     return 0.5 * (hess + hess.T)
 
 
-def _newton_polish(fun, grad, x, fx, max_steps=3):
-    """Guarded Newton steps on one gradient-difference Hessian; a step is
-    kept only while the value stays finite and does not rise."""
-    hess = _gradient_hessian(grad, x)
+def _newton_polish(pair, x, fx, gx, max_steps=3):
+    """Guarded Newton steps on one gradient-difference Hessian from ``x``, of
+    value ``fx`` and gradient ``gx``; a step is kept only while the value
+    stays finite and does not rise.  Returns the last point kept, ``(x, fx, gx)``."""
+    hess = _gradient_hessian(lambda t: pair(t)[1], x)
     if not np.all(np.isfinite(hess)) or np.min(np.linalg.eigvalsh(hess)) <= 0:
-        return x, fx
+        return x, fx, gx
     for _ in range(max_steps):
-        g = grad(x)
-        if not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(gx)):
             break
-        step = np.linalg.solve(hess, g)
+        step = np.linalg.solve(hess, gx)
         x_new = x - step
-        f_new = fun(x_new)
+        f_new, g_new = pair(x_new)
         if not np.isfinite(f_new) or f_new > fx + 1e-15:
             break
-        x, fx = x_new, f_new
+        x, fx, gx = x_new, f_new, g_new
         if np.max(np.abs(step)) < 1e-12:
             break
-    return x, fx
+    return x, fx, gx
 
 
 def _guarded(objective):
+    """``objective`` -> (value, gradient), (+inf, NaN) on a HolderError or a value not finite."""
     def wrapped(theta):
         try:
-            val = objective(theta)
+            val, grad = objective(theta)
         except HolderError:
-            return np.inf
+            val = np.inf
         if not np.isfinite(val):
-            return np.inf
-        return float(val)
+            return np.inf, np.full(np.size(theta), np.nan)
+        return float(val), grad
     return wrapped
 
 
-def _guarded_gradient(gradient):
-    """NaN where the objective raises, as :func:`_guarded` gives +inf."""
-    def wrapped(theta):
-        try:
-            return np.asarray(gradient(theta), dtype=float)
-        except HolderError:
-            return np.full(np.size(theta), np.nan)
-    return wrapped
+class _Objective:
+    """The guarded objective of one fit: ``value`` alone for Nelder-Mead,
+    ``pair`` (value and gradient) for L-BFGS-B, the polish and the gradient
+    check.  Both look up the last point and the best one (of the current
+    L-BFGS-B run) first; ``evals`` counts the evaluations paid for."""
+
+    def __init__(self, objective, objective_with_gradient):
+        self._value = _guarded(lambda theta: (objective(theta), None))
+        self._pair = _guarded(objective_with_gradient)
+        self.evals = 0
+        self.last = self.best = None          # (theta, value, gradient or None)
+
+    def value(self, theta):
+        return self._evaluate(theta, self._value, False)[0]
+
+    def pair(self, theta):
+        return self._evaluate(theta, self._pair, True)
+
+    def _evaluate(self, theta, fun, with_gradient):
+        for seen in (self.last, self.best):
+            if seen is not None and np.array_equal(theta, seen[0]) \
+                    and not (with_gradient and seen[2] is None):
+                return seen[1:]
+        self.evals += 1
+        self.last = (np.array(theta, dtype=float),) + fun(theta)
+        if np.isfinite(self.last[1]) and (self.best is None or self.last[1] < self.best[1]):
+            self.best = self.last
+        return self.last[1:]
 
 
 def _iteration_log(cfg):
@@ -169,18 +194,6 @@ def _iteration_log(cfg):
         if trace is not None:
             trace.append(float(intermediate_result.fun))
     return callback, count, trace
-
-
-def _remember_last(fun, x=None, fx=None):
-    """``fun`` with a one-entry memo of its last point and value, optionally
-    seeded with a point whose value is already known."""
-    last = [None if x is None else np.array(x, dtype=float), fx]
-
-    def wrapped(x):
-        if last[0] is None or not np.array_equal(x, last[0]):
-            last[:] = np.array(x, dtype=float), fun(x)
-        return last[1]
-    return wrapped
 
 
 def _initial_simplex(x0):
@@ -197,9 +210,9 @@ def _initial_simplex(x0):
 
 
 def _run_nelder_mead(fun, x0, cfg):
+    """Nelder-Mead on an :class:`_Objective`'s ``value``; the start value
+    sets fatol, and scipy's evaluation of the start is a memo hit."""
     callback, _, trace = _iteration_log(cfg)
-    # the start value sets fatol and is scipy's first evaluation as well
-    fun = _remember_last(fun)
     f0 = fun(x0)
     fatol = max(1e-13, 1e-11 * (1.0 + (abs(f0) if np.isfinite(f0) else 0.0)))
     with np.errstate(invalid="ignore"):  # simplex may hold +inf sentinels
@@ -213,42 +226,30 @@ def _run_nelder_mead(fun, x0, cfg):
     return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit), bool(res.success), trace
 
 
-def _run_lbfgsb(fun, grad, x0, cfg):
-    """L-BFGS-B with the exact gradient; Nelder-Mead from its best point when
-    it stops abnormally, starts at +inf or meets a gradient that is not
-    finite."""
+def _run_lbfgsb(objective, x0, cfg):
+    """L-BFGS-B on the value-and-gradient pair of an :class:`_Objective`;
+    Nelder-Mead from its best point when it stops abnormally, starts at +inf
+    or meets a gradient that is not finite."""
     callback, count, trace = _iteration_log(cfg)
-    best = [np.inf, np.array(x0, dtype=float)]
+    objective.best = None                 # this run's best point only
     ceiling = []
-    outside = [None]
 
-    def value(x):
-        fx = fun(x)
-        if not ceiling:
-            if np.isinf(fx):
-                raise _AbnormalStop
-            ceiling.append(fx + abs(fx) + 1.0)
-        if np.isinf(fx):
+    def pair(x):
+        fx, gx = objective.pair(x)
+        if ceiling and np.isinf(fx):
             # a trial step left the parameter domain.  scipy's line search
             # cannot step back from +inf (it reports convergence where it
             # stands), so it gets a finite value above the start instead,
             # which it never accepts
-            outside[0] = np.array(x)
-            return ceiling[0]
-        if fx < best[0]:
-            best[:] = fx, np.array(x)
-        return fx
-
-    def jac(x):
-        if outside[0] is not None and np.array_equal(x, outside[0]):
-            return np.zeros(np.size(x))
-        g = grad(x)
-        if not np.all(np.isfinite(g)):
+            return ceiling[0], np.zeros(np.size(x))
+        if not np.all(np.isfinite(gx)):  # also a start at +inf, whose gradient is NaN
             raise _AbnormalStop
-        return g
+        if not ceiling:
+            ceiling.append(fx + abs(fx) + 1.0)
+        return fx, gx
 
     try:
-        res = minimize(value, x0, jac=jac, method="L-BFGS-B", callback=callback,
+        res = minimize(pair, x0, jac=True, method="L-BFGS-B", callback=callback,
                        options={"maxiter": cfg.max_iters, "ftol": _LBFGSB_FTOL,
                                 "gtol": cfg.step_tol})
         if res.status != 2:  # 0 converged, 1 out of iterations
@@ -256,47 +257,43 @@ def _run_lbfgsb(fun, grad, x0, cfg):
                 res.status == 0, trace
     except _AbnormalStop:
         pass
-    x, fx, iters, ok, nm_trace = _run_nelder_mead(_remember_last(fun, best[1], best[0]),
-                                                  best[1], cfg)
+    # from the best point, already evaluated, or from the start if it is +inf
+    x0 = objective.best[0] if objective.best else x0
+    x, fx, iters, ok, nm_trace = _run_nelder_mead(objective.value, x0, cfg)
     if trace is not None:
         trace.extend(nm_trace)
     return x, fx, count[0] + iters, ok, trace
 
 
-def _minimize(objective, gradient, cfg):
-    fun = _guarded(objective)
-    grad = _guarded_gradient(gradient)
+def _minimize(objective, objective_with_gradient, cfg):
+    objective = _Objective(objective, objective_with_gradient)
     match = _MULTISTART_RE.match(cfg.optimizer)
     if cfg.optimizer == "nelder-mead":
-        x, fx, iters, ok, trace = _run_nelder_mead(fun, cfg.init_theta, cfg)
+        x, fx, iters, ok, trace = _run_nelder_mead(objective.value, cfg.init_theta, cfg)
     elif match:
-        k = int(match.group(1))
-        best = None
-        total_iters = 0
-        for i in range(k):
-            if i == 0:
-                x0 = np.array(cfg.init_theta, dtype=float)
-            else:
-                rng = rng_for(cfg.seed, i)
-                scale = 0.5 * (1.0 + np.abs(cfg.init_theta))
-                x0 = cfg.init_theta + scale * rng.standard_normal(cfg.init_theta.size)
-            x, fx, iters, ok, trace = _run_lbfgsb(fun, grad, x0, cfg)
+        best, total_iters = None, 0
+        for i in range(int(match.group(1))):
+            x0 = np.array(cfg.init_theta, dtype=float)
+            if i:
+                scale = 0.5 * (1.0 + np.abs(x0))
+                x0 = x0 + scale * rng_for(cfg.seed, i).standard_normal(x0.size)
+            x, fx, iters, ok, trace = _run_lbfgsb(objective, x0, cfg)
             total_iters += iters
             # ties within step_tol keep the earliest start for determinism
             if best is None or fx < best[1] - cfg.step_tol:
                 best = (x, fx, total_iters, ok, trace)
         x, fx, iters, ok, trace = best
     else:
-        x, fx, iters, ok, trace = _run_lbfgsb(fun, grad, cfg.init_theta, cfg)
+        x, fx, iters, ok, trace = _run_lbfgsb(objective, cfg.init_theta, cfg)
 
+    gx = objective.pair(x)[1]
     if cfg.polish and np.isfinite(fx):
-        x, fx = _newton_polish(fun, grad, x, fx)
-
-    g = grad(x)
-    grad_ok = bool(np.all(np.isfinite(g)) and np.linalg.norm(g) < cfg.grad_tol)
+        x, fx, gx = _newton_polish(objective.pair, x, fx, gx)
+    grad_ok = bool(np.all(np.isfinite(gx)) and np.linalg.norm(gx) < cfg.grad_tol)
     return FitResult(theta_hat=x, objective_value=fx, iterations=iters,
                      converged=bool(ok and grad_ok),
-                     trace=tuple(trace) if trace is not None else None)
+                     trace=tuple(trace) if trace is not None else None,
+                     n_evals=objective.evals)
 
 
 # -- density fitting ---------------------------------------------------------------
@@ -311,13 +308,8 @@ def fit(score, model, sample, cfg):
     if sample.n < 1:
         raise DomainError("sample is empty")
 
-    def objective(theta):
-        return empirical_score(score, sample, (model, theta))
-
-    def gradient(theta):
-        return score.empirical_gradient(sample, (model, theta))
-
-    return _minimize(objective, gradient, cfg)
+    return _minimize(lambda theta: empirical_score(score, sample, (model, theta)),
+                     lambda theta: score.empirical_with_gradient(sample, (model, theta)), cfg)
 
 
 def population_fit(score, model, p_true, cfg):
@@ -330,13 +322,8 @@ def population_fit(score, model, p_true, cfg):
     if not isinstance(p_true, GridDensity):
         raise StructuralError("p_true must be a GridDensity")
 
-    def objective(theta):
-        return expected_score(score, p_true, (model, theta))
-
-    def gradient(theta):
-        return score.expected_gradient(p_true, (model, theta))
-
-    return _minimize(objective, gradient, cfg)
+    return _minimize(lambda theta: expected_score(score, p_true, (model, theta)),
+                     lambda theta: score.expected_with_gradient(p_true, (model, theta)), cfg)
 
 
 # -- conditional models ---------------------------------------------------------------
@@ -484,18 +471,22 @@ def averaged_score(score, cmodel, theta, sample):
     return float(np.mean(score._combine(np.exp(score.gamma * log_qi), m_int)))
 
 
-def averaged_score_gradient(score, cmodel, theta, sample):
-    """theta-gradient of :func:`averaged_score`, from ``cmodel.cond_score``
-    and ``cmodel.power_moment``: d q_i^gamma = gamma q_i^gamma s_i."""
+def averaged_score_with_gradient(score, cmodel, theta, sample):
+    """``(averaged_score(...), its theta-gradient)`` from one call each of
+    ``cmodel``'s cond_log_density, cond_score and power_moment."""
     y, x = _averaged_inputs(score, cmodel, sample)
     theta = np.asarray(theta, dtype=float)
     m_int, dm_int = cmodel.power_moment(theta, 1.0 + score.gamma)
+    log_qi = cmodel.cond_log_density(theta, y, x)
     s_i = cmodel.cond_score(theta, y, x).T                            # (k, n)
     if isinstance(score, KL):
-        return dm_int - np.mean(s_i, axis=1)
-    q_gamma = np.exp(score.gamma * cmodel.cond_log_density(theta, y, x))
+        return float(np.mean(-log_qi) + m_int), dm_int - np.mean(s_i, axis=1)
+    if not 0.0 < m_int < math.inf:
+        return math.inf, np.full(theta.size, np.nan)
+    q_gamma = np.exp(score.gamma * log_qi)
     d_cross, d_power = score._partials(q_gamma, m_int)
-    return (s_i @ (score.gamma * q_gamma * d_cross) + dm_int * np.sum(d_power)) / y.size
+    return float(np.mean(score._combine(q_gamma, m_int))), \
+        (s_i @ (score.gamma * q_gamma * d_cross) + dm_int * np.sum(d_power)) / y.size
 
 
 def fit_regression(gamma, kappa, cmodel, sample, cfg):
@@ -513,10 +504,6 @@ def fit_regression(gamma, kappa, cmodel, sample, cfg):
     score = BregmanHolder(gamma, kappa)
     _averaged_inputs(score, cmodel, sample)
 
-    def objective(theta):
-        return averaged_score(score, cmodel, theta, sample)
-
-    def gradient(theta):
-        return averaged_score_gradient(score, cmodel, theta, sample)
-
-    return _minimize(objective, gradient, cfg)
+    return _minimize(lambda theta: averaged_score(score, cmodel, theta, sample),
+                     lambda theta: averaged_score_with_gradient(score, cmodel, theta, sample),
+                     cfg)

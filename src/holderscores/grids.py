@@ -294,18 +294,22 @@ def _power_sum(weights, log_g, a, out=None, columns=None):
     return np.sum(t, axis=-1)
 
 
-def log_moments(f, log_g, gamma):
+def log_moments(f, log_g, gamma, columns=None):
     """``(<f g^gamma>, <g^(1+gamma)>)`` from ``log g`` at the nodes of f.
 
     ``log_g`` holds log g at ``f.flat.nodes``; -inf marks g = 0.  No
-    candidate grid is built.
+    candidate grid is built.  With ``columns`` (k, N), such as the model score
+    s there, the (2, k) array ``(<f g^gamma s>, <g^(1+gamma) s>)`` follows,
+    one matrix product over the same two weighted rows.
     """
     view = f.flat
-    t = np.exp(gamma * log_g)
-    t *= view.values
-    t *= view.weights
-    cross = float(np.sum(t))
-    return cross, float(_power_sum(view.weights, log_g, 1.0 + gamma, out=t))
+    t = np.empty((2, log_g.size))
+    np.exp(np.multiply(log_g, gamma, out=t[0]), out=t[0])
+    t[0] *= view.values
+    t[0] *= view.weights
+    cross = float(np.sum(t[0]))
+    power = float(_power_sum(view.weights, log_g, 1.0 + gamma, out=t[1]))
+    return (cross, power) if columns is None else (cross, power, t @ columns.T)
 
 
 def l1_distance(f, g):

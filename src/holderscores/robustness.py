@@ -164,7 +164,7 @@ def objective_hessian(phi, gamma, model, theta_star, quad=None, rel_step=1e-5):
     score = HolderScore(replace(phi, gamma=gamma))
 
     def gradient(theta):
-        return score.expected_gradient(quad, (model, theta))
+        return score.expected_with_gradient(quad, (model, theta))[1]
 
     grad = gradient(theta_star)
     hess = _gradient_hessian(gradient, theta_star, rel_step=rel_step)

@@ -32,8 +32,10 @@ through the model score s = d log g / dtheta,
     d<f g^gamma>/dtheta = gamma <f g^gamma s>,
     d<g^(1+gamma)>/dtheta = (1+gamma) <g^(1+gamma) s>
 
-(KL: ``-<f s> + <g s>``).  ``expected_gradient`` and ``empirical_gradient``
-sit beside the value methods ``expected`` and ``empirical``.
+(KL: ``-<f s> + <g s>``).  A moment and its gradient share their weighted
+terms, so ``expected_with_gradient`` and ``empirical_with_gradient`` return
+both from one ``log_density`` and one ``score`` call, the value bit-identical
+to that of ``expected`` and ``empirical``, which evaluate no score.
 """
 
 from __future__ import annotations
@@ -234,22 +236,22 @@ class CompositeScore:
         cross = float(np.mean(np.exp(self.gamma * _log_target_at(g, sample.points))))
         return self._combine(cross, g_power)
 
-    def expected_gradient(self, f, g):
-        """theta-gradient of ``expected(f, g)`` for a ``(model, theta)`` target."""
-        view = f.flat
-        log_g, s = _log_and_score(g, view.nodes)
-        cross, g_power = log_moments(f, log_g, self.gamma)
+    def expected_with_gradient(self, f, g):
+        """``(expected(f, g), its theta-gradient)`` for a ``(model, theta)`` target."""
+        log_g, s = _log_and_score(g, f.flat.nodes)
+        cross, g_power, (d_cross, d_power) = log_moments(f, log_g, self.gamma, columns=s)
         a, b = self._partials(cross, _positive_power(g_power, 1.0 + self.gamma))
-        d_cross = _power_sum(view.weights * view.values, log_g, self.gamma, columns=s)
-        return a * self.gamma * d_cross + b * _power_gradient(view.weights, log_g, s, self.gamma)
+        return self._combine(cross, g_power), \
+            a * self.gamma * d_cross + b * (1.0 + self.gamma) * d_power
 
-    def empirical_gradient(self, sample, g):
-        """theta-gradient of ``empirical(sample, g)`` for a ``(model, theta)`` target."""
+    def empirical_with_gradient(self, sample, g):
+        """``(empirical(sample, g), its theta-gradient)`` for a ``(model, theta)`` target."""
         log_x, s_x = _log_and_score(g, sample.points)
         g_power, d_power = _candidate_power_gradient(g, 1.0 + self.gamma)
-        a, b = self._partials(float(np.mean(np.exp(self.gamma * log_x))), g_power)
-        d_cross = _power_sum(1.0 / sample.n, log_x, self.gamma, columns=s_x)
-        return a * self.gamma * d_cross + b * d_power
+        q = np.exp(self.gamma * log_x)
+        cross = float(np.mean(q))
+        a, b = self._partials(cross, g_power)
+        return self._combine(cross, g_power), a * self.gamma / sample.n * (s_x @ q) + b * d_power
 
 
 class KL(CompositeScore):
@@ -267,24 +269,34 @@ class KL(CompositeScore):
     def expected(self, f, g):
         view = f.flat
         log_g = _log_target_at_nodes(f, g)
-        # nodes where f vanishes contribute nothing, even where log g = -inf;
-        # where f > 0 and g = 0 the cross term is +inf
-        cross = -float(np.sum(view.values * np.where(view.values > 0, log_g, 0.0)
-                              * view.weights))
-        return cross + float(_power_sum(view.weights, log_g, 1.0))
+        return _kl_cross(view.values * view.weights, view.values, log_g) \
+            + float(_power_sum(view.weights, log_g, 1.0))
 
     def empirical(self, sample, g):
         cross = -float(np.mean(_log_target_at(g, sample.points)))
         return cross + _candidate_power(g, 1.0)
 
-    def expected_gradient(self, f, g):
+    def expected_with_gradient(self, f, g):
         view = f.flat
         log_g, s = _log_and_score(g, view.nodes)
-        return -(s @ (view.weights * view.values)) + _power_gradient(view.weights, log_g, s, 0.0)
+        t = np.empty((2, log_g.size))
+        np.multiply(view.values, view.weights, out=t[0])
+        power = float(_power_sum(view.weights, log_g, 1.0, out=t[1]))
+        d_cross, d_power = t @ s.T
+        return _kl_cross(t[0], view.values, log_g) + power, d_power - d_cross
 
-    def empirical_gradient(self, sample, g):
-        _, s_x = _log_and_score(g, sample.points)
-        return -np.mean(s_x, axis=1) + _candidate_power_gradient(g, 1.0)[1]
+    def empirical_with_gradient(self, sample, g):
+        log_x, s_x = _log_and_score(g, sample.points)
+        power, d_power = _candidate_power_gradient(g, 1.0)
+        return -float(np.mean(log_x)) + power, d_power - np.mean(s_x, axis=1)
+
+
+def _kl_cross(fw, values, log_g):
+    """<-f log g> from the weighted values ``fw``: +inf where g = 0 < f, and 0
+    where f = g = 0, which the plain product reads as 0 * -inf = NaN."""
+    with np.errstate(invalid="ignore"):
+        cross = float(fw @ log_g)
+    return -(float(fw @ np.where(values > 0, log_g, 0.0)) if math.isnan(cross) else cross)
 
 
 def _log_target_at_nodes(f, g):
@@ -335,8 +347,9 @@ def _candidate_power_gradient(g, a):
     else:
         nodes, weights = _model_box(model, theta)
         log_box, s_box = _log_and_score(g, nodes)
-        power = _power_sum(weights, log_box, a)
-        d_power = a * _power_sum(weights, log_box, a, columns=s_box)
+        t = np.empty(log_box.size)
+        power = _power_sum(weights, log_box, a, out=t)
+        d_power = a * (s_box @ t)
     return _positive_power(power, a), d_power
 
 
@@ -355,11 +368,6 @@ def _log_and_score(g, points):
     model, theta = g
     theta = np.asarray(theta, dtype=float)
     return model.log_density(theta, points), model.score(theta, points).T
-
-
-def _power_gradient(weights, log_g, s, gamma):
-    """d<g^(1+gamma)>/dtheta = (1+gamma) <g^(1+gamma) s> from (k, n) score columns."""
-    return (1.0 + gamma) * _power_sum(weights, log_g, 1.0 + gamma, columns=s)
 
 
 def _log_target_at(g, points):

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from holderscores import (BregmanHolder, ConfigError, DomainError, FitConfig,
                           GammaScore, HolderScore, KL, Pseudospherical, Sample,
                           UnsupportedFamilyError, averaged_score,
-                          averaged_score_gradient, contaminate,
+                          averaged_score_with_gradient, contaminate,
                           draw_contaminated_sample, draw_sample, fit,
                           fit_regression, make_conditional, make_parametric,
-                          phi_kappa, population_fit, render_density, rng_for)
+                          phi_cubic_tail, phi_kappa, population_fit,
+                          render_density, rng_for)
 from holderscores import estimators
 
 GAUSS_MS = make_parametric("gaussian-mean-scale")
@@ -124,7 +127,8 @@ class TestFit:
 
 
 class CountingScore:
-    """A score that counts its value evaluations; gradients pass through."""
+    """A score that counts its evaluations, of the value alone or of the
+    value with its gradient."""
 
     def __init__(self, score):
         self.score = score
@@ -141,17 +145,78 @@ class CountingScore:
         self.values += 1
         return self.score.empirical(sample, g)
 
+    def expected_with_gradient(self, f, g):
+        self.values += 1
+        return self.score.expected_with_gradient(f, g)
+
+    def empirical_with_gradient(self, sample, g):
+        self.values += 1
+        return self.score.empirical_with_gradient(sample, g)
+
 
 class WrongSignGradient(CountingScore):
     """Gradients pointing uphill: every L-BFGS-B line search fails."""
 
-    def empirical_gradient(self, sample, g):
-        return -self.score.empirical_gradient(sample, g)
+    def empirical_with_gradient(self, sample, g):
+        value, grad = super().empirical_with_gradient(sample, g)
+        return value, -grad
 
 
 class NanGradient(CountingScore):
-    def empirical_gradient(self, sample, g):
-        return np.full(np.size(g[1]), np.nan)
+    def empirical_with_gradient(self, sample, g):
+        value, _ = super().empirical_with_gradient(sample, g)
+        return value, np.full(np.size(g[1]), np.nan)
+
+
+def recording_log_density(model):
+    """``model`` with a log_density that records the theta of every call."""
+    thetas = []
+
+    def log_density(theta, x):
+        thetas.append(np.array(theta, dtype=float).tobytes())
+        return model.log_density(theta, x)
+    return replace(model, log_density=log_density), thetas
+
+
+class TestEvaluationCount:
+    """Value and gradient come from one log_density call, and a point asked
+    for again (L-BFGS-B's iterate after a failed trial, the polish start, the
+    final gradient check) is remembered: one call per distinct theta."""
+
+    @pytest.mark.parametrize("score,distinct", [
+        (GammaScore(0.5), 26), (HolderScore(phi_kappa(0.5, 1.5)), 24), (KL(), 24)],
+        ids=["gamma", "holder", "kl"])
+    def test_2d_population_fit(self, score, distinct):
+        # criterion 5's gaussian-full-d case
+        model = make_parametric("gaussian-full-d", dim=2)
+        theta_star = np.array([0.2, -0.1, 1.1, 0.3, 0.8])
+        recorded, thetas = recording_log_density(model)
+        res = population_fit(score, recorded, render_density(model, theta_star),
+                             FitConfig(init_theta=theta_star * 1.05 + 0.02,
+                                       step_tol=1e-9, grad_tol=1e-2))
+        assert res.converged
+        assert len(thetas) == len(set(thetas)) == res.n_evals == distinct
+
+    @pytest.mark.parametrize("phi", [phi_kappa(0.5, 1.0), phi_cubic_tail(0.5, 0.5)],
+                             ids=lambda phi: phi.label)
+    def test_empirical_fit(self, phi):
+        # the mc-empirical benchmark's fit
+        recorded, thetas = recording_log_density(GAUSS_MS)
+        sample = draw_sample(GAUSS_MS, [0.0, 1.0], 2000, seed=401)
+        res = fit(HolderScore(phi), recorded, sample,
+                  FitConfig(init_theta=[0.0, 1.0], step_tol=1e-7, grad_tol=1e-2))
+        assert res.converged
+        assert len(thetas) == len(set(thetas)) == res.n_evals == 13
+
+    @pytest.mark.parametrize("optimizer,wrapper", [
+        ("nelder-mead", CountingScore), ("multi-start(3)", CountingScore),
+        ("l-bfgs-b", WrongSignGradient)], ids=["nelder-mead", "multi-start", "fallback"])
+    def test_n_evals_counts_every_evaluation_paid_for(self, optimizer, wrapper):
+        sample = draw_sample(GAUSS_MS, [0.3, 1.2], 500, seed=4)
+        score = wrapper(GammaScore(0.5))
+        res = fit(score, GAUSS_MS, sample, FitConfig(init_theta=[0.0, 1.0], optimizer=optimizer))
+        assert res.converged
+        assert res.n_evals == score.values
 
 
 class TestOptimizer:
@@ -247,7 +312,7 @@ class TestOptimizer:
         monkeypatch.setattr(estimators, "_guarded", spy)
         res = fit(KL(), GAUSS_MS, sample, FitConfig(init_theta=[0.3, 0.5]))
         pts = sample.points[:, 0]
-        assert np.isinf(values).any()
+        assert np.isinf([value for value, _ in values]).any()
         assert res.converged
         assert np.max(np.abs(res.theta_hat - [pts.mean(), pts.std()])) < 1e-6
 
@@ -383,7 +448,7 @@ class TestAveragedScoreGradient:
         sample = Sample(points=1.5 * x[:, 0] - 0.5 + 0.8 * rng.standard_normal(300),
                         covariates=x)
         theta = np.array(theta)
-        exact = averaged_score_gradient(score, cmodel, theta, sample)
+        exact = averaged_score_with_gradient(score, cmodel, theta, sample)[1]
         numeric = np.empty(theta.size)
         for i in range(theta.size):
             e = np.zeros(theta.size)
@@ -391,6 +456,19 @@ class TestAveragedScoreGradient:
             numeric[i] = (averaged_score(score, cmodel, theta + e, sample)
                           - averaged_score(score, cmodel, theta - e, sample)) / (2 * e[i])
         assert np.max(np.abs(exact - numeric)) <= 1e-6 * np.max(np.abs(numeric))
+
+    @pytest.mark.parametrize("noise,theta", [(0.8, [1.4, -0.4]), (None, [1.4, -0.4, 0.9])],
+                             ids=["fixed-noise", "fitted-noise"])
+    @pytest.mark.parametrize("score", [KL(), BregmanHolder(0.5, 1.0), BregmanHolder(0.5, 1.5)],
+                             ids=repr)
+    def test_pair_value_is_the_value_bit_for_bit(self, noise, theta, score):
+        cmodel = make_conditional("linear-gaussian", noise=noise, y_lo=-12.0, y_hi=12.0)
+        rng = rng_for(31)
+        x = rng.uniform(-2, 2, size=(300, 1))
+        sample = Sample(points=1.5 * x[:, 0] - 0.5 + 0.8 * rng.standard_normal(300),
+                        covariates=x)
+        value, _ = averaged_score_with_gradient(score, cmodel, theta, sample)
+        assert value == averaged_score(score, cmodel, theta, sample)
 
 
 class TestYDomain:
@@ -409,7 +487,7 @@ class TestYDomain:
         with pytest.raises(DomainError, match="y-domain"):
             averaged_score(score, cmodel, [1.0, 0.0, 0.5], sample)
         with pytest.raises(DomainError, match="y-domain"):
-            averaged_score_gradient(score, cmodel, [1.0, 0.0, 0.5], sample)
+            averaged_score_with_gradient(score, cmodel, [1.0, 0.0, 0.5], sample)
         with pytest.raises(DomainError, match="y-domain"):
             fit_regression(0.5, 1.0, cmodel, sample, cfg_for([1.0, 0.0, 0.5]))
 

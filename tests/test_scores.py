@@ -65,6 +65,25 @@ class TestExpectedScore:
         g = GridDensity([0.0], [1.0], np.where(x < 0.5, 2.0, 0.0))
         assert expected_score(KL(), f, g) == np.inf
 
+    def test_kl_nodes_where_data_and_target_vanish_add_nothing(self):
+        # 0 log 0 counts as 0 there, with no warning; an exponential model
+        # target has log g = -inf on the data grid's x < 0
+        x = np.linspace(0, 1, 401)
+        f = GridDensity([0.0], [1.0], np.where(x < 0.5, 2.0, 0.0))
+        w, v = f.flat.weights, f.flat.values
+        mass = float(np.sum(w * v))
+        model = make_parametric("exponential-rate")
+        data = render_density(model, [1.5], lo=[-1.0], hi=[8.0], points_per_axis=901)
+        with np.errstate(all="raise"):
+            assert expected_score(KL(), f, f) == pytest.approx(mass - math.log(2.0) * mass,
+                                                               rel=1e-14)
+            val = expected_score(KL(), data, (model, [1.3]))
+        fw, pos = data.flat.values * data.flat.weights, data.flat.values > 0
+        log_g = model.log_density(np.array([1.3]), data.flat.nodes)
+        assert not pos.all()
+        assert val == pytest.approx(-np.sum(fw[pos] * log_g[pos])
+                                    + np.sum(data.flat.weights * np.exp(log_g)), rel=1e-12)
+
     def test_kl_model_target_survives_underflow(self):
         # N(0, 0.1) underflows to zero on most of the +-8 box where N(0, 1)
         # has mass; its log-density does not
@@ -291,8 +310,10 @@ def central_fd(fun, theta, rel_step=1e-5):
 
 
 class TestExactGradient:
-    """expected_gradient and empirical_gradient against central differences
-    of the value, for every model and family, away from the optimum."""
+    """expected_with_gradient and empirical_with_gradient: their gradient
+    against central differences of the value, and their value bit for bit
+    against expected and empirical, for every model and family, away from
+    the optimum."""
 
     KINDS = TestEmpiricalPowerFromLogDensity.KINDS
 
@@ -306,17 +327,31 @@ class TestExactGradient:
         sample = draw_sample(model, theta, 300, seed=1)
         cand = 1.05 * theta + 0.02
         for exact, value in (
-                (score.expected_gradient(p_true, (model, cand)),
+                (score.expected_with_gradient(p_true, (model, cand))[1],
                  lambda t: score.expected(p_true, (model, t))),
-                (score.empirical_gradient(sample, (model, cand)),
+                (score.empirical_with_gradient(sample, (model, cand))[1],
                  lambda t: score.empirical(sample, (model, t)))):
             numeric = central_fd(value, cand)
             assert np.max(np.abs(exact - numeric)) <= 1e-6 * np.max(np.abs(numeric))
 
+    @pytest.mark.parametrize("kind,hyper,theta", KINDS, ids=[k[0] for k in KINDS])
+    @pytest.mark.parametrize("score", all_families(0.5),
+                             ids=lambda s: s.name)
+    def test_pair_value_is_the_value_bit_for_bit(self, kind, hyper, theta, score):
+        # Nelder-Mead minimizes the value alone, L-BFGS-B the pair's value
+        model = make_parametric(kind, **hyper)
+        theta = np.asarray(theta, dtype=float)
+        p_true = render_density(model, theta)
+        sample = draw_sample(model, theta, 300, seed=1)
+        for cand in (theta, 1.05 * theta + 0.02):
+            g = (model, cand)
+            assert score.expected_with_gradient(p_true, g)[0] == score.expected(p_true, g)
+            assert score.empirical_with_gradient(sample, g)[0] == score.empirical(sample, g)
+
     def test_grid_target_has_no_gradient(self):
         p, q = gaussian_pair([0.0, 1.0], [0.2, 1.1])
         with pytest.raises(StructuralError):
-            GammaScore(0.5).expected_gradient(p, q)
+            GammaScore(0.5).expected_with_gradient(p, q)
 
 
 def _positive_grid_pair():
