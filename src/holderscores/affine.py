@@ -91,14 +91,14 @@ class AffineMap:
         return cls(sigma=raw.reshape(d, d), mu=mu)
 
 
-def transform_density(f, amap, points_per_axis=None, method="cubic"):
+def transform_density(f, amap, points_per_axis=None):
     """Push a grid density through an affine data map.
 
     Returns |det sigma| f(sigma x + mu) resampled on the axis-aligned bounding
     box of the mapped support.  Resampling interpolates the stored values
-    (cubic by default; pass ``method="linear"`` for multilinear) and clips
-    the tiny negative undershoots interpolation can produce.  Mass is
-    preserved up to interpolation error.
+    (cubic splines where :meth:`GridDensity.interpolator` has them,
+    multilinear otherwise) and clips the tiny negative undershoots
+    interpolation can produce.  Mass is preserved up to interpolation error.
     """
     corners = np.stack(np.meshgrid(*zip(f.domain_lo, f.domain_hi), indexing="ij"),
                        axis=-1).reshape(-1, f.dim)
@@ -106,7 +106,7 @@ def transform_density(f, amap, points_per_axis=None, method="cubic"):
     lo, hi = mapped.min(axis=0), mapped.max(axis=0)
     if points_per_axis is None:
         points_per_axis = f.points_per_axis
-    interp = f.interpolator(method=method)
+    interp = f.interpolator("cubic")
 
     def values(pts):
         return np.clip(interp(amap.apply_inverse(pts)), 0.0, None) * abs(amap.det_sigma)

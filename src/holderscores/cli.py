@@ -27,7 +27,7 @@ from .affine import AffineMap, transform_density
 from .errors import (ConfigError, DegenerateInputError, DomainError,
                      HolderError, SingularHessianError, StructuralError,
                      UnsupportedFamilyError)
-from .grids import GridDensity, default_tol, integrate, read_grid
+from .grids import default_tol, integrate, read_grid
 from .estimators import FitConfig, fit, fit_regression, make_conditional, population_fit
 from .models import (Sample, draw_contaminated_sample, draw_sample,
                      make_parametric, read_samples, render_density)
@@ -308,20 +308,14 @@ def _cmd_regress(cfg, outdir, seed, jobs):
 
 
 def _random_gaussian_pair(dim, n, rng):
-    def gauss(mean, scales):
-        def values(pts):
-            u = (pts - mean) / scales
-            return np.exp(-0.5 * np.sum(u * u, axis=1)) \
-                / np.prod(scales * np.sqrt(2 * np.pi))
-        return values
-    mean_p = rng.uniform(-1.5, 1.5, size=dim)
-    mean_q = rng.uniform(-1.5, 1.5, size=dim)
-    sc_p = rng.uniform(0.7, 1.6, size=dim)
-    sc_q = rng.uniform(0.7, 1.6, size=dim)
+    """Two random axis-aligned Gaussians, normalized on the box [-14, 14]^dim."""
+    model = make_parametric("gaussian-full-d", dim=dim)
+    means = rng.uniform(-1.5, 1.5, size=(2, dim))
+    scales = rng.uniform(0.7, 1.6, size=(2, dim))
     lo, hi = np.full(dim, -14.0), np.full(dim, 14.0)
-    p = GridDensity.from_callable(gauss(mean_p, sc_p), lo, hi, n)
-    q = GridDensity.from_callable(gauss(mean_q, sc_q), lo, hi, n)
-    return p.normalize(), q.normalize()
+    chol = np.tril_indices(dim)
+    return tuple(render_density(model, np.concatenate([m, np.diag(s)[chol]]), lo, hi, n)
+                 .normalize() for m, s in zip(means, scales))
 
 
 def _cmd_invariance(cfg, outdir, seed, jobs):

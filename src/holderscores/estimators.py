@@ -48,10 +48,11 @@ class FitConfig:
 
     ``optimizer`` is ``l-bfgs-b`` (the default; ``gradient-descent-with-fd``
     is an alias), ``nelder-mead`` or ``multi-start(k)`` (k jittered L-BFGS-B
-    starts, the best kept).  L-BFGS-B stops once the largest gradient
-    component is at most ``step_tol``; Nelder-Mead uses ``step_tol`` as its
-    simplex size tolerance, and both stop after ``max_iters`` iterations,
-    which is reported as non-convergence.  ``polish`` (on by default) runs up
+    starts, the best kept; a start outside the parameter domain is skipped).
+    L-BFGS-B stops once the largest gradient component is at most
+    ``step_tol``; Nelder-Mead uses ``step_tol`` as its simplex size
+    tolerance, and both stop after ``max_iters`` iterations, which is
+    reported as non-convergence.  ``polish`` (on by default) runs up
     to three guarded Newton steps on one Hessian from central differences of
     the exact gradient; it is cheap and tightens smooth objectives to near
     machine accuracy.  A fit has ``converged`` when its optimizer stopped on
@@ -231,7 +232,6 @@ def _run_lbfgsb(objective, x0, cfg):
     Nelder-Mead from its best point when it stops abnormally, starts at +inf
     or meets a gradient that is not finite."""
     callback, count, trace = _iteration_log(cfg)
-    objective.best = None                 # this run's best point only
     ceiling = []
 
     def pair(x):
@@ -277,6 +277,12 @@ def _minimize(objective, objective_with_gradient, cfg):
             if i:
                 scale = 0.5 * (1.0 + np.abs(x0))
                 x0 = x0 + scale * rng_for(cfg.seed, i).standard_normal(x0.size)
+                # a jitter out of the parameter domain is skipped; a kept
+                # start is the first best point of its run, and L-BFGS-B's
+                # first call a memo hit
+                if np.isinf(objective.pair(x0)[0]):
+                    continue
+                objective.best = objective.last
             x, fx, iters, ok, trace = _run_lbfgsb(objective, x0, cfg)
             total_iters += iters
             # ties within step_tol keep the earliest start for determinism
@@ -332,11 +338,11 @@ def population_fit(score, model, p_true, cfg):
 class ConditionalModel:
     """theta-indexed family of conditional densities q(y | x), scalar y.
 
-    ``cond_density(theta, y, x)`` broadcasts y against the mean produced from
-    the (n, m) covariate array, so both per-observation values (y of shape
-    (n,)) and quadrature grids (y of shape (1, ny)) work; so does
-    ``cond_log_density``.  ``cond_score(theta, y, x)`` gives the (n, k)
-    theta-gradient of the log-density at the observations.
+    ``cond_log_density(theta, y, x)`` broadcasts y against the mean produced
+    from the (n, m) covariate array, so both per-observation values (y of
+    shape (n,)) and quadrature grids (y of shape (1, ny)) work.
+    ``cond_score(theta, y, x)`` gives the (n, k) theta-gradient of the
+    log-density at the observations.
     ``power_moment(theta, a)`` is the y-integral <q(.|x)^a> in closed form
     with its theta-gradient; for the location-scale family it is the same
     for every x.  Observations must lie inside ``y_domain``, the box of the
@@ -347,7 +353,6 @@ class ConditionalModel:
     param_dim: int
     x_dim: int
     theta_names: tuple
-    cond_density: Callable
     cond_log_density: Callable
     cond_score: Callable
     power_moment: Callable
@@ -402,9 +407,6 @@ def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):
         u = (y - mu) / s
         return -0.5 * u * u - 0.5 * np.log(2 * np.pi) - np.log(s)
 
-    def pdf(theta, y, x):
-        return np.exp(logpdf(theta, y, x))
-
     def score_fn(theta, y, x):
         a, b, s = unpack(theta)
         xm = np.atleast_2d(np.asarray(x, dtype=float))
@@ -428,7 +430,7 @@ def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):
         names += ("s",)
     return ConditionalModel(
         name="linear-gaussian", param_dim=k, x_dim=m, theta_names=names,
-        cond_density=pdf, cond_log_density=logpdf, cond_score=score_fn,
+        cond_log_density=logpdf, cond_score=score_fn,
         power_moment=power, y_domain=(float(y_lo), float(y_hi)))
 
 

@@ -231,12 +231,12 @@ class GridDensity:
         return RegularGridInterpolator(axes, self.values, method="linear",
                                        bounds_error=False, fill_value=0.0)
 
-    def evaluate(self, points, method="linear"):
-        """Interpolated values at an (N, d) array of points."""
+    def evaluate(self, points):
+        """Multilinearly interpolated values at an (N, d) array of points."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1) if self.dim == 1 else pts.reshape(1, -1)
-        return self.interpolator(method=method)(pts)
+        return self.interpolator()(pts)
 
 
 def _require_same_grid(f, g):
@@ -277,20 +277,16 @@ def cross_moment(f, g, a):
     return float(np.sum(f.values * g.values ** a * f.weights))
 
 
-def _power_sum(weights, log_g, a, out=None, columns=None):
+def _power_sum(weights, log_g, a, out=None):
     """``sum(weights * exp(a * log_g))`` over the last axis; -inf marks g = 0.
 
     Formed from the logarithm, g never underflows before it is raised to a.
     ``weights`` broadcasts against ``log_g``; ``out``, optional space of the
-    product's shape, is left holding the products.  With ``columns``, a (k, N) array such as
-    the model score at N nodes, the k sums ``columns @ (weights * g^a)`` are
-    returned instead: one matrix-vector product, no (k, N) temporary.
+    product's shape, is left holding the products.
     """
     t = np.multiply(log_g, a, out=out)
     np.exp(t, out=t)
     t = np.multiply(t, weights, out=out)
-    if columns is not None:
-        return columns @ t
     return np.sum(t, axis=-1)
 
 

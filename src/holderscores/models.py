@@ -39,8 +39,9 @@ class ParametricModel:
 
     Attributes
     ----------
-    density, log_density : callable(theta, x) -> (n,)
-        Evaluated at an (n, d) array of points (1-d models also accept (n,)).
+    log_density : callable(theta, x) -> (n,)
+        Evaluated at an (n, d) array of points (1-d models also accept (n,));
+        -inf where the density vanishes.
     score : callable(theta, x) -> (n, k)
         Gradient of the log-density with respect to theta; the built-in
         families return it Fortran-ordered, so ``score(...).T`` is a
@@ -57,13 +58,15 @@ class ParametricModel:
     power_moment : callable(theta, a) -> (<g^a>, d<g^a>/dtheta), optional
         The power integral over all of R^d in closed form, formed from logs;
         None when the family has none, and the quadrature box is summed.
+    density : callable(theta, x) -> (n,), optional
+        ``exp(log_density)``, derived on construction unless given; only
+        :func:`render_density` calls it.
     """
 
     name: str
     dim: int
     param_dim: int
     theta_names: tuple
-    density: Callable
     log_density: Callable
     score: Callable
     sampler: Callable
@@ -72,6 +75,17 @@ class ParametricModel:
     push_params: Optional[Callable] = None
     power_moment: Optional[Callable] = None
     quad_points: int = 2001
+    density: Optional[Callable] = None
+
+    def __post_init__(self):
+        # derived afresh, so replace(model, log_density=...) keeps the two in step
+        if self.density is None or getattr(self.density, "derived", False):
+            log_density = self.log_density
+
+            def density(theta, x):
+                return np.exp(log_density(theta, x))
+            density.derived = True
+            object.__setattr__(self, "density", density)
 
 
 @dataclass(frozen=True)
@@ -124,6 +138,14 @@ def _as_points(x, dim):
     return x
 
 
+def _theta(theta, k, name):
+    """theta as a flat float vector; a length other than k raises."""
+    th = np.asarray(theta, dtype=float).ravel()
+    if th.size != k:
+        raise StructuralError(f"{name} expects {k} parameters, got {th.size}")
+    return th
+
+
 def _gaussian_power(d, log_det_chol, a):
     """<N^a> of a d-dimensional Gaussian whose Cholesky factor has log-determinant
     ``log_det_chol`` (sum of log L_ii):
@@ -144,38 +166,37 @@ def _gaussian_mean(scale=1.0):
     if s <= 0:
         raise ConfigError("gaussian-mean requires scale > 0")
 
+    def mean(theta):
+        return float(_theta(theta, 1, "gaussian-mean")[0])
+
     def logpdf(theta, x):
-        m = float(np.asarray(theta).ravel()[0])
-        u = (_as_points(x, 1)[:, 0] - m) / s
+        u = (_as_points(x, 1)[:, 0] - mean(theta)) / s
         return -0.5 * u * u - 0.5 * _LOG_2PI - np.log(s)
 
     def score(theta, x):
-        m = float(np.asarray(theta).ravel()[0])
-        return ((_as_points(x, 1)[:, 0] - m) / (s * s)).reshape(-1, 1)
+        return ((_as_points(x, 1)[:, 0] - mean(theta)) / (s * s)).reshape(-1, 1)
 
     def power(theta, a):
+        mean(theta)  # checks the length only
         return _gaussian_power(1, math.log(s), a), np.zeros(1)
 
     return ParametricModel(
         name="gaussian-mean", dim=1, param_dim=1, theta_names=("mean",),
-        density=lambda th, x: np.exp(logpdf(th, x)),
         log_density=logpdf,
         score=score,
-        sampler=lambda th, n, rng: (float(np.asarray(th).ravel()[0])
-                                    + s * rng.standard_normal(n)).reshape(-1, 1),
-        support=lambda th: (np.array([float(np.asarray(th).ravel()[0]) - _GAUSS_HALF_WIDTH * s]),
-                            np.array([float(np.asarray(th).ravel()[0]) + _GAUSS_HALF_WIDTH * s])),
+        sampler=lambda th, n, rng: (mean(th) + s * rng.standard_normal(n)).reshape(-1, 1),
+        support=lambda th: (np.array([mean(th) - _GAUSS_HALF_WIDTH * s]),
+                            np.array([mean(th) + _GAUSS_HALF_WIDTH * s])),
         in_support=lambda x: np.ones(_as_points(x, 1).shape[0], dtype=bool),
         push_params=lambda th, sigma, mu: np.array(
-            [(float(np.asarray(th).ravel()[0]) - float(np.ravel(mu)[0]))
-             / float(np.ravel(sigma)[0])]),
+            [(mean(th) - float(np.ravel(mu)[0])) / float(np.ravel(sigma)[0])]),
         power_moment=power,
     )
 
 
 def _gaussian_mean_scale():
     def unpack(theta):
-        m, s = np.asarray(theta, dtype=float).ravel()
+        m, s = _theta(theta, 2, "gaussian-mean-scale")
         if s <= 0 or not np.isfinite(s):
             raise DomainError("gaussian scale parameter must be positive")
         return m, s
@@ -202,7 +223,6 @@ def _gaussian_mean_scale():
 
     return ParametricModel(
         name="gaussian-mean-scale", dim=1, param_dim=2, theta_names=("mean", "scale"),
-        density=lambda th, x: np.exp(logpdf(th, x)),
         log_density=logpdf,
         score=score,
         sampler=lambda th, n, rng: (unpack(th)[0]
@@ -217,21 +237,15 @@ def _gaussian_mean_scale():
 
 # -- full multivariate Gaussian ------------------------------------------------
 
-def _tril_indices(d):
-    return np.tril_indices(d)
-
-
 def _gaussian_full(dim=2):
     d = int(dim)
     if d < 1 or d > 3:
         raise ConfigError("gaussian-full supports dimensions 1..3")
-    rows, cols = _tril_indices(d)
+    rows, cols = np.tril_indices(d)
     k = d + rows.size
 
     def unpack(theta):
-        th = np.asarray(theta, dtype=float).ravel()
-        if th.size != k:
-            raise StructuralError(f"gaussian-full d={d} expects {k} parameters")
+        th = _theta(theta, k, f"gaussian-full d={d}")
         m = th[:d]
         L = np.zeros((d, d))
         L[rows, cols] = th[d:]
@@ -265,10 +279,6 @@ def _gaussian_full(dim=2):
         out *= -0.5
         out -= 0.5 * d * _LOG_2PI + np.sum(np.log(np.diag(L)))
         return out
-
-    def pdf(theta, x):
-        out = logpdf(theta, x)
-        return np.exp(out, out=out)
 
     def score(theta, x):
         # column-wise, like logpdf: the mean gradient Sigma^-1 (x - m) = L^-T y,
@@ -315,7 +325,6 @@ def _gaussian_full(dim=2):
         name="gaussian-full", dim=d, param_dim=k,
         theta_names=tuple(f"mean{i}" for i in range(d))
         + tuple(f"chol{r}{c}" for r, c in zip(rows, cols)),
-        density=pdf,
         log_density=logpdf,
         score=score,
         sampler=lambda th, n, rng: unpack(th)[0] + rng.standard_normal((n, d)) @ unpack(th)[1].T,
@@ -337,40 +346,28 @@ def _gaussian_mixture(weights=(0.5, 0.5)):
     k = 2 * ncomp
 
     def unpack(theta):
-        th = np.asarray(theta, dtype=float).ravel()
-        if th.size != k:
-            raise StructuralError(f"mixture expects {k} parameters (mean, scale per component)")
+        th = _theta(theta, k, "mixture (mean, scale per component)")
         m, s = th[0::2], th[1::2]
         if np.any(s <= 0) or not np.all(np.isfinite(s)):
             raise DomainError("mixture scales must be positive")
         return m, s
 
-    def components(theta, x):
+    def log_components(theta, x):
+        # log(w_i N(x; m_i, s_i)) as (n, ncomp) columns, with x - m_i and s
         m, s = unpack(theta)
-        u = (_as_points(x, 1)[:, 0][:, None] - m) / s
-        return np.exp(-0.5 * u * u) / (np.sqrt(2 * np.pi) * s), m, s
-
-    def pdf(theta, x):
-        comp, _, _ = components(theta, x)
-        return comp @ w
+        r = _as_points(x, 1)[:, 0][:, None] - m
+        return np.log(w / (np.sqrt(2 * np.pi) * s)) - 0.5 * (r / s) ** 2, r, s
 
     def logpdf(theta, x):
         # log-sum-exp over components: finite wherever any component is
-        m, s = unpack(theta)
-        pts = _as_points(x, 1)[:, 0]
-        log_c = np.log(w / (np.sqrt(2 * np.pi) * s))
-        return reduce(np.logaddexp, (log_c[i] - 0.5 * ((pts - m[i]) / s[i]) ** 2
-                                     for i in range(ncomp)))
+        return reduce(np.logaddexp, log_components(theta, x)[0].T)
 
     def score(theta, x):
         # responsibilities as a softmax of the log-components, finite where
         # the density itself underflows
-        m, s = unpack(theta)
-        pts = _as_points(x, 1)[:, 0]
-        r = pts[:, None] - m
-        log_c = np.log(w / (np.sqrt(2 * np.pi) * s)) - 0.5 * (r / s) ** 2
-        resp = np.exp(log_c - logpdf(theta, pts)[:, None])
-        out = np.empty((pts.size, k), order="F")
+        log_c, r, s = log_components(theta, x)
+        resp = np.exp(log_c - reduce(np.logaddexp, log_c.T)[:, None])
+        out = np.empty((r.shape[0], k), order="F")
         out[:, 0::2] = resp * r / (s * s)
         out[:, 1::2] = resp * (r * r / s ** 3 - 1.0 / s)
         return out
@@ -396,7 +393,6 @@ def _gaussian_mixture(weights=(0.5, 0.5)):
     return ParametricModel(
         name="gaussian-mixture-fixed-weights", dim=1, param_dim=k,
         theta_names=tuple(x for i in range(ncomp) for x in (f"mean{i}", f"scale{i}")),
-        density=pdf,
         log_density=logpdf,
         score=score,
         sampler=sampler,
@@ -411,16 +407,10 @@ def _gaussian_mixture(weights=(0.5, 0.5)):
 
 def _exponential_rate():
     def rate(theta):
-        lam = float(np.asarray(theta).ravel()[0])
+        lam = float(_theta(theta, 1, "exponential-rate")[0])
         if lam <= 0 or not np.isfinite(lam):
             raise DomainError("exponential rate must be positive")
         return lam
-
-    def pdf(theta, x):
-        lam = rate(theta)
-        pts = _as_points(x, 1)[:, 0]
-        out = np.where(pts >= 0, lam * np.exp(-lam * np.clip(pts, 0, None)), 0.0)
-        return out
 
     def logpdf(theta, x):
         lam = rate(theta)
@@ -442,7 +432,6 @@ def _exponential_rate():
 
     return ParametricModel(
         name="exponential-rate", dim=1, param_dim=1, theta_names=("rate",),
-        density=pdf,
         log_density=logpdf,
         score=score,
         sampler=lambda th, n, rng: rng.exponential(1.0 / rate(th), size=n).reshape(-1, 1),
@@ -547,8 +536,7 @@ def contaminate(model, theta, eps, z, points_per_axis=None):
         h = (bhi - blo) / (model.quad_points - 1)
         points_per_axis = tuple(int(np.ceil((hi[i] - lo[i]) / h[i])) + 1
                                 for i in range(model.dim))
-    base = GridDensity.from_callable(lambda pts: model.density(theta, pts),
-                                     lo, hi, points_per_axis)
+    base = render_density(model, theta, lo, hi, points_per_axis)
     if eps == 0.0:
         return base
 

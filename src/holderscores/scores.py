@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DomainError, StructuralError
 from .grids import (GridDensity, _box_quadrature, _power_sum, _require_same_grid,
-                    _tensor_nodes, log_moments)
+                    _tensor_nodes, log_moments, power_moment)
 from .rng import rng_for
 
 _FD_STEP = 1e-5
@@ -308,8 +308,7 @@ def _log_target_at_nodes(f, g):
         _require_same_grid(f, g)
         with np.errstate(divide="ignore"):
             return np.log(g.flat.values)
-    model, theta = g
-    return model.log_density(np.asarray(theta, dtype=float), f.flat.nodes)
+    return _log_target_at(g, f.flat.nodes)
 
 
 def _model_box(model, theta):
@@ -324,16 +323,12 @@ def _candidate_power(g, a):
     form or, where it has none, the sum over its box without rendering it;
     anything but a finite positive value raises."""
     if isinstance(g, GridDensity):
-        weights = g.weights.ravel()
-        with np.errstate(divide="ignore"):
-            log_g = np.log(g.values.ravel())
-    else:
-        model, theta = g
-        if model.power_moment is not None:
-            return _positive_power(model.power_moment(np.asarray(theta, dtype=float), a)[0], a)
-        nodes, weights = _model_box(model, theta)
-        log_g = _log_target_at(g, nodes)
-    return _positive_power(_power_sum(weights, log_g, a), a)
+        return _positive_power(power_moment(g, a), a)
+    model, theta = g
+    if model.power_moment is not None:
+        return _positive_power(model.power_moment(np.asarray(theta, dtype=float), a)[0], a)
+    nodes, weights = _model_box(model, theta)
+    return _positive_power(_power_sum(weights, _log_target_at(g, nodes), a), a)
 
 
 def _candidate_power_gradient(g, a):

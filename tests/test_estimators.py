@@ -316,6 +316,18 @@ class TestOptimizer:
         assert res.converged
         assert np.max(np.abs(res.theta_hat - [pts.mean(), pts.std()])) < 1e-6
 
+    def test_multi_start_skips_starts_out_of_the_domain(self):
+        # with seed 0 both jittered starts have a negative scale; handed to
+        # L-BFGS-B, each ran Nelder-Mead on a simplex that was +inf everywhere
+        # (6259 evaluations in all)
+        sample = draw_sample(GAUSS_MS, [0.0, 1.0], 500, seed=0)
+        cfg = FitConfig(init_theta=[0.0, 1.0], optimizer="multi-start(3)")
+        res = fit(GammaScore(0.5), GAUSS_MS, sample, cfg)
+        single = fit(GammaScore(0.5), GAUSS_MS, sample, cfg.replace(optimizer="l-bfgs-b"))
+        assert res.converged
+        assert res.n_evals < 100
+        assert np.array_equal(res.theta_hat, single.theta_hat)
+
     def test_iteration_limit_is_not_retried(self, monkeypatch):
         monkeypatch.setattr(estimators, "_run_nelder_mead", None)
         sample = draw_sample(GAUSS_MS, [0.0, 1.0], 200, seed=3)
@@ -382,11 +394,11 @@ class TestAveragedScore:
                              self.theta, self.sample)
         # per-observation density power terms, averaged
         ygrid, wy = self.cmodel.y_grid()
-        dens = self.cmodel.cond_density(self.theta, ygrid[None, :],
-                                        self.sample.covariates)
+        dens = np.exp(self.cmodel.cond_log_density(self.theta, ygrid[None, :],
+                                                   self.sample.covariates))
         m_int = (dens ** (1 + gamma)) @ wy
-        qi = self.cmodel.cond_density(self.theta, self.sample.points[:, 0],
-                                      self.sample.covariates)
+        qi = np.exp(self.cmodel.cond_log_density(self.theta, self.sample.points[:, 0],
+                                                 self.sample.covariates))
         dp_terms = m_int - (1 + gamma) / gamma * qi ** gamma
         assert got == pytest.approx(gamma / (1 + gamma) * dp_terms.mean(), rel=1e-12)
 
@@ -405,11 +417,11 @@ class TestAveragedScore:
         s1 = Sample(points=self.sample.points[:1], covariates=self.sample.covariates[:1])
         got = averaged_score(BregmanHolder(gamma, 1.0), self.cmodel, self.theta, s1)
         ygrid, wy = self.cmodel.y_grid()
-        dens = self.cmodel.cond_density(self.theta, ygrid[None, :],
-                                        s1.covariates)
+        dens = np.exp(self.cmodel.cond_log_density(self.theta, ygrid[None, :],
+                                                   s1.covariates))
         m1 = ((dens ** (1 + gamma)) @ wy).item()
-        q1 = float(self.cmodel.cond_density(self.theta, s1.points[:, 0],
-                                            s1.covariates)[0])
+        q1 = float(np.exp(self.cmodel.cond_log_density(self.theta, s1.points[:, 0],
+                                                       s1.covariates)[0]))
         assert got == pytest.approx(-m1 ** (1 / (1 + gamma)) * q1 ** gamma / m1, rel=1e-12)
 
     def test_non_bregman_family_rejected(self):
@@ -427,7 +439,7 @@ class TestAveragedScore:
         y = 1.2 * x[:, 0] + 0.3 + 0.5 * rng.standard_normal(400)
         y[:4] = 25.0
         theta = np.array([1.2, 0.3])
-        assert np.any(cmodel.cond_density(theta, y, x) == 0.0)
+        assert np.any(np.exp(cmodel.cond_log_density(theta, y, x)) == 0.0)
         got = averaged_score(KL(), cmodel, theta, Sample(points=y, covariates=x))
         # <q(.|x)> is 1 to rounding on the default y-domain, so the score is
         # the mean negative log-likelihood plus one
@@ -561,7 +573,7 @@ class TestConditionalModel:
         cmodel = make_conditional("linear-gaussian", noise=0.7, y_lo=-12, y_hi=12)
         ygrid, wy = cmodel.y_grid()
         x = np.array([[0.5], [-1.0], [2.0]])
-        dens = cmodel.cond_density([1.0, 0.3], ygrid[None, :], x)
+        dens = np.exp(cmodel.cond_log_density([1.0, 0.3], ygrid[None, :], x))
         masses = dens @ wy
         assert np.max(np.abs(masses - 1.0)) < 1e-8
 

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from holderscores import (ConfigError, DomainError, Sample, StructuralError,
                           contaminate, draw_sample, integrate, make_parametric,
-                          read_samples, render_density, write_samples)
+                          read_samples, render_density, rng_for, write_samples)
 
 ALL_KINDS = [
     ("gaussian-mean", {}, np.array([0.3])),
@@ -72,12 +74,50 @@ def test_gaussian_full_log_density_matches_scipy(d):
         assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("kind,hyper,theta", ALL_KINDS)
+def test_density_is_exp_of_log_density(kind, hyper, theta):
+    model = make_parametric(kind, **hyper)
+    x = np.concatenate([model.sampler(theta, 30, np.random.default_rng(5)),
+                        np.full((1, model.dim), -60.0)])   # underflows to 0
+    assert np.array_equal(model.density(theta, x), np.exp(model.log_density(theta, x)))
+
+
+def test_density_follows_a_replaced_log_density():
+    model = make_parametric("gaussian-mean")
+    shifted = replace(model, log_density=lambda th, x: model.log_density(th, x) - 1.0)
+    x = np.array([0.0, 1.0])
+    assert np.array_equal(shifted.density([0.0], x), np.exp(model.log_density([0.0], x) - 1.0))
+
+
+_THETA_CALLS = {
+    "log_density": lambda model, th, x: model.log_density(th, x),
+    "score": lambda model, th, x: model.score(th, x),
+    "sampler": lambda model, th, x: model.sampler(th, 3, rng_for(1)),
+    "power_moment": lambda model, th, x: model.power_moment(th, 1.5),
+}
+
+
+# every family but the mixture, which has no closed-form power moment
+@pytest.mark.parametrize("kind,hyper,theta,method", [
+    (kind, hyper, theta, method) for kind, hyper, theta in ALL_KINDS for method in _THETA_CALLS
+    if not (method == "power_moment" and kind == "gaussian-mixture-fixed-weights")])
+def test_wrong_parameter_length_raises(kind, hyper, theta, method):
+    model = make_parametric(kind, **hyper)
+    x = model.sampler(theta, 3, rng_for(1))
+    call = lambda th: _THETA_CALLS[method](model, th, x)   # noqa: E731
+    call(theta)
+    for bad in (np.append(theta, 9.0), theta[:-1]):
+        with pytest.raises(StructuralError):
+            call(bad)
+
+
 def test_mixture_log_density_finite_where_density_underflows():
+    from scipy.stats import norm
     model = make_parametric("gaussian-mixture-fixed-weights")
     theta = np.array([-1.4, 0.8, 1.4, 1.0])
     x = np.array([-3.0, 0.5, 4.0])
-    assert np.allclose(model.log_density(theta, x), np.log(model.density(theta, x)),
-                       rtol=1e-13, atol=0)
+    ref = np.log(0.5 * norm.pdf(x, -1.4, 0.8) + 0.5 * norm.pdf(x, 1.4, 1.0))
+    assert np.allclose(model.log_density(theta, x), ref, rtol=1e-13, atol=0)
     # at x = 60 both components underflow; the far one is negligible in log space
     far = model.log_density(theta, np.array([60.0]))[0]
     assert model.density(theta, np.array([60.0]))[0] == 0.0
