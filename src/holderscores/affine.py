@@ -91,27 +91,25 @@ class AffineMap:
         return cls(sigma=raw.reshape(d, d), mu=mu)
 
 
-def transform_density(f, amap, points_per_axis=None):
+def transform_density(f, amap):
     """Push a grid density through an affine data map.
 
     Returns |det sigma| f(sigma x + mu) resampled on the axis-aligned bounding
-    box of the mapped support.  Resampling interpolates the stored values
-    (cubic splines where :meth:`GridDensity.interpolator` has them,
-    multilinear otherwise) and clips the tiny negative undershoots
+    box of the mapped support, with f's node counts.  Resampling interpolates
+    the stored values (cubic splines where :meth:`GridDensity.interpolator`
+    has them, multilinear otherwise) and clips the tiny negative undershoots
     interpolation can produce.  Mass is preserved up to interpolation error.
     """
     corners = np.stack(np.meshgrid(*zip(f.domain_lo, f.domain_hi), indexing="ij"),
                        axis=-1).reshape(-1, f.dim)
     mapped = amap.apply(corners)
     lo, hi = mapped.min(axis=0), mapped.max(axis=0)
-    if points_per_axis is None:
-        points_per_axis = f.points_per_axis
     interp = f.interpolator("cubic")
 
     def values(pts):
         return np.clip(interp(amap.apply_inverse(pts)), 0.0, None) * abs(amap.det_sigma)
 
-    return GridDensity.from_callable(values, lo, hi, points_per_axis)
+    return GridDensity.from_callable(values, lo, hi, f.points_per_axis)
 
 
 def scale_function(gamma, amap):
@@ -121,7 +119,7 @@ def scale_function(gamma, amap):
     return abs(amap.det_sigma) ** (-gamma)
 
 
-def verify_invariance(score, p, q, amap, points_per_axis=None):
+def verify_invariance(score, p, q, amap):
     """Relative residual of h * D(p_A, q_A) = D(p, q).
 
     Only the families with an exact scale law expose an
@@ -133,8 +131,8 @@ def verify_invariance(score, p, q, amap, points_per_axis=None):
         raise UnsupportedFamilyError(
             f"{score.name} has no exact scale law; estimate one with fit_scale_exponent")
     d_raw = divergence(score, p, q).divergence
-    p_a = transform_density(p, amap, points_per_axis=points_per_axis)
-    q_a = transform_density(q, amap, points_per_axis=points_per_axis)
+    p_a = transform_density(p, amap)
+    q_a = transform_density(q, amap)
     d_mapped = divergence(score, p_a, q_a).divergence
     h = abs(amap.det_sigma) ** (-exponent)
     return abs(h * d_mapped - d_raw) / max(abs(d_raw), 1e-12)

@@ -4,8 +4,8 @@ Usage:
     holder <command> [--config PATH] [--set key=value]... --out DIR
            [--seed N] [--jobs N]
 
-Commands: score, divergence, fit, regress, invariance, influence, redescend,
-sweep.  Every run writes ``results.csv`` (always with a header row) and
+Commands: divergence, fit, regress, invariance, influence, redescend, sweep.
+Every run writes ``results.csv`` (always with a header row) and
 ``report.txt`` whose first line is a machine-readable verdict
 (PASS | FAIL | INCONCLUSIVE); sweeps additionally write ``plotdata_*.csv``
 curve files with ``#``-prefixed column documentation.
@@ -35,8 +35,8 @@ from .robustness import influence_curve, redescend_check
 from .scores import GammaScore, KL, divergence, phi_from_config, score_from_config
 from .rng import rng_for
 
-COMMANDS = ("score", "divergence", "fit", "regress", "invariance",
-            "influence", "redescend", "sweep")
+COMMANDS = ("divergence", "fit", "regress", "invariance", "influence",
+            "redescend", "sweep")
 
 _USAGE = __doc__
 
@@ -228,7 +228,7 @@ def emit_plotdata(outdir, name, columns, rows, comments=()):
 
 # -- commands --------------------------------------------------------------------------
 
-def _cmd_score(cfg, outdir, seed, jobs):
+def _cmd_divergence(cfg, outdir, seed, jobs):
     score = score_from_config(cfg)
     p, q = _density_pair(cfg)
     value = divergence(score, p.normalize(), q.normalize())
@@ -275,9 +275,7 @@ def _cmd_regress(cfg, outdir, seed, jobs):
     kappa = _get_float(cfg, "kappa")
     noise_val = None if cfg.get("noise", "fit") == "fit" else _get_float(cfg, "noise")
     x_dim = _get_int(cfg, "x_dim", 1)
-    cmodel = make_conditional("linear-gaussian", x_dim=x_dim, noise=noise_val,
-                              y_lo=_get_float(cfg, "y.lo", -30.0),
-                              y_hi=_get_float(cfg, "y.hi", 30.0))
+    cmodel = make_conditional("linear-gaussian", x_dim=x_dim, noise=noise_val)
     if "data" in cfg:
         sample = read_samples(cfg["data"])
         if sample.covariates is None:
@@ -486,8 +484,7 @@ def _cmd_sweep(cfg, outdir, seed, jobs):
 
 
 _RUNNERS = {
-    "score": _cmd_score,
-    "divergence": _cmd_score,
+    "divergence": _cmd_divergence,
     "fit": _cmd_fit,
     "regress": _cmd_regress,
     "invariance": _cmd_invariance,

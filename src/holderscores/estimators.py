@@ -28,15 +28,15 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import (ConfigError, DomainError, HolderError, StructuralError,
+from .errors import (ConfigError, DegenerateInputError, DomainError, StructuralError,
                      UnsupportedFamilyError)
-from .grids import GridDensity, _box_quadrature
+from .grids import GridDensity
 from .models import _gaussian_power
 from .scores import BregmanHolder, KL, empirical_score, expected_score
 from .rng import rng_for
 
 _MULTISTART_RE = re.compile(r"^multi-start\((\d+)\)$")
-_OPTIMIZERS = ("l-bfgs-b", "gradient-descent-with-fd", "nelder-mead")
+_OPTIMIZERS = ("l-bfgs-b", "nelder-mead")
 # L-BFGS-B also stops once a step lowers f by less than this relative amount,
 # a few ulps: past that the line search would only fail on rounding noise
 _LBFGSB_FTOL = 1e-15
@@ -46,9 +46,9 @@ _LBFGSB_FTOL = 1e-15
 class FitConfig:
     """Optimizer settings for one fit.
 
-    ``optimizer`` is ``l-bfgs-b`` (the default; ``gradient-descent-with-fd``
-    is an alias), ``nelder-mead`` or ``multi-start(k)`` (k jittered L-BFGS-B
-    starts, the best kept; a start outside the parameter domain is skipped).
+    ``optimizer`` is ``l-bfgs-b`` (the default), ``nelder-mead`` or
+    ``multi-start(k)`` (k jittered L-BFGS-B starts, the best kept; a start
+    outside the parameter domain is skipped).
     L-BFGS-B stops once the largest gradient component is at most
     ``step_tol``; Nelder-Mead uses ``step_tol`` as its simplex size
     tolerance, and both stop after ``max_iters`` iterations, which is
@@ -109,13 +109,14 @@ class _AbnormalStop(Exception):
     """L-BFGS-B started at +inf or met a gradient that is not finite."""
 
 
-def _gradient_hessian(grad, x, rel_step=1e-5):
-    """Central differences of the exact gradient (2k calls), symmetrized."""
+def _gradient_hessian(grad, x):
+    """Central differences of the exact gradient (2k calls, relative step
+    1e-5), symmetrized."""
     x = np.asarray(x, dtype=float)
     cols = []
     for i in range(x.size):
         e = np.zeros(x.size)
-        e[i] = rel_step * max(1.0, abs(x[i]))
+        e[i] = 1e-5 * max(1.0, abs(x[i]))
         cols.append((grad(x + e) - grad(x - e)) / (2.0 * e[i]))
     hess = np.array(cols)
     return 0.5 * (hess + hess.T)
@@ -143,11 +144,13 @@ def _newton_polish(pair, x, fx, gx, max_steps=3):
 
 
 def _guarded(objective):
-    """``objective`` -> (value, gradient), (+inf, NaN) on a HolderError or a value not finite."""
+    """``objective`` -> (value, gradient), (+inf, NaN) where theta leaves the
+    parameter domain, the score is undefined or the value is not finite.  Any
+    other error, such as a sample of the wrong dimension, propagates."""
     def wrapped(theta):
         try:
             val, grad = objective(theta)
-        except HolderError:
+        except (DomainError, DegenerateInputError):
             val = np.inf
         if not np.isfinite(val):
             return np.inf, np.full(np.size(theta), np.nan)
@@ -313,6 +316,9 @@ def fit(score, model, sample, cfg):
     """
     if sample.n < 1:
         raise DomainError("sample is empty")
+    if sample.dim != model.dim:
+        raise StructuralError(f"the sample is {sample.dim}-dimensional, {model.name} "
+                              f"is {model.dim}-dimensional")
 
     return _minimize(lambda theta: empirical_score(score, sample, (model, theta)),
                      lambda theta: score.empirical_with_gradient(sample, (model, theta)), cfg)
@@ -327,6 +333,9 @@ def population_fit(score, model, p_true, cfg):
     """
     if not isinstance(p_true, GridDensity):
         raise StructuralError("p_true must be a GridDensity")
+    if p_true.dim != model.dim:
+        raise StructuralError(f"p_true is {p_true.dim}-dimensional, {model.name} "
+                              f"is {model.dim}-dimensional")
 
     return _minimize(lambda theta: expected_score(score, p_true, (model, theta)),
                      lambda theta: score.expected_with_gradient(p_true, (model, theta)), cfg)
@@ -343,10 +352,9 @@ class ConditionalModel:
     shape (n,)) and quadrature grids (y of shape (1, ny)) work.
     ``cond_score(theta, y, x)`` gives the (n, k) theta-gradient of the
     log-density at the observations.
-    ``power_moment(theta, a)`` is the y-integral <q(.|x)^a> in closed form
-    with its theta-gradient; for the location-scale family it is the same
-    for every x.  Observations must lie inside ``y_domain``, the box of the
-    reference y-quadrature ``y_grid``.
+    ``power_moment(theta, a)`` is the y-integral <q(.|x)^a> over all of R in
+    closed form with its theta-gradient; for the location-scale family it is
+    the same for every x.
     """
 
     name: str
@@ -356,16 +364,9 @@ class ConditionalModel:
     cond_log_density: Callable
     cond_score: Callable
     power_moment: Callable
-    y_domain: tuple
-    y_quad_points: int = 513
-
-    def y_grid(self):
-        lo, hi = self.y_domain
-        (ygrid,), wy = _box_quadrature((lo,), (hi,), (self.y_quad_points,))
-        return ygrid, wy
 
 
-def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):
+def make_conditional(kind, x_dim=1, noise=None):
     """Built-in conditional families.
 
     ``linear-gaussian``: y | x ~ N(a . x + b, s^2) with theta = (a_1..a_m, b)
@@ -377,8 +378,6 @@ def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):
     m = int(x_dim)
     if m < 1:
         raise ConfigError("x_dim must be at least 1")
-    if not (np.isfinite(y_lo) and np.isfinite(y_hi) and y_lo < y_hi):
-        raise ConfigError(f"the y-domain needs finite y_lo < y_hi, got [{y_lo}, {y_hi}]")
     fixed_noise = None if noise is None else float(noise)
     if fixed_noise is not None and fixed_noise <= 0:
         raise ConfigError("fixed noise scale must be positive")
@@ -431,7 +430,7 @@ def make_conditional(kind, x_dim=1, noise=None, y_lo=-30.0, y_hi=30.0):
     return ConditionalModel(
         name="linear-gaussian", param_dim=k, x_dim=m, theta_names=names,
         cond_log_density=logpdf, cond_score=score_fn,
-        power_moment=power, y_domain=(float(y_lo), float(y_hi)))
+        power_moment=power)
 
 
 def _averaged_inputs(score, cmodel, sample):
@@ -442,12 +441,10 @@ def _averaged_inputs(score, cmodel, sample):
         raise UnsupportedFamilyError(
             f"{score.name} cannot be averaged over covariates: only Bregman-representable "
             "families (kl, bregman-holder) admit an empirical per-observation sum")
-    y = sample.points[:, 0]
-    lo, hi = cmodel.y_domain
-    if np.any(y < lo) or np.any(y > hi):
-        raise DomainError(f"observations span [{y.min():g}, {y.max():g}], outside the "
-                          f"y-domain [{lo:g}, {hi:g}]")
-    return y, sample.covariates
+    if sample.covariates.shape[1] != cmodel.x_dim:
+        raise StructuralError(f"the sample has {sample.covariates.shape[1]} covariate "
+                              f"columns, {cmodel.name} expects x_dim={cmodel.x_dim}")
+    return sample.points[:, 0], sample.covariates
 
 
 def averaged_score(score, cmodel, theta, sample):
@@ -457,10 +454,9 @@ def averaged_score(score, cmodel, theta, sample):
     observations: KL and the (gamma, kappa) family.  For the latter the value
     is the mean over observations of ``score._combine(q(y_i|x_i)^gamma, M_i)``,
     with M_i the y-integral of q(.|x_i)^(1+gamma) in the model's closed form
-    (``cmodel.power_moment``).  Every observation must lie in the declared
-    y-domain.  The cross term is formed from the log-density, so an
-    observation far in the tail keeps a finite value.  A general
-    shape-function family has no such empirical form and is rejected.
+    (``cmodel.power_moment``).  The cross term is formed from the
+    log-density, so an observation far in the tail keeps a finite value.  A
+    general shape-function family has no such empirical form and is rejected.
     """
     y, x = _averaged_inputs(score, cmodel, sample)
     theta = np.asarray(theta, dtype=float)

@@ -11,7 +11,6 @@ Grids are immutable after construction.  Operations return new objects.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import NamedTuple
@@ -19,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline, RegularGridInterpolator
 
-from .errors import ConfigError, DomainError, StructuralError
+from .errors import DomainError, StructuralError
 
 MAX_DIM = 3
 
@@ -27,16 +26,7 @@ _DEFAULT_TOL = {1: 1e-8, 2: 1e-6, 3: 1e-4}
 
 
 def default_tol(dim):
-    """Absolute integration tolerance used by validity checks at dimension d.
-
-    The ``HOLDER_TOL`` environment variable overrides the built-in defaults.
-    """
-    env = os.environ.get("HOLDER_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise ConfigError(f"HOLDER_TOL must be a number, got {env!r}") from None
+    """Absolute integration tolerance used by validity checks at dimension d."""
     if dim not in _DEFAULT_TOL:
         raise DomainError(f"unsupported dimension {dim}; grids cover d <= {MAX_DIM}")
     return _DEFAULT_TOL[dim]
@@ -146,10 +136,6 @@ class GridDensity:
     @property
     def dim(self):
         return self.domain_lo.size
-
-    @property
-    def volume(self):
-        return float(np.prod(self.domain_hi - self.domain_lo))
 
     def axes(self):
         """Per-axis coordinate vectors."""

@@ -94,7 +94,6 @@ class Sample:
 
     points: np.ndarray
     covariates: Optional[np.ndarray] = None
-    domain: Optional[tuple] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -112,11 +111,6 @@ class Sample:
             if cov.shape[0] != pts.shape[0]:
                 raise StructuralError("covariates and points disagree on n")
             object.__setattr__(self, "covariates", cov)
-        if self.domain is not None:
-            lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in self.domain)
-            if np.any(pts < lo) or np.any(pts > hi):
-                raise DomainError("sample points fall outside the declared domain")
-            object.__setattr__(self, "domain", (lo, hi))
 
     @property
     def n(self):
@@ -196,8 +190,8 @@ def _gaussian_mean(scale=1.0):
 
 def _gaussian_mean_scale():
     def unpack(theta):
-        m, s = _theta(theta, 2, "gaussian-mean-scale")
-        if s <= 0 or not np.isfinite(s):
+        m, s = _theta(theta, 2, "gaussian-mean-scale").tolist()
+        if not 0.0 < s < math.inf:
             raise DomainError("gaussian scale parameter must be positive")
         return m, s
 
@@ -510,7 +504,7 @@ def render_density(model, theta, lo=None, hi=None, points_per_axis=None):
     return GridDensity.from_callable(lambda pts: model.density(theta, pts), lo, hi, n)
 
 
-def contaminate(model, theta, eps, z, points_per_axis=None):
+def contaminate(model, theta, eps, z):
     """Grid density of (1 - eps) * p_theta + eps * delta_z.
 
     The point mass is realized as a normalized triangular bump spanning three
@@ -531,11 +525,10 @@ def contaminate(model, theta, eps, z, points_per_axis=None):
     margin = (bhi - blo) / 16.0
     lo = np.minimum(blo, z - margin)
     hi = np.maximum(bhi, z + margin)
-    if points_per_axis is None:
-        # keep the cell width of the model's default box
-        h = (bhi - blo) / (model.quad_points - 1)
-        points_per_axis = tuple(int(np.ceil((hi[i] - lo[i]) / h[i])) + 1
-                                for i in range(model.dim))
+    # keep the cell width of the model's default box
+    h = (bhi - blo) / (model.quad_points - 1)
+    points_per_axis = tuple(int(np.ceil((hi[i] - lo[i]) / h[i])) + 1
+                            for i in range(model.dim))
     base = render_density(model, theta, lo, hi, points_per_axis)
     if eps == 0.0:
         return base

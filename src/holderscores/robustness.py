@@ -39,7 +39,7 @@ from .scores import HolderScore
 
 logger = logging.getLogger(__name__)
 
-# The Hessian is a rel_step 1e-5 central difference of the exact gradient.
+# The Hessian is a relative-step 1e-5 central difference of the exact gradient.
 # Measured: an off-diagonal that vanishes by symmetry (gaussian-mean-scale at
 # (0, 1)) reads 3e-13, against 5.6e-9 for the former second differences of
 # the value, and the truncation error is ~9e-11 (2-D gaussian-full, steps
@@ -149,13 +149,13 @@ def _grid_moments(quad, model, theta, gamma):
     return _GridMoments(cross, power, cross_s, power_s, power_abs_s)
 
 
-def objective_hessian(phi, gamma, model, theta_star, quad=None, rel_step=1e-5):
+def objective_hessian(phi, gamma, model, theta_star, quad=None):
     """Hessian of the population objective from its exact gradient.
 
     The objective phi(u) <p_theta^(1+gamma)> on the frozen quadrature grid
     ``quad`` (by default model(theta_star) on its padded box) is
     ``HolderScore(phi).expected(quad, (model, theta))``; its exact gradient
-    is differenced centrally with relative step ``rel_step`` (2k calls) and
+    is differenced centrally with relative step 1e-5 (2k calls) and
     symmetrized.  The condition number is logged and a numerically singular
     matrix raises :class:`SingularHessianError` because the influence solve
     requires invertible curvature at theta_star.  A non-vanishing exact
@@ -171,7 +171,7 @@ def objective_hessian(phi, gamma, model, theta_star, quad=None, rel_step=1e-5):
         return score.expected_with_gradient(quad, (model, theta))[1]
 
     grad = gradient(theta_star)
-    hess = _gradient_hessian(gradient, theta_star, rel_step=rel_step)
+    hess = _gradient_hessian(gradient, theta_star)
     scale = max(float(np.max(np.abs(hess))), 1e-12)
     if float(np.linalg.norm(grad)) > 1e-2 * scale:
         warnings.warn("objective gradient is not negligible at theta_star; "
@@ -230,13 +230,12 @@ def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
     return tuple(results)
 
 
-def influence_function(phi, gamma, model, theta_star, z, hessian=None, quad=None):
+def influence_function(phi, gamma, model, theta_star, z, hessian=None):
     """Influence vector at a contamination point z (exact point-mass terms)."""
     theta_star = np.asarray(theta_star, dtype=float)
     z_rows = np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1)
     _check_z(model, z_rows)
-    if quad is None:
-        quad = _frozen_grid(model, theta_star)
+    quad = _frozen_grid(model, theta_star)
     if hessian is None:
         hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
     return _influence_rows(phi, gamma, model, theta_star, z_rows, hessian,
@@ -254,8 +253,7 @@ def _default_z_ray(model, theta_star, n_z=25, max_sd=12.0):
     return center + ts[:, None] * sd * direction
 
 
-def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=12.0,
-                    quad=None):
+def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=12.0):
     """Influence at every point of ``z_grid``, sharing one quadrature and Hessian.
 
     ``z_grid`` holds one contamination point per row; by default it is a ray of
@@ -264,8 +262,7 @@ def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     :class:`InfluenceResult`, one per row, in order.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    if quad is None:
-        quad = _frozen_grid(model, theta_star)
+    quad = _frozen_grid(model, theta_star)
     return _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad,
                   _grid_moments(quad, model, theta_star, gamma))
 

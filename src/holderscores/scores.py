@@ -49,6 +49,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, DomainError, StructuralError
 from .grids import (GridDensity, _box_quadrature, _power_sum, _require_same_grid,
                     _tensor_nodes, log_moments, power_moment)
+from .models import make_parametric, render_density
 from .rng import rng_for
 
 _FD_STEP = 1e-5
@@ -64,8 +65,6 @@ class PhiFunction:
     ``d1``/``d2`` may be omitted, in which case central finite differences of
     ``value`` (step 1e-5) stand in; analytic derivatives are preferred because
     the redescending criterion evaluates the curvature exactly at z = 1.
-    ``kinks`` lists points where the derivatives are invalid (several shape
-    functions are non-smooth at one interior point).
     """
 
     gamma: float
@@ -73,7 +72,6 @@ class PhiFunction:
     d1: Optional[Callable] = None
     d2: Optional[Callable] = None
     label: str = "phi"
-    kinks: tuple = ()
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -125,9 +123,8 @@ def phi_kappa(gamma, kappa):
         with np.errstate(divide="ignore", invalid="ignore"):
             return -c * a * (a - 1.0) * np.abs(w) ** (a - 2.0) * np.sign(w)
 
-    kinks = (shift,) if kappa > 1 else ()
     return PhiFunction(gamma=gamma, value=value, d1=d1, d2=d2,
-                       label=f"kappa({gamma:g},{kappa:g})", kinks=kinks)
+                       label=f"kappa({gamma:g},{kappa:g})")
 
 
 def phi_linear(gamma):
@@ -583,17 +580,17 @@ class EquivalenceReport:
 
 def _random_grid_density(rng, lo=-10.0, hi=10.0, n=1201):
     """A random normalized density: Gaussian or two-bump mixture on [lo, hi]."""
-    x = np.linspace(lo, hi, n)
     m = rng.uniform(-2.0, 2.0)
     s = rng.uniform(0.6, 2.0)
-    vals = np.exp(-0.5 * ((x - m) / s) ** 2)
     if rng.random() < 0.5:
         m2 = rng.uniform(-3.0, 3.0)
         s2 = rng.uniform(0.6, 2.0)
         w = rng.uniform(0.2, 0.8)
-        vals = w * vals / (s * np.sqrt(2 * np.pi)) \
-            + (1 - w) * np.exp(-0.5 * ((x - m2) / s2) ** 2) / (s2 * np.sqrt(2 * np.pi))
-    return GridDensity(np.array([lo]), np.array([hi]), vals).normalize()
+        model = make_parametric("gaussian-mixture-fixed-weights", weights=(w, 1 - w))
+        theta = [m, s, m2, s2]
+    else:
+        model, theta = make_parametric("gaussian-mean-scale"), [m, s]
+    return render_density(model, theta, [lo], [hi], n).normalize()
 
 
 def check_equivalence_in_probability(score_a, score_b, trials=200, seed=0):

@@ -232,7 +232,7 @@ def test_criterion_5_fisher_consistency_and_equivariance():
     xcov = rng.uniform(-3, 3, size=(150, 1))
     y = 1.2 * xcov[:, 0] - 0.7
     sample_r = Sample(points=y, covariates=xcov)
-    cmodel = make_conditional("linear-gaussian", noise=0.05, y_lo=-10, y_hi=10)
+    cmodel = make_conditional("linear-gaussian", noise=0.05)
     res = fit_regression(0.7, 1.3, cmodel, sample_r,
                          FitConfig(init_theta=[0.8, 0.0], step_tol=1e-9,
                                    grad_tol=1e-2, polish=True))

@@ -28,8 +28,9 @@ def run(tmp_path, command, name, *sets, seed=None, config_text=None, jobs=None):
 
 
 class TestDispatch:
-    def test_unknown_command_exits_64(self, capsys):
-        assert main(["frobnicate", "--out", "/tmp/x"]) == 64
+    @pytest.mark.parametrize("command", ["frobnicate", "score"])
+    def test_unknown_command_exits_64(self, capsys, command):
+        assert main([command, "--out", "/tmp/x"]) == 64
         assert "Usage" in capsys.readouterr().out
 
     def test_no_args_exits_64(self):
@@ -79,19 +80,6 @@ class TestDivergenceCommand:
         div = float((out / "results.csv").read_text().splitlines()[1].split(",")[-1])
         assert div > 1e-4
 
-    def test_holder_tol_env_is_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLDER_TOL", "1e-30")
-        code, _ = run(tmp_path, "divergence", "tol",
-                      "family=kl", "p.theta=0,1", "q.theta=0,1", "grid.n=401")
-        assert code == 3  # coarse grid cannot meet the absurd tolerance
-
-    def test_non_numeric_holder_tol_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HOLDER_TOL", "abc")
-        code, _ = run(tmp_path, "divergence", "tolabc",
-                      "family=kl", "p.theta=0,1", "q.theta=0,1", "grid.n=401")
-        assert code == 2
-        err = capsys.readouterr().err.strip()
-        assert "HOLDER_TOL" in err and len(err.splitlines()) == 1
 
 
 class TestGridFileInput:
@@ -186,7 +174,7 @@ class TestRegressCommand:
     def test_synthetic_regression(self, tmp_path):
         code, out = run(tmp_path, "regress", "g1",
                         "gamma=0.5", "kappa=1", "a=1.2", "b=-0.5", "s=0.4",
-                        "n=300", "noise=0.4", "y.lo=-10", "y.hi=10", seed=2)
+                        "n=300", "noise=0.4", seed=2)
         assert code == 0
         cells = (out / "results.csv").read_text().splitlines()[1].split(",")
         assert abs(float(cells[0]) - 1.2) < 0.1
@@ -201,20 +189,34 @@ class TestRegressCommand:
             f"{repr(float(a))},{repr(float(b))}" for a, b in zip(x, y)) + "\n")
         code, out = run(tmp_path, "regress", "g2",
                         f"data={data}", "gamma=0.5", "kappa=1", "noise=0.3",
-                        "y.lo=-8", "y.hi=8", "init=0.5,0")
+                        "init=0.5,0")
         assert code == 0
         cells = (out / "results.csv").read_text().splitlines()[1].split(",")
         assert abs(float(cells[0]) - 0.8) < 0.1
 
 
-class TestRegressYDomain:
-    @pytest.mark.parametrize("sets, needle", [
-        (("y.lo=5", "y.hi=-5"), "y-domain"),
-        (("y.lo=-2", "y.hi=2", "s=1"), "outside the y-domain"),
-    ], ids=["empty-domain", "observations-outside"])
-    def test_exits_2_with_one_line(self, tmp_path, capsys, sets, needle):
-        code, _ = run(tmp_path, "regress", "ydom", "gamma=0.5", "kappa=1", "a=1", "b=0",
-                      "n=100", *sets)
+    def test_far_y_outliers_fit(self, tmp_path):
+        # y = 50 once fell outside a fixed y-domain and exited 2
+        code, out = run(tmp_path, "regress", "g3",
+                        "gamma=0.5", "kappa=1", "a=1.2", "b=-0.3", "s=0.5", "n=500",
+                        "outlier.eps=0.1", "outlier.y=50")
+        assert code == 0
+        cells = (out / "results.csv").read_text().splitlines()[1].split(",")
+        assert abs(float(cells[0]) - 1.2) < 0.05
+
+
+class TestStructuralMismatchExits2:
+    # the fit ran 2000 all-+inf iterations and exited 3; the regression crashed
+    @pytest.mark.parametrize("command, header, row, sets, needle", [
+        ("fit", "y", "0.5", ("model=gaussian-full-d", "model.dim=2", "family=gamma",
+                             "gamma=0.5", "init=0,0,1,0,1"), "dimensional"),
+        ("regress", "x1,x2,y", "0.5,-1.0,0.2", ("gamma=0.5", "kappa=1", "init=1,0,1"),
+         "x_dim=1"),
+    ], ids=["fit-1d-data-2d-model", "regress-two-x-columns"])
+    def test_one_line_message(self, tmp_path, capsys, command, header, row, sets, needle):
+        data = tmp_path / "data.csv"
+        data.write_text(header + "\n" + "\n".join([row] * 20) + "\n")
+        code, _ = run(tmp_path, command, "mismatch", f"data={data}", *sets)
         assert code == 2
         err = capsys.readouterr().err.strip()
         assert needle in err and len(err.splitlines()) == 1
@@ -333,7 +335,7 @@ class TestSweepCommand:
 
 class TestBadValuesExit2:
     @pytest.mark.parametrize("command, sets, needle", [
-        ("score", ("family=gamma", "gamma=abc", "p.theta=0,1", "q.theta=0,1"), "'gamma'"),
+        ("divergence", ("family=gamma", "gamma=abc", "p.theta=0,1", "q.theta=0,1"), "'gamma'"),
         ("divergence", ("family=holder", "phi=kappa", "gamma=0.5", "kappa=x",
                         "p.theta=0,1", "q.theta=0,1"), "'kappa'"),
         ("divergence", ("family=bregman-holder", "gamma=0.5", "kappa=x",
@@ -379,8 +381,8 @@ class TestOnePhiParser:
     def test_score_defaults_phi_to_kappa(self, tmp_path):
         args = ("family=holder", "gamma=0.5", "kappa=1.5", "p.theta=0,1",
                 "q.theta=0.5,1.2", "grid.n=801")
-        code_named, named = run(tmp_path, "score", "named", "phi=kappa", *args)
-        code_default, default = run(tmp_path, "score", "default", *args)
+        code_named, named = run(tmp_path, "divergence", "named", "phi=kappa", *args)
+        code_default, default = run(tmp_path, "divergence", "default", *args)
         assert code_named == code_default == 0
         assert (named / "results.csv").read_bytes() == (default / "results.csv").read_bytes()
 

@@ -286,10 +286,6 @@ class TestSample:
         with pytest.raises(StructuralError):
             Sample(points=np.empty((0, 1)))
 
-    def test_domain_check(self):
-        with pytest.raises(DomainError):
-            Sample(points=np.array([0.5, 2.5]), domain=([0.0], [1.0]))
-
     def test_csv_round_trip_plain(self, tmp_path):
         s = Sample(points=np.array([0.25, -1.5, 3.125]))
         path = tmp_path / "s.csv"

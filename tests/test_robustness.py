@@ -326,7 +326,7 @@ class TestBracketGradient:
             pz_gamma = np.exp(gamma * model.log_density(theta, z.reshape(1, -1))[0])
             return float(phi.d1(cross / power)) * (pz_gamma - cross)
 
-        curve = influence_curve(phi, gamma, model, theta_star, zs, quad=quad)
+        curve = influence_curve(phi, gamma, model, theta_star, zs)
         exact = np.stack([res.gradient_term for res in curve])
         numeric = np.empty_like(exact)
         for i in range(theta_star.size):

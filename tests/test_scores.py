@@ -403,8 +403,9 @@ class TestPhiKappa:
     def test_derivatives_match_finite_differences_away_from_kinks(self, gamma, kappa):
         phi = phi_kappa(gamma, kappa)
         h1, h2 = 1e-6, 1e-4  # second differences need the larger step
+        kink = 1.0 - 1.0 / kappa  # phi is non-smooth there for kappa > 1
         for z in (0.4, 0.9, 1.0, 1.8, 3.0):
-            if any(abs(z - kink) < 0.2 for kink in phi.kinks):
+            if abs(z - kink) < 0.2:
                 continue
             fd1 = (phi.value(z + h1) - phi.value(z - h1)) / (2 * h1)
             fd2 = (phi.value(z + h2) - 2 * phi.value(z) + phi.value(z - h2)) / h2 ** 2
