@@ -210,11 +210,12 @@ def verify_estimator_equivariance(score, model, sample, amap, cfg):
     if model.push_params is None:
         raise UnsupportedFamilyError(
             f"{model.name} is not closed under affine reparameterization")
-    fit_raw = fit(score, model, sample, cfg)
-    mapped_sample = Sample(points=amap.apply(sample.points))
+    # the start is pushed first: a map the family is not closed under raises
+    # before any fit
     cfg_mapped = cfg.replace(init_theta=model.push_params(
         np.asarray(cfg.init_theta, dtype=float), amap.sigma, amap.mu))
-    fit_mapped = fit(score, model, mapped_sample, cfg_mapped)
+    fit_raw = fit(score, model, sample, cfg)
+    fit_mapped = fit(score, model, Sample(points=amap.apply(sample.points)), cfg_mapped)
     pushed = model.push_params(fit_raw.theta_hat, amap.sigma, amap.mu)
     disc = float(np.max(np.abs(pushed - fit_mapped.theta_hat)))
     tol = 10.0 * cfg.step_tol

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -66,7 +66,6 @@ class FitConfig:
     optimizer: str = "l-bfgs-b"
     seed: int = 0
     polish: bool = True
-    record_trace: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "init_theta",
@@ -93,7 +92,6 @@ class FitResult:
     objective_value: float
     iterations: int
     converged: bool
-    trace: Optional[tuple] = None
     n_evals: int = 0
 
     def csv_row(self):
@@ -188,16 +186,13 @@ class _Objective:
         return self.last[1:]
 
 
-def _iteration_log(cfg):
-    """A scipy callback counting iterations, and the trace it fills."""
-    trace = [] if cfg.record_trace else None
+def _iteration_log():
+    """A scipy callback counting iterations, and the count it fills."""
     count = [0]
 
     def callback(intermediate_result):
         count[0] += 1
-        if trace is not None:
-            trace.append(float(intermediate_result.fun))
-    return callback, count, trace
+    return callback, count
 
 
 def _initial_simplex(x0):
@@ -216,7 +211,6 @@ def _initial_simplex(x0):
 def _run_nelder_mead(fun, x0, cfg):
     """Nelder-Mead on an :class:`_Objective`'s ``value``; the start value
     sets fatol, and scipy's evaluation of the start is a memo hit."""
-    callback, _, trace = _iteration_log(cfg)
     f0 = fun(x0)
     fatol = max(1e-13, 1e-11 * (1.0 + (abs(f0) if np.isfinite(f0) else 0.0)))
     with np.errstate(invalid="ignore"):  # simplex may hold +inf sentinels
@@ -225,16 +219,15 @@ def _run_nelder_mead(fun, x0, cfg):
                                 "xatol": cfg.step_tol,
                                 "fatol": fatol,
                                 "maxfev": 50 * cfg.max_iters,
-                                "initial_simplex": _initial_simplex(x0)},
-                       callback=callback)
-    return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit), bool(res.success), trace
+                                "initial_simplex": _initial_simplex(x0)})
+    return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit), bool(res.success)
 
 
 def _run_lbfgsb(objective, x0, cfg):
     """L-BFGS-B on the value-and-gradient pair of an :class:`_Objective`;
     Nelder-Mead from its best point when it stops abnormally, starts at +inf
     or meets a gradient that is not finite."""
-    callback, count, trace = _iteration_log(cfg)
+    callback, count = _iteration_log()
     ceiling = []
 
     def pair(x):
@@ -256,23 +249,20 @@ def _run_lbfgsb(objective, x0, cfg):
                        options={"maxiter": cfg.max_iters, "ftol": _LBFGSB_FTOL,
                                 "gtol": cfg.step_tol})
         if res.status != 2:  # 0 converged, 1 out of iterations
-            return np.asarray(res.x, dtype=float), float(res.fun), count[0], \
-                res.status == 0, trace
+            return np.asarray(res.x, dtype=float), float(res.fun), count[0], res.status == 0
     except _AbnormalStop:
         pass
     # from the best point, already evaluated, or from the start if it is +inf
     x0 = objective.best[0] if objective.best else x0
-    x, fx, iters, ok, nm_trace = _run_nelder_mead(objective.value, x0, cfg)
-    if trace is not None:
-        trace.extend(nm_trace)
-    return x, fx, count[0] + iters, ok, trace
+    x, fx, iters, ok = _run_nelder_mead(objective.value, x0, cfg)
+    return x, fx, count[0] + iters, ok
 
 
 def _minimize(objective, objective_with_gradient, cfg):
     objective = _Objective(objective, objective_with_gradient)
     match = _MULTISTART_RE.match(cfg.optimizer)
     if cfg.optimizer == "nelder-mead":
-        x, fx, iters, ok, trace = _run_nelder_mead(objective.value, cfg.init_theta, cfg)
+        x, fx, iters, ok = _run_nelder_mead(objective.value, cfg.init_theta, cfg)
     elif match:
         best, total_iters = None, 0
         for i in range(int(match.group(1))):
@@ -286,23 +276,21 @@ def _minimize(objective, objective_with_gradient, cfg):
                 if np.isinf(objective.pair(x0)[0]):
                     continue
                 objective.best = objective.last
-            x, fx, iters, ok, trace = _run_lbfgsb(objective, x0, cfg)
+            x, fx, iters, ok = _run_lbfgsb(objective, x0, cfg)
             total_iters += iters
             # ties within step_tol keep the earliest start for determinism
             if best is None or fx < best[1] - cfg.step_tol:
-                best = (x, fx, total_iters, ok, trace)
-        x, fx, iters, ok, trace = best
+                best = (x, fx, total_iters, ok)
+        x, fx, iters, ok = best
     else:
-        x, fx, iters, ok, trace = _run_lbfgsb(objective, cfg.init_theta, cfg)
+        x, fx, iters, ok = _run_lbfgsb(objective, cfg.init_theta, cfg)
 
     gx = objective.pair(x)[1]
     if cfg.polish and np.isfinite(fx):
         x, fx, gx = _newton_polish(objective.pair, x, fx, gx)
     grad_ok = bool(np.all(np.isfinite(gx)) and np.linalg.norm(gx) < cfg.grad_tol)
     return FitResult(theta_hat=x, objective_value=fx, iterations=iters,
-                     converged=bool(ok and grad_ok),
-                     trace=tuple(trace) if trace is not None else None,
-                     n_evals=objective.evals)
+                     converged=bool(ok and grad_ok), n_evals=objective.evals)
 
 
 # -- density fitting ---------------------------------------------------------------

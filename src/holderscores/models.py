@@ -2,23 +2,26 @@
 
 The built-in families are the work horses of the estimation and robustness
 suites: Gaussians in one and several dimensions, a fixed-weight Gaussian
-mixture and the exponential distribution.  Each family carries an analytic
-score function (gradient of the log-density in the parameter), a seeded
-sampler and a quadrature box wide enough that truncated mass is negligible
-against the integration tolerance; all but the mixture also carry their
-power integral <g^a> in closed form.
+mixture and the exponential distribution.  There is one Gaussian
+implementation, ``gaussian-full-d``, parameterized by the mean and the
+Cholesky factor L of the covariance; ``gaussian-mean-scale`` is that family at
+d = 1, and ``gaussian-mean`` is ``gaussian-mean-scale`` with the scale held
+fixed.  Each family is named by its ``make_parametric`` kind and carries an
+analytic score function (gradient of the log-density in the parameter), a
+seeded sampler and a quadrature box wide enough that truncated mass is
+negligible against the integration tolerance; all but the mixture also carry
+their power integral <g^a> in closed form.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, DomainError, StructuralError
 from .grids import GridDensity
@@ -153,156 +156,92 @@ def _gaussian_power(d, log_det_chol, a):
                         - 0.5 * d * math.log(a)))
 
 
-# -- 1-d Gaussian families ----------------------------------------------------
-
-def _gaussian_mean(scale=1.0):
-    s = float(scale)
-    if s <= 0:
-        raise ConfigError("gaussian-mean requires scale > 0")
-
-    def mean(theta):
-        return float(_theta(theta, 1, "gaussian-mean")[0])
-
-    def logpdf(theta, x):
-        u = (_as_points(x, 1)[:, 0] - mean(theta)) / s
-        return -0.5 * u * u - 0.5 * _LOG_2PI - np.log(s)
-
-    def score(theta, x):
-        return ((_as_points(x, 1)[:, 0] - mean(theta)) / (s * s)).reshape(-1, 1)
-
-    def power(theta, a):
-        mean(theta)  # checks the length only
-        return _gaussian_power(1, math.log(s), a), np.zeros(1)
-
-    return ParametricModel(
-        name="gaussian-mean", dim=1, param_dim=1, theta_names=("mean",),
-        log_density=logpdf,
-        score=score,
-        sampler=lambda th, n, rng: (mean(th) + s * rng.standard_normal(n)).reshape(-1, 1),
-        support=lambda th: (np.array([mean(th) - _GAUSS_HALF_WIDTH * s]),
-                            np.array([mean(th) + _GAUSS_HALF_WIDTH * s])),
-        in_support=lambda x: np.ones(_as_points(x, 1).shape[0], dtype=bool),
-        push_params=lambda th, sigma, mu: np.array(
-            [(mean(th) - float(np.ravel(mu)[0])) / float(np.ravel(sigma)[0])]),
-        power_moment=power,
-    )
-
-
-def _gaussian_mean_scale():
-    def unpack(theta):
-        m, s = _theta(theta, 2, "gaussian-mean-scale").tolist()
-        if not 0.0 < s < math.inf:
-            raise DomainError("gaussian scale parameter must be positive")
-        return m, s
-
-    def logpdf(theta, x):
-        m, s = unpack(theta)
-        u = (_as_points(x, 1)[:, 0] - m) / s
-        return -0.5 * u * u - 0.5 * _LOG_2PI - np.log(s)
-
-    def score(theta, x):
-        m, s = unpack(theta)
-        r = _as_points(x, 1)[:, 0] - m
-        return np.stack([r / (s * s), r * r / s ** 3 - 1.0 / s]).T
-
-    def power(theta, a):
-        _, s = unpack(theta)
-        p = _gaussian_power(1, math.log(s), a)
-        return p, np.array([0.0, -(a - 1.0) / s * p])
-
-    def push(theta, sigma, mu):
-        m, s = unpack(theta)
-        sig = float(np.ravel(sigma)[0])
-        return np.array([(m - float(np.ravel(mu)[0])) / sig, s / abs(sig)])
-
-    return ParametricModel(
-        name="gaussian-mean-scale", dim=1, param_dim=2, theta_names=("mean", "scale"),
-        log_density=logpdf,
-        score=score,
-        sampler=lambda th, n, rng: (unpack(th)[0]
-                                    + unpack(th)[1] * rng.standard_normal(n)).reshape(-1, 1),
-        support=lambda th: (np.array([unpack(th)[0] - _GAUSS_HALF_WIDTH * unpack(th)[1]]),
-                            np.array([unpack(th)[0] + _GAUSS_HALF_WIDTH * unpack(th)[1]])),
-        in_support=lambda x: np.ones(_as_points(x, 1).shape[0], dtype=bool),
-        push_params=push,
-        power_moment=power,
-    )
-
-
-# -- full multivariate Gaussian ------------------------------------------------
+# -- Gaussians: gaussian-full-d and its 1-d views -------------------------------
 
 def _gaussian_full(dim=2):
     d = int(dim)
     if d < 1 or d > 3:
-        raise ConfigError("gaussian-full supports dimensions 1..3")
+        raise ConfigError("gaussian-full-d supports dimensions 1..3")
     rows, cols = np.tril_indices(d)
     k = d + rows.size
+    label = f"Gaussian d={d}"
+    # theta = (mean, L row by row): L[i][j] is chol[at[i, j]]
+    at = {(i, j): c for c, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
+    diag_at = [at[i, i] for i in range(d)]
 
     def unpack(theta):
-        th = _theta(theta, k, f"gaussian-full d={d}")
-        m = th[:d]
+        """The mean, the entries of L in theta's order and the diagonal of L,
+        as Python lists."""
+        th = _theta(theta, k, label).tolist()
+        chol = th[d:]
+        diag = list(map(chol.__getitem__, diag_at))
+        if not (all(map(math.isfinite, chol)) and min(diag) > 0):
+            raise DomainError("the Cholesky factor must be finite with a positive diagonal")
+        return th[:d], chol, diag
+
+    def dense(theta):
+        """The mean and L as arrays."""
+        m, chol, _ = unpack(theta)
         L = np.zeros((d, d))
-        L[rows, cols] = th[d:]
-        if np.any(np.diag(L) <= 0) or not np.all(np.isfinite(L)):
-            raise DomainError("Cholesky diagonal must be positive")
-        return m, L
+        L[rows, cols] = chol
+        return np.array(m), L
 
     def whiten(theta, x):
-        """L, L^-1 and the coordinate columns of y = L^-1 (x - m)."""
-        m, L = unpack(theta)
+        """L's entries, its diagonal and the coordinate columns of
+        y = L^-1 (x - m), by forward substitution in place."""
+        m, chol, diag = unpack(theta)
         pts = _as_points(x, d)
-        Linv = solve_triangular(L, np.eye(d), lower=True)
-        # one coordinate row at a time, each row overwriting r[i] in place;
-        # going from the last row up, the rows still to come only read the
-        # untouched r[0..i-1]
-        r = [pts[:, j] - m[j] for j in range(d)]
-        tmp = np.empty_like(r[0])
-        for i in reversed(range(d)):
-            r[i] *= Linv[i, i]
+        y = [pts[:, i] - m[i] for i in range(d)]
+        tmp = np.empty(pts.shape[0]) if d > 1 else None
+        for i in range(d):
             for j in range(i):
-                r[i] += np.multiply(r[j], Linv[i, j], out=tmp)
-        return L, Linv, r
+                y[i] -= np.multiply(y[j], chol[at[i, j]], out=tmp)
+            y[i] /= diag[i]
+        return chol, diag, y
+
+    def log_det(diag):
+        # the sum of logs, not the log of the product: the two round
+        # differently, and the optimizer's path follows the last bit
+        return sum(map(math.log, diag))
 
     def logpdf(theta, x):
-        L, _, y = whiten(theta, x)
+        _, diag, y = whiten(theta, x)
         out = y[0]
         out *= out
         for y_i in y[1:]:
             y_i *= y_i
             out += y_i
         out *= -0.5
-        out -= 0.5 * d * _LOG_2PI + np.sum(np.log(np.diag(L)))
+        out -= 0.5 * d * _LOG_2PI + log_det(diag)
         return out
 
     def score(theta, x):
-        # column-wise, like logpdf: the mean gradient Sigma^-1 (x - m) = L^-T y,
-        # and d log p / d L = L^-T (y y^T - I), whose lower-triangle entry
-        # (i, j) is g_mean[i] y[j] - [i == j] / L[i, i]
-        _, Linv, y = whiten(theta, x)
+        # column-wise, like logpdf: the mean gradient g = Sigma^-1 (x - m)
+        # = L^-T y by back substitution, and d log p / d L = L^-T (y y^T - I),
+        # whose lower-triangle entry (i, j) is g[i] y[j] - [i == j] / L[i][i]
+        chol, diag, y = whiten(theta, x)
         out = np.empty((y[0].size, k), order="F")
-        tmp = np.empty_like(y[0])
-        for i in range(d):
-            g_mean = np.multiply(y[i], Linv[i, i], out=out[:, i])
+        tmp = np.empty(y[0].size) if d > 1 else None
+        for i in reversed(range(d)):
+            g_i = np.divide(y[i], diag[i], out=out[:, i])
             for j in range(i + 1, d):
-                g_mean += np.multiply(y[j], Linv[j, i], out=tmp)
-        for c, (i, j) in enumerate(zip(rows, cols)):
+                g_i -= np.multiply(out[:, j], chol[at[j, i]] / diag[i], out=tmp)
+        for (i, j), c in at.items():
             g_chol = np.multiply(out[:, i], y[j], out=out[:, d + c])
             if i == j:
-                g_chol -= Linv[i, i]
+                g_chol -= 1.0 / diag[i]
         return out
 
-    diag = rows == cols
-
     def power(theta, a):
-        _, L = unpack(theta)
-        chol = np.diag(L)
-        p = _gaussian_power(d, float(np.sum(np.log(chol))), a)
+        _, _, diag = unpack(theta)
+        p = _gaussian_power(d, log_det(diag), a)
         grad = np.zeros(k)
-        grad[d:][diag] = -(a - 1.0) / chol * p
+        for c, v in zip(diag_at, diag):
+            grad[d + c] = -(a - 1.0) / v * p
         return p, grad
 
     def push(theta, sigma, mu):
-        m, L = unpack(theta)
+        m, L = dense(theta)
         sig = np.asarray(sigma, dtype=float).reshape(d, d)
         mu = np.asarray(mu, dtype=float).ravel()
         m2 = np.linalg.solve(sig, m - mu)
@@ -311,22 +250,60 @@ def _gaussian_full(dim=2):
         return np.concatenate([m2, L2[rows, cols]])
 
     def box(theta):
-        m, L = unpack(theta)
+        m, L = dense(theta)
         sd = np.sqrt(np.diag(L @ L.T))
         return m - _GAUSS_HALF_WIDTH * sd, m + _GAUSS_HALF_WIDTH * sd
 
+    def sampler(theta, n, rng):
+        m, L = dense(theta)
+        return m + rng.standard_normal((n, d)) @ L.T
+
     return ParametricModel(
-        name="gaussian-full", dim=d, param_dim=k,
+        name="gaussian-full-d", dim=d, param_dim=k,
         theta_names=tuple(f"mean{i}" for i in range(d))
         + tuple(f"chol{r}{c}" for r, c in zip(rows, cols)),
         log_density=logpdf,
         score=score,
-        sampler=lambda th, n, rng: unpack(th)[0] + rng.standard_normal((n, d)) @ unpack(th)[1].T,
+        sampler=sampler,
         support=box,
         in_support=lambda x: np.ones(_as_points(x, d).shape[0], dtype=bool),
         push_params=push,
         power_moment=power,
         quad_points=257 if d == 2 else (2001 if d == 1 else 81),
+    )
+
+
+def _gaussian_mean_scale():
+    """``gaussian-full-d`` at d = 1: theta = (mean, chol00) is (mean, scale)."""
+    return replace(_gaussian_full(1), name="gaussian-mean-scale",
+                   theta_names=("mean", "scale"))
+
+
+def _gaussian_mean(scale=1.0):
+    """``gaussian-mean-scale`` with the scale held fixed: theta = (mean,)."""
+    s = float(scale)
+    if not 0.0 < s < math.inf:
+        raise ConfigError("gaussian-mean requires a finite scale > 0")
+    base = _gaussian_mean_scale()
+
+    def full(theta):
+        return [float(_theta(theta, 1, "gaussian-mean")[0]), s]
+
+    def push(theta, sigma, mu):
+        # a map with |sigma| != 1 rescales the data, and the fixed scale with it
+        if abs(float(np.ravel(sigma)[0])) != 1.0:
+            raise DomainError("gaussian-mean holds its scale fixed, so it is closed "
+                              "only under maps with |sigma| = 1")
+        return base.push_params(full(theta), sigma, mu)[:1]
+
+    return replace(
+        base, name="gaussian-mean", param_dim=1, theta_names=("mean",),
+        log_density=lambda th, x: base.log_density(full(th), x),
+        score=lambda th, x: base.score(full(th), x)[:, :1],
+        sampler=lambda th, n, rng: base.sampler(full(th), n, rng),
+        support=lambda th: base.support(full(th)),
+        push_params=push,
+        power_moment=lambda th, a: (base.power_moment(full(th), a)[0], np.zeros(1)),
     )
 
 

@@ -218,6 +218,22 @@ class TestEstimatorEquivariance:
             HolderScore(phi_kappa(0.5, 1.0)), model, sample, amap, cfg)
         assert report.discrepancy < 1e-3
 
+    def test_fixed_scale_family_rejects_a_rescaling(self):
+        # gaussian-mean holds its scale fixed, so a map with |sigma| != 1 leads
+        # out of the family; it raises rather than reporting a false FAIL
+        model = make_parametric("gaussian-mean")
+        sample = draw_sample(model, [0.3], 400, seed=3)
+        cfg = FitConfig(init_theta=[0.1], step_tol=1e-9)
+        score = HolderScore(phi_kappa(0.5, 1.0))
+        with pytest.raises(DomainError, match=r"\|sigma\| = 1"):
+            verify_estimator_equivariance(
+                score, model, sample, AffineMap(sigma=np.array([[2.0]]), mu=np.array([0.5])), cfg)
+        for sign in (1.0, -1.0):
+            report = verify_estimator_equivariance(
+                score, model, sample, AffineMap(sigma=np.array([[sign]]), mu=np.array([0.5])), cfg)
+            assert report.passed
+            assert report.discrepancy < 1e-12
+
     def test_mle_closed_form_equivariance_is_exact(self):
         # sample mean/sd transform exactly under x -> (x - mu)/sigma
         pts = draw_sample(GAUSS, [0.4, 1.3], 500, seed=5).points[:, 0]

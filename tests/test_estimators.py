@@ -110,10 +110,8 @@ class TestFit:
     def test_nonconvergence_reported_not_raised(self):
         sample = draw_sample(GAUSS_MS, [0.0, 1.0], 200, seed=3)
         res = fit(HolderScore(phi_kappa(0.5, 1.0)), GAUSS_MS, sample,
-                  FitConfig(init_theta=[5.0, 5.0], max_iters=2,
-                            record_trace=True))
+                  FitConfig(init_theta=[5.0, 5.0], max_iters=2))
         assert not res.converged
-        assert res.trace is not None
 
     def test_pseudospherical_and_gamma_share_argmin(self):
         sample = draw_sample(GAUSS_MS, [0.3, 1.2], 1500, seed=9)

@@ -325,3 +325,74 @@ class TestMakeParametric:
     def test_undocumented_alias_removed(self):
         with pytest.raises(ConfigError):
             make_parametric("gaussian-full")
+
+
+class TestOneGaussianFamily:
+    """gaussian-mean-scale is gaussian-full-d at d = 1, and gaussian-mean is
+    gaussian-mean-scale with the scale held fixed."""
+
+    @pytest.mark.parametrize("kind,hyper,theta", ALL_KINDS)
+    def test_model_is_named_by_its_kind(self, kind, hyper, theta):
+        assert make_parametric(kind, **hyper).name == kind
+
+    def test_shared_code_names_no_other_family(self):
+        x = np.array([0.0, 1.0])
+        with pytest.raises(StructuralError, match=r"^Gaussian d=1 expects 2 parameters, got 3$"):
+            make_parametric("gaussian-mean-scale").log_density([0.0, 1.0, 2.0], x)
+        with pytest.raises(StructuralError, match=r"^gaussian-mean expects 1 parameters, got 2$"):
+            make_parametric("gaussian-mean").score([0.0, 1.0], x)
+
+    def test_mean_scale_is_full_at_d1(self):
+        ms, full = make_parametric("gaussian-mean-scale"), make_parametric("gaussian-full-d", dim=1)
+        theta = np.array([-0.4, 1.3])
+        x = 3.0 * np.random.default_rng(2).standard_normal(300)
+        assert ms.theta_names == ("mean", "scale")
+        assert np.array_equal(ms.log_density(theta, x), full.log_density(theta, x))
+        assert np.array_equal(ms.score(theta, x), full.score(theta, x))
+        for a in (1.0, 1.5, 3.0):
+            (p_ms, g_ms), (p_full, g_full) = ms.power_moment(theta, a), full.power_moment(theta, a)
+            assert p_ms == p_full and np.array_equal(g_ms, g_full)
+        assert np.array_equal(ms.sampler(theta, 50, rng_for(4)), full.sampler(theta, 50, rng_for(4)))
+        assert np.array_equal(np.concatenate(ms.support(theta)), np.concatenate(full.support(theta)))
+        for sigma in (2.5, -0.5):
+            assert np.array_equal(ms.push_params(theta, [[sigma]], [0.7]),
+                                  full.push_params(theta, [[sigma]], [0.7]))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7, 2.5])
+    def test_mean_is_mean_scale_at_a_fixed_scale(self, scale):
+        mean, ms = make_parametric("gaussian-mean", scale=scale), make_parametric("gaussian-mean-scale")
+        m = 0.3
+        x = 3.0 * np.random.default_rng(3).standard_normal(300)
+        assert np.array_equal(mean.log_density([m], x), ms.log_density([m, scale], x))
+        assert np.array_equal(mean.score([m], x), ms.score([m, scale], x)[:, :1])
+        for a in (1.0, 1.5, 3.0):
+            power, grad = mean.power_moment([m], a)
+            assert power == ms.power_moment([m, scale], a)[0]
+            assert np.array_equal(grad, np.zeros(1))
+        assert np.array_equal(mean.sampler([m], 20, rng_for(5)), ms.sampler([m, scale], 20, rng_for(5)))
+
+
+@pytest.mark.parametrize("kind,hyper", [
+    ("gaussian-mean-scale", {}), ("gaussian-full-d", {"dim": 1}),
+    ("gaussian-full-d", {"dim": 2}), ("gaussian-full-d", {"dim": 3})])
+def test_bad_cholesky_factor_raises(kind, hyper):
+    # a zero, negative, inf or NaN diagonal entry of L (for gaussian-mean-scale
+    # the scale), or a NaN or inf off-diagonal one
+    model = make_parametric(kind, **hyper)
+    d = model.dim
+    good = _random_chol_theta(d, 20 + d)
+    x = np.zeros((4, d))
+    for c, (i, j) in enumerate(zip(*np.tril_indices(d))):
+        for bad in (0.0, -0.5, np.inf, np.nan) if i == j else (np.nan, np.inf, -np.inf):
+            theta = good.copy()
+            theta[d + c] = bad
+            for call in _THETA_CALLS.values():
+                call(model, good, x)
+                with pytest.raises(DomainError):
+                    call(model, theta, x)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+def test_gaussian_mean_rejects_a_bad_fixed_scale(scale):
+    with pytest.raises(ConfigError):
+        make_parametric("gaussian-mean", scale=scale)
