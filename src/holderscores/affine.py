@@ -95,10 +95,10 @@ def transform_density(f, amap):
     """Push a grid density through an affine data map.
 
     Returns |det sigma| f(sigma x + mu) resampled on the axis-aligned bounding
-    box of the mapped support, with f's node counts.  Resampling interpolates
-    the stored values (cubic splines where :meth:`GridDensity.interpolator`
-    has them, multilinear otherwise) and clips the tiny negative undershoots
-    interpolation can produce.  Mass is preserved up to interpolation error.
+    box of the mapped support, with f's node counts.  Resampling evaluates the
+    not-a-knot cubic spline through the stored values at d = 1..3 (see
+    :meth:`GridDensity.interpolator`) and clips the tiny negative undershoots
+    it can produce.  Mass is preserved up to interpolation error.
     """
     corners = np.stack(np.meshgrid(*zip(f.domain_lo, f.domain_hi), indexing="ij"),
                        axis=-1).reshape(-1, f.dim)

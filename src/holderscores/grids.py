@@ -11,12 +11,14 @@ Grids are immutable after construction.  Operations return new objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline, RegularGridInterpolator
+from scipy.interpolate import RegularGridInterpolator
+from scipy.linalg import solve_banded
 
 from .errors import DomainError, StructuralError
 
@@ -191,31 +193,30 @@ class GridDensity:
     def interpolator(self, method="linear"):
         """Interpolant over the box, zero outside; callable on (N, d) points.
 
-        ``cubic`` uses genuine interpolating splines (node-exact, O(h^4)
-        error); it is available for d <= 2 and needs 4+ points per axis,
-        falling back to multilinear otherwise.
+        ``cubic`` is the not-a-knot cubic spline through the nodes (node-exact,
+        O(h^4) error) at d = 1..3, as a uniform cubic B-spline: its coefficients
+        come from one banded solve per axis (:func:`_not_a_knot_band`) and
+        ``scipy.ndimage.map_coordinates`` evaluates it.
         """
-        axes = self.axes()
-        if method == "cubic" and self.dim <= 2 and min(self.points_per_axis) >= 4:
-            if self.dim == 1:
-                spline = CubicSpline(axes[0], self.values, extrapolate=False)
+        if method != "cubic":
+            return RegularGridInterpolator(self.axes(), self.values, method="linear",
+                                           bounds_error=False, fill_value=0.0)
+        from scipy import ndimage  # imported here: only resampling needs it
+        coeffs = self.values
+        for axis, n in enumerate(self.points_per_axis):
+            v = np.moveaxis(coeffs, axis, 0)
+            rhs = np.zeros((n + 2, v[0].size))
+            rhs[1:-1] = 6.0 * v.reshape(n, -1)
+            c = solve_banded((4, 4), _not_a_knot_band(n), rhs, check_finite=False)
+            coeffs = np.moveaxis(c.reshape(n + 2, *v.shape[1:]), 0, axis)
+        lo, hi, h = self.domain_lo, self.domain_hi, self.cell_widths()
 
-                def evaluate(pts):
-                    out = spline(np.asarray(pts, dtype=float)[:, 0])
-                    return np.nan_to_num(out, nan=0.0, copy=False)
-            else:
-                spline = RectBivariateSpline(axes[0], axes[1], self.values,
-                                             kx=3, ky=3, s=0)
-
-                def evaluate(pts):
-                    pts = np.asarray(pts, dtype=float)
-                    out = spline.ev(pts[:, 0], pts[:, 1])
-                    inside = np.all((pts >= self.domain_lo) & (pts <= self.domain_hi),
-                                    axis=1)
-                    return np.where(inside, out, 0.0)
-            return evaluate
-        return RegularGridInterpolator(axes, self.values, method="linear",
-                                       bounds_error=False, fill_value=0.0)
+        def evaluate(pts):
+            pts = np.asarray(pts, dtype=float)
+            out = ndimage.map_coordinates(coeffs, ((pts - lo) / h + 1.0).T, order=3,
+                                          mode="mirror", prefilter=False)
+            return np.where(np.all((pts >= lo) & (pts <= hi), axis=1), out, 0.0)
+        return evaluate
 
     def evaluate(self, points):
         """Multilinearly interpolated values at an (N, d) array of points."""
@@ -223,6 +224,23 @@ class GridDensity:
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1) if self.dim == 1 else pts.reshape(1, -1)
         return self.interpolator()(pts)
+
+
+def _not_a_knot_band(n):
+    """The system for the coefficients c_-1..c_n of the uniform cubic B-spline
+    that is the not-a-knot spline through n nodes, banded for ``solve_banded``.
+
+    Rows 1..n interpolate, c_i-1 + 4 c_i + c_i+1 = 6 v_i.  The first and last
+    rows set the jump in the third derivative at the second node from each end
+    to zero, a fourth difference of c; below 4 nodes, where the spline is the
+    line or parabola through them, an n-th difference.
+    """
+    q = min(n, 4)
+    ab = np.zeros((9, n + 2))
+    ab[5, :n], ab[4, 1:-1], ab[3, 2:] = 1.0, 4.0, 1.0
+    for k in range(q + 1):
+        ab[4 - k, k] = ab[4 + q - k, n + 1 - q + k] = (-1) ** k * math.comb(q, k)
+    return ab
 
 
 def _require_same_grid(f, g):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from holderscores import (GridDensity, DomainError, StructuralError,
                           cross_moment, holder_cross_bound, integrate,
@@ -161,6 +162,67 @@ class TestQuadratureConvergence:
             fine = render_density(model, theta,
                                   points_per_axis=2 * model.quad_points - 1)
             assert abs(integrate(coarse) - integrate(fine)) < 10 * tol, kind
+
+
+def edge_sloped(pts):
+    """sin(1.3x+0.4) cos(0.7y-0.2) cos(0.5z+0.3) + 0.5x + 3, y = z = 0 where absent:
+    its slope at the box edges is far from zero, where a mirror end condition errs."""
+    x = pts[:, 0]
+    y = pts[:, 1] if pts.shape[1] > 1 else 0.0
+    z = pts[:, 2] if pts.shape[1] > 2 else 0.0
+    return np.sin(1.3 * x + 0.4) * np.cos(0.7 * y - 0.2) * np.cos(0.5 * z + 0.3) + 0.5 * x + 3
+
+
+def tensor_spline(axes, values, pts):
+    """The tensor-product not-a-knot spline through ``values`` at each row of pts,
+    one CubicSpline per axis, last axis first."""
+    out = []
+    for row in pts:
+        v = values
+        for ax, x in reversed(list(zip(axes, row))):
+            v = CubicSpline(ax, v, axis=-1)(x)
+        out.append(v)
+    return np.array(out)
+
+
+class TestCubicInterpolator:
+    LO, HI = np.array([-2.0, -1.0, -1.5]), np.array([3.0, 2.5, 1.0])
+    SHAPES = [(n,) for n in (2, 3, 4, 5, 80, 241, 2401)] \
+        + [(n, n) for n in (2, 3, 4, 5, 80, 241)] \
+        + [(n, n, n) for n in (2, 3, 4, 5)] + [(5, 80, 3), (3, 4, 241)]
+
+    def grid(self, shape):
+        d = len(shape)
+        return GridDensity.from_callable(edge_sloped, self.LO[:d], self.HI[:d], shape)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_matches_the_not_a_knot_spline(self, shape):
+        f = self.grid(shape)
+        pts = np.random.default_rng(len(shape) * 1000 + shape[0]).uniform(
+            f.domain_lo, f.domain_hi, size=(300, f.dim))
+        axes = f.axes()
+        if f.dim == 1:
+            ref = CubicSpline(axes[0], f.values)(pts[:, 0])
+        elif f.dim == 2 and min(shape) >= 4:
+            ref = RectBivariateSpline(*axes, f.values, kx=3, ky=3, s=0).ev(*pts.T)
+        else:
+            ref = tensor_spline(axes, f.values, pts)
+        got = f.interpolator("cubic")(pts)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", [(2,), (241,), (3, 80), (4, 5, 3)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_exact_at_the_nodes_and_zero_outside(self, shape):
+        f = self.grid(shape)
+        interp = f.interpolator("cubic")
+        nodes = f.points()
+        assert np.max(np.abs(interp(nodes) - f.flat.values)) <= 1e-12 * np.max(f.values)
+        width = f.domain_hi - f.domain_lo
+        for axis in range(f.dim):
+            for edge, step in ((f.domain_lo, -1e-9), (f.domain_hi, 1e-9)):
+                outside = np.array(nodes[:5])
+                outside[:, axis] = edge[axis] + step * width[axis]
+                assert np.all(interp(outside) == 0.0)
 
 
 class TestGridDensityValidation:
