@@ -10,12 +10,12 @@ value.  Where L-BFGS-B stops abnormally (a failed line search, for instance
 near a kink of a shape function), starts at +inf or meets a gradient that is
 not finite, Nelder-Mead takes over on the value alone from the best point it
 reached; Nelder-Mead alone and jittered multi-start are available too.  A
-Newton polish (on by default) builds one Hessian from central differences of
-the exact gradient and takes up to three guarded steps with it, and
-``converged`` tests the exact gradient.  The last and the best point are
-remembered, so each distinct theta costs one model evaluation.
-Population-level fits replace the sample average by quadrature against a grid
-density, which is also how Fisher consistency is verified.
+Newton polish (on by default) builds one Hessian from forward differences of
+the exact gradient (k pair evaluations for k parameters) and takes up to three
+guarded steps with it, and ``converged`` tests the exact gradient.  The last
+and the best point are remembered, so each distinct theta costs one model
+evaluation.  Population-level fits replace the sample average by quadrature
+against a grid density, which is also how Fisher consistency is verified.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ _OPTIMIZERS = ("l-bfgs-b", "nelder-mead")
 # L-BFGS-B also stops once a step lowers f by less than this relative amount,
 # a few ulps: past that the line search would only fail on rounding noise
 _LBFGSB_FTOL = 1e-15
+_POLISH_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,11 @@ class FitConfig:
     ``step_tol``; Nelder-Mead uses ``step_tol`` as its simplex size
     tolerance, and both stop after ``max_iters`` iterations, which is
     reported as non-convergence.  ``polish`` (on by default) runs up
-    to three guarded Newton steps on one Hessian from central differences of
-    the exact gradient; it is cheap and tightens smooth objectives to near
-    machine accuracy.  A fit has ``converged`` when its optimizer stopped on
-    its tolerance and the exact gradient norm is below ``grad_tol``.
+    to three guarded Newton steps on one Hessian from forward differences of
+    the exact gradient (k pair evaluations); it is cheap and tightens smooth
+    objectives to near machine accuracy.  A fit has ``converged`` when its
+    optimizer stopped on its tolerance and the exact gradient norm is below
+    ``grad_tol``.
     """
 
     init_theta: np.ndarray
@@ -107,33 +109,25 @@ class _AbnormalStop(Exception):
     """L-BFGS-B started at +inf or met a gradient that is not finite."""
 
 
-def _gradient_hessian(grad, x):
-    """Central differences of the exact gradient (2k calls, relative step
-    1e-5), symmetrized."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = 1e-5 * max(1.0, abs(x[i]))
-        cols.append((grad(x + e) - grad(x - e)) / (2.0 * e[i]))
-    hess = np.array(cols)
-    return 0.5 * (hess + hess.T)
-
-
-def _newton_polish(pair, x, fx, gx, max_steps=3):
-    """Guarded Newton steps on one gradient-difference Hessian from ``x``, of
-    value ``fx`` and gradient ``gx``; a step is kept only while the value
-    stays finite and does not rise.  Returns the last point kept, ``(x, fx, gx)``."""
-    hess = _gradient_hessian(lambda t: pair(t)[1], x)
+def _newton_polish(pair, x, fx, gx):
+    """Up to three guarded Newton steps from ``x``, of value ``fx`` and
+    gradient ``gx``, on one Hessian from forward differences of the exact
+    gradient (k calls, relative step 1e-6), symmetrized.  A step is kept only
+    while the value stays finite and rises by at most 1e-13 |fx|, its rounding
+    noise in any units.  Returns the last point kept, ``(x, fx, gx)``."""
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    hess = np.array([(pair(x + h[i] * e)[1] - gx) / h[i]
+                     for i, e in enumerate(np.eye(x.size))])
+    hess = 0.5 * (hess + hess.T)
     if not np.all(np.isfinite(hess)) or np.min(np.linalg.eigvalsh(hess)) <= 0:
         return x, fx, gx
-    for _ in range(max_steps):
+    for _ in range(_POLISH_STEPS):
         if not np.all(np.isfinite(gx)):
             break
         step = np.linalg.solve(hess, gx)
         x_new = x - step
         f_new, g_new = pair(x_new)
-        if not np.isfinite(f_new) or f_new > fx + 1e-15:
+        if not np.isfinite(f_new) or f_new - fx > 1e-13 * abs(fx):
             break
         x, fx, gx = x_new, f_new, g_new
         if np.max(np.abs(step)) < 1e-12:

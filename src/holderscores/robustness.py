@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularHessianError
-from .estimators import FitConfig, _gradient_hessian, fit
+from .estimators import FitConfig, fit
 from .grids import log_moments
 from .models import draw_sample, render_density
 from .rng import rng_for
@@ -171,7 +171,10 @@ def objective_hessian(phi, gamma, model, theta_star, quad=None):
         return score.expected_with_gradient(quad, (model, theta))[1]
 
     grad = gradient(theta_star)
-    hess = _gradient_hessian(gradient, theta_star)
+    h = 1e-5 * np.maximum(1.0, np.abs(theta_star))
+    hess = np.array([(gradient(theta_star + h[i] * e) - gradient(theta_star - h[i] * e))
+                     / (2.0 * h[i]) for i, e in enumerate(np.eye(theta_star.size))])
+    hess = 0.5 * (hess + hess.T)
     scale = max(float(np.max(np.abs(hess))), 1e-12)
     if float(np.linalg.norm(grad)) > 1e-2 * scale:
         warnings.warn("objective gradient is not negligible at theta_star; "

@@ -192,7 +192,7 @@ class TestEvaluationCount:
     final gradient check) is remembered: one call per distinct theta."""
 
     @pytest.mark.parametrize("score,distinct", [
-        (GammaScore(0.5), 26), (HolderScore(phi_kappa(0.5, 1.5)), 24), (KL(), 24)],
+        (GammaScore(0.5), 21), (HolderScore(phi_kappa(0.5, 1.5)), 19), (KL(), 19)],
         ids=["gamma", "holder", "kl"])
     def test_2d_population_fit(self, score, distinct):
         # criterion 5's gaussian-full-d case
@@ -214,7 +214,7 @@ class TestEvaluationCount:
         res = fit(HolderScore(phi), recorded, sample,
                   FitConfig(init_theta=[0.0, 1.0], step_tol=1e-7, grad_tol=1e-2))
         assert res.converged
-        assert len(thetas) == len(set(thetas)) == res.n_evals == 13
+        assert len(thetas) == len(set(thetas)) == res.n_evals == 11
 
     @pytest.mark.parametrize("optimizer,wrapper", [
         ("nelder-mead", CountingScore), ("multi-start(3)", CountingScore),
@@ -337,6 +337,21 @@ class TestOptimizer:
                   FitConfig(init_theta=[5.0, 5.0], max_iters=2))
         assert res.iterations == 2
         assert not res.converged
+
+    @pytest.mark.parametrize("score,seed", [(GammaScore(0.5), 19),
+                                            (HolderScore(phi_kappa(0.5, 1.0)), 13)],
+                             ids=["gamma", "holder"])
+    def test_polish_is_equivariant_under_a_change_of_units(self, score, seed):
+        # with an absolute slack of 1e-15 on the value, the polish rejected
+        # its Newton step on the sample in units of 0.01 (the rise was
+        # rounding noise) and kept L-BFGS-B's theta, 1e-8 off the unit fit
+        unit = fit(score, GAUSS_MS, draw_sample(GAUSS_MS, [0.0, 1.0], 2000, seed=seed),
+                   FitConfig(init_theta=[0.0, 1.0], step_tol=1e-9, grad_tol=1e-2))
+        small = fit(score, GAUSS_MS, draw_sample(GAUSS_MS, [0.0, 0.01], 2000, seed=seed),
+                    FitConfig(init_theta=[0.0, 0.01], step_tol=1e-11, grad_tol=1e-2))
+        assert unit.converged and small.converged
+        assert np.max(np.abs(small.theta_hat / 0.01 - unit.theta_hat)) \
+            < 1e-12 * np.max(np.abs(unit.theta_hat))
 
 
 class TestPopulationFit:
