@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UnsupportedFamilyError
-from .grids import GridDensity
+from .errors import ConfigError, DomainError, StructuralError, UnsupportedFamilyError
+from .grids import GridDensity, _spline_at, _spline_coefficients
 from .scores import divergence
 
 _MIN_DET = 1e-12
@@ -36,6 +36,9 @@ class AffineMap:
     def __post_init__(self):
         sig = np.atleast_2d(np.asarray(self.sigma, dtype=float))
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
+        for name, arr in (("sigma", sig), ("mu", mu)):
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"{name} must be finite")
         if sig.shape[0] != sig.shape[1]:
             raise DomainError("sigma must be square")
         if mu.size != sig.shape[0]:
@@ -98,18 +101,32 @@ def transform_density(f, amap):
     box of the mapped support, with f's node counts.  Resampling evaluates the
     not-a-knot cubic spline through the stored values at d = 1..3 (see
     :meth:`GridDensity.interpolator`) and clips the tiny negative undershoots
-    it can produce.  Mass is preserved up to interpolation error.
+    it can produce.  The map is applied in index space: the source index of
+    target node i is affine in i, and the spline is evaluated only at the
+    nodes whose source lies in f's box (a source off a face by rounding counts
+    as on it); the others are 0.  Mass is preserved up to interpolation error.
     """
+    if amap.dim != f.dim:
+        raise StructuralError(f"a {amap.dim}-dimensional map cannot move a "
+                              f"{f.dim}-dimensional density")
     corners = np.stack(np.meshgrid(*zip(f.domain_lo, f.domain_hi), indexing="ij"),
                        axis=-1).reshape(-1, f.dim)
     mapped = amap.apply(corners)
     lo, hi = mapped.min(axis=0), mapped.max(axis=0)
-    interp = f.interpolator("cubic")
-
-    def values(pts):
-        return np.clip(interp(amap.apply_inverse(pts)), 0.0, None) * abs(amap.det_sigma)
-
-    return GridDensity.from_callable(values, lo, hi, f.points_per_axis)
+    n = np.array(f.points_per_axis)
+    h = f.cell_widths()
+    # target node i has source index gain @ i + offset; f's nodes sit at 1..n
+    gain = amap.sigma * ((hi - lo) / (n - 1)) / h[:, None]
+    offset = (amap.sigma @ lo + amap.mu - f.domain_lo) / h + 1.0
+    nodes = np.ogrid[tuple(slice(0, k) for k in n)]
+    index = [sum(g * i for g, i in zip(row, nodes)) + off for row, off in zip(gain, offset)]
+    # the size of the terms each index is formed from, for the rounding slack
+    magnitude = np.abs(gain) @ (n - 1) + 1.0 \
+        + (np.abs(amap.sigma) @ np.abs(lo) + np.abs(amap.mu) + np.abs(f.domain_lo)) / h
+    values = _spline_at(_spline_coefficients(f.values), index, magnitude)
+    np.clip(values, 0.0, None, out=values)
+    values *= abs(amap.det_sigma)
+    return GridDensity(lo, hi, values)
 
 
 def scale_function(gamma, amap):
@@ -160,7 +177,7 @@ def fit_scale_exponent(score, p, q, maps):
     xs, ys, per_map = [], [], []
     for amap in maps:
         logdet = np.log(abs(amap.det_sigma))
-        if abs(logdet) < 1e-6:
+        if abs(logdet) < 1e-6 and amap.dim == p.dim:
             continue  # |det| = 1 carries no information about the exponent
         p_a = transform_density(p, amap)
         q_a = transform_density(q, amap)

@@ -11,7 +11,6 @@ Grids are immutable after construction.  Operations return new objects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import NamedTuple
@@ -194,28 +193,24 @@ class GridDensity:
         """Interpolant over the box, zero outside; callable on (N, d) points.
 
         ``cubic`` is the not-a-knot cubic spline through the nodes (node-exact,
-        O(h^4) error) at d = 1..3, as a uniform cubic B-spline: its coefficients
-        come from one banded solve per axis (:func:`_not_a_knot_band`) and
-        ``scipy.ndimage.map_coordinates`` evaluates it.
+        O(h^4) error) at d = 1..3, as a uniform cubic B-spline: its
+        coefficients come from one tridiagonal solve per axis
+        (:func:`_spline_coefficients`) and :func:`_spline_at` evaluates it at
+        the points inside the box only.  A point off the box by no more than
+        the rounding of its coordinates counts as on the face.
         """
         if method != "cubic":
             return RegularGridInterpolator(self.axes(), self.values, method="linear",
                                            bounds_error=False, fill_value=0.0)
-        from scipy import ndimage  # imported here: only resampling needs it
-        coeffs = self.values
-        for axis, n in enumerate(self.points_per_axis):
-            v = np.moveaxis(coeffs, axis, 0)
-            rhs = np.zeros((n + 2, v[0].size))
-            rhs[1:-1] = 6.0 * v.reshape(n, -1)
-            c = solve_banded((4, 4), _not_a_knot_band(n), rhs, check_finite=False)
-            coeffs = np.moveaxis(c.reshape(n + 2, *v.shape[1:]), 0, axis)
-        lo, hi, h = self.domain_lo, self.domain_hi, self.cell_widths()
+        coeffs = _spline_coefficients(self.values)
+        lo, h = self.domain_lo, self.cell_widths()
+        # index 1 + (x - lo) / h is formed from numbers of size |x| / h
+        magnitude = np.maximum(np.abs(lo), np.abs(self.domain_hi)) / h \
+            + np.array(self.points_per_axis)
 
         def evaluate(pts):
-            pts = np.asarray(pts, dtype=float)
-            out = ndimage.map_coordinates(coeffs, ((pts - lo) / h + 1.0).T, order=3,
-                                          mode="mirror", prefilter=False)
-            return np.where(np.all((pts >= lo) & (pts <= hi), axis=1), out, 0.0)
+            index = ((np.asarray(pts, dtype=float) - lo) / h + 1.0).T
+            return _spline_at(coeffs, index, magnitude)
         return evaluate
 
     def evaluate(self, points):
@@ -226,21 +221,69 @@ class GridDensity:
         return self.interpolator()(pts)
 
 
-def _not_a_knot_band(n):
-    """The system for the coefficients c_-1..c_n of the uniform cubic B-spline
-    that is the not-a-knot spline through n nodes, banded for ``solve_banded``.
+def _spline_coefficients(values):
+    """The uniform cubic B-spline coefficients, n_k + 2 along each axis, of
+    the not-a-knot spline through the tensor grid ``values``.
 
-    Rows 1..n interpolate, c_i-1 + 4 c_i + c_i+1 = 6 v_i.  The first and last
-    rows set the jump in the third derivative at the second node from each end
-    to zero, a fourth difference of c; below 4 nodes, where the spline is the
-    line or parabola through them, an n-th difference.
+    Along an axis, c_i-1 + 4 c_i + c_i+1 = 6 v_i at every node i.  Not-a-knot
+    makes the first two cells one cubic, whose second difference is exact:
+    c_1 = v_1 - (v_0 - 2 v_1 + v_2) / 6, and likewise at the far end.  That
+    leaves one tridiagonal solve for c_1..c_n-2; the node equations then give
+    c_0, c_-1 and their mirror images.  Below 4 nodes the spline is the line
+    or parabola through them, and c_i = v_i - v''/6.
     """
-    q = min(n, 4)
-    ab = np.zeros((9, n + 2))
-    ab[5, :n], ab[4, 1:-1], ab[3, 2:] = 1.0, 4.0, 1.0
-    for k in range(q + 1):
-        ab[4 - k, k] = ab[4 + q - k, n + 1 - q + k] = (-1) ** k * math.comb(q, k)
-    return ab
+    coeffs = values
+    for axis, n in enumerate(values.shape):
+        v = np.moveaxis(coeffs, axis, 0)
+        c = np.empty((n + 2,) + v.shape[1:])
+        if n < 4:
+            c[1:-1] = v - (v[0] - 2.0 * v[1] + v[2]) / 6.0 if n == 3 else v
+        else:
+            rhs = 6.0 * v[1:-1]
+            rhs[0] = 8.0 * v[1] - v[0] - v[2]
+            rhs[-1] = 8.0 * v[-2] - v[-3] - v[-1]
+            band = np.ones((3, n - 2))
+            band[1] = 4.0
+            band[1, [0, -1]] = 6.0
+            band[0, 1] = band[2, -2] = 0.0
+            c[2:-2] = solve_banded((1, 1), band, rhs.reshape(n - 2, -1),
+                                   check_finite=False).reshape(rhs.shape)
+            c[1] = 6.0 * v[1] - 4.0 * c[2] - c[3]
+            c[-2] = 6.0 * v[-2] - 4.0 * c[-3] - c[-4]
+        c[0] = 6.0 * v[0] - 4.0 * c[1] - c[2]
+        c[-1] = 6.0 * v[-1] - 4.0 * c[-2] - c[-3]
+        coeffs = np.moveaxis(c, 0, axis)
+    return coeffs
+
+
+# indices past a face by at most this many units in the last place of the
+# numbers they were formed from are rounding, and count as on the face
+_ROUNDING_ULPS = 8.0
+
+
+def _spline_at(coeffs, index, magnitude):
+    """The B-spline with coefficients ``coeffs`` at fractional node indices.
+
+    ``index`` holds one array per axis, broadcastable together; on axis k
+    the box's nodes sit at indices 1..n_k.  An index outside [1, n_k] by no
+    more than ``_ROUNDING_ULPS`` units in the last place of ``magnitude[k]``,
+    the size of the numbers it was formed from, is moved onto the face;
+    further out the value is 0.  Only the nodes inside are evaluated.
+    """
+    from scipy import ndimage  # imported here: only resampling needs it
+    shape = np.broadcast_shapes(*(np.shape(s) for s in index))
+    slack = _ROUNDING_ULPS * np.finfo(float).eps * magnitude
+    bounds = [(1.0, n - 2.0) for n in coeffs.shape]
+    inside = np.ones(shape, dtype=bool)
+    for s, (first, last), tol in zip(index, bounds, slack):
+        inside &= (s >= first - tol) & (s <= last + tol)
+    coords = np.empty((len(bounds), np.count_nonzero(inside)))
+    for row, s, (first, last) in zip(coords, index, bounds):
+        np.clip(np.broadcast_to(s, shape)[inside], first, last, out=row)
+    out = np.zeros(shape)
+    out[inside] = ndimage.map_coordinates(coeffs, coords, order=3, mode="mirror",
+                                          prefilter=False)
+    return out
 
 
 def _require_same_grid(f, g):

@@ -3,7 +3,7 @@ import pytest
 
 from holderscores import (AffineMap, DomainError, FitConfig, GammaScore,
                           GridDensity, HolderScore, KL, Pseudospherical,
-                          BregmanHolder, UnsupportedFamilyError, divergence,
+                          BregmanHolder, StructuralError, UnsupportedFamilyError, divergence,
                           draw_sample, fit_scale_exponent, integrate,
                           make_parametric, phi_kappa,
                           render_density, scale_function, transform_density,
@@ -54,6 +54,15 @@ class TestAffineMap:
         amap = AffineMap.from_config("sigma=2,0,0,3; mu=1,1")
         assert amap.det_sigma == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("sigma, mu, name", [
+        ([[np.nan]], [0.0], "sigma"), ([[np.inf]], [0.0], "sigma"),
+        ([[1.0, np.nan], [0.0, 1.0]], [0.0, 0.0], "sigma"), ([[2.0]], [np.nan], "mu"),
+        ([[2.0, 0.0], [0.0, 1.0]], [0.0, -np.inf], "mu"),
+    ])
+    def test_non_finite_rejected(self, sigma, mu, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            AffineMap(sigma=np.array(sigma), mu=np.array(mu))
+
 
 class TestTransformDensity:
     def test_identity_map(self):
@@ -78,6 +87,67 @@ class TestTransformDensity:
         q = transform_density(p, amap)
         assert integrate(q) == pytest.approx(1.0, abs=1e-6)
         assert q.values.max() == pytest.approx(6.0 / (2 * np.pi), rel=1e-4)
+
+    # maps of d = 1..3 with a reflection (det < 0) and a shear among them
+    MAPS = [
+        AffineMap(sigma=np.array([[-1.3]]), mu=np.array([0.4])),
+        AffineMap(sigma=np.array([[1.1, 0.6], [0.0, -0.8]]), mu=np.array([0.3, -0.5])),
+        AffineMap(sigma=np.array([[0.9, -0.4], [0.3, 1.2]]), mu=np.array([-0.2, 0.1])),
+        AffineMap(sigma=np.array([[1.3, 0.4, -0.2], [0.1, -0.8, 0.3], [-0.3, 0.2, 1.1]]),
+                  mu=np.array([0.3, -0.5, 0.2])),
+    ]
+
+    @pytest.mark.parametrize("amap", MAPS, ids=["1d-reflection", "2d-shear-reflection",
+                                                "2d-general", "3d-reflection"])
+    def test_matches_the_interpolant_at_the_mapped_nodes(self, amap):
+        d = amap.dim
+        f = GridDensity.from_callable(
+            lambda x: np.exp(-0.5 * np.sum((x - 0.3) ** 2, axis=1)) * (1.2 + np.sin(2 * x[:, 0])),
+            [-4.0] * d, [3.5] * d, {1: 301, 2: 61, 3: 17}[d])
+        q = transform_density(f, amap)
+        source = amap.apply_inverse(q.points())
+        ref = np.clip(f.interpolator("cubic")(source), 0.0, None) * abs(amap.det_sigma)
+        # distance of each source inside f's box, in cells; negative outside
+        depth = np.min(np.minimum(source - f.domain_lo, f.domain_hi - source)
+                       / f.cell_widths(), axis=1)
+        got = q.values.ravel()
+        inside, outside = depth >= 1e-6, depth <= -1e-6
+        assert np.count_nonzero(inside) > 0.2 * got.size
+        assert outside.any() == (d > 1)  # a 1-d map sends the box onto the box
+        assert np.max(np.abs(got[inside] - ref[inside])) <= 1e-12 * np.max(ref)
+        assert np.all(got[outside] == 0.0) and np.all(ref[outside] == 0.0)
+
+    @pytest.mark.parametrize("d, n", [(1, 1201), (2, 81), (3, 21)])
+    def test_keeps_the_face_nodes_of_axis_aligned_maps(self, d, n):
+        # every target node's source lies in the closed box, so a strictly
+        # positive density stays positive everywhere; a mapped corner that
+        # rounds one ulp outside the box must not zero a whole face
+        f = GridDensity.from_callable(lambda x: 4.0 + np.sum(np.sin(x), axis=1),
+                                      [-1.3] * d, [2.1] * d, n)
+        for k, scale in enumerate(np.geomspace(0.23, 3.7, 9)):
+            signs = (-1.0) ** (k + np.arange(d))
+            for shift in (-0.7, 0.0, 1.9):
+                amap = AffineMap(sigma=np.diag(scale * signs * (1 + 0.1 * np.arange(d))),
+                                 mu=shift + 0.3 * np.arange(d))
+                q = transform_density(f, amap)
+                assert np.all(q.values > 0), (scale, shift)
+
+    def test_dimension_mismatch_is_structural(self):
+        p = gauss2_grid([0.0, 0.0], [1.0, 1.0], n=41)
+        for amap in (AffineMap(sigma=np.array([[2.0]]), mu=np.array([0.0])),
+                     AffineMap(sigma=np.eye(3), mu=np.zeros(3))):
+            with pytest.raises(StructuralError, match=f"{amap.dim}-dimensional map .* "
+                                                      f"2-dimensional density"):
+                transform_density(p, amap)
+            with pytest.raises(StructuralError):
+                verify_invariance(HolderScore(phi_kappa(0.5, 1.0)), p, p, amap)
+        q = gauss2_grid([0.5, 0.0], [1.0, 1.2], n=41)
+        # a map with |det sigma| = 1 carries no exponent but still has to fit
+        for sigma in (2.0, -1.0):
+            with pytest.raises(StructuralError):
+                fit_scale_exponent(GammaScore(0.5), p, q,
+                                   [AffineMap(sigma=np.array([[sigma]]), mu=np.array([0.0])),
+                                    AffineMap(sigma=np.diag([2.0, 1.0]), mu=np.zeros(2))])
 
     def test_round_trip_through_inverse(self):
         p = gauss_grid(0.5, 1.2)

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,15 @@ class TestInvarianceCommand:
         residuals = [float(l.split(",")[-1]) for l in lines[1:]]
         assert max(residuals) < 1e-5
         assert (out / "report.txt").read_text().splitlines()[0] == "PASS"
+
+    @pytest.mark.parametrize("setting, name", [("sigma=nan", "sigma"), ("sigma=inf", "sigma"),
+                                               ("mu=nan", "mu")])
+    def test_non_finite_map_exits_2_without_a_warning(self, tmp_path, capsys, setting, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, "invariance", "nan", "family=kl", setting)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {name} must be finite\n"
 
 
 class TestInfluenceCommand:
