@@ -112,12 +112,13 @@ class _AbnormalStop(Exception):
 def _newton_polish(pair, x, fx, gx):
     """Up to three guarded Newton steps from ``x``, of value ``fx`` and
     gradient ``gx``, on one Hessian from forward differences of the exact
-    gradient (k calls, relative step 1e-6), symmetrized.  A step is kept only
-    while the value stays finite and rises by at most 1e-13 |fx|, its rounding
-    noise in any units.  Returns the last point kept, ``(x, fx, gx)``."""
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    hess = np.array([(pair(x + h[i] * e)[1] - gx) / h[i]
-                     for i, e in enumerate(np.eye(x.size))])
+    gradient (k calls), symmetrized.  Every difference step is
+    1e-6 max_j |x_j| (1e-6 at x = 0), with no absolute floor, so a change of
+    units scales it with x.  A step is kept only while the value stays finite
+    and rises by at most 1e-13 |fx|, its rounding noise in any units.
+    Returns the last point kept, ``(x, fx, gx)``."""
+    h = 1e-6 * (float(np.max(np.abs(x))) or 1.0)
+    hess = np.array([(pair(x + h * e)[1] - gx) / h for e in np.eye(x.size)])
     hess = 0.5 * (hess + hess.T)
     if not np.all(np.isfinite(hess)) or np.min(np.linalg.eigvalsh(hess)) <= 0:
         return x, fx, gx

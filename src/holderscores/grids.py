@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -67,12 +66,24 @@ def _tensor_nodes(axes):
     return nodes
 
 
-class FlatGrid(NamedTuple):
-    """A grid's quadrature as flat arrays: ``<h> = sum(weights * h(nodes))``."""
+class FlatGrid:
+    """A grid's quadrature as flat arrays: ``<h> = sum(weights * h(nodes))``.
 
-    nodes: np.ndarray      # (N, d), Fortran order
-    weights: np.ndarray    # (N,)
-    values: np.ndarray     # (N,)
+    ``weights`` and ``values`` are (N,) views of the grid's arrays.  The
+    (N, d) Fortran-ordered ``nodes`` are laid out on first read only: sums
+    over data and grid targets need no positions.
+    """
+
+    def __init__(self, axes, weights, values):
+        self._axes = axes
+        self.weights = weights
+        self.values = values
+
+    @cached_property
+    def nodes(self):
+        nodes = _tensor_nodes(self._axes)
+        nodes.setflags(write=False)
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -147,15 +158,43 @@ class GridDensity:
         return (self.domain_hi - self.domain_lo) / (np.array(self.points_per_axis) - 1)
 
     @cached_property
+    def midpoint(self):
+        """Centre of the box, the origin of :attr:`monomials`; read-only."""
+        mid = (self.domain_lo + self.domain_hi) / 2.0
+        mid.setflags(write=False)
+        return mid
+
+    @cached_property
     def flat(self):
-        """Nodes, weights and values as a read-only :class:`FlatGrid`.
+        """Weights, values and (laid out on first read) nodes as a read-only
+        :class:`FlatGrid`.
 
         Built on first use and cached, so a fit against a fixed data grid
         lays out its nodes once.
         """
-        nodes = _tensor_nodes(self.axes())
-        nodes.setflags(write=False)
-        return FlatGrid(nodes, self.weights.ravel(), self.values.ravel())
+        return FlatGrid(self.axes(), self.weights.ravel(), self.values.ravel())
+
+    @cached_property
+    def monomials(self):
+        """The quadratic monomials q(u) of u = x - midpoint at every node, as
+        read-only (r, N) rows in row-major grid order: 1, u_1..u_d, then
+        u_i u_j for i >= j in row-major lower-triangle order (r = 3 at d = 1,
+        6 at d = 2, 10 at d = 3).
+
+        Built on first use and cached: a log-density that is quadratic in x
+        is then one product ``eta @ monomials``.
+        """
+        d, shape = self.dim, self.points_per_axis
+        rows, cols = np.tril_indices(d)
+        out = np.empty((1 + d + rows.size,) + shape)
+        out[0] = 1.0
+        for i, (ax, c) in enumerate(zip(self.axes(), self.midpoint)):
+            out[1 + i] = (ax - c).reshape([-1 if a == i else 1 for a in range(d)])
+        for r, (i, j) in enumerate(zip(rows, cols), start=1 + d):
+            np.multiply(out[1 + i], out[1 + j], out=out[r])
+        out = out.reshape(out.shape[0], -1)
+        out.setflags(write=False)
+        return out
 
     def points(self):
         """All grid nodes as a read-only (N, d) array in row-major grid order."""
@@ -230,10 +269,11 @@ def _spline_coefficients(values):
     c_1 = v_1 - (v_0 - 2 v_1 + v_2) / 6, and likewise at the far end.  That
     leaves one tridiagonal solve for c_1..c_n-2; the node equations then give
     c_0, c_-1 and their mirror images.  Below 4 nodes the spline is the line
-    or parabola through them, and c_i = v_i - v''/6.
+    or parabola through them, and c_i = v_i - v''/6.  The axes are solved
+    last to first, so the result, built along axis 0 last, is C-contiguous.
     """
     coeffs = values
-    for axis, n in enumerate(values.shape):
+    for axis, n in reversed(list(enumerate(values.shape))):
         v = np.moveaxis(coeffs, axis, 0)
         c = np.empty((n + 2,) + v.shape[1:])
         if n < 4:
@@ -340,10 +380,11 @@ def _power_sum(weights, log_g, a, out=None):
 def log_moments(f, log_g, gamma, columns=None):
     """``(<f g^gamma>, <g^(1+gamma)>)`` from ``log g`` at the nodes of f.
 
-    ``log_g`` holds log g at ``f.flat.nodes``; -inf marks g = 0.  No
-    candidate grid is built.  With ``columns`` (k, N), such as the model score
-    s there, the (2, k) array ``(<f g^gamma s>, <g^(1+gamma) s>)`` follows,
-    one matrix product over the same two weighted rows.
+    ``log_g`` holds log g at the nodes of f in row-major grid order; -inf
+    marks g = 0.  No candidate grid is built.  With ``columns`` (k, N), such
+    as the model score s there or the grid's ``monomials``, the (2, k) array
+    ``(<f g^gamma s>, <g^(1+gamma) s>)`` follows, one matrix product over the
+    same two weighted rows.
     """
     view = f.flat
     t = np.empty((2, log_g.size))

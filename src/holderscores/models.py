@@ -10,7 +10,8 @@ fixed.  Each family is named by its ``make_parametric`` kind and carries an
 analytic score function (gradient of the log-density in the parameter), a
 seeded sampler and a quadrature box wide enough that truncated mass is
 negligible against the integration tolerance; all but the mixture also carry
-their power integral <g^a> in closed form.
+their power integral <g^a> in closed form, and the Gaussians their
+log-density as a quadratic polynomial in x (``log_quadratic``).
 """
 
 from __future__ import annotations
@@ -64,6 +65,17 @@ class ParametricModel:
     density : callable(theta, x) -> (n,), optional
         ``exp(log_density)``, derived on construction unless given; only
         :func:`render_density` calls it.
+    log_quadratic : callable(theta, center) -> (eta, jac), optional
+        For a family whose log-density is a quadratic polynomial in x (the
+        Gaussians): with u = x - center and the monomials
+        q(u) = [1, u_1..u_d, u_i u_j (i >= j, row-major lower triangle)],
+        ``log_density(theta, x) = eta @ q(u)`` and ``score(theta, x) =
+        jac @ q(u)``, jac = d eta / dtheta of shape (param_dim, len(q)).
+        Population moments on a grid then need only the grid's cached
+        monomials (:attr:`GridDensity.monomials`), no whitening and no
+        per-node score.  None where log p is no such polynomial, e.g. -inf
+        off a support; dropped by ``replace(model, log_density=...)`` unless
+        replaced with it.
     """
 
     name: str
@@ -79,6 +91,7 @@ class ParametricModel:
     power_moment: Optional[Callable] = None
     quad_points: int = 2001
     density: Optional[Callable] = None
+    log_quadratic: Optional[Callable] = None
 
     def __post_init__(self):
         # derived afresh, so replace(model, log_density=...) keeps the two in step
@@ -89,6 +102,10 @@ class ParametricModel:
                 return np.exp(log_density(theta, x))
             density.derived = True
             object.__setattr__(self, "density", density)
+        # a factory's polynomial names the log_density it expands, and a
+        # replaced log_density leaves it behind
+        if getattr(self.log_quadratic, "expands", self.log_density) is not self.log_density:
+            object.__setattr__(self, "log_quadratic", None)
 
 
 @dataclass(frozen=True)
@@ -232,6 +249,43 @@ def _gaussian_full(dim=2):
                 g_chol -= 1.0 / diag[i]
         return out
 
+    # the monomials u_i u_j, i >= j, weigh P_ij twice in u^T P u unless i = j
+    half = np.where(rows == cols, 0.5, 1.0)
+
+    def log_quadratic(theta, center):
+        # with mt = m - center, B = L^-1 and P = B^T B: log p = eta @ q(u),
+        # eta = [-mt^T P mt / 2 - d/2 log 2pi - log det L, P mt, -P_ij half_ij];
+        # the mean rows of jac are [-P mt, P, 0], and d log p / d L_ab =
+        # z^T K z - B_ba with z = u - mt and K = outer(P[a], B[b])
+        m, chol, diag = unpack(theta)
+        mt = np.array(m) - center
+        if d == 1:
+            # in scalars: small-array calls would cost more than a
+            # 2,001-node pair saves
+            s, mt = diag[0], float(mt[0])
+            b = 1.0 / s
+            p = b * b
+            pm, kk = p * mt, p * b
+            return (np.array([-0.5 * mt * pm - 0.5 * _LOG_2PI - math.log(s), pm, -0.5 * p]),
+                    np.array([[-pm, p, 0.0], [kk * mt * mt - b, -2.0 * kk * mt, kk]]))
+        L = np.zeros((d, d))
+        L[rows, cols] = chol
+        B = np.linalg.inv(L)
+        P = B.T @ B
+        pm = P @ mt
+        eta = np.concatenate([[-0.5 * (mt @ pm) - (0.5 * d * _LOG_2PI + log_det(diag))],
+                              pm, -half * P[rows, cols]])
+        K = P[rows][:, :, None] * B[cols][:, None, :]
+        S = K + K.transpose(0, 2, 1)
+        jac = np.zeros((k, eta.size))
+        jac[:d, 0] = -pm
+        jac[:d, 1:d + 1] = P
+        jac[d:, 0] = K @ mt @ mt - B[cols, rows]
+        jac[d:, 1:d + 1] = -(S @ mt)
+        jac[d:, d + 1:] = half * S[:, rows, cols]
+        return eta, jac
+    log_quadratic.expands = logpdf
+
     def power(theta, a):
         _, _, diag = unpack(theta)
         p = _gaussian_power(d, log_det(diag), a)
@@ -270,6 +324,7 @@ def _gaussian_full(dim=2):
         push_params=push,
         power_moment=power,
         quad_points=257 if d == 2 else (2001 if d == 1 else 81),
+        log_quadratic=log_quadratic,
     )
 
 
@@ -289,6 +344,14 @@ def _gaussian_mean(scale=1.0):
     def full(theta):
         return [float(_theta(theta, 1, "gaussian-mean")[0]), s]
 
+    def log_density(theta, x):
+        return base.log_density(full(theta), x)
+
+    def log_quadratic(theta, center):
+        eta, jac = base.log_quadratic(full(theta), center)
+        return eta, jac[:1]
+    log_quadratic.expands = log_density
+
     def push(theta, sigma, mu):
         # a map with |sigma| != 1 rescales the data, and the fixed scale with it
         if abs(float(np.ravel(sigma)[0])) != 1.0:
@@ -298,7 +361,8 @@ def _gaussian_mean(scale=1.0):
 
     return replace(
         base, name="gaussian-mean", param_dim=1, theta_names=("mean",),
-        log_density=lambda th, x: base.log_density(full(th), x),
+        log_density=log_density,
+        log_quadratic=log_quadratic,
         score=lambda th, x: base.score(full(th), x)[:, :1],
         sampler=lambda th, n, rng: base.sampler(full(th), n, rng),
         support=lambda th: base.support(full(th)),

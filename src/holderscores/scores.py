@@ -34,8 +34,12 @@ through the model score s = d log g / dtheta,
 
 (KL: ``-<f s> + <g s>``).  A moment and its gradient share their weighted
 terms, so ``expected_with_gradient`` and ``empirical_with_gradient`` return
-both from one ``log_density`` and one ``score`` call, the value bit-identical
-to that of ``expected`` and ``empirical``, which evaluate no score.
+both from one model evaluation, the value bit-identical to that of
+``expected`` and ``empirical``.  On a data grid, a model with
+``log_quadratic`` (every Gaussian) is that evaluation: log g = eta @ q and
+s = jac @ q in the grid's cached monomials q, so <h s> = jac @ <h q> for
+either weighting h and no per-node score is formed.  Other models, and
+empirical forms, take one ``log_density`` and one ``score`` call.
 """
 
 from __future__ import annotations
@@ -235,8 +239,9 @@ class CompositeScore:
 
     def expected_with_gradient(self, f, g):
         """``(expected(f, g), its theta-gradient)`` for a ``(model, theta)`` target."""
-        log_g, s = _log_and_score(g, f.flat.nodes)
-        cross, g_power, (d_cross, d_power) = log_moments(f, log_g, self.gamma, columns=s)
+        log_g, rows, lift = _log_and_gradient_rows(f, g)
+        cross, g_power, sums = log_moments(f, log_g, self.gamma, columns=rows)
+        d_cross, d_power = lift((cross, g_power), sums)
         a, b = self._partials(cross, _positive_power(g_power, 1.0 + self.gamma))
         return self._combine(cross, g_power), \
             a * self.gamma * d_cross + b * (1.0 + self.gamma) * d_power
@@ -275,11 +280,11 @@ class KL(CompositeScore):
 
     def expected_with_gradient(self, f, g):
         view = f.flat
-        log_g, s = _log_and_score(g, view.nodes)
+        log_g, rows, lift = _log_and_gradient_rows(f, g)
         t = np.empty((2, log_g.size))
         np.multiply(view.values, view.weights, out=t[0])
         power = float(_power_sum(view.weights, log_g, 1.0, out=t[1]))
-        d_cross, d_power = t @ s.T
+        d_cross, d_power = lift((float(np.sum(t[0])), power), t @ rows.T)
         return _kl_cross(t[0], view.values, log_g) + power, d_power - d_cross
 
     def empirical_with_gradient(self, sample, g):
@@ -299,13 +304,38 @@ def _kl_cross(fw, values, log_g):
 def _log_target_at_nodes(f, g):
     """log g at the nodes of the data grid f; -inf where g vanishes.
 
-    ``g`` is a grid density on f's grid or a ``(model, theta)`` pair.
+    ``g`` is a grid density on f's grid or a ``(model, theta)`` pair; a model
+    with ``log_quadratic`` is one product with f's cached monomials.
     """
     if isinstance(g, GridDensity):
         _require_same_grid(f, g)
         with np.errstate(divide="ignore"):
             return np.log(g.flat.values)
-    return _log_target_at(g, f.flat.nodes)
+    model, theta = g
+    if model.log_quadratic is None:
+        return _log_target_at(g, f.flat.nodes)
+    return _log_and_gradient_rows(f, g)[0]
+
+
+def _log_and_gradient_rows(f, g):
+    """``(log g, rows, lift)`` at the nodes of the data grid f for a
+    ``(model, theta)`` target.  For node weights h, ``lift(totals, sums)``
+    maps the totals <h> and the sums <h rows> of two such weightings, shapes
+    (2,) and (2, r), to their theta-gradients <h d log g / dtheta>, (2, k).
+
+    A model with ``log_quadratic`` gives f's cached non-constant monomials as
+    rows and lifts through its Jacobian; any other gives its score columns,
+    which need no lift.
+    """
+    if isinstance(g, GridDensity):
+        raise StructuralError("theta-gradients need a (model, theta) target")
+    model, theta = g
+    if model.log_quadratic is None:
+        log_g, s = _log_and_score(g, f.flat.nodes)
+        return log_g, s, lambda totals, sums: sums
+    eta, jac = model.log_quadratic(np.asarray(theta, dtype=float), f.midpoint)
+    return (eta @ f.monomials, f.monomials[1:],
+            lambda totals, sums: np.outer(totals, jac[:, 0]) + sums @ jac[:, 1:].T)
 
 
 def _model_box(model, theta):

@@ -177,13 +177,19 @@ class NanGradient(CountingScore):
 
 
 def recording_log_density(model):
-    """``model`` with a log_density that records the theta of every call."""
+    """``model`` with a log_density and a log_quadratic (where it has one)
+    that record the theta of every call."""
     thetas = []
 
     def log_density(theta, x):
         thetas.append(np.array(theta, dtype=float).tobytes())
         return model.log_density(theta, x)
-    return replace(model, log_density=log_density), thetas
+
+    def log_quadratic(theta, center):
+        thetas.append(np.array(theta, dtype=float).tobytes())
+        return model.log_quadratic(theta, center)
+    return replace(model, log_density=log_density,
+                   log_quadratic=log_quadratic if model.log_quadratic else None), thetas
 
 
 class TestEvaluationCount:
@@ -352,6 +358,26 @@ class TestOptimizer:
         assert unit.converged and small.converged
         assert np.max(np.abs(small.theta_hat / 0.01 - unit.theta_hat)) \
             < 1e-12 * np.max(np.abs(unit.theta_hat))
+
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-7])
+    def test_polish_steps_scale_with_the_parameters(self, scale):
+        # a difference step with an absolute floor of 1e-6 is larger than
+        # the parameters themselves at scale 1e-7, and the polish then
+        # left theta 3e-9 (relative) off the unit-scale fit
+        worst = 0.0
+        for seed in range(3):
+            sample = draw_sample(GAUSS_MS, [0.0, 1.0], 2000, seed=seed)
+            for score in (GammaScore(0.5), HolderScore(phi_kappa(0.5, 1.0))):
+                unit = fit(score, GAUSS_MS, sample,
+                           FitConfig(init_theta=[0.0, 1.0], step_tol=1e-9, grad_tol=1e-2))
+                small = fit(score, GAUSS_MS, Sample(points=scale * sample.points),
+                            FitConfig(init_theta=[0.0, scale], step_tol=1e-9 * scale,
+                                      grad_tol=1e-2))
+                assert unit.converged and small.converged
+                worst = max(worst, np.max(np.abs(small.theta_hat / scale - unit.theta_hat))
+                            / np.max(np.abs(unit.theta_hat)))
+        assert worst < 1e-12
 
 
 class TestPopulationFit:

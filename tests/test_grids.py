@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-from holderscores import (GridDensity, DomainError, StructuralError,
-                          cross_moment, holder_cross_bound, integrate,
+from holderscores import (GridDensity, DomainError, KL, StructuralError,
+                          cross_moment, divergence, holder_cross_bound, integrate,
                           l1_distance, power_moment, read_grid, write_grid)
+from holderscores import grids
 
 
 def gaussian_1d(mean=0.0, scale=1.0, lo=-8.0, hi=8.0, n=2001):
@@ -57,6 +58,36 @@ class TestFlatView:
         assert view.values[k] == vals[5, 7]
         assert view.weights[k] == f.weights[5, 7]
         assert np.sum(view.weights * view.values) == pytest.approx(integrate(f), rel=1e-14)
+
+
+    def test_nodes_laid_out_only_when_read(self, monkeypatch):
+        # a grid-against-grid divergence needs weights and values only
+        f = gaussian_1d(n=401)
+        g = gaussian_1d(mean=0.3, n=401)
+        laid_out = []
+        monkeypatch.setattr(grids, "_tensor_nodes",
+                            lambda axes: laid_out.append(axes) or _tensor_nodes(axes))
+        divergence(KL(), f, g)
+        assert laid_out == []
+        f.points()
+        assert len(laid_out) == 1
+
+    @pytest.mark.parametrize("shape", [(7,), (6, 5), (4, 3, 5)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_monomials_about_the_midpoint(self, shape):
+        d = len(shape)
+        f = GridDensity(np.arange(d) - 1.5, np.arange(d) + 2.0,
+                        np.ones(shape))
+        u = f.points() - f.midpoint
+        rows, cols = np.tril_indices(d)
+        ref = np.vstack([np.ones(len(u))] + [u[:, i] for i in range(d)]
+                        + [u[:, i] * u[:, j] for i, j in zip(rows, cols)])
+        assert np.array_equal(f.monomials, ref)
+        assert f.monomials is f.monomials
+        assert f.monomials.flags.c_contiguous and not f.monomials.flags.writeable
+
+
+_tensor_nodes = grids._tensor_nodes
 
 
 class TestPowerMoment:
@@ -209,6 +240,14 @@ class TestCubicInterpolator:
             ref = tensor_spline(axes, f.values, pts)
         got = f.interpolator("cubic")(pts)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", [(241,), (3, 80), (4, 5, 3)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_coefficients_are_c_contiguous(self, shape):
+        # map_coordinates reads a strided array ~10% slower
+        coeffs = grids._spline_coefficients(self.grid(shape).values)
+        assert coeffs.shape == tuple(n + 2 for n in shape)
+        assert coeffs.flags.c_contiguous
 
     @pytest.mark.parametrize("shape", [(2,), (241,), (3, 80), (4, 5, 3)],
                              ids=lambda s: "x".join(map(str, s)))

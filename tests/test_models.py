@@ -396,3 +396,48 @@ def test_bad_cholesky_factor_raises(kind, hyper):
 def test_gaussian_mean_rejects_a_bad_fixed_scale(scale):
     with pytest.raises(ConfigError):
         make_parametric("gaussian-mean", scale=scale)
+
+
+# the Gaussians' log_quadratic against their whitened log_density and score:
+# (kind, hyper-parameters, theta at unit scale about the origin)
+QUADRATIC_KINDS = [
+    ("gaussian-full-d", {"dim": 1}, [0.3, 1.2]),
+    ("gaussian-full-d", {"dim": 2}, [0.2, -0.1, 1.1, 0.3, 0.8]),
+    ("gaussian-full-d", {"dim": 3}, [0.2, -0.1, 0.3, 1.1, 0.3, 0.8, -0.2, 0.1, 0.9]),
+    ("gaussian-mean-scale", {}, [0.3, 1.2]),
+    ("gaussian-mean", {}, [0.3]),
+]
+
+
+@pytest.mark.parametrize("kind,hyper,theta", QUADRATIC_KINDS,
+                         ids=["full-1", "full-2", "full-3", "mean-scale", "mean"])
+@pytest.mark.parametrize("loc", [0.0, 1e4])
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e2])
+def test_log_quadratic_expands_log_density_and_score(kind, hyper, theta, loc, scale):
+    # data grid of theta mapped to x -> loc + scale x, candidate a third of
+    # a scale off in the mean and 5% wider
+    if kind == "gaussian-mean":
+        hyper = {"scale": 1.2 * scale}
+    model = make_parametric(kind, **hyper)
+    d = model.dim
+    theta = np.asarray(theta, dtype=float)
+    data = np.concatenate([loc + scale * theta[:d], scale * theta[d:]])
+    cand = np.concatenate([data[:d] + scale / 3.0, 1.05 * data[d:]])
+    f = render_density(model, data, points_per_axis=(201, 61, 21)[d - 1])
+    eta, jac = model.log_quadratic(cand, f.midpoint)
+    assert jac.shape == (model.param_dim, f.monomials.shape[0])
+    nodes = f.points()
+    assert np.max(np.abs(eta @ f.monomials - model.log_density(cand, nodes))) <= 1e-13
+    score = model.score(cand, nodes)
+    assert np.all(np.max(np.abs((jac @ f.monomials).T - score), axis=0)
+                  <= 1e-12 * np.max(np.abs(score), axis=0))
+
+
+def test_log_quadratic_only_where_log_density_is_a_polynomial():
+    assert make_parametric("gaussian-mixture-fixed-weights").log_quadratic is None
+    assert make_parametric("exponential-rate").log_quadratic is None
+    # a replaced log_density leaves the polynomial of the old one behind
+    model = make_parametric("gaussian-full-d", dim=2)
+    shifted = replace(model, log_density=lambda th, x: model.log_density(th, x) - 1.0)
+    assert shifted.log_quadratic is None
+    assert replace(model, name="renamed").log_quadratic is model.log_quadratic

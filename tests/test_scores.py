@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -347,6 +348,25 @@ class TestExactGradient:
             g = (model, cand)
             assert score.expected_with_gradient(p_true, g)[0] == score.expected(p_true, g)
             assert score.empirical_with_gradient(sample, g)[0] == score.empirical(sample, g)
+
+    @pytest.mark.parametrize("kind,hyper,theta", [
+        ("gaussian-mean", {}, [0.3]),
+        ("gaussian-full-d", {"dim": 1}, [0.3, 1.1]),
+        ("gaussian-full-d", {"dim": 2}, [0.2, -0.1, 1.1, 0.3, 0.8]),
+        ("gaussian-full-d", {"dim": 3}, [0.2, -0.1, 0.1, 1.1, 0.3, 0.8, -0.2, 0.1, 0.9]),
+    ], ids=["mean", "full-1", "full-2", "full-3"])
+    @pytest.mark.parametrize("score", all_families(0.5), ids=lambda s: s.name)
+    def test_quadratic_pair_matches_the_whitened_score_pair(self, kind, hyper, theta, score):
+        # the monomial path against log_density and score at every node
+        model = make_parametric(kind, **hyper)
+        whitened = replace(model, log_quadratic=None)
+        theta = np.asarray(theta, dtype=float)
+        p_true = render_density(model, theta, points_per_axis=(2001, 257, 31)[model.dim - 1])
+        cand = 1.05 * theta + 0.02
+        value, grad = score.expected_with_gradient(p_true, (model, cand))
+        ref_value, ref_grad = score.expected_with_gradient(p_true, (whitened, cand))
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
     def test_grid_target_has_no_gradient(self):
         p, q = gaussian_pair([0.0, 1.0], [0.2, 1.1])
