@@ -326,7 +326,7 @@ def _cmd_invariance(cfg, outdir, seed, jobs):
     pairs = _get_int(cfg, "pairs", 5)
     if pairs < 1:
         raise ConfigError(f"config key 'pairs' must be at least 1, got {pairs}")
-    n = _get_int(cfg, "grid.n", 1201 if amap.dim == 1 else 241)
+    n = _get_int(cfg, "grid.n", 1201 if amap.dim == 1 else 81)
     tol = _get_float(cfg, "tol", 1e-5)
     h = abs(amap.det_sigma) ** (-score.affine_scale_exponent)
     rows = []

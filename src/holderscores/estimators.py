@@ -245,6 +245,11 @@ def _run_lbfgsb(objective, x0, cfg):
                                 "gtol": cfg.step_tol})
         if res.status != 2:  # 0 converged, 1 out of iterations
             return np.asarray(res.x, dtype=float), float(res.fun), count[0], res.status == 0
+        # a line search that failed at the objective's rounding floor has
+        # converged if the exact gradient at the best point says so
+        x, fx, gx = objective.best
+        if np.all(np.isfinite(gx)) and np.linalg.norm(gx) < cfg.grad_tol:
+            return x, fx, count[0], True
     except _AbnormalStop:
         pass
     # from the best point, already evaluated, or from the start if it is +inf

@@ -301,14 +301,16 @@ def _spline_coefficients(values):
 _ROUNDING_ULPS = 8.0
 
 
-def _spline_at(coeffs, index, magnitude):
+def _spline_at(coeffs, index, magnitude, fill=0.0):
     """The B-spline with coefficients ``coeffs`` at fractional node indices.
 
     ``index`` holds one array per axis, broadcastable together; on axis k
     the box's nodes sit at indices 1..n_k.  An index outside [1, n_k] by no
     more than ``_ROUNDING_ULPS`` units in the last place of ``magnitude[k]``,
     the size of the numbers it was formed from, is moved onto the face;
-    further out the value is 0.  Only the nodes inside are evaluated.
+    further out the value is ``fill`` (0 for a spline of values, -inf for a
+    spline of log values, so that exp gives 0).  Only the nodes inside are
+    evaluated, in one pass.
     """
     from scipy import ndimage  # imported here: only resampling needs it
     shape = np.broadcast_shapes(*(np.shape(s) for s in index))
@@ -320,7 +322,7 @@ def _spline_at(coeffs, index, magnitude):
     coords = np.empty((len(bounds), np.count_nonzero(inside)))
     for row, s, (first, last) in zip(coords, index, bounds):
         np.clip(np.broadcast_to(s, shape)[inside], first, last, out=row)
-    out = np.zeros(shape)
+    out = np.full(shape, fill)
     out[inside] = ndimage.map_coordinates(coeffs, coords, order=3, mode="mirror",
                                           prefilter=False)
     return out

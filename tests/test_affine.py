@@ -5,9 +5,9 @@ from holderscores import (AffineMap, DomainError, FitConfig, GammaScore,
                           GridDensity, HolderScore, KL, Pseudospherical,
                           BregmanHolder, StructuralError, UnsupportedFamilyError, divergence,
                           draw_sample, fit_scale_exponent, integrate,
-                          make_parametric, phi_kappa,
+                          make_parametric, phi_kappa, read_grid,
                           render_density, scale_function, transform_density,
-                          verify_estimator_equivariance, verify_invariance)
+                          verify_estimator_equivariance, verify_invariance, write_grid)
 
 GAUSS = make_parametric("gaussian-mean-scale")
 
@@ -97,16 +97,29 @@ class TestTransformDensity:
                   mu=np.array([0.3, -0.5, 0.2])),
     ]
 
-    @pytest.mark.parametrize("amap", MAPS, ids=["1d-reflection", "2d-shear-reflection",
-                                                "2d-general", "3d-reflection"])
-    def test_matches_the_interpolant_at_the_mapped_nodes(self, amap):
+    @pytest.mark.parametrize("amap, zeros", [(m, False) for m in MAPS] + [(MAPS[2], True)],
+                             ids=["1d-reflection", "2d-shear-reflection", "2d-general",
+                                  "3d-reflection", "2d-general-with-zeros"])
+    def test_matches_the_interpolant_at_the_mapped_nodes(self, amap, zeros):
+        # a positive f is resampled as exp of the spline of log f; one with
+        # zeros as the spline of its values, clipped at 0
         d = amap.dim
         f = GridDensity.from_callable(
             lambda x: np.exp(-0.5 * np.sum((x - 0.3) ** 2, axis=1)) * (1.2 + np.sin(2 * x[:, 0])),
             [-4.0] * d, [3.5] * d, {1: 301, 2: 61, 3: 17}[d])
+        if zeros:
+            f = f.with_values(np.where(f.values > 1e-3, f.values, 0.0))
         q = transform_density(f, amap)
         source = amap.apply_inverse(q.points())
-        ref = np.clip(f.interpolator("cubic")(source), 0.0, None) * abs(amap.det_sigma)
+        if zeros:
+            ref = np.clip(f.interpolator("cubic")(source), 0.0, None)
+        else:
+            # the spline reproduces constants, so log f may be shifted to be
+            # a nonnegative grid
+            low = np.log(f.values).min()
+            ref = np.exp(f.with_values(np.log(f.values) - low).interpolator("cubic")(source)
+                         + low)
+        ref *= abs(amap.det_sigma)
         # distance of each source inside f's box, in cells; negative outside
         depth = np.min(np.minimum(source - f.domain_lo, f.domain_hi - source)
                        / f.cell_widths(), axis=1)
@@ -114,8 +127,8 @@ class TestTransformDensity:
         inside, outside = depth >= 1e-6, depth <= -1e-6
         assert np.count_nonzero(inside) > 0.2 * got.size
         assert outside.any() == (d > 1)  # a 1-d map sends the box onto the box
-        assert np.max(np.abs(got[inside] - ref[inside])) <= 1e-12 * np.max(ref)
-        assert np.all(got[outside] == 0.0) and np.all(ref[outside] == 0.0)
+        assert np.max(np.abs(got[inside] - ref[inside])) <= 1e-12 * np.max(ref[inside])
+        assert np.all(got[outside] == 0.0) and (not zeros or np.all(ref[outside] == 0.0))
 
     @pytest.mark.parametrize("d, n", [(1, 1201), (2, 81), (3, 21)])
     def test_keeps_the_face_nodes_of_axis_aligned_maps(self, d, n):
@@ -156,6 +169,48 @@ class TestTransformDensity:
         pb = back.evaluate(p.points()[::7])
         pv = p.values.ravel()[::7]
         assert np.max(np.abs(pb - pv)) < 1e-6
+
+
+class TestLogSpaceResampling:
+    """A positive grid is resampled through the spline of its logarithm: log
+    p of a Gaussian is a quadratic, which the not-a-knot cubic reproduces."""
+
+    MODEL = make_parametric("gaussian-full-d", dim=2)
+    # the map whose KL invariance the spline through values made infinite
+    AMAP = AffineMap(sigma=np.array([[1.2, 0.3], [-0.4, 0.9]]), mu=np.array([0.2, -0.1]))
+
+    def depth(self, f, q):
+        """Distance of each target node's source inside f's box, in cells."""
+        source = self.AMAP.apply_inverse(q.points())
+        return source, np.min(np.minimum(source - f.domain_lo, f.domain_hi - source)
+                              / f.cell_widths(), axis=1)
+
+    def test_gaussian_matches_the_pushed_parameters_at_every_inside_node(self):
+        theta = np.array([0.4, -0.7, 1.3, 0.5, 0.8])
+        p = render_density(self.MODEL, theta, lo=[-14.0] * 2, hi=[14.0] * 2,
+                           points_per_axis=81)
+        q = transform_density(p, self.AMAP)
+        pushed = self.MODEL.push_params(theta, self.AMAP.sigma, self.AMAP.mu)
+        target = render_density(self.MODEL, pushed, lo=q.domain_lo, hi=q.domain_hi,
+                                points_per_axis=q.points_per_axis).values.ravel()
+        inside = self.depth(p, q)[1] > 0
+        got = q.values.ravel()[inside]
+        # the far tails, which the spline through values clipped to 0, count
+        assert target[inside].min() < 1e-100
+        assert np.max(np.abs(got / target[inside] - 1.0)) <= 1e-11
+
+    def test_a_grid_with_a_zero_takes_the_value_path(self, tmp_path):
+        p = render_density(self.MODEL, [0.4, -0.7, 1.3, 0.5, 0.8], lo=[-9.0] * 2,
+                           hi=[9.0] * 2, points_per_axis=41)
+        values = p.values.copy()
+        values[0, 0] = 0.0
+        write_grid(p.with_values(values), tmp_path / "p.grid")
+        f = read_grid(tmp_path / "p.grid")
+        q = transform_density(f, self.AMAP)
+        source, depth = self.depth(f, q)
+        ref = np.clip(f.interpolator("cubic")(source), 0.0, None) * abs(self.AMAP.det_sigma)
+        away = np.abs(depth) >= 1e-6  # off the faces, where rounding decides
+        assert np.max(np.abs(q.values.ravel() - ref)[away]) <= 1e-12 * np.max(ref)
 
 
 class TestTransformDensity3d:

@@ -235,6 +235,40 @@ class TestInvarianceCommand:
         assert max(residuals) < 1e-5
         assert (out / "report.txt").read_text().splitlines()[0] == "PASS"
 
+    def test_kl_is_finite_through_a_shear(self, tmp_path):
+        # the spline through density values went negative in the far tails,
+        # and the clip to 0 made KL infinite for pair 4
+        code, out = run(tmp_path, "invariance", "kl", "family=kl",
+                        "sigma=1.2,0.3,-0.4,0.9", "mu=0.2,-0.1", seed=0)
+        assert code == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        assert all(np.isfinite(float(row.split(",")[4])) for row in rows)
+
+    # the shear above and the maps of the benchmark's CLI rounds at seeds 0, 1
+    MAPS = [("1.2,0.3,-0.4,0.9", "0.2,-0.1"),
+            ("0.6523267087443897,-0.5247944930497136,0.7802187139793093,0.9578281614695845",
+             "-0.9713047233200707,0.5381712716302278"),
+            ("0.7678582053389333,-0.09886117943725752,0.3072180699559404,0.8512212550818432",
+             "-0.8279872505381045,0.9747403984818903")]
+
+    @pytest.mark.parametrize("family", [("family=kl",),
+                                        ("family=holder", "phi=kappa", "kappa=1", "gamma=0.5")],
+                             ids=["kl", "holder"])
+    def test_default_grid_residuals_over_sixty_pairs(self, tmp_path, family):
+        worst = 0.0
+        for k, (sigma, mu) in enumerate(self.MAPS):
+            for seed in range(4):
+                code, out = run(tmp_path, "invariance", f"{k}-{seed}", *family,
+                                f"sigma={sigma}", f"mu={mu}", seed=seed)
+                assert code == 0
+                rows = [list(map(float, row.split(",")))
+                        for row in (out / "results.csv").read_text().splitlines()[1:]]
+                assert len(rows) == 5 and all(np.isfinite(row[4]) for row in rows)
+                worst = max([worst] + [row[5] for row in rows])
+        # measured 4.8e-15 (kl) and 8.9e-15 (holder)
+        assert worst < 1e-12
+
     @pytest.mark.parametrize("setting, name", [("sigma=nan", "sigma"), ("sigma=inf", "sigma"),
                                                ("mu=nan", "mu")])
     def test_non_finite_map_exits_2_without_a_warning(self, tmp_path, capsys, setting, name):
