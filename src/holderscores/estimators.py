@@ -154,13 +154,15 @@ def _guarded(objective):
 class _Objective:
     """The guarded objective of one fit: ``value`` alone for Nelder-Mead,
     ``pair`` (value and gradient) for L-BFGS-B, the polish and the gradient
-    check.  Both look up the last point and the best one (of the current
-    L-BFGS-B run) first; ``evals`` counts the evaluations paid for."""
+    check.  Both look up every point the fit has evaluated first; ``evals``
+    counts the evaluations paid for.  ``last`` is the last point asked for
+    and ``best`` the best one of the current L-BFGS-B run."""
 
     def __init__(self, objective, objective_with_gradient):
         self._value = _guarded(lambda theta: (objective(theta), None))
         self._pair = _guarded(objective_with_gradient)
         self.evals = 0
+        self.seen = {}                        # theta bytes -> (value, gradient or None)
         self.last = self.best = None          # (theta, value, gradient or None)
 
     def value(self, theta):
@@ -170,15 +172,16 @@ class _Objective:
         return self._evaluate(theta, self._pair, True)
 
     def _evaluate(self, theta, fun, with_gradient):
-        for seen in (self.last, self.best):
-            if seen is not None and np.array_equal(theta, seen[0]) \
-                    and not (with_gradient and seen[2] is None):
-                return seen[1:]
-        self.evals += 1
-        self.last = (np.array(theta, dtype=float),) + fun(theta)
-        if np.isfinite(self.last[1]) and (self.best is None or self.last[1] < self.best[1]):
+        theta = np.array(theta, dtype=float)
+        key = theta.tobytes()
+        seen = self.seen.get(key)
+        if seen is None or (with_gradient and seen[1] is None):
+            self.evals += 1
+            seen = self.seen[key] = fun(theta)
+        self.last = (theta,) + seen
+        if np.isfinite(seen[0]) and (self.best is None or seen[0] < self.best[1]):
             self.best = self.last
-        return self.last[1:]
+        return seen
 
 
 def _iteration_log():

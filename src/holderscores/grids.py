@@ -159,7 +159,7 @@ class GridDensity:
 
     @cached_property
     def midpoint(self):
-        """Centre of the box, the origin of :attr:`monomials`; read-only."""
+        """Centre of the box, the origin of :attr:`axis_monomials`; read-only."""
         mid = (self.domain_lo + self.domain_hi) / 2.0
         mid.setflags(write=False)
         return mid
@@ -175,26 +175,20 @@ class GridDensity:
         return FlatGrid(self.axes(), self.weights.ravel(), self.values.ravel())
 
     @cached_property
-    def monomials(self):
-        """The quadratic monomials q(u) of u = x - midpoint at every node, as
-        read-only (r, N) rows in row-major grid order: 1, u_1..u_d, then
-        u_i u_j for i >= j in row-major lower-triangle order (r = 3 at d = 1,
-        6 at d = 2, 10 at d = 3).
+    def axis_monomials(self):
+        """Per axis k, the rows [1, u_k, u_k^2] of u_k = x_k - midpoint_k at
+        the axis's nodes, as a tuple of read-only (n_k, 3) arrays.
 
-        Built on first use and cached: a log-density that is quadratic in x
-        is then one product ``eta @ monomials``.
+        Built on first use and cached: on the tensor grid a polynomial of
+        degree 2 per axis in u is a product of these, one axis at a time.
         """
-        d, shape = self.dim, self.points_per_axis
-        rows, cols = np.tril_indices(d)
-        out = np.empty((1 + d + rows.size,) + shape)
-        out[0] = 1.0
-        for i, (ax, c) in enumerate(zip(self.axes(), self.midpoint)):
-            out[1 + i] = (ax - c).reshape([-1 if a == i else 1 for a in range(d)])
-        for r, (i, j) in enumerate(zip(rows, cols), start=1 + d):
-            np.multiply(out[1 + i], out[1 + j], out=out[r])
-        out = out.reshape(out.shape[0], -1)
-        out.setflags(write=False)
-        return out
+        rows = []
+        for ax, c in zip(self.axes(), self.midpoint):
+            u = ax - c
+            v = np.stack([np.ones_like(u), u, u * u], axis=1)
+            v.setflags(write=False)
+            rows.append(v)
+        return tuple(rows)
 
     def points(self):
         """All grid nodes as a read-only (N, d) array in row-major grid order."""
@@ -379,14 +373,14 @@ def _power_sum(weights, log_g, a, out=None):
     return np.sum(t, axis=-1)
 
 
-def log_moments(f, log_g, gamma, columns=None):
+def log_moments(f, log_g, gamma, contract=None):
     """``(<f g^gamma>, <g^(1+gamma)>)`` from ``log g`` at the nodes of f.
 
     ``log_g`` holds log g at the nodes of f in row-major grid order; -inf
-    marks g = 0.  No candidate grid is built.  With ``columns`` (k, N), such
-    as the model score s there or the grid's ``monomials``, the (2, k) array
-    ``(<f g^gamma s>, <g^(1+gamma) s>)`` follows, one matrix product over the
-    same two weighted rows.
+    marks g = 0.  No candidate grid is built.  With ``contract``, its value
+    at the two weighted rows t = (w f g^gamma, w g^(1+gamma)), shape (2, N),
+    follows: ``lambda t: t @ s.T`` for columns s (k, N), such as the model
+    score, gives the (2, k) array ``(<f g^gamma s>, <g^(1+gamma) s>)``.
     """
     view = f.flat
     t = np.empty((2, log_g.size))
@@ -395,7 +389,7 @@ def log_moments(f, log_g, gamma, columns=None):
     t[0] *= view.weights
     cross = float(np.sum(t[0]))
     power = float(_power_sum(view.weights, log_g, 1.0 + gamma, out=t[1]))
-    return (cross, power) if columns is None else (cross, power, t @ columns.T)
+    return (cross, power) if contract is None else (cross, power, contract(t))
 
 
 def l1_distance(f, g):

@@ -72,8 +72,8 @@ class ParametricModel:
         ``log_density(theta, x) = eta @ q(u)`` and ``score(theta, x) =
         jac @ q(u)``, jac = d eta / dtheta of shape (param_dim, len(q)).
         Population moments on a grid then need only the grid's cached
-        monomials (:attr:`GridDensity.monomials`), no whitening and no
-        per-node score.  None where log p is no such polynomial, e.g. -inf
+        per-axis rows (:attr:`GridDensity.axis_monomials`), no whitening and
+        no per-node score.  None where log p is no such polynomial, e.g. -inf
         off a support; dropped by ``replace(model, log_density=...)`` unless
         replaced with it.
     """

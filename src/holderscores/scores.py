@@ -37,9 +37,10 @@ terms, so ``expected_with_gradient`` and ``empirical_with_gradient`` return
 both from one model evaluation, the value bit-identical to that of
 ``expected`` and ``empirical``.  On a data grid, a model with
 ``log_quadratic`` (every Gaussian) is that evaluation: log g = eta @ q and
-s = jac @ q in the grid's cached monomials q, so <h s> = jac @ <h q> for
-either weighting h and no per-node score is formed.  Other models, and
-empirical forms, take one ``log_density`` and one ``score`` call.
+s = jac @ q in the quadratic monomials q, so <h s> = jac @ <h q> for either
+weighting h and no per-node score is formed; on the tensor grid, log g and
+<h q> come from the grid's cached per-axis rows [1, u_k, u_k^2].  Other
+models, and empirical forms, take one ``log_density`` and one ``score`` call.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DomainError, StructuralError
-from .grids import (GridDensity, _box_quadrature, _power_sum, _require_same_grid,
-                    _tensor_nodes, log_moments, power_moment)
+from .grids import (MAX_DIM, GridDensity, _box_quadrature, _power_sum,
+                    _require_same_grid, _tensor_nodes, log_moments, power_moment)
 from .models import make_parametric, render_density
 from .rng import rng_for
 
@@ -239,8 +240,8 @@ class CompositeScore:
 
     def expected_with_gradient(self, f, g):
         """``(expected(f, g), its theta-gradient)`` for a ``(model, theta)`` target."""
-        log_g, rows, lift = _log_and_gradient_rows(f, g)
-        cross, g_power, sums = log_moments(f, log_g, self.gamma, columns=rows)
+        log_g, contract, lift = _log_and_gradient_rows(f, g)
+        cross, g_power, sums = log_moments(f, log_g, self.gamma, contract)
         d_cross, d_power = lift((cross, g_power), sums)
         a, b = self._partials(cross, _positive_power(g_power, 1.0 + self.gamma))
         return self._combine(cross, g_power), \
@@ -280,11 +281,11 @@ class KL(CompositeScore):
 
     def expected_with_gradient(self, f, g):
         view = f.flat
-        log_g, rows, lift = _log_and_gradient_rows(f, g)
+        log_g, contract, lift = _log_and_gradient_rows(f, g)
         t = np.empty((2, log_g.size))
         np.multiply(view.values, view.weights, out=t[0])
         power = float(_power_sum(view.weights, log_g, 1.0, out=t[1]))
-        d_cross, d_power = lift((float(np.sum(t[0])), power), t @ rows.T)
+        d_cross, d_power = lift((float(np.sum(t[0])), power), contract(t))
         return _kl_cross(t[0], view.values, log_g) + power, d_power - d_cross
 
     def empirical_with_gradient(self, sample, g):
@@ -305,7 +306,7 @@ def _log_target_at_nodes(f, g):
     """log g at the nodes of the data grid f; -inf where g vanishes.
 
     ``g`` is a grid density on f's grid or a ``(model, theta)`` pair; a model
-    with ``log_quadratic`` is one product with f's cached monomials.
+    with ``log_quadratic`` is formed from f's cached per-axis monomials.
     """
     if isinstance(g, GridDensity):
         _require_same_grid(f, g)
@@ -317,24 +318,54 @@ def _log_target_at_nodes(f, g):
     return _log_and_gradient_rows(f, g)[0]
 
 
-def _log_and_gradient_rows(f, g):
-    """``(log g, rows, lift)`` at the nodes of the data grid f for a
-    ``(model, theta)`` target.  For node weights h, ``lift(totals, sums)``
-    maps the totals <h> and the sums <h rows> of two such weightings, shapes
-    (2,) and (2, r), to their theta-gradients <h d log g / dtheta>, (2, k).
+def _monomial_at(d):
+    """Where each quadratic monomial q_m(u) = prod_k u_k^a_k sits in a (3,)*d
+    array indexed by the exponents a, as flat indices (base-3 digits a)."""
+    place = 3 ** np.arange(d - 1, -1, -1)
+    low, high = np.tril_indices(d)
+    return np.concatenate([[0], place, place[low] + place[high]])
 
-    A model with ``log_quadratic`` gives f's cached non-constant monomials as
-    rows and lifts through its Jacobian; any other gives its score columns,
-    which need no lift.
+
+_MONOMIAL_AT = {d: _monomial_at(d) for d in range(1, MAX_DIM + 1)}
+
+
+def _log_and_gradient_rows(f, g):
+    """``(log g, contract, lift)`` at the nodes of the data grid f for a
+    ``(model, theta)`` target.  For node weights h, ``contract(t)`` maps the
+    terms t of two such weightings, shape (2, N), to their sums <h rows>,
+    (2, r), and ``lift(totals, sums)`` maps those and the totals <h>, (2,),
+    to their theta-gradients <h d log g / dtheta>, (2, k).
+
+    A model with ``log_quadratic`` has the non-constant monomials q(u) of
+    u = x - midpoint as rows and lifts through its Jacobian.  On the tensor
+    grid, log g = eta @ q and the sums are contracted one axis at a time
+    with f's per-axis rows [1, u_k, u_k^2], through the (3,)*d array of the
+    coefficients of prod_k u_k^a_k; no (r, N) array is formed.  Any other
+    model has its score columns as rows, which need no lift.
     """
     if isinstance(g, GridDensity):
         raise StructuralError("theta-gradients need a (model, theta) target")
     model, theta = g
     if model.log_quadratic is None:
         log_g, s = _log_and_score(g, f.flat.nodes)
-        return log_g, s, lambda totals, sums: sums
+        return log_g, lambda t: t @ s.T, lambda totals, sums: sums
     eta, jac = model.log_quadratic(np.asarray(theta, dtype=float), f.midpoint)
-    return (eta @ f.monomials, f.monomials[1:],
+    rows, d = f.axis_monomials, f.dim
+    at = _MONOMIAL_AT[d]
+    coef = np.zeros(3 ** d)
+    coef[at] = eta
+    # each product trades the leading exponent axis for one grid axis, put
+    # last, so that after d products the array is log g in grid order
+    for v in rows:
+        coef = coef.reshape(3, -1).T @ v.T
+
+    def contract(t):
+        # grid axes last to first, each replaced by its exponent axis in place
+        x = t.reshape(-1, rows[-1].shape[0]) @ rows[-1]
+        for k in reversed(range(d - 1)):
+            x = np.matmul(rows[k].T, x.reshape(-1, rows[k].shape[0], 3 ** (d - 1 - k)))
+        return x.reshape(2, -1)[:, at[1:]]
+    return (coef.ravel(), contract,
             lambda totals, sums: np.outer(totals, jac[:, 0]) + sums @ jac[:, 1:].T)
 
 

@@ -231,15 +231,17 @@ class TestTransformDensity3d:
         pushed = self.MODEL.push_params(np.array(self.THETA_P), self.AMAP.sigma, self.AMAP.mu)
         target = render_density(self.MODEL, pushed, lo=q.domain_lo, hi=q.domain_hi,
                                 points_per_axis=q.points_per_axis)
-        # measured 5.7e-4 and 2.9e-6; a multilinear resampling misses both (4.3e-2, 1.4e-3)
-        assert np.max(np.abs(q.values - target.values)) < 2e-3 * target.values.max()
-        assert integrate(q) == pytest.approx(integrate(p), abs=1e-4)
+        # log p is a quadratic, which the spline through log values reproduces:
+        # measured 5.3e-14 and 2.9e-12; the spline through the values misses
+        # both (5.7e-4 and 2.9e-6)
+        assert np.max(np.abs(q.values - target.values)) < 1e-11 * target.values.max()
+        assert integrate(q) == pytest.approx(integrate(p), abs=1e-9)
 
     def test_holder_invariance_residual(self):
         p, q = self.grid(self.THETA_P), self.grid(self.THETA_Q)
         score = HolderScore(phi_kappa(0.5, 1.0))
-        # measured 2.6e-4; a multilinear resampling gives 5.6e-2
-        assert verify_invariance(score, p, q, self.AMAP) < 1e-3
+        # measured 8.3e-8; the spline through the values gives 2.6e-4
+        assert verify_invariance(score, p, q, self.AMAP) < 1e-5
 
 
 class TestScaleFunction:

@@ -74,17 +74,17 @@ class TestFlatView:
 
     @pytest.mark.parametrize("shape", [(7,), (6, 5), (4, 3, 5)],
                              ids=lambda s: "x".join(map(str, s)))
-    def test_monomials_about_the_midpoint(self, shape):
+    def test_axis_monomials_about_the_midpoint(self, shape):
         d = len(shape)
         f = GridDensity(np.arange(d) - 1.5, np.arange(d) + 2.0,
                         np.ones(shape))
         u = f.points() - f.midpoint
-        rows, cols = np.tril_indices(d)
-        ref = np.vstack([np.ones(len(u))] + [u[:, i] for i in range(d)]
-                        + [u[:, i] * u[:, j] for i, j in zip(rows, cols)])
-        assert np.array_equal(f.monomials, ref)
-        assert f.monomials is f.monomials
-        assert f.monomials.flags.c_contiguous and not f.monomials.flags.writeable
+        rows = f.axis_monomials
+        assert len(rows) == d and rows is f.axis_monomials
+        for k, v in enumerate(rows):
+            uk = np.unique(u[:, k])
+            assert np.array_equal(v, np.column_stack([np.ones(shape[k]), uk, uk * uk]))
+            assert v.flags.c_contiguous and not v.flags.writeable
 
 
 _tensor_nodes = grids._tensor_nodes

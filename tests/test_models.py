@@ -6,6 +6,7 @@ import pytest
 from holderscores import (ConfigError, DomainError, Sample, StructuralError,
                           contaminate, draw_sample, integrate, make_parametric,
                           read_samples, render_density, rng_for, write_samples)
+from holderscores.scores import _log_and_gradient_rows
 
 ALL_KINDS = [
     ("gaussian-mean", {}, np.array([0.3])),
@@ -425,12 +426,24 @@ def test_log_quadratic_expands_log_density_and_score(kind, hyper, theta, loc, sc
     cand = np.concatenate([data[:d] + scale / 3.0, 1.05 * data[d:]])
     f = render_density(model, data, points_per_axis=(201, 61, 21)[d - 1])
     eta, jac = model.log_quadratic(cand, f.midpoint)
-    assert jac.shape == (model.param_dim, f.monomials.shape[0])
     nodes = f.points()
-    assert np.max(np.abs(eta @ f.monomials - model.log_density(cand, nodes))) <= 1e-13
+    u = nodes - f.midpoint
+    rows, cols = np.tril_indices(d)
+    q = np.vstack([np.ones(len(u))] + [u[:, i] for i in range(d)]
+                  + [u[:, i] * u[:, j] for i, j in zip(rows, cols)])
+    assert jac.shape == (model.param_dim, q.shape[0])
+    log_p = model.log_density(cand, nodes)
+    assert np.max(np.abs(eta @ q - log_p)) <= 1e-13
     score = model.score(cand, nodes)
-    assert np.all(np.max(np.abs((jac @ f.monomials).T - score), axis=0)
+    assert np.all(np.max(np.abs((jac @ q).T - score), axis=0)
                   <= 1e-12 * np.max(np.abs(score), axis=0))
+    # the grid's path, from its per-axis rows: log p at the nodes, and the
+    # lifted monomial sums of two weightings against their score sums
+    log_g, contract, lift = _log_and_gradient_rows(f, (model, cand))
+    assert np.max(np.abs(log_g - log_p)) <= 1e-13
+    t = np.vstack([f.flat.weights, f.flat.weights * f.flat.values])
+    assert np.all(np.abs(lift(t.sum(axis=1), contract(t)) - t @ score)
+                  <= 1e-12 * (t @ np.abs(score)))
 
 
 def test_log_quadratic_only_where_log_density_is_a_polynomial():

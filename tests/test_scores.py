@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -367,6 +369,22 @@ class TestExactGradient:
         ref_value, ref_grad = score.expected_with_gradient(p_true, (whitened, cand))
         assert value == pytest.approx(ref_value, rel=1e-12)
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    def test_grid_dies_with_its_last_reference(self):
+        # the per-axis rows a pair caches on the data grid refer to nothing
+        # that refers back to it, so no cycle collection is needed to free it
+        model = make_parametric("gaussian-full-d", dim=2)
+        theta = np.array([0.2, -0.1, 1.1, 0.3, 0.8])
+        f = render_density(model, theta, points_per_axis=33)
+        alive = weakref.ref(f)
+        gc.disable()
+        try:
+            GammaScore(0.5).expected_with_gradient(f, (model, 1.05 * theta))
+            assert f.axis_monomials
+            del f
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_grid_target_has_no_gradient(self):
         p, q = gaussian_pair([0.0, 1.0], [0.2, 1.1])
