@@ -522,10 +522,7 @@ def main(argv=None):
         seed = args.seed if args.seed is not None else _get_int(cfg, "seed", 0)
         os.makedirs(args.out, exist_ok=True)
         return _RUNNERS[command](cfg, args.out, seed, max(1, args.jobs))
-    except (ConfigError, StructuralError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (ConfigError, StructuralError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateInputError, SingularHessianError, UnsupportedFamilyError,

@@ -8,14 +8,15 @@ default optimizer is L-BFGS-B.  A trial step out of the parameter domain (a
 +inf value) is rejected by the line search like any step that raises the
 value.  Where L-BFGS-B stops abnormally (a failed line search, for instance
 near a kink of a shape function), starts at +inf or meets a gradient that is
-not finite, Nelder-Mead takes over on the value alone from the best point it
-reached; Nelder-Mead alone and jittered multi-start are available too.  A
-Newton polish (on by default) builds one Hessian from forward differences of
-the exact gradient (k pair evaluations for k parameters) and takes up to three
-guarded steps with it, and ``converged`` tests the exact gradient.  The last
-and the best point are remembered, so each distinct theta costs one model
-evaluation.  Population-level fits replace the sample average by quadrature
-against a grid density, which is also how Fisher consistency is verified.
+not finite, Nelder-Mead takes over from the best point it reached, reading
+the pair's value; Nelder-Mead alone and jittered multi-start are available
+too.  A Newton polish (on by default) builds one Hessian from forward
+differences of the exact gradient (k pair evaluations for k parameters) and
+takes up to three guarded steps with it, and ``converged`` tests the exact
+gradient.  The pair is the only objective a fit evaluates, and every point
+evaluated is remembered, so each distinct theta costs one model evaluation.
+Population-level fits replace the sample average by quadrature against a
+grid density, which is also how Fisher consistency is verified.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (ConfigError, DegenerateInputError, DomainError, StructuralE
                      UnsupportedFamilyError)
 from .grids import GridDensity
 from .models import _gaussian_power
-from .scores import BregmanHolder, KL, empirical_score, expected_score
+from .scores import BregmanHolder, KL
 from .rng import rng_for
 
 _MULTISTART_RE = re.compile(r"^multi-start\((\d+)\)$")
@@ -87,8 +88,8 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of one fit; ``converged`` additionally requires a small
-    exact gradient at the reported optimum.  ``n_evals`` counts the objective
-    evaluations paid for (value or pair); memo hits are not counted."""
+    exact gradient at the reported optimum.  ``n_evals`` counts the pair
+    evaluations paid for; memo hits are not counted."""
 
     theta_hat: np.ndarray
     objective_value: float
@@ -152,35 +153,31 @@ def _guarded(objective):
 
 
 class _Objective:
-    """The guarded objective of one fit: ``value`` alone for Nelder-Mead,
-    ``pair`` (value and gradient) for L-BFGS-B, the polish and the gradient
-    check.  Both look up every point the fit has evaluated first; ``evals``
-    counts the evaluations paid for.  ``last`` is the last point asked for
-    and ``best`` the best one of the current L-BFGS-B run."""
+    """The guarded value-and-gradient pair of one fit, the only objective it
+    evaluates: Nelder-Mead reads ``value``, the pair's first entry, and
+    L-BFGS-B, the polish and the gradient check read ``pair``.  Every point
+    the fit has evaluated is looked up first; ``evals`` counts the
+    evaluations paid for, and ``best`` is the best point of the current
+    L-BFGS-B run, ``(theta, value, gradient)``."""
 
-    def __init__(self, objective, objective_with_gradient):
-        self._value = _guarded(lambda theta: (objective(theta), None))
-        self._pair = _guarded(objective_with_gradient)
+    def __init__(self, pair):
+        self._pair = _guarded(pair)
         self.evals = 0
-        self.seen = {}                        # theta bytes -> (value, gradient or None)
-        self.last = self.best = None          # (theta, value, gradient or None)
+        self.seen = {}                        # theta bytes -> (value, gradient)
+        self.best = None
 
     def value(self, theta):
-        return self._evaluate(theta, self._value, False)[0]
+        return self.pair(theta)[0]
 
     def pair(self, theta):
-        return self._evaluate(theta, self._pair, True)
-
-    def _evaluate(self, theta, fun, with_gradient):
         theta = np.array(theta, dtype=float)
         key = theta.tobytes()
         seen = self.seen.get(key)
-        if seen is None or (with_gradient and seen[1] is None):
+        if seen is None:
             self.evals += 1
-            seen = self.seen[key] = fun(theta)
-        self.last = (theta,) + seen
+            seen = self.seen[key] = self._pair(theta)
         if np.isfinite(seen[0]) and (self.best is None or seen[0] < self.best[1]):
-            self.best = self.last
+            self.best = (theta,) + seen
         return seen
 
 
@@ -261,8 +258,8 @@ def _run_lbfgsb(objective, x0, cfg):
     return x, fx, count[0] + iters, ok
 
 
-def _minimize(objective, objective_with_gradient, cfg):
-    objective = _Objective(objective, objective_with_gradient)
+def _minimize(pair, cfg):
+    objective = _Objective(pair)
     match = _MULTISTART_RE.match(cfg.optimizer)
     if cfg.optimizer == "nelder-mead":
         x, fx, iters, ok = _run_nelder_mead(objective.value, cfg.init_theta, cfg)
@@ -276,9 +273,9 @@ def _minimize(objective, objective_with_gradient, cfg):
                 # a jitter out of the parameter domain is skipped; a kept
                 # start is the first best point of its run, and L-BFGS-B's
                 # first call a memo hit
+                objective.best = None
                 if np.isinf(objective.pair(x0)[0]):
                     continue
-                objective.best = objective.last
             x, fx, iters, ok = _run_lbfgsb(objective, x0, cfg)
             total_iters += iters
             # ties within step_tol keep the earliest start for determinism
@@ -311,8 +308,7 @@ def fit(score, model, sample, cfg):
         raise StructuralError(f"the sample is {sample.dim}-dimensional, {model.name} "
                               f"is {model.dim}-dimensional")
 
-    return _minimize(lambda theta: empirical_score(score, sample, (model, theta)),
-                     lambda theta: score.empirical_with_gradient(sample, (model, theta)), cfg)
+    return _minimize(lambda theta: score.empirical_with_gradient(sample, (model, theta)), cfg)
 
 
 def population_fit(score, model, p_true, cfg):
@@ -328,8 +324,7 @@ def population_fit(score, model, p_true, cfg):
         raise StructuralError(f"p_true is {p_true.dim}-dimensional, {model.name} "
                               f"is {model.dim}-dimensional")
 
-    return _minimize(lambda theta: expected_score(score, p_true, (model, theta)),
-                     lambda theta: score.expected_with_gradient(p_true, (model, theta)), cfg)
+    return _minimize(lambda theta: score.expected_with_gradient(p_true, (model, theta)), cfg)
 
 
 # -- conditional models ---------------------------------------------------------------
@@ -449,15 +444,7 @@ def averaged_score(score, cmodel, theta, sample):
     log-density, so an observation far in the tail keeps a finite value.  A
     general shape-function family has no such empirical form and is rejected.
     """
-    y, x = _averaged_inputs(score, cmodel, sample)
-    theta = np.asarray(theta, dtype=float)
-    m_int = cmodel.power_moment(theta, 1.0 + score.gamma)[0]
-    log_qi = cmodel.cond_log_density(theta, y, x)
-    if isinstance(score, KL):
-        return float(np.mean(-log_qi) + m_int)
-    if not 0.0 < m_int < math.inf:
-        return math.inf
-    return float(np.mean(score._combine(np.exp(score.gamma * log_qi), m_int)))
+    return averaged_score_with_gradient(score, cmodel, theta, sample)[0]
 
 
 def averaged_score_with_gradient(score, cmodel, theta, sample):
@@ -484,15 +471,14 @@ def fit_regression(gamma, kappa, cmodel, sample, cfg):
     kappa = 1 + gamma matches density-power behavior, kappa = 1 the
     gamma-score; the latter is the robust choice under y-outliers.
     """
-    if gamma <= 0:
-        raise DomainError("fit_regression requires gamma > 0")
-    if kappa < 1:
-        raise DomainError("fit_regression requires kappa >= 1")
+    if not 0 < gamma < math.inf:
+        raise DomainError("fit_regression requires a finite gamma > 0")
+    if not 1 <= kappa < math.inf:
+        raise DomainError("fit_regression requires a finite kappa >= 1")
     if sample.covariates is None:
         raise StructuralError("fit_regression needs covariates")
     score = BregmanHolder(gamma, kappa)
     _averaged_inputs(score, cmodel, sample)
 
-    return _minimize(lambda theta: averaged_score(score, cmodel, theta, sample),
-                     lambda theta: averaged_score_with_gradient(score, cmodel, theta, sample),
+    return _minimize(lambda theta: averaged_score_with_gradient(score, cmodel, theta, sample),
                      cfg)

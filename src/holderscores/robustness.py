@@ -144,9 +144,9 @@ def _grid_moments(quad, model, theta, gamma):
     theta = np.asarray(theta, dtype=float)
     s = model.score(theta, nodes).T
     log_p = model.log_density(theta, nodes)
-    cross, power, (cross_s, power_s) = log_moments(quad, log_p, gamma, lambda t: t @ s.T)
+    cross, power, (cross_s, power_s) = log_moments(quad, log_p, gamma, lambda t, _: t @ s.T)
     power_abs_s = log_moments(quad, log_p, gamma,
-                              lambda t: t @ np.abs(s, out=s).T)[2][1]
+                              lambda t, _: t @ np.abs(s, out=s).T)[2][1]
     return _GridMoments(cross, power, cross_s, power_s, power_abs_s)
 
 

@@ -40,7 +40,8 @@ both from one model evaluation, the value bit-identical to that of
 s = jac @ q in the quadratic monomials q, so <h s> = jac @ <h q> for either
 weighting h and no per-node score is formed; on the tensor grid, log g and
 <h q> come from the grid's cached per-axis rows [1, u_k, u_k^2].  Other
-models, and empirical forms, take one ``log_density`` and one ``score`` call.
+models, and empirical forms, take one ``log_density`` and one ``score``
+call; a value alone never calls ``score``.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class PhiFunction:
     label: str = "phi"
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise DomainError("phi requires gamma > 0")
+        if not 0 < self.gamma < math.inf:
+            raise DomainError("phi requires a finite gamma > 0")
         if self.d1 is None:
             v = self.value
             object.__setattr__(self, "d1",
@@ -106,10 +107,10 @@ def phi_kappa(gamma, kappa):
     curvature at the anchor is phi''(1) = -gamma(1+gamma) + (kappa-1)(1+gamma),
     so only kappa = 1 meets the redescending condition.
     """
-    if gamma <= 0:
-        raise DomainError("phi_kappa requires gamma > 0")
-    if kappa < 1:
-        raise DomainError("phi_kappa requires kappa >= 1")
+    if not 0 < gamma < math.inf:
+        raise DomainError("phi_kappa requires a finite gamma > 0")
+    if not 1 <= kappa < math.inf:
+        raise DomainError("phi_kappa requires a finite kappa >= 1")
     a = (1.0 + gamma) / kappa
     c = kappa ** a
     shift = 1.0 - 1.0 / kappa
@@ -134,8 +135,8 @@ def phi_kappa(gamma, kappa):
 
 def phi_linear(gamma):
     """phi(z) = gamma - (1+gamma) z; the density-power-equivalent shape."""
-    if gamma <= 0:
-        raise DomainError("phi_linear requires gamma > 0")
+    if not 0 < gamma < math.inf:
+        raise DomainError("phi_linear requires a finite gamma > 0")
     return PhiFunction(
         gamma=gamma,
         value=lambda z: gamma - (1.0 + gamma) * np.asarray(z, dtype=float),
@@ -156,8 +157,8 @@ def phi_cubic_tail(gamma, c=0.5):
     phi(1), phi'(1) and phi''(1) untouched, so the resulting estimator is
     still redescending with the same limiting influence behavior.
     """
-    if c < 0:
-        raise DomainError("cubic tail coefficient must be nonnegative")
+    if not 0 <= c < math.inf:
+        raise DomainError("cubic tail coefficient must be finite and nonnegative")
     base = phi_kappa(gamma, 1.0)
 
     def relu(z):
@@ -206,8 +207,8 @@ class CompositeScore:
     affine_scale_exponent = None
 
     def __init__(self, gamma):
-        if gamma <= 0:
-            raise DomainError(f"{self.name} requires gamma > 0")
+        if not 0 < gamma < math.inf:
+            raise DomainError(f"{self.name} requires a finite gamma > 0")
         self.gamma = float(gamma)
 
     def __repr__(self):
@@ -227,7 +228,7 @@ class CompositeScore:
         ``g`` is a grid density on f's grid, or a ``(model, theta)`` pair whose
         log-density is evaluated once at f's own nodes.
         """
-        cross, g_power = log_moments(f, _log_target_at_nodes(f, g), self.gamma)
+        cross, g_power = log_moments(f, _log_and_gradient_rows(f, g)[0], self.gamma)
         if g_power <= 0.0:
             raise DegenerateInputError(f"<g^(1+gamma)> = {g_power}; target carries no mass")
         return self._combine(cross, g_power)
@@ -240,9 +241,8 @@ class CompositeScore:
 
     def expected_with_gradient(self, f, g):
         """``(expected(f, g), its theta-gradient)`` for a ``(model, theta)`` target."""
-        log_g, contract, lift = _log_and_gradient_rows(f, g)
-        cross, g_power, sums = log_moments(f, log_g, self.gamma, contract)
-        d_cross, d_power = lift((cross, g_power), sums)
+        log_g, gradient = _log_and_gradient_rows(f, g)
+        cross, g_power, (d_cross, d_power) = log_moments(f, log_g, self.gamma, gradient)
         a, b = self._partials(cross, _positive_power(g_power, 1.0 + self.gamma))
         return self._combine(cross, g_power), \
             a * self.gamma * d_cross + b * (1.0 + self.gamma) * d_power
@@ -271,7 +271,7 @@ class KL(CompositeScore):
 
     def expected(self, f, g):
         view = f.flat
-        log_g = _log_target_at_nodes(f, g)
+        log_g = _log_and_gradient_rows(f, g)[0]
         return _kl_cross(view.values * view.weights, view.values, log_g) \
             + float(_power_sum(view.weights, log_g, 1.0))
 
@@ -281,11 +281,11 @@ class KL(CompositeScore):
 
     def expected_with_gradient(self, f, g):
         view = f.flat
-        log_g, contract, lift = _log_and_gradient_rows(f, g)
+        log_g, gradient = _log_and_gradient_rows(f, g)
         t = np.empty((2, log_g.size))
         np.multiply(view.values, view.weights, out=t[0])
         power = float(_power_sum(view.weights, log_g, 1.0, out=t[1]))
-        d_cross, d_power = lift((float(np.sum(t[0])), power), contract(t))
+        d_cross, d_power = gradient(t, (float(np.sum(t[0])), power))
         return _kl_cross(t[0], view.values, log_g) + power, d_power - d_cross
 
     def empirical_with_gradient(self, sample, g):
@@ -302,22 +302,6 @@ def _kl_cross(fw, values, log_g):
     return -(float(fw @ np.where(values > 0, log_g, 0.0)) if math.isnan(cross) else cross)
 
 
-def _log_target_at_nodes(f, g):
-    """log g at the nodes of the data grid f; -inf where g vanishes.
-
-    ``g`` is a grid density on f's grid or a ``(model, theta)`` pair; a model
-    with ``log_quadratic`` is formed from f's cached per-axis monomials.
-    """
-    if isinstance(g, GridDensity):
-        _require_same_grid(f, g)
-        with np.errstate(divide="ignore"):
-            return np.log(g.flat.values)
-    model, theta = g
-    if model.log_quadratic is None:
-        return _log_target_at(g, f.flat.nodes)
-    return _log_and_gradient_rows(f, g)[0]
-
-
 def _monomial_at(d):
     """Where each quadratic monomial q_m(u) = prod_k u_k^a_k sits in a (3,)*d
     array indexed by the exponents a, as flat indices (base-3 digits a)."""
@@ -330,26 +314,33 @@ _MONOMIAL_AT = {d: _monomial_at(d) for d in range(1, MAX_DIM + 1)}
 
 
 def _log_and_gradient_rows(f, g):
-    """``(log g, contract, lift)`` at the nodes of the data grid f for a
-    ``(model, theta)`` target.  For node weights h, ``contract(t)`` maps the
-    terms t of two such weightings, shape (2, N), to their sums <h rows>,
-    (2, r), and ``lift(totals, sums)`` maps those and the totals <h>, (2,),
-    to their theta-gradients <h d log g / dtheta>, (2, k).
+    """``(log g, gradient)`` at the nodes of the data grid f; -inf marks
+    g = 0.  For node weights h, ``gradient(t, totals)`` maps the terms t of
+    two such weightings, shape (2, N), and their totals <h>, (2,), to the
+    theta-gradients <h d log g / dtheta>, (2, k).
 
-    A model with ``log_quadratic`` has the non-constant monomials q(u) of
-    u = x - midpoint as rows and lifts through its Jacobian.  On the tensor
-    grid, log g = eta @ q and the sums are contracted one axis at a time
-    with f's per-axis rows [1, u_k, u_k^2], through the (3,)*d array of the
-    coefficients of prod_k u_k^a_k; no (r, N) array is formed.  Any other
-    model has its score columns as rows, which need no lift.
+    ``g`` is a grid density on f's grid, whose ``gradient`` raises, or a
+    ``(model, theta)`` pair.  A model with ``log_quadratic`` sums the
+    non-constant monomials q(u) of u = x - midpoint and lifts them through
+    its Jacobian.  On the tensor grid, log g = eta @ q and the sums are
+    contracted one axis at a time with f's per-axis rows [1, u_k, u_k^2],
+    through the (3,)*d array of the coefficients of prod_k u_k^a_k; no
+    (r, N) array is formed.  Any other model sums its score columns, and
+    calls ``score`` only when ``gradient`` is.
     """
     if isinstance(g, GridDensity):
-        raise StructuralError("theta-gradients need a (model, theta) target")
+        _require_same_grid(f, g)
+        def no_gradient(t, totals):
+            raise StructuralError("theta-gradients need a (model, theta) target")
+        with np.errstate(divide="ignore"):
+            return np.log(g.flat.values), no_gradient
     model, theta = g
+    theta = np.asarray(theta, dtype=float)
     if model.log_quadratic is None:
-        log_g, s = _log_and_score(g, f.flat.nodes)
-        return log_g, lambda t: t @ s.T, lambda totals, sums: sums
-    eta, jac = model.log_quadratic(np.asarray(theta, dtype=float), f.midpoint)
+        nodes = f.flat.nodes
+        return (model.log_density(theta, nodes),
+                lambda t, totals: t @ model.score(theta, nodes))
+    eta, jac = model.log_quadratic(theta, f.midpoint)
     rows, d = f.axis_monomials, f.dim
     at = _MONOMIAL_AT[d]
     coef = np.zeros(3 ** d)
@@ -359,14 +350,13 @@ def _log_and_gradient_rows(f, g):
     for v in rows:
         coef = coef.reshape(3, -1).T @ v.T
 
-    def contract(t):
+    def gradient(t, totals):
         # grid axes last to first, each replaced by its exponent axis in place
         x = t.reshape(-1, rows[-1].shape[0]) @ rows[-1]
         for k in reversed(range(d - 1)):
             x = np.matmul(rows[k].T, x.reshape(-1, rows[k].shape[0], 3 ** (d - 1 - k)))
-        return x.reshape(2, -1)[:, at[1:]]
-    return (coef.ravel(), contract,
-            lambda totals, sums: np.outer(totals, jac[:, 0]) + sums @ jac[:, 1:].T)
+        return np.outer(totals, jac[:, 0]) + x.reshape(2, -1)[:, at[1:]] @ jac[:, 1:].T
+    return coef.ravel(), gradient
 
 
 def _model_box(model, theta):
@@ -520,8 +510,8 @@ class BregmanHolder(CompositeScore):
 
     def __init__(self, gamma, kappa):
         super().__init__(gamma)
-        if kappa < 1:
-            raise DomainError("bregman-holder requires kappa >= 1")
+        if not 1 <= kappa < math.inf:
+            raise DomainError("bregman-holder requires a finite kappa >= 1")
         self.kappa = float(kappa)
 
     def __repr__(self):

@@ -413,6 +413,30 @@ class TestBadValuesExit2:
         assert needle in err and len(err.splitlines()) == 1
 
 
+class TestNonFiniteOrNegativeExit2:
+    """NaN and infinite gamma, kappa and c, and a negative seed, are bad input:
+    exit 2 with one line, not a failed fit or a traceback."""
+
+    @pytest.mark.parametrize("command, sets, seed, needle", [
+        ("fit", ("family=gamma", "gamma=nan", "theta_true=0,1"), None, "finite gamma"),
+        ("divergence", ("family=holder", "gamma=inf", "p.theta=0,1", "q.theta=1,1"), None,
+         "finite gamma"),
+        ("divergence", ("family=bregman-holder", "gamma=0.5", "kappa=nan",
+                        "p.theta=0,1", "q.theta=1,1"), None, "finite kappa"),
+        ("divergence", ("family=holder", "phi=cubic-tail", "gamma=0.5", "c=inf",
+                        "p.theta=0,1", "q.theta=1,1"), None, "finite"),
+        ("regress", ("gamma=0.5", "kappa=inf", "a=1", "b=0"), None, "finite kappa"),
+        ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1", "seed=-3"), None,
+         "non-negative"),
+        ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1"), -1, "non-negative"),
+    ])
+    def test_one_line_message(self, tmp_path, capsys, command, sets, seed, needle):
+        code, _ = run(tmp_path, command, "bad", *sets, seed=seed)
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert needle in err and len(err.splitlines()) == 1
+
+
 class TestOnePhiParser:
     def test_redescend_accepts_the_spelling_score_accepts(self, tmp_path):
         args = ("gamma=0.5", "kappa=1", "model=gaussian-mean-scale", "theta_star=0,1",

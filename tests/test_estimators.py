@@ -222,6 +222,16 @@ class TestEvaluationCount:
         assert res.converged
         assert len(thetas) == len(set(thetas)) == res.n_evals == 11
 
+    def test_nelder_mead_fit(self):
+        # the final gradient check reads the pair Nelder-Mead already paid for
+        recorded, thetas = recording_log_density(GAUSS_MS)
+        sample = draw_sample(GAUSS_MS, [0.0, 1.0], 2000, seed=401)
+        res = fit(HolderScore(phi_kappa(0.5, 1.0)), recorded, sample,
+                  FitConfig(init_theta=[0.0, 1.0], step_tol=1e-7, grad_tol=1e-2,
+                            optimizer="nelder-mead"))
+        assert res.converged
+        assert len(thetas) == len(set(thetas)) == res.n_evals
+
     @pytest.mark.parametrize("optimizer,wrapper", [
         ("nelder-mead", CountingScore), ("multi-start(3)", CountingScore),
         ("l-bfgs-b", WrongSignGradient)], ids=["nelder-mead", "multi-start", "fallback"])
@@ -628,6 +638,14 @@ class TestFitRegression:
             fit_regression(-0.5, 1.0, cmodel, sample, cfg_for([1.0, 0.0]))
         with pytest.raises(DomainError):
             fit_regression(0.5, 0.5, cmodel, sample, cfg_for([1.0, 0.0]))
+
+    @pytest.mark.parametrize("gamma,kappa", [(np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan),
+                                             (0.5, np.inf)])
+    def test_non_finite_parameters_raise(self, gamma, kappa):
+        sample = self.make_data(n=50)
+        cmodel = make_conditional("linear-gaussian", noise=0.5)
+        with pytest.raises(DomainError):
+            fit_regression(gamma, kappa, cmodel, sample, cfg_for([1.0, 0.0]))
 
 
 class TestConditionalModel:

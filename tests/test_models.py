@@ -439,11 +439,18 @@ def test_log_quadratic_expands_log_density_and_score(kind, hyper, theta, loc, sc
                   <= 1e-12 * np.max(np.abs(score), axis=0))
     # the grid's path, from its per-axis rows: log p at the nodes, and the
     # lifted monomial sums of two weightings against their score sums
-    log_g, contract, lift = _log_and_gradient_rows(f, (model, cand))
+    log_g, gradient = _log_and_gradient_rows(f, (model, cand))
     assert np.max(np.abs(log_g - log_p)) <= 1e-13
     t = np.vstack([f.flat.weights, f.flat.weights * f.flat.values])
-    assert np.all(np.abs(lift(t.sum(axis=1), contract(t)) - t @ score)
+    assert np.all(np.abs(gradient(t, t.sum(axis=1)) - t @ score)
                   <= 1e-12 * (t @ np.abs(score)))
+
+
+@pytest.mark.parametrize("key", [(-1,), (0, -2), (3, 1, -1)])
+def test_rng_for_rejects_negative_seeds(key):
+    # numpy's SeedSequence would raise a bare ValueError
+    with pytest.raises(DomainError):
+        rng_for(*key)
 
 
 def test_log_quadratic_only_where_log_density_is_a_polynomial():

@@ -386,10 +386,60 @@ class TestExactGradient:
         finally:
             gc.enable()
 
-    def test_grid_target_has_no_gradient(self):
+    @pytest.mark.parametrize("score", [GammaScore(0.5), KL()], ids=lambda s: s.name)
+    def test_grid_target_has_no_gradient(self, score):
         p, q = gaussian_pair([0.0, 1.0], [0.2, 1.1])
         with pytest.raises(StructuralError):
-            GammaScore(0.5).expected_with_gradient(p, q)
+            score.expected_with_gradient(p, q)
+
+
+class TestValueWithoutScore:
+    """A value alone (``expected``, ``divergence``, ``empirical``) never calls
+    the model's ``score``: only a gradient does."""
+
+    @pytest.mark.parametrize("kind,theta", [
+        ("gaussian-mixture-fixed-weights", [-1.0, 1.0, 1.5, 0.7]),
+        ("exponential-rate", [1.5])], ids=["mixture", "exponential"])
+    @pytest.mark.parametrize("score", [KL(), GammaScore(0.5), HolderScore(phi_kappa(0.5, 1.5))],
+                             ids=lambda s: s.name)
+    def test_no_score_call(self, kind, theta, score):
+        model = make_parametric(kind)
+        calls = []
+
+        def recording_score(th, x):
+            calls.append(th)
+            return model.score(th, x)
+        theta = np.array(theta)
+        target = (replace(model, score=recording_score), 1.05 * theta)
+        f = render_density(model, theta)
+        sample = draw_sample(model, theta, 200, seed=5)
+        expected_score(score, f, target)
+        divergence(score, f, target)
+        empirical_score(score, sample, target)
+        assert calls == []
+        # the pairs do call it
+        score.expected_with_gradient(f, target)
+        score.empirical_with_gradient(sample, target)
+        assert len(calls) >= 2
+
+
+class TestNonFiniteParameters:
+    """NaN fails every comparison, so each range check also rejects NaN and
+    infinities explicitly."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build", [
+        GammaScore, DensityPower, Pseudospherical, phi_linear,
+        lambda v: PhiFunction(gamma=v, value=lambda z: -np.asarray(z) ** 1.5),
+        lambda v: phi_kappa(v, 1.0), lambda v: phi_kappa(0.5, v),
+        lambda v: phi_cubic_tail(v, 0.5), lambda v: phi_cubic_tail(0.5, v),
+        lambda v: BregmanHolder(v, 1.0), lambda v: BregmanHolder(0.5, v),
+    ], ids=["gamma-score", "density-power", "pseudospherical", "phi-linear", "phi",
+            "phi-kappa-gamma", "phi-kappa-kappa", "cubic-tail-gamma", "cubic-tail-c",
+            "bregman-gamma", "bregman-kappa"])
+    def test_raises_domain_error(self, build, bad):
+        with pytest.raises(DomainError):
+            build(bad)
 
 
 def _positive_grid_pair():
