@@ -75,8 +75,8 @@ class FitConfig:
                            np.atleast_1d(np.asarray(self.init_theta, dtype=float)))
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.grad_tol <= 0 or self.step_tol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not (0 < self.grad_tol < math.inf and 0 < self.step_tol < math.inf):
+            raise ConfigError("tolerances must be finite and positive")
         if self.optimizer not in _OPTIMIZERS \
                 and not _MULTISTART_RE.match(self.optimizer):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
@@ -365,8 +365,8 @@ def make_conditional(kind, x_dim=1, noise=None):
     if m < 1:
         raise ConfigError("x_dim must be at least 1")
     fixed_noise = None if noise is None else float(noise)
-    if fixed_noise is not None and fixed_noise <= 0:
-        raise ConfigError("fixed noise scale must be positive")
+    if fixed_noise is not None and not 0 < fixed_noise < math.inf:
+        raise ConfigError("fixed noise scale must be finite and positive")
     k = m + 1 + (0 if fixed_noise is not None else 1)
 
     def unpack(theta):

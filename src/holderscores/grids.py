@@ -373,15 +373,14 @@ def _power_sum(weights, log_g, a, out=None):
     return np.sum(t, axis=-1)
 
 
-def log_moments(f, log_g, gamma, gradient=None):
-    """``(<f g^gamma>, <g^(1+gamma)>)`` from ``log g`` at the nodes of f.
+def log_moments(f, log_g, gamma):
+    """``(<f g^gamma>, <g^(1+gamma)>, t)`` from ``log g`` at the nodes of f.
 
     ``log_g`` holds log g at the nodes of f in row-major grid order; -inf
-    marks g = 0.  No candidate grid is built.  With ``gradient``, its value
-    at the two weighted rows t = (w f g^gamma, w g^(1+gamma)), shape (2, N),
-    and the two moments follows: ``lambda t, _: t @ s.T`` for columns s
-    (k, N), such as the model score, gives the (2, k) array
-    ``(<f g^gamma s>, <g^(1+gamma) s>)``.
+    marks g = 0.  No candidate grid is built.  t, shape (2, N), holds the two
+    weighted rows (w f g^gamma, w g^(1+gamma)) whose sums are the moments:
+    ``t @ s.T`` for columns s (k, N), such as the model score, gives the
+    (2, k) array ``(<f g^gamma s>, <g^(1+gamma) s>)``.
     """
     view = f.flat
     t = np.empty((2, log_g.size))
@@ -390,7 +389,7 @@ def log_moments(f, log_g, gamma, gradient=None):
     t[0] *= view.weights
     cross = float(np.sum(t[0]))
     power = float(_power_sum(view.weights, log_g, 1.0 + gamma, out=t[1]))
-    return (cross, power) if gradient is None else (cross, power, gradient(t, (cross, power)))
+    return cross, power, t
 
 
 def l1_distance(f, g):

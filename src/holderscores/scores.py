@@ -33,15 +33,17 @@ through the model score s = d log g / dtheta,
     d<g^(1+gamma)>/dtheta = (1+gamma) <g^(1+gamma) s>
 
 (KL: ``-<f s> + <g s>``).  A moment and its gradient share their weighted
-terms, so ``expected_with_gradient`` and ``empirical_with_gradient`` return
-both from one model evaluation, the value bit-identical to that of
-``expected`` and ``empirical``.  On a data grid, a model with
-``log_quadratic`` (every Gaussian) is that evaluation: log g = eta @ q and
-s = jac @ q in the quadratic monomials q, so <h s> = jac @ <h q> for either
-weighting h and no per-node score is formed; on the tensor grid, log g and
-<h q> come from the grid's cached per-axis rows [1, u_k, u_k^2].  Other
-models, and empirical forms, take one ``log_density`` and one ``score``
-call; a value alone never calls ``score``.
+terms, so each family has one private ``_evaluate(data, g)`` against a data
+grid or a ``Sample``: it returns the value and a zero-argument function that
+forms the gradient, and the four entry points (``expected``, ``empirical``
+and their ``*_with_gradient`` pairs) all call it, so a pair's value is that
+of ``expected`` or ``empirical`` bit for bit and only a gradient ever calls
+the model's ``score``.  On a data grid, a model with ``log_quadratic``
+(every Gaussian) needs no score at all: log g = eta @ q and s = jac @ q in
+the quadratic monomials q, so <h s> = jac @ <h q> for either weighting h;
+on the tensor grid, log g and <h q> come from the grid's cached per-axis
+rows [1, u_k, u_k^2].  Other models, and every model at sample points, take
+``log_density`` there and sum ``score`` columns for a gradient.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, DomainError, StructuralError
 from .grids import (MAX_DIM, GridDensity, _box_quadrature, _power_sum,
                     _require_same_grid, _tensor_nodes, log_moments, power_moment)
-from .models import make_parametric, render_density
+from .models import Sample, make_parametric, render_density
 from .rng import rng_for
 
 _FD_STEP = 1e-5
@@ -197,7 +199,7 @@ class CompositeScore:
 
     Subclasses provide ``_combine(cross, g_power)`` mapping the two moments
     of the target to the score value and ``_partials(cross, g_power)``, its
-    two partial derivatives; the KL family overrides the entry points because
+    two partial derivatives; the KL family overrides ``_evaluate`` because
     it uses logarithmic moments.
     """
 
@@ -228,33 +230,46 @@ class CompositeScore:
         ``g`` is a grid density on f's grid, or a ``(model, theta)`` pair whose
         log-density is evaluated once at f's own nodes.
         """
-        cross, g_power = log_moments(f, _log_and_gradient_rows(f, g)[0], self.gamma)
-        if g_power <= 0.0:
-            raise DegenerateInputError(f"<g^(1+gamma)> = {g_power}; target carries no mass")
-        return self._combine(cross, g_power)
+        return self._evaluate(f, g)[0]
 
     def empirical(self, sample, g):
         """Empirical score with the cross term replaced by a sample mean."""
-        g_power = _candidate_power(g, 1.0 + self.gamma)
-        cross = float(np.mean(np.exp(self.gamma * _log_target_at(g, sample.points))))
-        return self._combine(cross, g_power)
+        return self._evaluate(sample, g)[0]
 
     def expected_with_gradient(self, f, g):
         """``(expected(f, g), its theta-gradient)`` for a ``(model, theta)`` target."""
-        log_g, gradient = _log_and_gradient_rows(f, g)
-        cross, g_power, (d_cross, d_power) = log_moments(f, log_g, self.gamma, gradient)
-        a, b = self._partials(cross, _positive_power(g_power, 1.0 + self.gamma))
-        return self._combine(cross, g_power), \
-            a * self.gamma * d_cross + b * (1.0 + self.gamma) * d_power
+        value, gradient = self._evaluate(f, g)
+        return value, gradient()
 
     def empirical_with_gradient(self, sample, g):
         """``(empirical(sample, g), its theta-gradient)`` for a ``(model, theta)`` target."""
-        log_x, s_x = _log_and_score(g, sample.points)
-        g_power, d_power = _candidate_power_gradient(g, 1.0 + self.gamma)
-        q = np.exp(self.gamma * log_x)
-        cross = float(np.mean(q))
-        a, b = self._partials(cross, g_power)
-        return self._combine(cross, g_power), a * self.gamma / sample.n * (s_x @ q) + b * d_power
+        value, gradient = self._evaluate(sample, g)
+        return value, gradient()
+
+    def _evaluate(self, data, g):
+        """``(S, gradient)`` against a data grid or a ``Sample``; the zero-argument
+        ``gradient`` forms the theta-gradient, and is the only caller of the
+        model's ``score``."""
+        gamma = self.gamma
+        log_g, rows = _log_and_gradient_rows(data, g)
+        if isinstance(data, Sample):
+            power, d_power = _candidate_power(g, 1.0 + gamma)
+            q = np.exp(gamma * log_g)
+            cross = float(np.mean(q))
+
+            def gradient():
+                a, b = self._partials(cross, power)
+                return a * gamma / data.n * rows(q, None) + b * d_power()
+        else:
+            cross, power, t = log_moments(data, log_g, gamma)
+            if power <= 0.0:
+                raise DegenerateInputError(f"<g^(1+gamma)> = {power}; target carries no mass")
+
+            def gradient():
+                d_cross, d_power = rows(t, (cross, power))
+                a, b = self._partials(cross, _positive_power(power, 1.0 + gamma))
+                return a * gamma * d_cross + b * (1.0 + gamma) * d_power
+        return self._combine(cross, power), gradient
 
 
 class KL(CompositeScore):
@@ -269,29 +284,21 @@ class KL(CompositeScore):
     def __repr__(self):
         return "KL()"
 
-    def expected(self, f, g):
-        view = f.flat
-        log_g = _log_and_gradient_rows(f, g)[0]
-        return _kl_cross(view.values * view.weights, view.values, log_g) \
-            + float(_power_sum(view.weights, log_g, 1.0))
-
-    def empirical(self, sample, g):
-        cross = -float(np.mean(_log_target_at(g, sample.points)))
-        return cross + _candidate_power(g, 1.0)
-
-    def expected_with_gradient(self, f, g):
-        view = f.flat
-        log_g, gradient = _log_and_gradient_rows(f, g)
+    def _evaluate(self, data, g):
+        log_g, rows = _log_and_gradient_rows(data, g)
+        if isinstance(data, Sample):
+            power, d_power = _candidate_power(g, 1.0)
+            return -float(np.mean(log_g)) + power, \
+                lambda: d_power() - rows(np.full(data.n, 1.0 / data.n), None)
+        view = data.flat
         t = np.empty((2, log_g.size))
         np.multiply(view.values, view.weights, out=t[0])
         power = float(_power_sum(view.weights, log_g, 1.0, out=t[1]))
-        d_cross, d_power = gradient(t, (float(np.sum(t[0])), power))
-        return _kl_cross(t[0], view.values, log_g) + power, d_power - d_cross
 
-    def empirical_with_gradient(self, sample, g):
-        log_x, s_x = _log_and_score(g, sample.points)
-        power, d_power = _candidate_power_gradient(g, 1.0)
-        return -float(np.mean(log_x)) + power, d_power - np.mean(s_x, axis=1)
+        def gradient():
+            d_cross, d_power = rows(t, (float(np.sum(t[0])), power))
+            return d_power - d_cross
+        return _kl_cross(t[0], view.values, log_g) + power, gradient
 
 
 def _kl_cross(fw, values, log_g):
@@ -313,35 +320,44 @@ def _monomial_at(d):
 _MONOMIAL_AT = {d: _monomial_at(d) for d in range(1, MAX_DIM + 1)}
 
 
-def _log_and_gradient_rows(f, g):
-    """``(log g, gradient)`` at the nodes of the data grid f; -inf marks
-    g = 0.  For node weights h, ``gradient(t, totals)`` maps the terms t of
-    two such weightings, shape (2, N), and their totals <h>, (2,), to the
-    theta-gradients <h d log g / dtheta>, (2, k).
+def _no_gradient(*_):
+    raise StructuralError("theta-gradients need a (model, theta) target")
 
-    ``g`` is a grid density on f's grid, whose ``gradient`` raises, or a
-    ``(model, theta)`` pair.  A model with ``log_quadratic`` sums the
-    non-constant monomials q(u) of u = x - midpoint and lifts them through
-    its Jacobian.  On the tensor grid, log g = eta @ q and the sums are
-    contracted one axis at a time with f's per-axis rows [1, u_k, u_k^2],
-    through the (3,)*d array of the coefficients of prod_k u_k^a_k; no
-    (r, N) array is formed.  Any other model sums its score columns, and
-    calls ``score`` only when ``gradient`` is.
+
+def _log_and_gradient_rows(data, g):
+    """``(log g, gradient)`` at the nodes of the data grid, or at the points
+    of a ``Sample``; -inf marks g = 0.  For node weights h, ``gradient(t,
+    totals)`` maps the terms t of such weightings, shape (2, N) on a grid,
+    and their totals <h>, (2,), to the theta-gradients <h d log g / dtheta>,
+    (2, k); at sample points t may be one row (n,), and totals are unused.
+
+    ``g`` is a grid density, on the data grid or interpolated at the sample
+    points, whose ``gradient`` raises, or a ``(model, theta)`` pair.  On a
+    grid, a model with ``log_quadratic`` sums the non-constant monomials q(u)
+    of u = x - midpoint and lifts them through its Jacobian: log g = eta @ q
+    and the sums are contracted one axis at a time with the grid's per-axis
+    rows [1, u_k, u_k^2], through the (3,)*d array of the coefficients of
+    prod_k u_k^a_k; no (r, N) array is formed.  Any other model, and every
+    model at sample points, sums its score columns, and calls ``score`` only
+    when ``gradient`` is.
     """
+    sample = isinstance(data, Sample)
     if isinstance(g, GridDensity):
-        _require_same_grid(f, g)
-        def no_gradient(t, totals):
-            raise StructuralError("theta-gradients need a (model, theta) target")
+        if sample:
+            values = g.evaluate(data.points)
+        else:
+            _require_same_grid(data, g)
+            values = g.flat.values
         with np.errstate(divide="ignore"):
-            return np.log(g.flat.values), no_gradient
+            return np.log(values), _no_gradient
     model, theta = g
     theta = np.asarray(theta, dtype=float)
-    if model.log_quadratic is None:
-        nodes = f.flat.nodes
+    if sample or model.log_quadratic is None:
+        nodes = data.points if sample else data.flat.nodes
         return (model.log_density(theta, nodes),
                 lambda t, totals: t @ model.score(theta, nodes))
-    eta, jac = model.log_quadratic(theta, f.midpoint)
-    rows, d = f.axis_monomials, f.dim
+    eta, jac = model.log_quadratic(theta, data.midpoint)
+    rows, d = data.axis_monomials, data.dim
     at = _MONOMIAL_AT[d]
     coef = np.zeros(3 ** d)
     coef[at] = eta
@@ -359,41 +375,23 @@ def _log_and_gradient_rows(f, g):
     return coef.ravel(), gradient
 
 
-def _model_box(model, theta):
-    """Nodes and weights of the quadrature box of model(theta)."""
-    lo, hi = model.support(np.asarray(theta, dtype=float))
-    axes, weights = _box_quadrature(lo, hi, (model.quad_points,) * model.dim)
-    return _tensor_nodes(axes), weights.ravel()
-
-
 def _candidate_power(g, a):
-    """<g^a> over g's own grid, or for a ``(model, theta)`` pair its closed
-    form or, where it has none, the sum over its box without rendering it;
-    anything but a finite positive value raises."""
+    """``(<g^a>, gradient)``: over g's own grid, or for a ``(model, theta)``
+    pair its closed form or, where it has none, the sum over its quadrature
+    box without rendering it; anything but a finite positive value raises.
+    The zero-argument ``gradient`` gives d<g^a>/dtheta."""
     if isinstance(g, GridDensity):
-        return _positive_power(power_moment(g, a), a)
-    model, theta = g
-    if model.power_moment is not None:
-        return _positive_power(model.power_moment(np.asarray(theta, dtype=float), a)[0], a)
-    nodes, weights = _model_box(model, theta)
-    return _positive_power(_power_sum(weights, _log_target_at(g, nodes), a), a)
-
-
-def _candidate_power_gradient(g, a):
-    """<g^a> and its theta-gradient for a ``(model, theta)`` pair: the model's
-    closed form, or, where it has none, the sum over its quadrature box
-    (never rendered); anything but a finite positive value raises."""
+        return _positive_power(power_moment(g, a), a), _no_gradient
     model, theta = g
     theta = np.asarray(theta, dtype=float)
     if model.power_moment is not None:
         power, d_power = model.power_moment(theta, a)
-    else:
-        nodes, weights = _model_box(model, theta)
-        log_box, s_box = _log_and_score(g, nodes)
-        t = np.empty(log_box.size)
-        power = _power_sum(weights, log_box, a, out=t)
-        d_power = a * (s_box @ t)
-    return _positive_power(power, a), d_power
+        return _positive_power(power, a), lambda: d_power
+    axes, weights = _box_quadrature(*model.support(theta), (model.quad_points,) * model.dim)
+    log_box, rows = _log_and_gradient_rows(Sample(_tensor_nodes(axes)), g)
+    t = np.empty(log_box.size)
+    power = _power_sum(weights.ravel(), log_box, a, out=t)
+    return _positive_power(power, a), lambda: a * rows(t, None)
 
 
 def _positive_power(power, a):
@@ -401,26 +399,6 @@ def _positive_power(power, a):
     if not (np.isfinite(power) and power > 0.0):
         raise DegenerateInputError(f"<g^{a:g}> = {power}; target carries no finite mass")
     return power
-
-
-def _log_and_score(g, points):
-    """log g and its theta-gradient s, as (k, n) columns, at ``points`` for a
-    ``(model, theta)`` pair; gradients need such a target, not a grid."""
-    if isinstance(g, GridDensity):
-        raise StructuralError("theta-gradients need a (model, theta) target")
-    model, theta = g
-    theta = np.asarray(theta, dtype=float)
-    return model.log_density(theta, points), model.score(theta, points).T
-
-
-def _log_target_at(g, points):
-    """log g at sample points: the interpolated grid density (-inf where it
-    vanishes) or the model's analytic log-density."""
-    if isinstance(g, GridDensity):
-        with np.errstate(divide="ignore"):
-            return np.log(g.evaluate(points))
-    model, theta = g
-    return model.log_density(np.asarray(theta, dtype=float), points)
 
 
 class DensityPower(CompositeScore):

@@ -414,8 +414,9 @@ class TestBadValuesExit2:
 
 
 class TestNonFiniteOrNegativeExit2:
-    """NaN and infinite gamma, kappa and c, and a negative seed, are bad input:
-    exit 2 with one line, not a failed fit or a traceback."""
+    """NaN and infinite gamma, kappa, c, tolerances and noise, and a negative
+    seed, are bad input: exit 2 with one line, not a failed fit or a
+    traceback."""
 
     @pytest.mark.parametrize("command, sets, seed, needle", [
         ("fit", ("family=gamma", "gamma=nan", "theta_true=0,1"), None, "finite gamma"),
@@ -429,6 +430,11 @@ class TestNonFiniteOrNegativeExit2:
         ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1", "seed=-3"), None,
          "non-negative"),
         ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1"), -1, "non-negative"),
+        ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1", "grad_tol=nan"), None,
+         "tolerances"),
+        ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1", "step_tol=inf"), None,
+         "tolerances"),
+        ("regress", ("gamma=0.5", "kappa=1", "a=1", "b=0", "noise=nan"), None, "noise"),
     ])
     def test_one_line_message(self, tmp_path, capsys, command, sets, seed, needle):
         code, _ = run(tmp_path, command, "bad", *sets, seed=seed)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -35,8 +36,11 @@ class TestFitConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             FitConfig(init_theta=[0.0], max_iters=0)
-        with pytest.raises(ConfigError):
-            FitConfig(init_theta=[0.0], grad_tol=-1.0)
+        # NaN fails every comparison, so only 0 < tol < inf admits a tolerance
+        for key in ("grad_tol", "step_tol"):
+            for bad in (-1.0, 0.0, math.nan, math.inf):
+                with pytest.raises(ConfigError):
+                    FitConfig(init_theta=[0.0], **{key: bad})
         with pytest.raises(ConfigError):
             FitConfig(init_theta=[0.0], optimizer="bfgs")
         with pytest.raises(ConfigError):
@@ -649,6 +653,13 @@ class TestFitRegression:
 
 
 class TestConditionalModel:
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, 0.0, -0.5],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_fixed_noise_must_be_finite_and_positive(self, noise):
+        # NaN fails every comparison, so only 0 < noise < inf admits a scale
+        with pytest.raises(ConfigError):
+            make_conditional("linear-gaussian", noise=noise)
+
     def test_conditional_density_normalized_in_y(self):
         cmodel = make_conditional("linear-gaussian", noise=0.7)
         ygrid, wy = y_grid()

@@ -322,7 +322,7 @@ class TestBracketGradient:
         quad = _frozen_grid(model, theta_star)
 
         def bracket(theta, z):
-            cross, power = log_moments(quad, model.log_density(theta, quad.flat.nodes), gamma)
+            cross, power, _ = log_moments(quad, model.log_density(theta, quad.flat.nodes), gamma)
             pz_gamma = np.exp(gamma * model.log_density(theta, z.reshape(1, -1))[0])
             return float(phi.d1(cross / power)) * (pz_gamma - cross)
 

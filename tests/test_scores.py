@@ -391,6 +391,11 @@ class TestExactGradient:
         p, q = gaussian_pair([0.0, 1.0], [0.2, 1.1])
         with pytest.raises(StructuralError):
             score.expected_with_gradient(p, q)
+        # the value alone is fine: the grid density interpolated at the points
+        sample = Sample(points=[-0.5, 0.1, 0.7])
+        assert math.isfinite(score.empirical(sample, q))
+        with pytest.raises(StructuralError):
+            score.empirical_with_gradient(sample, q)
 
 
 class TestValueWithoutScore:
