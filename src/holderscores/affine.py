@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, StructuralError, UnsupportedFamilyError
+from .errors import DomainError, StructuralError, UnsupportedFamilyError
 from .grids import GridDensity, _spline_at, _spline_coefficients
 from .scores import divergence
 
@@ -74,24 +74,6 @@ class AffineMap:
         """The map applying ``inner`` first, then this map."""
         return AffineMap(sigma=inner.sigma @ self.sigma,
                          mu=inner.mu + inner.sigma @ self.mu)
-
-    @classmethod
-    def from_config(cls, text):
-        """Parse ``sigma=<row-major csv>; mu=<csv>``."""
-        fields = {}
-        for part in str(text).split(";"):
-            key, _, val = part.strip().partition("=")
-            if key:
-                fields[key.strip()] = val.strip()
-        try:
-            mu = np.array([float(v) for v in fields["mu"].split(",")])
-            raw = np.array([float(v) for v in fields["sigma"].split(",")])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"malformed affine spec {text!r}") from exc
-        d = mu.size
-        if raw.size != d * d:
-            raise ConfigError(f"sigma needs {d * d} row-major entries for d={d}")
-        return cls(sigma=raw.reshape(d, d), mu=mu)
 
 
 def transform_density(f, amap):

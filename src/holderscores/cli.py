@@ -10,6 +10,12 @@ Every run writes ``results.csv`` (always with a header row) and
 (PASS | FAIL | INCONCLUSIVE); sweeps additionally write ``plotdata_*.csv``
 curve files with ``#``-prefixed column documentation.
 
+A command must read every config key it is given.  A key it never looks up
+(a misspelling, or an input that another one overrides, such as ``p.theta``
+beside ``p.file`` or ``seed`` beside ``--seed``) exits 2 with one line that
+names the command and the key, and nothing is written: the check runs after
+the command has computed its files and before ``--out`` is created.
+
 Exit status: 0 success, 2 validation failure, 3 numerical failure,
 64 unknown command.
 """
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import ChainMap
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -29,10 +36,11 @@ from .errors import (ConfigError, DegenerateInputError, DomainError,
                      UnsupportedFamilyError)
 from .grids import default_tol, integrate, read_grid
 from .estimators import FitConfig, fit, fit_regression, make_conditional, population_fit
-from .models import (Sample, draw_contaminated_sample, draw_sample,
+from .models import (Sample, contaminate, draw_contaminated_sample, draw_sample,
                      make_parametric, read_samples, render_density)
 from .robustness import influence_curve, redescend_check
-from .scores import GammaScore, KL, divergence, phi_from_config, score_from_config
+from .scores import (GammaScore, KL, divergence, number_from_config, phi_from_config,
+                     score_from_config)
 from .rng import rng_for
 
 COMMANDS = ("divergence", "fit", "regress", "invariance", "influence",
@@ -47,47 +55,50 @@ def _fmt(x):
 
 # -- config handling -------------------------------------------------------------
 
+class Config(dict):
+    """A flat config that records every key looked up through ``[]``, ``in``
+    or ``get``, so that the keys a command never read can be named."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def load_config(path=None, overrides=()):
-    cfg = {}
+    """The ``key=value`` pairs of the config file, then of ``--set``, as a
+    :class:`Config`; a later pair overrides an earlier one."""
+    items = []
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                # one pair per line, or several separated by semicolons
-                # (e.g. "family=holder; gamma=0.5; phi=kappa")
-                for item in line.split(";"):
-                    item = item.strip()
-                    if not item:
-                        continue
-                    if "=" not in item:
-                        raise ConfigError(f"config lines must be key=value, got {item!r}")
-                    key, _, val = item.partition("=")
-                    cfg[key.strip()] = val.strip()
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, val = item.partition("=")
+            # one pair per line, or several separated by semicolons
+            # (e.g. "family=holder; gamma=0.5; phi=kappa")
+            items = [item for line in fh for item in line.split("#", 1)[0].split(";")
+                     if item.strip()]
+    cfg = Config()
+    for item in [*items, *overrides]:
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise ConfigError(f"config pairs must be key=value, got {item.strip()!r}")
         cfg[key.strip()] = val.strip()
     return cfg
 
 
-def _get_float(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r} must be a number, got {cfg[key]!r}") from None
-
-
 def _get_int(cfg, key, default=None):
-    value = _get_float(cfg, key, default)
+    value = number_from_config(cfg, key, default)
     if not float(value).is_integer():
         raise ConfigError(f"config key {key!r} must be an integer, "
                           f"got {cfg.get(key, value)!r}")
@@ -132,7 +143,7 @@ def _model_from_config(cfg, prefix="model"):
     kind = cfg.get(prefix, "gaussian-mean-scale")
     hyper = {}
     if f"{prefix}.scale" in cfg:
-        hyper["scale"] = _get_float(cfg, f"{prefix}.scale")
+        hyper["scale"] = number_from_config(cfg, f"{prefix}.scale")
     if f"{prefix}.dim" in cfg:
         hyper["dim"] = _get_int(cfg, f"{prefix}.dim")
     if f"{prefix}.weights" in cfg:
@@ -184,8 +195,8 @@ def _check_mass(g, label):
 def _fit_config(cfg, model_dim_k, seed, default_init):
     return FitConfig(init_theta=_get_vector(cfg, "init", model_dim_k, default_init),
                      max_iters=_get_int(cfg, "max_iters", 2000),
-                     grad_tol=_get_float(cfg, "grad_tol", 1e-4),
-                     step_tol=_get_float(cfg, "step_tol", 1e-8),
+                     grad_tol=number_from_config(cfg, "grad_tol", 1e-4),
+                     step_tol=number_from_config(cfg, "step_tol", 1e-8),
                      optimizer=cfg.get("optimizer", "l-bfgs-b"),
                      seed=seed,
                      polish=_get_bool(cfg, "polish", True))
@@ -193,55 +204,47 @@ def _fit_config(cfg, model_dim_k, seed, default_init):
 
 # -- output helpers -----------------------------------------------------------------
 
-def _write_results(outdir, header, rows):
-    path = os.path.join(outdir, "results.csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    return path
+def _files(header, rows, verdict, lines=()):
+    """``results.csv`` (a header row, then the rows of cells) and
+    ``report.txt`` (the verdict, then the report lines)."""
+    return {"results.csv": "".join(",".join(row) + "\n" for row in [header, *rows]),
+            "report.txt": "".join(line + "\n" for line in [verdict, *lines])}
 
 
-def _write_report(outdir, verdict, lines=()):
-    path = os.path.join(outdir, "report.txt")
-    with open(path, "w") as fh:
-        fh.write(verdict + "\n")
-        for line in lines:
-            fh.write(line + "\n")
-    return path
-
-
-def emit_plotdata(outdir, name, columns, rows, comments=()):
+def _plotdata(columns, rows, comment):
     """One curve file per sweep quantity; '#' lines document the columns."""
-    if len(rows) < 1:
-        raise DegenerateInputError("sweep produced no rows; nothing to plot")
-    path = os.path.join(outdir, f"plotdata_{name}.csv")
-    with open(path, "w") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        fh.write(f"# columns: {','.join(columns)}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
+    return "".join([f"# {comment}\n", f"# columns: {','.join(columns)}\n",
+                    ",".join(columns) + "\n",
+                    *(",".join(_fmt(v) for v in row) + "\n" for row in rows)])
+
+
+def _fit_files(result, theta_names, *lines):
+    """Exit code and files of a fit: the fitted row, PASS when it converged."""
+    header = [f"theta_{name}" for name in theta_names] \
+        + ["objective", "iterations", "converged"]
+    verdict = "PASS" if result.converged else "FAIL"
+    return 0 if result.converged else 3, _files(
+        header, [result.csv_row().split(",")], verdict,
+        [f"theta_hat={list(map(float, result.theta_hat))!r}", *lines])
 
 
 # -- commands --------------------------------------------------------------------------
+#
+# Each command returns its exit code and its files, {file name: text}; main
+# writes them once every config key has been read.
 
-def _cmd_divergence(cfg, outdir, seed, jobs):
+def _cmd_divergence(cfg, seed, jobs):
     score = score_from_config(cfg)
     p, q = _density_pair(cfg)
     value = divergence(score, p.normalize(), q.normalize())
     header = ["family", "gamma", "s_fg", "s_ff", "divergence"]
     row = [score.name, _fmt(score.gamma), _fmt(value.s_fg), _fmt(value.s_ff),
            _fmt(value.divergence)]
-    _write_results(outdir, header, [row])
-    _write_report(outdir, "PASS", [f"score {score.name} computed",
-                                   f"divergence={value.divergence!r}"])
-    return 0
+    return 0, _files(header, [row], "PASS", [f"score {score.name} computed",
+                                             f"divergence={value.divergence!r}"])
 
 
-def _cmd_fit(cfg, outdir, seed, jobs):
+def _cmd_fit(cfg, seed, jobs):
     score = score_from_config(cfg)
     model = _model_from_config(cfg)
     if "data" in cfg:
@@ -250,7 +253,7 @@ def _cmd_fit(cfg, outdir, seed, jobs):
     else:
         theta_true = _get_vector(cfg, "theta_true", model.param_dim)
         n = _get_int(cfg, "n", 1000)
-        eps = _get_float(cfg, "eps", 0.0)
+        eps = number_from_config(cfg, "eps", 0.0)
         if eps > 0:
             sample = draw_contaminated_sample(model, theta_true, eps,
                                               _get_floats(cfg, "z"), n, seed)
@@ -259,21 +262,14 @@ def _cmd_fit(cfg, outdir, seed, jobs):
         default_init = theta_true
     fit_cfg = _fit_config(cfg, model.param_dim, seed, default_init)
     result = fit(score, model, sample, fit_cfg)
-    header = [f"theta_{name}" for name in model.theta_names] \
-        + ["objective", "iterations", "converged"]
-    _write_results(outdir, header, [result.csv_row().split(",")])
-    verdict = "PASS" if result.converged else "FAIL"
-    _write_report(outdir, verdict,
-                  [f"theta_hat={list(map(float, result.theta_hat))!r}",
-                   f"objective={result.objective_value!r}",
-                   f"iterations={result.iterations}"])
-    return 0 if result.converged else 3
+    return _fit_files(result, model.theta_names, f"objective={result.objective_value!r}",
+                      f"iterations={result.iterations}")
 
 
-def _cmd_regress(cfg, outdir, seed, jobs):
-    gamma = _get_float(cfg, "gamma")
-    kappa = _get_float(cfg, "kappa")
-    noise_val = None if cfg.get("noise", "fit") == "fit" else _get_float(cfg, "noise")
+def _cmd_regress(cfg, seed, jobs):
+    gamma = number_from_config(cfg, "gamma")
+    kappa = number_from_config(cfg, "kappa")
+    noise_val = None if cfg.get("noise", "fit") == "fit" else number_from_config(cfg, "noise")
     x_dim = _get_int(cfg, "x_dim", 1)
     cmodel = make_conditional("linear-gaussian", x_dim=x_dim, noise=noise_val)
     if "data" in cfg:
@@ -283,26 +279,21 @@ def _cmd_regress(cfg, outdir, seed, jobs):
         default_init = None
     else:
         a = _get_vector(cfg, "a", x_dim)
-        b = _get_float(cfg, "b")
-        s = _get_float(cfg, "s", 1.0)
+        b = number_from_config(cfg, "b")
+        s = number_from_config(cfg, "s", 1.0)
         n = _get_int(cfg, "n", 500)
         rng = rng_for(seed, 1)
-        x = rng.uniform(_get_float(cfg, "x.lo", -3.0), _get_float(cfg, "x.hi", 3.0),
-                        size=(n, x_dim))
+        x = rng.uniform(number_from_config(cfg, "x.lo", -3.0),
+                        number_from_config(cfg, "x.hi", 3.0), size=(n, x_dim))
         y = x @ a + b + s * rng.standard_normal(n)
-        out_eps = _get_float(cfg, "outlier.eps", 0.0)
+        out_eps = number_from_config(cfg, "outlier.eps", 0.0)
         if out_eps > 0:
-            y = np.where(rng.random(n) < out_eps, _get_float(cfg, "outlier.y"), y)
+            y = np.where(rng.random(n) < out_eps, number_from_config(cfg, "outlier.y"), y)
         sample = Sample(points=y, covariates=x)
         default_init = np.concatenate([a, [b]] + ([] if noise_val else [[s]]))
     fit_cfg = _fit_config(cfg, cmodel.param_dim, seed, default_init)
-    result = fit_regression(gamma, kappa, cmodel, sample, fit_cfg)
-    header = [f"theta_{name}" for name in cmodel.theta_names] \
-        + ["objective", "iterations", "converged"]
-    _write_results(outdir, header, [result.csv_row().split(",")])
-    verdict = "PASS" if result.converged else "FAIL"
-    _write_report(outdir, verdict, [f"theta_hat={list(map(float, result.theta_hat))!r}"])
-    return 0 if result.converged else 3
+    return _fit_files(fit_regression(gamma, kappa, cmodel, sample, fit_cfg),
+                      cmodel.theta_names)
 
 
 def _random_gaussian_pair(dim, n, rng):
@@ -316,18 +307,19 @@ def _random_gaussian_pair(dim, n, rng):
                  .normalize() for m, s in zip(means, scales))
 
 
-def _cmd_invariance(cfg, outdir, seed, jobs):
+def _cmd_invariance(cfg, seed, jobs):
     score = score_from_config(cfg)
     if score.affine_scale_exponent is None:
         raise UnsupportedFamilyError(
             f"{score.name} has no exact scale law; use the holder or kl family")
-    amap = AffineMap.from_config(
-        f"sigma={cfg.get('sigma', '1')}; mu={cfg.get('mu', '0')}")
+    mu = _get_floats(cfg, "mu", [0.0])
+    sigma = _get_vector(cfg, "sigma", mu.size ** 2, [1.0])
+    amap = AffineMap(sigma=sigma.reshape(mu.size, mu.size), mu=mu)
     pairs = _get_int(cfg, "pairs", 5)
     if pairs < 1:
         raise ConfigError(f"config key 'pairs' must be at least 1, got {pairs}")
     n = _get_int(cfg, "grid.n", 1201 if amap.dim == 1 else 81)
-    tol = _get_float(cfg, "tol", 1e-5)
+    tol = number_from_config(cfg, "tol", 1e-5)
     h = abs(amap.det_sigma) ** (-score.affine_scale_exponent)
     rows = []
     worst = 0.0
@@ -341,10 +333,18 @@ def _cmd_invariance(cfg, outdir, seed, jobs):
         worst = max(worst, residual)
         rows.append([str(i), _fmt(amap.det_sigma), _fmt(h), _fmt(d_raw),
                      _fmt(d_mapped), _fmt(residual)])
-    _write_results(outdir, ["pair", "det", "h", "d_raw", "d_mapped", "residual"], rows)
     verdict = "PASS" if worst < tol else "FAIL"
-    _write_report(outdir, verdict, [f"max residual {worst!r} against tolerance {tol!r}"])
-    return 0 if verdict == "PASS" else 3
+    return 0 if verdict == "PASS" else 3, _files(
+        ["pair", "det", "h", "d_raw", "d_mapped", "residual"], rows, verdict,
+        [f"max residual {worst!r} against tolerance {tol!r}"])
+
+
+def _robustness_inputs(cfg):
+    """``(gamma, model, theta_star, phi)``, read by influence and redescend."""
+    gamma = number_from_config(cfg, "gamma")
+    model = _model_from_config(cfg)
+    theta_star = _get_vector(cfg, "theta_star", model.param_dim)
+    return gamma, model, theta_star, phi_from_config(cfg, gamma)
 
 
 def _influence_table(cfg):
@@ -352,10 +352,7 @@ def _influence_table(cfg):
 
     Returns the influence curve with the header and rows of its results.csv.
     """
-    gamma = _get_float(cfg, "gamma")
-    model = _model_from_config(cfg)
-    theta_star = _get_vector(cfg, "theta_star", model.param_dim)
-    phi = phi_from_config(cfg, gamma)
+    gamma, model, theta_star, phi = _robustness_inputs(cfg)
     z_grid = None
     if "z" in cfg:
         z_grid = [_parse_floats("z", part) for part in cfg["z"].split(";") if part.strip()]
@@ -364,7 +361,7 @@ def _influence_table(cfg):
                               f"of {model.dim} coordinates")
     curve = influence_curve(phi, gamma, model, theta_star, z_grid=z_grid,
                             n_z=_get_int(cfg, "z.count", 50),
-                            max_sd=_get_float(cfg, "z.max", 12.0))
+                            max_sd=number_from_config(cfg, "z.max", 12.0))
     header = [f"z{i + 1}" for i in range(model.dim)] \
         + [f"if_{i + 1}" for i in range(curve[0].if_vector.size)] + ["if_norm"]
     table = [[_fmt(v) for v in np.concatenate([res.z, res.if_vector, [res.norm]])]
@@ -372,63 +369,62 @@ def _influence_table(cfg):
     return curve, header, table
 
 
-def _cmd_influence(cfg, outdir, seed, jobs):
+def _cmd_influence(cfg, seed, jobs):
     curve, header, table = _influence_table(cfg)
-    _write_results(outdir, header, table)
-    _write_report(outdir, "PASS", [f"{len(curve)} influence evaluations"])
-    return 0
+    return 0, _files(header, table, "PASS", [f"{len(curve)} influence evaluations"])
 
 
-def _cmd_redescend(cfg, outdir, seed, jobs):
-    gamma = _get_float(cfg, "gamma")
-    model = _model_from_config(cfg)
-    theta_star = _get_vector(cfg, "theta_star", model.param_dim)
-    phi = phi_from_config(cfg, gamma)
+def _cmd_redescend(cfg, seed, jobs):
+    gamma, model, theta_star, phi = _robustness_inputs(cfg)
     report = redescend_check(phi, gamma, model, theta_star,
                              n_z=_get_int(cfg, "z.count", 25),
-                             max_sd=_get_float(cfg, "z.max", 12.0))
+                             max_sd=number_from_config(cfg, "z.max", 12.0))
     header = ["condition_met", "phi_d2_at_1", "limit_estimate", "max_tail", "last_tail"]
     row = [str(report.condition_met).lower(), _fmt(report.phi_d2_at_1),
            _fmt(report.limit_estimate), _fmt(report.max_tail),
            _fmt(report.tail_norms[-1][1])]
-    _write_results(outdir, header, [row])
-    _write_report(outdir, report.verdict, str(report).splitlines()[1:])
-    if report.verdict == "FAIL":
-        return 3
-    return 0
+    return 3 if report.verdict == "FAIL" else 0, _files(
+        header, [row], report.verdict, str(report).splitlines()[1:])
 
 
 # -- sweeps ------------------------------------------------------------------------------
 
-def _contamination_bias(cfg, seed, eps, family):
-    """Population mean-bias of one family under eps-contamination at z."""
-    from .models import contaminate
+def _contamination_bias(model_cfg, theta_true, z, gamma, seed, eps, family):
+    """Population mean-bias of one family under eps-contamination at z.
 
-    model = _model_from_config(cfg)
-    theta_true = _get_vector(cfg, "theta_true", model.param_dim)
-    z = _get_floats(cfg, "z", [10.0])
+    The model is rebuilt from its plain config here: a model does not pickle,
+    so a ``--jobs`` worker cannot be handed one.
+    """
+    model = _model_from_config(model_cfg)
     p_eps = contaminate(model, theta_true, eps, z)
-    if family == "kl":
-        score = KL()
-    else:
-        score = GammaScore(_get_float(cfg, "gamma", 0.5))
+    score = KL() if family == "kl" else GammaScore(gamma)
     fit_cfg = FitConfig(init_theta=theta_true, step_tol=1e-9, grad_tol=1e-2, seed=seed)
     res = population_fit(score, model, p_eps, fit_cfg)
     return float(res.theta_hat[0] - theta_true[0])
 
 
-def _cmd_sweep(cfg, outdir, seed, jobs):
+def _sweep_files(columns, curves, comment):
+    """Exit code and files of a sweep over families: one results.csv row per
+    point of each ``(family, [(x, y), ...])`` curve, and one plotdata file per
+    family, documented by ``comment`` with the family put in its ``{}``."""
+    results = [[fam, _fmt(x), _fmt(y)] for fam, rows in curves for x, y in rows]
+    files = _files(["family", *columns], results, "PASS", [f"{len(results)} sweep rows"])
+    for fam, rows in curves:
+        files[f"plotdata_{fam}.csv"] = _plotdata(columns, rows, comment.format(fam))
+    return 0, files
+
+
+def _cmd_sweep(cfg, seed, jobs):
     kind = cfg.get("sweep.kind")
     if kind == "influence-z":
         curve, header, table = _influence_table(cfg)
         if len(curve) < 2:
             raise DegenerateInputError("influence sweep needs at least 2 z-values")
-        _write_results(outdir, header, table)
-        emit_plotdata(outdir, "if_norm", ["z_norm", "if_norm"],
-                      [(float(np.linalg.norm(res.z)), res.norm) for res in curve],
-                      comments=["influence norm against contamination distance"])
-        _write_report(outdir, "PASS", [f"{len(curve)} sweep rows"])
-        return 0
+        return 0, {**_files(header, table, "PASS", [f"{len(curve)} sweep rows"]),
+                   "plotdata_if_norm.csv": _plotdata(
+                       ["z_norm", "if_norm"],
+                       [(float(np.linalg.norm(res.z)), res.norm) for res in curve],
+                       "influence norm against contamination distance")}
 
     if kind == "divergence-gamma":
         gammas = _get_floats(cfg, "gammas")
@@ -437,47 +433,40 @@ def _cmd_sweep(cfg, outdir, seed, jobs):
             raise DegenerateInputError("gamma sweep needs at least 2 values")
         p, q = _density_pair(cfg)
         p, q = p.normalize(), q.normalize()
-        results = []
-        for fam in families:
-            rows = []
-            for g in gammas:
-                sub = dict(cfg)
-                sub["family"] = fam
-                sub["gamma"] = repr(float(g))
-                score = score_from_config(sub)
-                val = divergence(score, p, q).divergence
-                rows.append((float(g), val))
-                results.append([fam, _fmt(g), _fmt(val)])
-            emit_plotdata(outdir, fam, ["gamma", "divergence"], rows,
-                          comments=[f"{fam} divergence for the configured pair"])
-        _write_results(outdir, ["family", "gamma", "divergence"], results)
-        _write_report(outdir, "PASS", [f"{len(results)} sweep rows"])
-        return 0
+
+        def value(fam, g):
+            # family and gamma come from the sweep; phi, kappa and c from cfg
+            score = score_from_config(ChainMap({"family": fam, "gamma": repr(float(g))}, cfg))
+            return divergence(score, p, q).divergence
+
+        curves = [(fam, [(float(g), value(fam, g)) for g in gammas]) for fam in families]
+        return _sweep_files(["gamma", "divergence"], curves,
+                            "{} divergence for the configured pair")
 
     if kind == "contamination":
         eps_values = _get_floats(cfg, "eps.values")
         if eps_values.size < 2:
             raise DegenerateInputError("contamination sweep needs at least 2 levels")
+        # parsed here, so that every key is read in this process; a worker
+        # rebuilds the model from a plain copy of cfg
+        model = _model_from_config(cfg)
+        theta_true = _get_vector(cfg, "theta_true", model.param_dim)
+        z = _get_floats(cfg, "z", [10.0])
+        gamma = number_from_config(cfg, "gamma", 0.5)
         families = ("gamma-score", "kl")
         tasks = [(float(eps), fam) for fam in families for eps in eps_values]
-        args = ([cfg] * len(tasks), [seed] * len(tasks), *zip(*tasks))
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        fixed = (dict(cfg), theta_true, z, gamma, seed)
+        args = (*([v] * len(tasks) for v in fixed), *zip(*tasks))
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 biases = list(pool.map(_contamination_bias, *args))
         else:
             biases = list(map(_contamination_bias, *args))
-        results = []
-        for fam in families:
-            rows = []
-            for (eps, f), bias in zip(tasks, biases):
-                if f == fam:
-                    rows.append((eps, bias))
-                    results.append([fam, _fmt(eps), _fmt(bias)])
-            emit_plotdata(outdir, fam, ["eps", "mean_bias"], rows,
-                          comments=["population mean bias under point contamination"])
-        _write_results(outdir, ["family", "eps", "mean_bias"], results)
-        _write_report(outdir, "PASS", [f"{len(results)} sweep rows"])
-        return 0
+        curves = [(fam, [(eps, bias) for (eps, f), bias in zip(tasks, biases) if f == fam])
+                  for fam in families]
+        return _sweep_files(["eps", "mean_bias"], curves,
+                            "population mean bias under point contamination")
 
     raise ConfigError(f"unknown sweep.kind {kind!r}; choose influence-z, "
                       f"divergence-gamma or contamination")
@@ -520,8 +509,17 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, args.sets)
         seed = args.seed if args.seed is not None else _get_int(cfg, "seed", 0)
+        code, files = _RUNNERS[command](cfg, seed, max(1, args.jobs))
+        unread = sorted(cfg.keys() - cfg.read)
+        if unread:
+            raise ConfigError(f"holder {command} never reads config key(s) "
+                              f"{', '.join(map(repr, unread))}: misspelt, or "
+                              f"overridden by another input")
         os.makedirs(args.out, exist_ok=True)
-        return _RUNNERS[command](cfg, args.out, seed, max(1, args.jobs))
+        for name, text in files.items():
+            with open(os.path.join(args.out, name), "w") as fh:
+                fh.write(text)
+        return code
     except (ConfigError, StructuralError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -262,12 +262,11 @@ class CompositeScore:
                 return a * gamma / data.n * rows(q, None) + b * d_power()
         else:
             cross, power, t = log_moments(data, log_g, gamma)
-            if power <= 0.0:
-                raise DegenerateInputError(f"<g^(1+gamma)> = {power}; target carries no mass")
+            power = _positive_power(power, 1.0 + gamma)
 
             def gradient():
                 d_cross, d_power = rows(t, (cross, power))
-                a, b = self._partials(cross, _positive_power(power, 1.0 + gamma))
+                a, b = self._partials(cross, power)
                 return a * gamma * d_cross + b * (1.0 + gamma) * d_power
         return self._combine(cross, power), gradient
 
@@ -650,9 +649,14 @@ def check_equivalence_in_probability(score_a, score_b, trials=200, seed=0):
 
 # -- config mapping ----------------------------------------------------------------
 
-def _number(cfg, key, needed_by):
+def number_from_config(cfg, key, default=None):
+    """The number under ``key`` of a flat config, or ``default`` when the key
+    is absent; a missing key with no default, or a value that is not a
+    number, raises :class:`ConfigError`."""
     if key not in cfg:
-        raise ConfigError(f"{needed_by} needs a {key!r} key")
+        if default is None:
+            raise ConfigError(f"missing required config key {key!r}")
+        return default
     try:
         return float(cfg[key])
     except (TypeError, ValueError):
@@ -674,7 +678,7 @@ def phi_from_config(cfg, gamma):
     for key in ("kappa", "c"):
         if key in cfg and key not in takes:
             raise ConfigError(f"phi {name!r} takes no {key!r} key")
-    return build(gamma, **{key: _number(cfg, key, "phi") for key in takes if key in cfg})
+    return build(gamma, **{key: number_from_config(cfg, key) for key in takes if key in cfg})
 
 
 def score_from_config(cfg):
@@ -690,7 +694,7 @@ def score_from_config(cfg):
         raise ConfigError("score config needs a 'family' key")
     if family == "kl":
         return KL()
-    gamma = _number(cfg, "gamma", f"family {family!r}")
+    gamma = number_from_config(cfg, "gamma")
     if family == "density-power":
         return DensityPower(gamma)
     if family == "pseudospherical":
@@ -698,7 +702,7 @@ def score_from_config(cfg):
     if family == "gamma":
         return GammaScore(gamma)
     if family == "bregman-holder":
-        return BregmanHolder(gamma, _number(cfg, "kappa", "bregman-holder"))
+        return BregmanHolder(gamma, number_from_config(cfg, "kappa"))
     if family == "holder":
         return HolderScore(phi_from_config(cfg, gamma))
     raise ConfigError(f"unknown score family {family!r}")

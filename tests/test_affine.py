@@ -50,10 +50,6 @@ class TestAffineMap:
         pts = np.random.default_rng(1).standard_normal((7, 2))
         assert np.allclose(c.apply(pts), a.apply(b.apply(pts)), atol=1e-12)
 
-    def test_config_parsing(self):
-        amap = AffineMap.from_config("sigma=2,0,0,3; mu=1,1")
-        assert amap.det_sigma == pytest.approx(6.0)
-
     @pytest.mark.parametrize("sigma, mu, name", [
         ([[np.nan]], [0.0], "sigma"), ([[np.inf]], [0.0], "sigma"),
         ([[1.0, np.nan], [0.0, 1.0]], [0.0, 0.0], "sigma"), ([[2.0]], [np.nan], "mu"),

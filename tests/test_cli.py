@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from holderscores import (GammaScore, KL, divergence, make_parametric, read_grid,
                           render_density, write_grid)
+from holderscores import cli
 from holderscores.cli import load_config, main
 
 
@@ -358,6 +359,35 @@ class TestSweepCommand:
         assert (out1 / "plotdata_if_norm.csv").read_bytes() == \
             (out2 / "plotdata_if_norm.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs, cpus, workers", [(10_000, 64, 4), (10_000, 2, 2),
+                                                     (3, 64, 3)])
+    def test_jobs_bounded_by_tasks_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, workers):
+        # the pool forked all --jobs workers at once, however few the tasks;
+        # a stand-in pool records the worker count and maps serially
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        args = ("sweep.kind=contamination", "model=gaussian-mean",
+                "theta_true=0", "z=10", "gamma=0.5", "eps.values=0,0.1")
+        _, serial = run(tmp_path, "sweep", "serial", *args, seed=6)
+        code, pooled = run(tmp_path, "sweep", "pooled", *args, seed=6, jobs=jobs)
+        assert code == 0 and seen == [workers]
+        assert (serial / "results.csv").read_bytes() == (pooled / "results.csv").read_bytes()
+
     def test_parallel_jobs_match_serial_bytes(self, tmp_path):
         args = ("sweep.kind=contamination", "model=gaussian-mean",
                 "theta_true=0", "z=10", "gamma=0.5", "eps.values=0,0.1")
@@ -375,6 +405,75 @@ class TestSweepCommand:
     def test_unknown_sweep_kind_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "s5", "sweep.kind=nope")
         assert code == 2
+
+
+# a fast valid run of each command; the sweep has one per kind, since each
+# kind reads its keys its own way
+MINIMAL_RUNS = {
+    "divergence": ("divergence", "family=kl", "p.theta=0,1", "q.theta=1,1"),
+    "fit": ("fit", "family=gamma", "gamma=0.5", "theta_true=0,1", "n=200"),
+    "regress": ("regress", "gamma=0.5", "kappa=1", "a=1", "b=0", "n=100"),
+    "invariance": ("invariance", "family=kl", "pairs=1"),
+    "influence": ("influence", "gamma=0.5", "theta_star=0,1", "z.count=3"),
+    "redescend": ("redescend", "gamma=0.5", "theta_star=0,1", "z.count=6"),
+    "sweep-influence-z": ("sweep", "sweep.kind=influence-z", "gamma=0.5",
+                          "theta_star=0,1", "z.count=3"),
+    "sweep-divergence-gamma": ("sweep", "sweep.kind=divergence-gamma", "families=holder",
+                               "gammas=0.5,1", "phi=kappa", "kappa=2", "p.theta=0,1",
+                               "q.theta=1,1"),
+    "sweep-contamination": ("sweep", "sweep.kind=contamination", "model=gaussian-mean",
+                            "theta_true=0", "z=10", "eps.values=0,0.1"),
+}
+
+
+class TestUnreadKeysExit2:
+    """A config key the command never reads exits 2 with one line naming the
+    command and the key, and --out is not created."""
+
+    @staticmethod
+    def assert_rejected(capsys, code, out, command, keys):
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"holder {command} " in err and ", ".join(map(repr, keys)) in err
+
+    @pytest.mark.parametrize("name", MINIMAL_RUNS)
+    def test_unknown_key(self, tmp_path, capsys, name):
+        command, *sets = MINIMAL_RUNS[name]
+        assert run(tmp_path, command, "valid", *sets)[0] == 0
+        capsys.readouterr()
+        code, out = run(tmp_path, command, "zzz", *sets, "zzz=1")
+        self.assert_rejected(capsys, code, out, command, ["zzz"])
+
+    @pytest.mark.parametrize("command, sets, keys", [
+        # both exited 0 with PASS, the regression fitting with max_iters=2000
+        ("divergence", ("family=gamma", "gamma=0.5", "gama=0.9", "p.theta=0,1",
+                        "q.theta=1,1"), ["gama"]),
+        ("regress", ("gamma=0.5", "kappa=1", "a=1", "b=0", "n=100", "max_iter=1",
+                     "y.lo=5", "y.hi=-5"), ["max_iter", "y.hi", "y.lo"]),
+    ], ids=["misspelt-gamma", "misspelt-max-iters"])
+    def test_misspelt_key(self, tmp_path, capsys, command, sets, keys):
+        code, out = run(tmp_path, command, "typo", *sets)
+        self.assert_rejected(capsys, code, out, command, keys)
+
+    def test_theta_beside_a_grid_file(self, tmp_path, capsys):
+        path = tmp_path / "p.grid"
+        write_grid(render_density(make_parametric("gaussian-mean-scale"), [0.0, 1.0]), path)
+        code, out = run(tmp_path, "divergence", "both", "family=kl", f"p.file={path}",
+                        "p.theta=0,1", "q.theta=0,1")
+        self.assert_rejected(capsys, code, out, "divergence", ["p.theta"])
+
+    def test_theta_true_beside_data(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("y\n" + "\n".join(map(str, np.linspace(-2, 2, 50))) + "\n")
+        code, out = run(tmp_path, "fit", "both", "family=kl", f"data={data}", "init=0,1",
+                        "theta_true=0,1")
+        self.assert_rejected(capsys, code, out, "fit", ["theta_true"])
+
+    def test_seed_key_beside_the_seed_flag(self, tmp_path, capsys):
+        code, out = run(tmp_path, "fit", "both", "family=gamma", "gamma=0.5",
+                        "theta_true=0,1", "n=200", "seed=3", seed=5)
+        self.assert_rejected(capsys, code, out, "fit", ["seed"])
 
 
 class TestBadValuesExit2:

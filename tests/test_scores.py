@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -185,6 +186,22 @@ class TestDivergence:
                         phi_linear(gamma), phi_cubic_tail(gamma, 0.3)):
                 s_ff = expected_score(HolderScore(phi), p, p)
                 assert s_ff == pytest.approx(-power_moment(p, 1 + gamma), rel=1e-10)
+
+    @pytest.mark.parametrize("score", [GammaScore(0.5), HolderScore(phi_kappa(0.5, 1.0))],
+                             ids=["gamma", "holder"])
+    def test_overflowing_grid_target_raises(self, score):
+        # <g^(1+gamma)> overflows to inf: expected read inf (gamma) or nan
+        # (holder), where empirical against the same target already raised
+        p = render_density(GAUSS, [0.0, 1.0])
+        q = p.with_values(p.values * 1e300)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow", RuntimeWarning)
+            with pytest.raises(DegenerateInputError, match="finite mass"):
+                score.expected(p, q)
+            with pytest.raises(DegenerateInputError, match="finite mass"):
+                divergence(score, p, q)
+            with pytest.raises(DegenerateInputError, match="finite mass"):
+                score.empirical(Sample(points=np.array([[0.3]])), q)
 
 
 class TestEmpiricalScore:
