@@ -13,8 +13,8 @@ curve files with ``#``-prefixed column documentation.
 A command must read every config key it is given.  A key it never looks up
 (a misspelling, or an input that another one overrides, such as ``p.theta``
 beside ``p.file`` or ``seed`` beside ``--seed``) exits 2 with one line that
-names the command and the key, and nothing is written: the check runs after
-the command has computed its files and before ``--out`` is created.
+names the command and the key, and nothing is written: each command reads
+all of its keys first, and the check runs before any render, fit or sweep.
 
 Exit status: 0 success, 2 validation failure, 3 numerical failure,
 64 unknown command.
@@ -23,10 +23,12 @@ Exit status: 0 success, 2 validation failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import ChainMap
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -42,11 +44,6 @@ from .robustness import influence_curve, redescend_check
 from .scores import (GammaScore, KL, divergence, number_from_config, phi_from_config,
                      score_from_config)
 from .rng import rng_for
-
-COMMANDS = ("divergence", "fit", "regress", "invariance", "influence",
-            "redescend", "sweep")
-
-_USAGE = __doc__
 
 
 def _fmt(x):
@@ -105,18 +102,15 @@ def _get_int(cfg, key, default=None):
     return int(value)
 
 
-def _get_floats(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return np.asarray(default, dtype=float)
-    return _parse_floats(key, cfg[key])
-
-
-def _get_vector(cfg, key, size, default=None):
-    """A csv vector of exactly ``size`` numbers: a parameter vector, or ``a``."""
-    vec = _get_floats(cfg, key, default)
-    if vec.size != size:
+def _get_floats(cfg, key, default=None, size=None):
+    """The csv of numbers under ``key``; exactly ``size`` of them when given."""
+    if key in cfg:
+        vec = _parse_floats(key, cfg[key])
+    elif default is None:
+        raise ConfigError(f"missing required config key {key!r}")
+    else:
+        vec = np.asarray(default, dtype=float)
+    if size is not None and vec.size != size:
         raise ConfigError(f"config key {key!r} needs {size} values, got {vec.size}")
     return vec
 
@@ -129,9 +123,7 @@ def _parse_floats(key, text):
 
 
 def _get_bool(cfg, key, default=False):
-    if key not in cfg:
-        return default
-    val = cfg[key].strip().lower()
+    val = cfg.get(key, str(default)).strip().lower()
     if val in ("1", "true", "yes", "on"):
         return True
     if val in ("0", "false", "no", "off"):
@@ -139,7 +131,9 @@ def _get_bool(cfg, key, default=False):
     raise ConfigError(f"config key {key!r} must be boolean-like, got {val!r}")
 
 
-def _model_from_config(cfg, prefix="model"):
+def _model_maker(cfg, prefix="model"):
+    """The configured model's maker: a ``make_parametric`` partial, which
+    pickles where a model does not."""
     kind = cfg.get(prefix, "gaussian-mean-scale")
     hyper = {}
     if f"{prefix}.scale" in cfg:
@@ -148,40 +142,31 @@ def _model_from_config(cfg, prefix="model"):
         hyper["dim"] = _get_int(cfg, f"{prefix}.dim")
     if f"{prefix}.weights" in cfg:
         hyper["weights"] = tuple(_get_floats(cfg, f"{prefix}.weights"))
-    return make_parametric(kind, **hyper)
+    return partial(make_parametric, kind, **hyper)
 
 
 def _density_pair(cfg):
     """p and q on one shared grid (union box of their model supports).
 
     When either comes from a grid file, the other is rendered on that file's
-    box and node counts.
+    box and node counts.  Pauses once every key is read, before rendering.
     """
     files = {s: read_grid(cfg[f"{s}.file"]) for s in "pq" if f"{s}.file" in cfg}
+    models = {s: _model_maker(cfg, f"{s}.model")() for s in "pq" if s not in files}
+    thetas = {s: _get_floats(cfg, f"{s}.theta", size=m.param_dim)
+              for s, m in models.items()}
     if files:
         like = next(iter(files.values()))
-        for s in "pq":
-            if s not in files:
-                model = _model_from_config(cfg, f"{s}.model")
-                theta = _get_vector(cfg, f"{s}.theta", model.param_dim)
-                files[s] = render_density(model, theta,
-                                          lo=like.domain_lo, hi=like.domain_hi,
-                                          points_per_axis=like.points_per_axis)
-                _check_mass(files[s], s)
-        return files["p"], files["q"]
-    mp = _model_from_config(cfg, "p.model")
-    mq = _model_from_config(cfg, "q.model")
-    tp = _get_vector(cfg, "p.theta", mp.param_dim)
-    tq = _get_vector(cfg, "q.theta", mq.param_dim)
-    lo_p, hi_p = mp.support(tp)
-    lo_q, hi_q = mq.support(tq)
-    lo, hi = np.minimum(lo_p, lo_q), np.maximum(hi_p, hi_q)
-    n = _get_int(cfg, "grid.n", max(mp.quad_points, mq.quad_points))
-    p = render_density(mp, tp, lo=lo, hi=hi, points_per_axis=n)
-    q = render_density(mq, tq, lo=lo, hi=hi, points_per_axis=n)
-    _check_mass(p, "p")
-    _check_mass(q, "q")
-    return p, q
+        lo, hi, n = like.domain_lo, like.domain_hi, like.points_per_axis
+    else:
+        lo, hi = zip(*(models[s].support(thetas[s]) for s in "pq"))
+        lo, hi = np.minimum(*lo), np.maximum(*hi)
+        n = _get_int(cfg, "grid.n", max(m.quad_points for m in models.values()))
+    yield
+    for s, model in models.items():
+        files[s] = render_density(model, thetas[s], lo=lo, hi=hi, points_per_axis=n)
+        _check_mass(files[s], s)
+    return files["p"], files["q"]
 
 
 def _check_mass(g, label):
@@ -193,7 +178,7 @@ def _check_mass(g, label):
 
 
 def _fit_config(cfg, model_dim_k, seed, default_init):
-    return FitConfig(init_theta=_get_vector(cfg, "init", model_dim_k, default_init),
+    return FitConfig(init_theta=_get_floats(cfg, "init", default_init, model_dim_k),
                      max_iters=_get_int(cfg, "max_iters", 2000),
                      grad_tol=number_from_config(cfg, "grad_tol", 1e-4),
                      step_tol=number_from_config(cfg, "step_tol", 1e-8),
@@ -230,28 +215,30 @@ def _fit_files(result, theta_names, *lines):
 
 # -- commands --------------------------------------------------------------------------
 #
-# Each command returns its exit code and its files, {file name: text}; main
-# writes them once every config key has been read.
+# Each command is a generator: it reads every config key it uses, builds its
+# inputs and pauses at one bare ``yield`` (its own or a helper's) while main
+# checks for unread keys; resumed, it works without the config and yields its
+# exit code and its files, {file name: text}.
 
 def _cmd_divergence(cfg, seed, jobs):
     score = score_from_config(cfg)
-    p, q = _density_pair(cfg)
+    p, q = yield from _density_pair(cfg)
     value = divergence(score, p.normalize(), q.normalize())
     header = ["family", "gamma", "s_fg", "s_ff", "divergence"]
     row = [score.name, _fmt(score.gamma), _fmt(value.s_fg), _fmt(value.s_ff),
            _fmt(value.divergence)]
-    return 0, _files(header, [row], "PASS", [f"score {score.name} computed",
-                                             f"divergence={value.divergence!r}"])
+    yield 0, _files(header, [row], "PASS", [f"score {score.name} computed",
+                                            f"divergence={value.divergence!r}"])
 
 
 def _cmd_fit(cfg, seed, jobs):
     score = score_from_config(cfg)
-    model = _model_from_config(cfg)
+    model = _model_maker(cfg)()
     if "data" in cfg:
         sample = read_samples(cfg["data"])
         default_init = None
     else:
-        theta_true = _get_vector(cfg, "theta_true", model.param_dim)
+        theta_true = _get_floats(cfg, "theta_true", size=model.param_dim)
         n = _get_int(cfg, "n", 1000)
         eps = number_from_config(cfg, "eps", 0.0)
         if eps > 0:
@@ -261,9 +248,10 @@ def _cmd_fit(cfg, seed, jobs):
             sample = draw_sample(model, theta_true, n, seed)
         default_init = theta_true
     fit_cfg = _fit_config(cfg, model.param_dim, seed, default_init)
+    yield
     result = fit(score, model, sample, fit_cfg)
-    return _fit_files(result, model.theta_names, f"objective={result.objective_value!r}",
-                      f"iterations={result.iterations}")
+    yield _fit_files(result, model.theta_names, f"objective={result.objective_value!r}",
+                     f"iterations={result.iterations}")
 
 
 def _cmd_regress(cfg, seed, jobs):
@@ -278,7 +266,7 @@ def _cmd_regress(cfg, seed, jobs):
             raise ConfigError("regression data must carry x columns")
         default_init = None
     else:
-        a = _get_vector(cfg, "a", x_dim)
+        a = _get_floats(cfg, "a", size=x_dim)
         b = number_from_config(cfg, "b")
         s = number_from_config(cfg, "s", 1.0)
         n = _get_int(cfg, "n", 500)
@@ -292,8 +280,9 @@ def _cmd_regress(cfg, seed, jobs):
         sample = Sample(points=y, covariates=x)
         default_init = np.concatenate([a, [b]] + ([] if noise_val else [[s]]))
     fit_cfg = _fit_config(cfg, cmodel.param_dim, seed, default_init)
-    return _fit_files(fit_regression(gamma, kappa, cmodel, sample, fit_cfg),
-                      cmodel.theta_names)
+    yield
+    yield _fit_files(fit_regression(gamma, kappa, cmodel, sample, fit_cfg),
+                     cmodel.theta_names)
 
 
 def _random_gaussian_pair(dim, n, rng):
@@ -312,20 +301,25 @@ def _cmd_invariance(cfg, seed, jobs):
     if score.affine_scale_exponent is None:
         raise UnsupportedFamilyError(
             f"{score.name} has no exact scale law; use the holder or kl family")
-    mu = _get_floats(cfg, "mu", [0.0])
-    sigma = _get_vector(cfg, "sigma", mu.size ** 2, [1.0])
-    amap = AffineMap(sigma=sigma.reshape(mu.size, mu.size), mu=mu)
+    # d is set by sigma's d*d row-major values, else by mu's size, else 1
+    mu_size = _get_floats(cfg, "mu", []).size
+    sigma = _get_floats(cfg, "sigma", np.eye(max(mu_size, 1)))
+    d = math.isqrt(sigma.size)
+    if d < 1 or d * d != sigma.size:
+        raise ConfigError(f"config key 'sigma' needs d*d row-major values, got {sigma.size}")
+    amap = AffineMap(sigma=sigma.reshape(d, d), mu=_get_floats(cfg, "mu", np.zeros(d), d))
     pairs = _get_int(cfg, "pairs", 5)
     if pairs < 1:
         raise ConfigError(f"config key 'pairs' must be at least 1, got {pairs}")
-    n = _get_int(cfg, "grid.n", 1201 if amap.dim == 1 else 81)
+    n = _get_int(cfg, "grid.n", 1201 if d == 1 else 81)
     tol = number_from_config(cfg, "tol", 1e-5)
+    yield
     h = abs(amap.det_sigma) ** (-score.affine_scale_exponent)
     rows = []
     worst = 0.0
     for i in range(pairs):
         rng = rng_for(seed, 7, i)
-        p, q = _random_gaussian_pair(amap.dim, n, rng)
+        p, q = _random_gaussian_pair(d, n, rng)
         d_raw = divergence(score, p, q).divergence
         d_mapped = divergence(score, transform_density(p, amap),
                               transform_density(q, amap)).divergence
@@ -334,7 +328,7 @@ def _cmd_invariance(cfg, seed, jobs):
         rows.append([str(i), _fmt(amap.det_sigma), _fmt(h), _fmt(d_raw),
                      _fmt(d_mapped), _fmt(residual)])
     verdict = "PASS" if worst < tol else "FAIL"
-    return 0 if verdict == "PASS" else 3, _files(
+    yield 0 if verdict == "PASS" else 3, _files(
         ["pair", "det", "h", "d_raw", "d_mapped", "residual"], rows, verdict,
         [f"max residual {worst!r} against tolerance {tol!r}"])
 
@@ -342,26 +336,28 @@ def _cmd_invariance(cfg, seed, jobs):
 def _robustness_inputs(cfg):
     """``(gamma, model, theta_star, phi)``, read by influence and redescend."""
     gamma = number_from_config(cfg, "gamma")
-    model = _model_from_config(cfg)
-    theta_star = _get_vector(cfg, "theta_star", model.param_dim)
+    model = _model_maker(cfg)()
+    theta_star = _get_floats(cfg, "theta_star", size=model.param_dim)
     return gamma, model, theta_star, phi_from_config(cfg, gamma)
 
 
 def _influence_table(cfg):
-    """IF(z) at the ';'-separated csv points of ``z``, or along the default ray.
-
-    Returns the influence curve with the header and rows of its results.csv.
-    """
+    """IF(z) at the ';'-separated csv points of ``z``, or else along the
+    default ray of ``z.count`` points out to ``z.max`` standard deviations.
+    Pauses once every key is read; returns the influence curve with the
+    header and rows of its results.csv."""
     gamma, model, theta_star, phi = _robustness_inputs(cfg)
-    z_grid = None
     if "z" in cfg:
         z_grid = [_parse_floats("z", part) for part in cfg["z"].split(";") if part.strip()]
         if not z_grid or any(z.size != model.dim for z in z_grid):
             raise ConfigError(f"config key 'z' must list ';'-separated points "
                               f"of {model.dim} coordinates")
-    curve = influence_curve(phi, gamma, model, theta_star, z_grid=z_grid,
-                            n_z=_get_int(cfg, "z.count", 50),
-                            max_sd=number_from_config(cfg, "z.max", 12.0))
+        ray = {}
+    else:
+        z_grid, ray = None, {"n_z": _get_int(cfg, "z.count", 50),
+                             "max_sd": number_from_config(cfg, "z.max", 12.0)}
+    yield
+    curve = influence_curve(phi, gamma, model, theta_star, z_grid=z_grid, **ray)
     header = [f"z{i + 1}" for i in range(model.dim)] \
         + [f"if_{i + 1}" for i in range(curve[0].if_vector.size)] + ["if_norm"]
     table = [[_fmt(v) for v in np.concatenate([res.z, res.if_vector, [res.norm]])]
@@ -370,32 +366,29 @@ def _influence_table(cfg):
 
 
 def _cmd_influence(cfg, seed, jobs):
-    curve, header, table = _influence_table(cfg)
-    return 0, _files(header, table, "PASS", [f"{len(curve)} influence evaluations"])
+    curve, header, table = yield from _influence_table(cfg)
+    yield 0, _files(header, table, "PASS", [f"{len(curve)} influence evaluations"])
 
 
 def _cmd_redescend(cfg, seed, jobs):
     gamma, model, theta_star, phi = _robustness_inputs(cfg)
-    report = redescend_check(phi, gamma, model, theta_star,
-                             n_z=_get_int(cfg, "z.count", 25),
-                             max_sd=number_from_config(cfg, "z.max", 12.0))
+    n_z, max_sd = _get_int(cfg, "z.count", 25), number_from_config(cfg, "z.max", 12.0)
+    yield
+    report = redescend_check(phi, gamma, model, theta_star, n_z=n_z, max_sd=max_sd)
     header = ["condition_met", "phi_d2_at_1", "limit_estimate", "max_tail", "last_tail"]
     row = [str(report.condition_met).lower(), _fmt(report.phi_d2_at_1),
            _fmt(report.limit_estimate), _fmt(report.max_tail),
            _fmt(report.tail_norms[-1][1])]
-    return 3 if report.verdict == "FAIL" else 0, _files(
+    yield 3 if report.verdict == "FAIL" else 0, _files(
         header, [row], report.verdict, str(report).splitlines()[1:])
 
 
 # -- sweeps ------------------------------------------------------------------------------
 
-def _contamination_bias(model_cfg, theta_true, z, gamma, seed, eps, family):
-    """Population mean-bias of one family under eps-contamination at z.
-
-    The model is rebuilt from its plain config here: a model does not pickle,
-    so a ``--jobs`` worker cannot be handed one.
-    """
-    model = _model_from_config(model_cfg)
+def _contamination_bias(make_model, theta_true, z, gamma, seed, eps, family):
+    """Population mean-bias of one family under eps-contamination at z.  A
+    model does not pickle, so a ``--jobs`` worker gets its maker instead."""
+    model = make_model()
     p_eps = contaminate(model, theta_true, eps, z)
     score = KL() if family == "kl" else GammaScore(gamma)
     fit_cfg = FitConfig(init_theta=theta_true, step_tol=1e-9, grad_tol=1e-2, seed=seed)
@@ -417,45 +410,41 @@ def _sweep_files(columns, curves, comment):
 def _cmd_sweep(cfg, seed, jobs):
     kind = cfg.get("sweep.kind")
     if kind == "influence-z":
-        curve, header, table = _influence_table(cfg)
+        curve, header, table = yield from _influence_table(cfg)
         if len(curve) < 2:
             raise DegenerateInputError("influence sweep needs at least 2 z-values")
-        return 0, {**_files(header, table, "PASS", [f"{len(curve)} sweep rows"]),
-                   "plotdata_if_norm.csv": _plotdata(
-                       ["z_norm", "if_norm"],
-                       [(float(np.linalg.norm(res.z)), res.norm) for res in curve],
-                       "influence norm against contamination distance")}
-
-    if kind == "divergence-gamma":
+        yield 0, {**_files(header, table, "PASS", [f"{len(curve)} sweep rows"]),
+                  "plotdata_if_norm.csv": _plotdata(
+                      ["z_norm", "if_norm"],
+                      [(float(np.linalg.norm(res.z)), res.norm) for res in curve],
+                      "influence norm against contamination distance")}
+    elif kind == "divergence-gamma":
         gammas = _get_floats(cfg, "gammas")
         families = [f.strip() for f in cfg.get("families", "gamma").split(",")]
         if gammas.size < 2:
             raise DegenerateInputError("gamma sweep needs at least 2 values")
-        p, q = _density_pair(cfg)
+        # family and gamma come from the sweep; phi, kappa and c from cfg
+        scores = [(fam, [score_from_config(ChainMap({"family": fam, "gamma": repr(float(g))},
+                                                    cfg)) for g in gammas])
+                  for fam in families]
+        p, q = yield from _density_pair(cfg)
         p, q = p.normalize(), q.normalize()
-
-        def value(fam, g):
-            # family and gamma come from the sweep; phi, kappa and c from cfg
-            score = score_from_config(ChainMap({"family": fam, "gamma": repr(float(g))}, cfg))
-            return divergence(score, p, q).divergence
-
-        curves = [(fam, [(float(g), value(fam, g)) for g in gammas]) for fam in families]
-        return _sweep_files(["gamma", "divergence"], curves,
-                            "{} divergence for the configured pair")
-
-    if kind == "contamination":
+        curves = [(fam, [(float(g), divergence(score, p, q).divergence)
+                         for g, score in zip(gammas, row)]) for fam, row in scores]
+        yield _sweep_files(["gamma", "divergence"], curves,
+                           "{} divergence for the configured pair")
+    elif kind == "contamination":
         eps_values = _get_floats(cfg, "eps.values")
         if eps_values.size < 2:
             raise DegenerateInputError("contamination sweep needs at least 2 levels")
-        # parsed here, so that every key is read in this process; a worker
-        # rebuilds the model from a plain copy of cfg
-        model = _model_from_config(cfg)
-        theta_true = _get_vector(cfg, "theta_true", model.param_dim)
+        make_model = _model_maker(cfg)
+        theta_true = _get_floats(cfg, "theta_true", size=make_model().param_dim)
         z = _get_floats(cfg, "z", [10.0])
         gamma = number_from_config(cfg, "gamma", 0.5)
+        yield
         families = ("gamma-score", "kl")
         tasks = [(float(eps), fam) for fam in families for eps in eps_values]
-        fixed = (dict(cfg), theta_true, z, gamma, seed)
+        fixed = (make_model, theta_true, z, gamma, seed)
         args = (*([v] * len(tasks) for v in fixed), *zip(*tasks))
         workers = min(jobs, len(tasks), os.cpu_count() or 1)
         if workers > 1:
@@ -465,11 +454,11 @@ def _cmd_sweep(cfg, seed, jobs):
             biases = list(map(_contamination_bias, *args))
         curves = [(fam, [(eps, bias) for (eps, f), bias in zip(tasks, biases) if f == fam])
                   for fam in families]
-        return _sweep_files(["eps", "mean_bias"], curves,
-                            "population mean bias under point contamination")
-
-    raise ConfigError(f"unknown sweep.kind {kind!r}; choose influence-z, "
-                      f"divergence-gamma or contamination")
+        yield _sweep_files(["eps", "mean_bias"], curves,
+                           "population mean bias under point contamination")
+    else:
+        raise ConfigError(f"unknown sweep.kind {kind!r}; choose influence-z, "
+                          f"divergence-gamma or contamination")
 
 
 _RUNNERS = {
@@ -486,11 +475,11 @@ _RUNNERS = {
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
-        print(_USAGE)
+        print(__doc__)
         return 0 if argv else 64
     command = argv[0]
-    if command not in COMMANDS:
-        print(_USAGE)
+    if command not in _RUNNERS:
+        print(__doc__)
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return 64
 
@@ -509,12 +498,14 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, args.sets)
         seed = args.seed if args.seed is not None else _get_int(cfg, "seed", 0)
-        code, files = _RUNNERS[command](cfg, seed, max(1, args.jobs))
+        run = _RUNNERS[command](cfg, seed, max(1, args.jobs))
+        next(run)  # every key is read: check before any work is done
         unread = sorted(cfg.keys() - cfg.read)
         if unread:
             raise ConfigError(f"holder {command} never reads config key(s) "
                               f"{', '.join(map(repr, unread))}: misspelt, or "
                               f"overridden by another input")
+        code, files = next(run)
         os.makedirs(args.out, exist_ok=True)
         for name, text in files.items():
             with open(os.path.join(args.out, name), "w") as fh:

@@ -247,6 +247,9 @@ def influence_function(phi, gamma, model, theta_star, z, hessian=None):
 def _default_z_ray(model, theta_star, n_z=25, max_sd=12.0):
     if n_z < 1:
         raise DomainError("influence curve needs at least one contamination point")
+    if not (np.isfinite(max_sd) and max_sd > 0.5):
+        raise DomainError(f"the default ray runs out from 0.5 standard deviations; its "
+                          f"max_sd must be finite and above 0.5, got {max_sd!r}")
     lo, hi = model.support(np.asarray(theta_star, dtype=float))
     center, sd = (lo + hi) / 2.0, (hi - lo) / 16.0
     ts = np.linspace(0.5, max_sd, int(n_z))
@@ -271,13 +274,13 @@ def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
 
 def _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad, moments):
     """:func:`influence_curve` with the frozen-grid moments at theta_star given."""
-    hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
     if z_grid is None:
         z_grid = _default_z_ray(model, theta_star, n_z=n_z, max_sd=max_sd)
     z_grid = np.atleast_2d(np.asarray(z_grid, dtype=float))
     if len(z_grid) == 0:
         raise DomainError("influence curve needs at least one contamination point")
     _check_z(model, z_grid)
+    hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
     return _influence_rows(phi, gamma, model, theta_star, z_grid, hessian, moments)
 
 
@@ -291,6 +294,8 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     test has no power and the report is marked inconclusive.
     """
     theta_star = np.asarray(theta_star, dtype=float)
+    if (n_z if z_grid is None else len(np.atleast_2d(z_grid))) < 2:
+        raise DomainError("the redescending check needs at least 2 contamination points")
     quad = _frozen_grid(model, theta_star)
     moments = _grid_moments(quad, model, theta_star, gamma)
     curve = _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad, moments)

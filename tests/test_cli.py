@@ -270,6 +270,26 @@ class TestInvarianceCommand:
         # measured 4.8e-15 (kl) and 8.9e-15 (holder)
         assert worst < 1e-12
 
+    def test_sigma_alone_sets_the_dimension(self, tmp_path):
+        # d came from mu (default 0, so d = 1), and this exited 2 with
+        # "config key 'sigma' needs 1 values, got 4"
+        args = ("family=kl", "sigma=2,0,0,3", "pairs=2", "grid.n=61")
+        code, alone = run(tmp_path, "invariance", "alone", *args)
+        assert code == 0
+        code, with_mu = run(tmp_path, "invariance", "with-mu", *args, "mu=0,0")
+        assert code == 0
+        assert (alone / "results.csv").read_bytes() == (with_mu / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("sets, message", [
+        (("sigma=2,0,3",), "config key 'sigma' needs d*d row-major values, got 3"),
+        (("sigma=2,0,0,3", "mu=0,0,0"), "config key 'mu' needs 2 values, got 3"),
+        (("mu=",), "config key 'mu' needs 1 values, got 0"),
+    ])
+    def test_size_mismatch_names_the_key_at_fault(self, tmp_path, capsys, sets, message):
+        code, _ = run(tmp_path, "invariance", "bad", "family=kl", *sets)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("setting, name", [("sigma=nan", "sigma"), ("sigma=inf", "sigma"),
                                                ("mu=nan", "mu")])
     def test_non_finite_map_exits_2_without_a_warning(self, tmp_path, capsys, setting, name):
@@ -470,10 +490,57 @@ class TestUnreadKeysExit2:
                         "theta_true=0,1")
         self.assert_rejected(capsys, code, out, "fit", ["theta_true"])
 
+    @pytest.mark.parametrize("command, sets", [
+        ("influence", ()), ("sweep", ("sweep.kind=influence-z",))], ids=["influence", "sweep"])
+    def test_ray_keys_beside_given_points(self, tmp_path, capsys, command, sets):
+        # both exited 0: z.count and z.max were read, and ignored, beside z
+        code, out = run(tmp_path, command, "both", *sets, "gamma=0.5", "theta_star=0,1",
+                        "z=1;2;3", "z.count=7", "z.max=40")
+        self.assert_rejected(capsys, code, out, command, ["z.count", "z.max"])
+
     def test_seed_key_beside_the_seed_flag(self, tmp_path, capsys):
         code, out = run(tmp_path, "fit", "both", "family=gamma", "gamma=0.5",
                         "theta_true=0,1", "n=200", "seed=3", seed=5)
         self.assert_rejected(capsys, code, out, "fit", ["seed"])
+
+
+def _refuse(name):
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} called before the unread-key check")
+    return called
+
+
+class TestParseThenRun:
+    """Each command reads all of its keys before its one bare yield, so the
+    unread-key check runs before any render, fit or sweep."""
+
+    @pytest.mark.parametrize("name", MINIMAL_RUNS)
+    def test_no_key_is_read_after_the_check(self, name):
+        command, *sets = MINIMAL_RUNS[name]
+        cfg = load_config(None, sets)
+        steps = cli._RUNNERS[command](cfg, 0, 1)
+        assert next(steps) is None
+        read_at_check = set(cfg.read)
+        code, files = next(steps)
+        assert code == 0 and "report.txt" in files
+        assert cfg.read == read_at_check
+
+    def test_misspelt_key_exits_before_any_render(self, tmp_path, capsys, monkeypatch):
+        # the whole invariance run was computed before this exited 2
+        monkeypatch.setattr(cli, "render_density", _refuse("render_density"))
+        monkeypatch.setattr(cli, "divergence", _refuse("divergence"))
+        code, out = run(tmp_path, "invariance", "tols", "family=kl", "sigma=2,0.3,0,3",
+                        "mu=0,0", "grid.n=601", "tols=1e-6")
+        TestUnreadKeysExit2.assert_rejected(capsys, code, out, "invariance", ["tols"])
+
+    def test_every_sweep_score_is_built_before_any_divergence(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the gamma family's divergences were computed before 'bogus' was parsed
+        monkeypatch.setattr(cli, "divergence", _refuse("divergence"))
+        code, _ = run(tmp_path, "sweep", "bogus", "sweep.kind=divergence-gamma",
+                      "families=gamma,bogus", "gammas=0.5,1", "p.theta=0,1", "q.theta=1,1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown score family 'bogus'\n"
 
 
 class TestBadValuesExit2:
@@ -504,6 +571,12 @@ class TestBadValuesExit2:
          "contamination point"),
         ("redescend", ("gamma=0.5", "model=gaussian-mean", "theta_star=0,5"), "'theta_star'"),
         ("regress", ("gamma=0.5", "kappa=1", "a=1,2", "b=0"), "'a'"),
+        # each exited 3 with FAIL and nothing on stderr: one probe cannot
+        # decay, and a ray ending at or below 0.5 sd stands still or runs back
+        ("redescend", ("gamma=0.5", "theta_star=0,1", "z.count=1"), "2 contamination points"),
+        ("redescend", ("gamma=0.5", "theta_star=0,1", "z.max=0.5"), "max_sd"),
+        ("redescend", ("gamma=0.5", "theta_star=0,1", "z.max=-1"), "max_sd"),
+        ("redescend", ("gamma=0.5", "theta_star=0,1", "z.max=nan"), "max_sd"),
     ])
     def test_one_line_message(self, tmp_path, capsys, command, sets, needle):
         code, _ = run(tmp_path, command, "bad", *sets)

@@ -8,6 +8,7 @@ from holderscores import (DomainError, FitConfig, HolderScore,
                           objective_hessian, phi_cubic_tail, phi_kappa,
                           population_fit, redescend_check, render_density)
 from holderscores.grids import log_moments
+from holderscores import robustness
 from holderscores.robustness import _default_z_ray, _frozen_grid
 
 GAUSS_MS = make_parametric("gaussian-mean-scale")
@@ -301,6 +302,18 @@ class TestInfluenceCurve:
     def test_empty_ray_rejected(self):
         with pytest.raises(DomainError):
             influence_curve(phi_kappa(0.5, 1.0), 0.5, GAUSS_MS, [0.0, 1.0], n_z=0)
+
+    @pytest.mark.parametrize("ray", [{"n_z": 1}, {"max_sd": 0.5}, {"max_sd": -1.0},
+                                     {"max_sd": np.nan}, {"max_sd": np.inf}])
+    def test_degenerate_ray_rejected_before_the_hessian(self, monkeypatch, ray):
+        # each read FAIL: one probe cannot decay, and a ray ending at or below
+        # its 0.5 sd start stands still or runs backwards
+        def hessian(*args, **kwargs):
+            raise AssertionError("the Hessian was computed for a degenerate ray")
+
+        monkeypatch.setattr(robustness, "objective_hessian", hessian)
+        with pytest.raises(DomainError):
+            redescend_check(phi_kappa(0.5, 1.0), 0.5, GAUSS_MS, [0.0, 1.0], **ray)
 
 
 class TestBracketGradient:
