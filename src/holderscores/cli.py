@@ -38,8 +38,8 @@ from .errors import (ConfigError, DegenerateInputError, DomainError,
                      UnsupportedFamilyError)
 from .grids import default_tol, integrate, read_grid
 from .estimators import FitConfig, fit, fit_regression, make_conditional, population_fit
-from .models import (Sample, contaminate, draw_contaminated_sample, draw_sample,
-                     make_parametric, read_samples, render_density)
+from .models import (Sample, check_contamination, contaminate, draw_contaminated_sample,
+                     draw_sample, make_parametric, read_samples, render_density)
 from .robustness import influence_curve, redescend_check
 from .scores import (GammaScore, KL, divergence, number_from_config, phi_from_config,
                      score_from_config)
@@ -341,11 +341,12 @@ def _robustness_inputs(cfg):
     return gamma, model, theta_star, phi_from_config(cfg, gamma)
 
 
-def _influence_table(cfg):
+def _influence_table(cfg, sweep=False):
     """IF(z) at the ';'-separated csv points of ``z``, or else along the
     default ray of ``z.count`` points out to ``z.max`` standard deviations.
-    Pauses once every key is read; returns the influence curve with the
-    header and rows of its results.csv."""
+    Pauses once every key is read, and for a ``sweep`` once it has at least
+    2 points; returns the influence curve with the header and rows of its
+    results.csv."""
     gamma, model, theta_star, phi = _robustness_inputs(cfg)
     if "z" in cfg:
         z_grid = [_parse_floats("z", part) for part in cfg["z"].split(";") if part.strip()]
@@ -356,6 +357,8 @@ def _influence_table(cfg):
     else:
         z_grid, ray = None, {"n_z": _get_int(cfg, "z.count", 50),
                              "max_sd": number_from_config(cfg, "z.max", 12.0)}
+    if sweep and (ray["n_z"] if z_grid is None else len(z_grid)) < 2:
+        raise DegenerateInputError("influence sweep needs at least 2 z-values")
     yield
     curve = influence_curve(phi, gamma, model, theta_star, z_grid=z_grid, **ray)
     header = [f"z{i + 1}" for i in range(model.dim)] \
@@ -410,9 +413,7 @@ def _sweep_files(columns, curves, comment):
 def _cmd_sweep(cfg, seed, jobs):
     kind = cfg.get("sweep.kind")
     if kind == "influence-z":
-        curve, header, table = yield from _influence_table(cfg)
-        if len(curve) < 2:
-            raise DegenerateInputError("influence sweep needs at least 2 z-values")
+        curve, header, table = yield from _influence_table(cfg, sweep=True)
         yield 0, {**_files(header, table, "PASS", [f"{len(curve)} sweep rows"]),
                   "plotdata_if_norm.csv": _plotdata(
                       ["z_norm", "if_norm"],
@@ -438,8 +439,11 @@ def _cmd_sweep(cfg, seed, jobs):
         if eps_values.size < 2:
             raise DegenerateInputError("contamination sweep needs at least 2 levels")
         make_model = _model_maker(cfg)
-        theta_true = _get_floats(cfg, "theta_true", size=make_model().param_dim)
+        model = make_model()
+        theta_true = _get_floats(cfg, "theta_true", size=model.param_dim)
         z = _get_floats(cfg, "z", [10.0])
+        for eps in eps_values:
+            check_contamination(model, eps, z)
         gamma = number_from_config(cfg, "gamma", 0.5)
         yield
         families = ("gamma-score", "kl")

@@ -545,6 +545,19 @@ def render_density(model, theta, lo=None, hi=None, points_per_axis=None):
     return GridDensity.from_callable(lambda pts: model.density(theta, pts), lo, hi, n)
 
 
+def check_contamination(model, eps, z):
+    """z as a point of the model's dimension, once eps lies in [0, 1) and z
+    in the model's support; raises otherwise."""
+    if not 0.0 <= eps < 1.0:
+        raise DomainError("contamination level must satisfy 0 <= eps < 1")
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.size != model.dim:
+        raise StructuralError("contamination point has wrong dimension")
+    if not bool(np.all(model.in_support(z.reshape(1, -1)))):
+        raise DomainError("contamination point lies outside the model support")
+    return z
+
+
 def contaminate(model, theta, eps, z):
     """Grid density of (1 - eps) * p_theta + eps * delta_z.
 
@@ -554,14 +567,7 @@ def contaminate(model, theta, eps, z):
     to <p_theta> within quadrature tolerance for any eps in [0, 1).
     """
     theta = np.asarray(theta, dtype=float)
-    if not 0.0 <= eps < 1.0:
-        raise DomainError("contamination level must satisfy 0 <= eps < 1")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.size != model.dim:
-        raise StructuralError("contamination point has wrong dimension")
-    if not bool(np.all(model.in_support(z.reshape(1, -1)))):
-        raise DomainError("contamination point lies outside the model support")
-
+    z = check_contamination(model, eps, z)
     blo, bhi = model.support(theta)
     margin = (bhi - blo) / 16.0
     lo = np.minimum(blo, z - margin)

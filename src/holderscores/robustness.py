@@ -26,7 +26,6 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .estimators import FitConfig, fit
 from .grids import log_moments
 from .models import draw_sample, render_density
 from .rng import rng_for
-from .scores import HolderScore
+from .scores import HolderScore, _log_and_gradient_rows
 
 logger = logging.getLogger(__name__)
 
@@ -68,8 +67,8 @@ class RedescendReport:
     ``condition_met`` states phi''(1) = -gamma(1+gamma) to 1e-8;
     ``tail_norms`` lists (||z||, ||IF||) pairs out to the largest probe;
     ``limit_estimate`` is the norm of the analytic influence limit, and
-    ``model_informative`` records whether <p^(1+gamma) s> is nonzero anywhere
-    nearby (when it vanishes identically the criterion has no power).
+    ``model_informative`` records whether <p^(1+gamma) s> is nonzero at
+    theta_star (when it vanishes the criterion has no power).
     """
 
     gamma: float
@@ -121,31 +120,15 @@ def _frozen_grid(model, theta_star):
     return render_density(model, theta_star, lo=lo, hi=hi)
 
 
-class _GridMoments(NamedTuple):
-    """The frozen-grid moments at one theta, and their score-weighted forms."""
-
-    cross: float              # <p_star p^gamma>
-    power: float              # <p^(1+gamma)>
-    cross_s: np.ndarray       # <p_star p^gamma s>
-    power_s: np.ndarray       # <p^(1+gamma) s>
-    power_abs_s: np.ndarray   # <p^(1+gamma) |s|>, a positive scale for zero tests
-
-
-def _grid_moments(quad, model, theta, gamma):
-    """:class:`_GridMoments` of model(theta) over the nodes of the frozen grid
-    ``quad``, from one ``log_density``, one ``score`` and one ``log_moments``
-    call: each score-weighted moment is a product of its two weighted rows
-    t with s, the |s| rows with s made absolute in place.  One product over a
-    stacked [s; |s|] would hold a (2k, N) copy next to s: at 66,049 nodes
-    (2-D) its peak allocation measured 11.6 MB (``np.vstack``) against 4.2 MB.
-    """
-    nodes = quad.flat.nodes
-    theta = np.asarray(theta, dtype=float)
-    s = model.score(theta, nodes).T
-    cross, power, t = log_moments(quad, model.log_density(theta, nodes), gamma)
-    cross_s, power_s = t @ s.T
-    power_abs_s = (t @ np.abs(s, out=s).T)[1]
-    return _GridMoments(cross, power, cross_s, power_s, power_abs_s)
+def _frozen_moments(quad, model, theta_star, gamma):
+    """``(c, P, c_s, P_s)`` and their weighted rows t: the frozen-grid
+    moments c = <p_star p^gamma> and P = <p^(1+gamma)> of model(theta_star)
+    over the nodes of ``quad``, and their score-weighted forms <p_star
+    p^gamma s> and <p^(1+gamma) s>, from the ``_log_and_gradient_rows`` and
+    ``log_moments`` calls that the objective's gradient makes."""
+    log_p, rows = _log_and_gradient_rows(quad, (model, theta_star))
+    cross, power, t = log_moments(quad, log_p, gamma)
+    return (cross, power, *rows(t, (cross, power))), t
 
 
 def objective_hessian(phi, gamma, model, theta_star, quad=None):
@@ -210,26 +193,24 @@ def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
     Everything but p(z) and s(z) is formed once, and those come from one
     ``log_density`` and one ``score`` call at all rows.
     """
-    c, power = moments.cross, moments.power
+    c, power, cross_s, power_s = moments
     r = c / power
-    d_cross = gamma * moments.cross_s
-    d_r = (d_cross - r * (1.0 + gamma) * moments.power_s) / power
+    d_cross = gamma * cross_s
+    d_r = (d_cross - r * (1.0 + gamma) * power_s) / power
     pz_gamma = np.exp(gamma * model.log_density(theta_star, z_rows))
     s_z = model.score(theta_star, z_rows)
     grad_terms = (float(phi.d2(r)) * np.outer(pz_gamma - c, d_r)
                   + float(phi.d1(r)) * (gamma * pz_gamma[:, None] * s_z - d_cross))
-    results = []
-    for z, grad_term in zip(z_rows, grad_terms):
-        if_vec = -np.linalg.solve(hessian, grad_term)
-        residual = float(np.linalg.norm(hessian @ if_vec + grad_term))
-        tol = 1e-8 * max(1.0, float(np.linalg.norm(grad_term)))
-        if residual > tol:
-            raise SingularHessianError(
-                f"linear solve residual {residual:.3e} exceeds tolerance {tol:.3e}")
-        results.append(InfluenceResult(z=z, if_vector=if_vec, hessian=hessian,
-                                       gradient_term=grad_term,
-                                       norm=float(np.linalg.norm(if_vec))))
-    return tuple(results)
+    if_vecs = -np.linalg.solve(hessian, grad_terms[:, :, None])[:, :, 0]
+    residuals = np.linalg.norm(if_vecs @ hessian.T + grad_terms, axis=1)
+    tols = 1e-8 * np.maximum(1.0, np.linalg.norm(grad_terms, axis=1))
+    bad = np.flatnonzero(residuals > tols)
+    if bad.size:
+        raise SingularHessianError(f"linear solve residual {residuals[bad[0]]:.3e} "
+                                   f"exceeds tolerance {tols[bad[0]]:.3e}")
+    return tuple(InfluenceResult(z=z, if_vector=if_vec, hessian=hessian,
+                                 gradient_term=grad_term, norm=float(np.linalg.norm(if_vec)))
+                 for z, if_vec, grad_term in zip(z_rows, if_vecs, grad_terms))
 
 
 def influence_function(phi, gamma, model, theta_star, z, hessian=None):
@@ -241,7 +222,7 @@ def influence_function(phi, gamma, model, theta_star, z, hessian=None):
     if hessian is None:
         hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
     return _influence_rows(phi, gamma, model, theta_star, z_rows, hessian,
-                           _grid_moments(quad, model, theta_star, gamma))[0]
+                           _frozen_moments(quad, model, theta_star, gamma)[0])[0]
 
 
 def _default_z_ray(model, theta_star, n_z=25, max_sd=12.0):
@@ -269,7 +250,7 @@ def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     theta_star = np.asarray(theta_star, dtype=float)
     quad = _frozen_grid(model, theta_star)
     return _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad,
-                  _grid_moments(quad, model, theta_star, gamma))
+                  _frozen_moments(quad, model, theta_star, gamma)[0])
 
 
 def _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad, moments):
@@ -289,39 +270,30 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
 
     The criterion phi''(1) = -gamma(1+gamma) is checked analytically; the
     empirical side sweeps ||IF|| along a ray of contamination points out to
-    ``max_sd`` model standard deviations.  When <p^(1+gamma) s> vanishes for
-    every probed parameter (a mean-only symmetric model, for instance) the
-    test has no power and the report is marked inconclusive.
+    ``max_sd`` model standard deviations.  When <p^(1+gamma) s> vanishes at
+    theta_star (a mean-only symmetric model, for instance) the test has no
+    power and the report is marked inconclusive.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if (n_z if z_grid is None else len(np.atleast_2d(z_grid))) < 2:
         raise DomainError("the redescending check needs at least 2 contamination points")
     quad = _frozen_grid(model, theta_star)
-    moments = _grid_moments(quad, model, theta_star, gamma)
+    # |s| at the nodes for the zero test's scale <p^(1+gamma) |s|>: taken
+    # before the moments, so that t is not alive next to the score's own
+    # temporaries (+1.1 MB peak at 66,049 nodes), and freed before the Hessian
+    abs_s = model.score(theta_star, quad.flat.nodes)
+    np.abs(abs_s, out=abs_s)
+    moments, t = _frozen_moments(quad, model, theta_star, gamma)
+    b = moments[3]
+    informative = bool(np.any(np.abs(b) > 1e-6 * np.maximum(t[1] @ abs_s, 1e-300)))
+    del abs_s, t
     curve = _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad, moments)
+    if not informative:
+        warnings.warn("the model's <p^(1+gamma) s> moment vanishes at theta_star; "
+                      "the redescending criterion has no power here", stacklevel=2)
 
     phi_d2 = float(phi.d2(1.0))
     condition_met = bool(abs(phi_d2 + gamma * (1.0 + gamma)) < 1e-8)
-
-    b = moments.power_s
-    informative = bool(np.any(np.abs(b) > 1e-6 * np.maximum(moments.power_abs_s, 1e-300)))
-    if not informative:
-        # the criterion needs one nearby parameter with a nonzero moment
-        for i in range(5):
-            jitter = theta_star * (1.0 + 0.02 * (i + 1)) + 0.01 * (i + 1)
-            try:
-                q2 = _frozen_grid(model, jitter)
-            except DomainError:
-                continue
-            m2 = _grid_moments(q2, model, jitter, gamma)
-            if np.any(np.abs(m2.power_s) > 1e-6 * np.maximum(m2.power_abs_s, 1e-300)):
-                informative = True
-                break
-    if not informative:
-        warnings.warn("the model's <p^(1+gamma) s> moment vanishes at every probed "
-                      "parameter; the redescending criterion has no power here",
-                      stacklevel=2)
-
     tail = tuple((float(np.linalg.norm(res.z)), res.norm) for res in curve)
     limit_vec = np.linalg.solve(curve[0].hessian, (phi_d2 + gamma * (1.0 + gamma)) * b)
     return RedescendReport(gamma=float(gamma), phi_d2_at_1=phi_d2,

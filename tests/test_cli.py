@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from holderscores import (GammaScore, KL, divergence, make_parametric, read_grid,
                           render_density, write_grid)
-from holderscores import cli
+from holderscores import cli, robustness
 from holderscores.cli import load_config, main
 
 
@@ -422,6 +422,24 @@ class TestSweepCommand:
                       "gammas=0.5", "p.theta=0,1", "q.theta=1,1")
         assert code == 3
 
+    @pytest.mark.parametrize("sets, message", [
+        (("sweep.kind=influence-z", "gamma=0.5", "theta_star=0,1", "z.count=1"),
+         "influence sweep needs at least 2 z-values"),
+        (("sweep.kind=influence-z", "gamma=0.5", "theta_star=0,1", "z=3"),
+         "influence sweep needs at least 2 z-values"),
+        (("sweep.kind=contamination", "model=gaussian-mean", "theta_true=0",
+          "eps.values=0.1"), "contamination sweep needs at least 2 levels"),
+    ])
+    def test_too_few_points_exit_3_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                   sets, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep size is checked before any work")
+        monkeypatch.setattr(robustness, "objective_hessian", no_work)
+        monkeypatch.setattr(cli, "population_fit", no_work)
+        code, out = run(tmp_path, "sweep", "few", *sets)
+        assert code == 3 and not out.exists()
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
     def test_unknown_sweep_kind_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "s5", "sweep.kind=nope")
         assert code == 2
@@ -577,8 +595,23 @@ class TestBadValuesExit2:
         ("redescend", ("gamma=0.5", "theta_star=0,1", "z.max=0.5"), "max_sd"),
         ("redescend", ("gamma=0.5", "theta_star=0,1", "z.max=-1"), "max_sd"),
         ("redescend", ("gamma=0.5", "theta_star=0,1", "z.max=nan"), "max_sd"),
+        # the eps rows ran one or more population fits before contaminate
+        # refused; every row is now refused before the first
+        ("sweep", ("sweep.kind=contamination", "model=gaussian-mean", "theta_true=0",
+                   "eps.values=0,1"), "0 <= eps < 1"),
+        ("sweep", ("sweep.kind=contamination", "model=gaussian-mean", "theta_true=0",
+                   "eps.values=0.1,0.2,1.5"), "0 <= eps < 1"),
+        ("sweep", ("sweep.kind=contamination", "model=gaussian-mean", "theta_true=0",
+                   "eps.values=0,nan"), "0 <= eps < 1"),
+        ("sweep", ("sweep.kind=contamination", "model=gaussian-mean", "theta_true=0",
+                   "eps.values=0,0.1", "z=1,2"), "wrong dimension"),
+        ("sweep", ("sweep.kind=contamination", "model=exponential-rate", "theta_true=1",
+                   "eps.values=0,0.1", "z=-1"), "outside the model support"),
     ])
-    def test_one_line_message(self, tmp_path, capsys, command, sets, needle):
+    def test_one_line_message(self, tmp_path, capsys, monkeypatch, command, sets, needle):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("bad values are refused before any population fit")
+        monkeypatch.setattr(cli, "population_fit", no_fit)
         code, _ = run(tmp_path, command, "bad", *sets)
         assert code == 2
         err = capsys.readouterr().err.strip()

@@ -247,6 +247,18 @@ class TestFamilyFormulas:
         back = model.push_params(pushed, inv, -inv @ mu)
         assert np.allclose(back, theta, atol=1e-12)
 
+    @pytest.mark.parametrize("sigma", [1.7, -0.6])
+    def test_mixture_push_params_is_the_pushed_density(self, sigma):
+        # y = (x - mu) / sigma has density p(x) |sigma| at y
+        model = make_parametric("gaussian-mixture-fixed-weights")
+        theta = np.array([-1.0, 0.8, 1.5, 1.2])
+        mu = 0.4
+        x = np.linspace(-5.0, 6.0, 23)
+        pushed = model.push_params(theta, [[sigma]], [mu])
+        assert np.allclose(model.log_density(pushed, (x - mu) / sigma),
+                           model.log_density(theta, x) + np.log(abs(sigma)),
+                           rtol=0, atol=1e-13)
+
 
 class TestContaminate:
     def test_eps_zero_is_plain_rendering(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,20 @@ class TestRedescendCheck:
         assert not report.model_informative
         assert report.verdict == "INCONCLUSIVE"
 
+    def test_mean_only_model_renders_one_frozen_grid(self, monkeypatch):
+        # informativeness is judged at theta_star alone: b = <p^(1+gamma) s>
+        # of a location parameter is zero at every theta
+        rendered = []
+
+        def frozen_grid(model, theta_star):
+            rendered.append(theta_star)
+            return _frozen_grid(model, theta_star)
+        monkeypatch.setattr(robustness, "_frozen_grid", frozen_grid)
+        with pytest.warns(UserWarning, match="no power"):
+            report = redescend_check(phi_kappa(0.5, 1.0), 0.5, GAUSS_M, [0.0])
+        assert len(rendered) == 1
+        assert report.verdict == "INCONCLUSIVE"
+
     def test_limit_estimate_for_redescending_family_is_zero(self):
         report = redescend_check(phi_kappa(0.5, 1.0), 0.5, GAUSS_MS, [0.0, 1.0])
         assert report.limit_estimate < 1e-10
@@ -276,6 +292,21 @@ class TestInfluenceCurve:
             assert np.array_equal(res.z, ref.z)
             assert np.array_equal(res.if_vector, ref.if_vector)
             assert res.norm == ref.norm
+
+    def test_gaussian_scores_only_the_contamination_points(self):
+        # the frozen-grid moments come from the Gaussian's quadratic log-density
+        calls = []
+
+        def score(theta, x):
+            calls.append(len(x))
+            return GAUSS_MS.score(theta, x)
+        model = replace(GAUSS_MS, score=score)
+        zs = np.array([[0.3], [1.7], [4.0]])
+        curve = influence_curve(phi_kappa(0.5, 1.0), 0.5, model, [0.0, 1.0], zs)
+        assert calls == [len(zs)]
+        assert [res.norm for res in curve] == \
+            [res.norm for res in influence_curve(phi_kappa(0.5, 1.0), 0.5, GAUSS_MS,
+                                                 [0.0, 1.0], zs)]
 
     def test_gross_error_sensitivity_is_largest_norm(self):
         phi = phi_kappa(0.5, 1.0)
