@@ -14,7 +14,7 @@ that exact law still scale by some power of |det sigma|, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -223,7 +223,7 @@ def verify_estimator_equivariance(score, model, sample, amap, cfg):
             f"{model.name} is not closed under affine reparameterization")
     # the start is pushed first: a map the family is not closed under raises
     # before any fit
-    cfg_mapped = cfg.replace(init_theta=model.push_params(
+    cfg_mapped = replace(cfg, init_theta=model.push_params(
         np.asarray(cfg.init_theta, dtype=float), amap.sigma, amap.mu))
     fit_raw = fit(score, model, sample, cfg)
     fit_mapped = fit(score, model, Sample(points=amap.apply(sample.points)), cfg_mapped)

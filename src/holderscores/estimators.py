@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -80,9 +80,6 @@ class FitConfig:
         if self.optimizer not in _OPTIMIZERS \
                 and not _MULTISTART_RE.match(self.optimizer):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-
-    def replace(self, **kw):
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -471,14 +468,7 @@ def fit_regression(gamma, kappa, cmodel, sample, cfg):
     kappa = 1 + gamma matches density-power behavior, kappa = 1 the
     gamma-score; the latter is the robust choice under y-outliers.
     """
-    if not 0 < gamma < math.inf:
-        raise DomainError("fit_regression requires a finite gamma > 0")
-    if not 1 <= kappa < math.inf:
-        raise DomainError("fit_regression requires a finite kappa >= 1")
-    if sample.covariates is None:
-        raise StructuralError("fit_regression needs covariates")
     score = BregmanHolder(gamma, kappa)
     _averaged_inputs(score, cmodel, sample)
-
     return _minimize(lambda theta: averaged_score_with_gradient(score, cmodel, theta, sample),
                      cfg)

@@ -2,9 +2,10 @@
 
 Every integral in this package is a Lebesgue integral over a rectangular box,
 realized as tensor-product trapezoid quadrature on uniform per-axis grids.
-A :class:`GridDensity` bundles the box, the sampled nonnegative values and the
-matching quadrature weights; the free functions below compute the handful of
-integral shapes the score families need: ``<f>``, ``<f^a>`` and ``<f g^a>``.
+A :class:`GridDensity` is its own quadrature rule: it bundles the box, its
+per-axis nodes, the sampled nonnegative values and the matching weights; the
+free functions below compute the handful of integral shapes the score
+families need: ``<f>``, ``<f^a>`` and ``<f g^a>``.
 
 Grids are immutable after construction.  Operations return new objects.
 """
@@ -66,26 +67,6 @@ def _tensor_nodes(axes):
     return nodes
 
 
-class FlatGrid:
-    """A grid's quadrature as flat arrays: ``<h> = sum(weights * h(nodes))``.
-
-    ``weights`` and ``values`` are (N,) views of the grid's arrays.  The
-    (N, d) Fortran-ordered ``nodes`` are laid out on first read only: sums
-    over data and grid targets need no positions.
-    """
-
-    def __init__(self, axes, weights, values):
-        self._axes = axes
-        self.weights = weights
-        self.values = values
-
-    @cached_property
-    def nodes(self):
-        nodes = _tensor_nodes(self._axes)
-        nodes.setflags(write=False)
-        return nodes
-
-
 @dataclass(frozen=True)
 class GridDensity:
     """Nonnegative function sampled on a uniform tensor grid.
@@ -103,8 +84,8 @@ class GridDensity:
     -----
     Quadrature weights are derived on construction (per-axis trapezoid rule,
     combined by outer product) and always sum to the Lebesgue volume of the
-    box.  Values and weights are frozen; callers receive views with the
-    writeable flag cleared.
+    box.  Values, weights and the per-axis node vectors are frozen; callers
+    receive them with the writeable flag cleared.
     """
 
     domain_lo: np.ndarray
@@ -116,7 +97,7 @@ class GridDensity:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.domain_lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.domain_hi, dtype=float))
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.ascontiguousarray(self.values, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise StructuralError("domain_lo and domain_hi must be 1-d vectors of equal length")
         d = lo.size
@@ -133,10 +114,11 @@ class GridDensity:
         if not np.any(vals > 0):
             raise DomainError("at least one value must be positive (zero function excluded)")
 
-        _, w = _box_quadrature(lo, hi, vals.shape)
+        axes, w = _box_quadrature(lo, hi, vals.shape)
 
-        for arr in (lo, hi, vals, w):
+        for arr in (lo, hi, vals, w, *axes):
             arr.setflags(write=False)
+        object.__setattr__(self, "_axes", tuple(axes))
         object.__setattr__(self, "domain_lo", lo)
         object.__setattr__(self, "domain_hi", hi)
         object.__setattr__(self, "values", vals)
@@ -150,9 +132,8 @@ class GridDensity:
         return self.domain_lo.size
 
     def axes(self):
-        """Per-axis coordinate vectors."""
-        return tuple(np.linspace(self.domain_lo[i], self.domain_hi[i], n)
-                     for i, n in enumerate(self.points_per_axis))
+        """Per-axis node vectors, read-only: those of the quadrature rule."""
+        return self._axes
 
     def cell_widths(self):
         return (self.domain_hi - self.domain_lo) / (np.array(self.points_per_axis) - 1)
@@ -163,16 +144,6 @@ class GridDensity:
         mid = (self.domain_lo + self.domain_hi) / 2.0
         mid.setflags(write=False)
         return mid
-
-    @cached_property
-    def flat(self):
-        """Weights, values and (laid out on first read) nodes as a read-only
-        :class:`FlatGrid`.
-
-        Built on first use and cached, so a fit against a fixed data grid
-        lays out its nodes once.
-        """
-        return FlatGrid(self.axes(), self.weights.ravel(), self.values.ravel())
 
     @cached_property
     def axis_monomials(self):
@@ -191,8 +162,20 @@ class GridDensity:
         return tuple(rows)
 
     def points(self):
-        """All grid nodes as a read-only (N, d) array in row-major grid order."""
-        return self.flat.nodes
+        """All grid nodes as a read-only (N, d) array in row-major grid order,
+        Fortran-ordered so each coordinate column is contiguous.
+
+        Laid out on the first call and cached: sums over data and grid
+        targets need the weights and values only, and a fit against a fixed
+        data grid lays out its nodes once.
+        """
+        return self._nodes
+
+    @cached_property
+    def _nodes(self):
+        nodes = _tensor_nodes(self._axes)
+        nodes.setflags(write=False)
+        return nodes
 
     # -- construction helpers ----------------------------------------------
 
@@ -382,13 +365,13 @@ def log_moments(f, log_g, gamma):
     ``t @ s.T`` for columns s (k, N), such as the model score, gives the
     (2, k) array ``(<f g^gamma s>, <g^(1+gamma) s>)``.
     """
-    view = f.flat
+    weights = f.weights.ravel()
     t = np.empty((2, log_g.size))
     np.exp(np.multiply(log_g, gamma, out=t[0]), out=t[0])
-    t[0] *= view.values
-    t[0] *= view.weights
+    t[0] *= f.values.ravel()
+    t[0] *= weights
     cross = float(np.sum(t[0]))
-    power = float(_power_sum(view.weights, log_g, 1.0 + gamma, out=t[1]))
+    power = float(_power_sum(weights, log_g, 1.0 + gamma, out=t[1]))
     return cross, power, t
 
 

@@ -522,11 +522,7 @@ def draw_sample(model, theta, n, seed):
 
 def draw_contaminated_sample(model, theta, eps, z, n, seed):
     """Sample from (1 - eps) * model(theta) + eps * delta_z."""
-    if not 0.0 <= eps < 1.0:
-        raise DomainError("contamination level must satisfy 0 <= eps < 1")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.size != model.dim:
-        raise StructuralError("contamination point has wrong dimension")
+    z = check_contamination(model, eps, z)
     rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed)
     pts = model.sampler(np.asarray(theta, dtype=float), int(n), rng)
     mask = rng.random(int(n)) < eps
@@ -545,17 +541,22 @@ def render_density(model, theta, lo=None, hi=None, points_per_axis=None):
     return GridDensity.from_callable(lambda pts: model.density(theta, pts), lo, hi, n)
 
 
+def check_points(model, z_rows):
+    """``z_rows``, contamination points as (m, d) rows, once d is the model's
+    dimension and every row lies in its support; raises otherwise."""
+    if z_rows.shape[1] != model.dim:
+        raise StructuralError("contamination point has wrong dimension")
+    if not bool(np.all(model.in_support(z_rows))):
+        raise DomainError("contamination point lies outside the model support")
+    return z_rows
+
+
 def check_contamination(model, eps, z):
     """z as a point of the model's dimension, once eps lies in [0, 1) and z
     in the model's support; raises otherwise."""
     if not 0.0 <= eps < 1.0:
         raise DomainError("contamination level must satisfy 0 <= eps < 1")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.size != model.dim:
-        raise StructuralError("contamination point has wrong dimension")
-    if not bool(np.all(model.in_support(z.reshape(1, -1)))):
-        raise DomainError("contamination point lies outside the model support")
-    return z
+    return check_points(model, np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1))[0]
 
 
 def contaminate(model, theta, eps, z):

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, SingularHessianError
 from .estimators import FitConfig, fit
 from .grids import log_moments
-from .models import draw_sample, render_density
+from .models import check_points, draw_sample, render_density
 from .rng import rng_for
 from .scores import HolderScore, _log_and_gradient_rows
 
@@ -172,14 +172,6 @@ def objective_hessian(phi, gamma, model, theta_star, quad=None):
     return hess
 
 
-def _check_z(model, z_rows):
-    if z_rows.shape[1] != model.dim:
-        raise DomainError("contamination point has wrong dimension")
-    if not bool(np.all(model.in_support(z_rows))):
-        raise DomainError("contamination point lies outside the model support; "
-                          "the density cannot be evaluated there")
-
-
 def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
     """:class:`InfluenceResult` for each row of ``z_rows``.
 
@@ -216,13 +208,8 @@ def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
 def influence_function(phi, gamma, model, theta_star, z, hessian=None):
     """Influence vector at a contamination point z (exact point-mass terms)."""
     theta_star = np.asarray(theta_star, dtype=float)
-    z_rows = np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1)
-    _check_z(model, z_rows)
-    quad = _frozen_grid(model, theta_star)
-    if hessian is None:
-        hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
-    return _influence_rows(phi, gamma, model, theta_star, z_rows, hessian,
-                           _frozen_moments(quad, model, theta_star, gamma)[0])[0]
+    z_rows = check_points(model, np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1))
+    return _influence_at(phi, gamma, model, theta_star, z_rows, hessian)[0]
 
 
 def _default_z_ray(model, theta_star, n_z=25, max_sd=12.0):
@@ -239,30 +226,39 @@ def _default_z_ray(model, theta_star, n_z=25, max_sd=12.0):
     return center + ts[:, None] * sd * direction
 
 
+def _z_rows(model, theta_star, z_grid, n_z, max_sd):
+    """The contamination points as checked (m, d) rows: ``z_grid``, or else
+    the default ray of ``n_z`` points out to ``max_sd``."""
+    if z_grid is None:
+        z_grid = _default_z_ray(model, theta_star, n_z=n_z, max_sd=max_sd)
+    z_rows = np.atleast_2d(np.asarray(z_grid, dtype=float))
+    if len(z_rows) == 0:
+        raise DomainError("influence curve needs at least one contamination point")
+    return check_points(model, z_rows)
+
+
+def _influence_at(phi, gamma, model, theta_star, z_rows, hessian=None):
+    """:func:`_influence_rows` at checked ``z_rows`` on the frozen grid of
+    theta_star, with the objective's Hessian there unless one is given."""
+    quad = _frozen_grid(model, theta_star)
+    moments = _frozen_moments(quad, model, theta_star, gamma)[0]
+    if hessian is None:
+        hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
+    return _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments)
+
+
 def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=12.0):
     """Influence at every point of ``z_grid``, sharing one quadrature and Hessian.
 
     ``z_grid`` holds one contamination point per row; by default it is a ray of
     ``n_z`` points along the first axis, from 0.5 to ``max_sd`` model standard
-    deviations off the centre of the model's box.  Returns a tuple of
+    deviations off the centre of the model's box.  The points are checked
+    before the frozen grid is rendered.  Returns a tuple of
     :class:`InfluenceResult`, one per row, in order.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    quad = _frozen_grid(model, theta_star)
-    return _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad,
-                  _frozen_moments(quad, model, theta_star, gamma)[0])
-
-
-def _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad, moments):
-    """:func:`influence_curve` with the frozen-grid moments at theta_star given."""
-    if z_grid is None:
-        z_grid = _default_z_ray(model, theta_star, n_z=n_z, max_sd=max_sd)
-    z_grid = np.atleast_2d(np.asarray(z_grid, dtype=float))
-    if len(z_grid) == 0:
-        raise DomainError("influence curve needs at least one contamination point")
-    _check_z(model, z_grid)
-    hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
-    return _influence_rows(phi, gamma, model, theta_star, z_grid, hessian, moments)
+    z_rows = _z_rows(model, theta_star, z_grid, n_z, max_sd)
+    return _influence_at(phi, gamma, model, theta_star, z_rows)
 
 
 def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=12.0):
@@ -277,17 +273,19 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     theta_star = np.asarray(theta_star, dtype=float)
     if (n_z if z_grid is None else len(np.atleast_2d(z_grid))) < 2:
         raise DomainError("the redescending check needs at least 2 contamination points")
+    z_rows = _z_rows(model, theta_star, z_grid, n_z, max_sd)
     quad = _frozen_grid(model, theta_star)
     # |s| at the nodes for the zero test's scale <p^(1+gamma) |s|>: taken
     # before the moments, so that t is not alive next to the score's own
     # temporaries (+1.1 MB peak at 66,049 nodes), and freed before the Hessian
-    abs_s = model.score(theta_star, quad.flat.nodes)
+    abs_s = model.score(theta_star, quad.points())
     np.abs(abs_s, out=abs_s)
     moments, t = _frozen_moments(quad, model, theta_star, gamma)
     b = moments[3]
     informative = bool(np.any(np.abs(b) > 1e-6 * np.maximum(t[1] @ abs_s, 1e-300)))
     del abs_s, t
-    curve = _curve(phi, gamma, model, theta_star, z_grid, n_z, max_sd, quad, moments)
+    hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
+    curve = _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments)
     if not informative:
         warnings.warn("the model's <p^(1+gamma) s> moment vanishes at theta_star; "
                       "the redescending criterion has no power here", stacklevel=2)
@@ -295,7 +293,7 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     phi_d2 = float(phi.d2(1.0))
     condition_met = bool(abs(phi_d2 + gamma * (1.0 + gamma)) < 1e-8)
     tail = tuple((float(np.linalg.norm(res.z)), res.norm) for res in curve)
-    limit_vec = np.linalg.solve(curve[0].hessian, (phi_d2 + gamma * (1.0 + gamma)) * b)
+    limit_vec = np.linalg.solve(hessian, (phi_d2 + gamma * (1.0 + gamma)) * b)
     return RedescendReport(gamma=float(gamma), phi_d2_at_1=phi_d2,
                            condition_met=condition_met, tail_norms=tail,
                            limit_estimate=float(np.linalg.norm(limit_vec)),

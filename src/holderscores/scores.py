@@ -289,15 +289,15 @@ class KL(CompositeScore):
             power, d_power = _candidate_power(g, 1.0)
             return -float(np.mean(log_g)) + power, \
                 lambda: d_power() - rows(np.full(data.n, 1.0 / data.n), None)
-        view = data.flat
+        weights, values = data.weights.ravel(), data.values.ravel()
         t = np.empty((2, log_g.size))
-        np.multiply(view.values, view.weights, out=t[0])
-        power = float(_power_sum(view.weights, log_g, 1.0, out=t[1]))
+        np.multiply(values, weights, out=t[0])
+        power = float(_power_sum(weights, log_g, 1.0, out=t[1]))
 
         def gradient():
             d_cross, d_power = rows(t, (float(np.sum(t[0])), power))
             return d_power - d_cross
-        return _kl_cross(t[0], view.values, log_g) + power, gradient
+        return _kl_cross(t[0], values, log_g) + power, gradient
 
 
 def _kl_cross(fw, values, log_g):
@@ -346,13 +346,13 @@ def _log_and_gradient_rows(data, g):
             values = g.evaluate(data.points)
         else:
             _require_same_grid(data, g)
-            values = g.flat.values
+            values = g.values.ravel()
         with np.errstate(divide="ignore"):
             return np.log(values), _no_gradient
     model, theta = g
     theta = np.asarray(theta, dtype=float)
     if sample or model.log_quadratic is None:
-        nodes = data.points if sample else data.flat.nodes
+        nodes = data.points if sample else data.points()
         return (model.log_density(theta, nodes),
                 lambda t, totals: t @ model.score(theta, nodes))
     eta, jac = model.log_quadratic(theta, data.midpoint)

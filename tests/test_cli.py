@@ -607,15 +607,36 @@ class TestBadValuesExit2:
                    "eps.values=0,0.1", "z=1,2"), "wrong dimension"),
         ("sweep", ("sweep.kind=contamination", "model=exponential-rate", "theta_true=1",
                    "eps.values=0,0.1", "z=-1"), "outside the model support"),
+        # ran a fit at objective +inf and exited 3 with FAIL
+        ("fit", ("model=exponential-rate", "family=gamma", "gamma=0.5", "theta_true=1",
+                 "eps=0.1", "z=-1", "n=200"), "outside the model support"),
     ])
     def test_one_line_message(self, tmp_path, capsys, monkeypatch, command, sets, needle):
         def no_fit(*args, **kwargs):
-            raise AssertionError("bad values are refused before any population fit")
+            raise AssertionError("bad values are refused before any fit")
         monkeypatch.setattr(cli, "population_fit", no_fit)
+        monkeypatch.setattr(cli, "fit", no_fit)
         code, _ = run(tmp_path, command, "bad", *sets)
         assert code == 2
         err = capsys.readouterr().err.strip()
         assert needle in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, sets", [
+        ("influence", ("theta_star=0,1", "z.count=0")),
+        ("influence", ("theta_star=0,1", "z.max=0.5")),
+        ("influence", ("model=exponential-rate", "theta_star=1", "z=2;-1")),
+        ("redescend", ("theta_star=0,1", "z.max=0.5")),
+        ("redescend", ("theta_star=0,1", "z.max=nan")),
+    ])
+    def test_z_checked_before_the_frozen_grid(self, tmp_path, capsys, monkeypatch,
+                                              command, sets):
+        # each rendered one frozen grid before it exited 2
+        rendered = []
+        monkeypatch.setattr(robustness, "_frozen_grid",
+                            lambda *args: rendered.append(args))
+        code, _ = run(tmp_path, command, "bad", "gamma=0.5", *sets)
+        assert code == 2 and rendered == []
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestNonFiniteOrNegativeExit2:

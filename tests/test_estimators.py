@@ -345,7 +345,7 @@ class TestOptimizer:
         sample = draw_sample(GAUSS_MS, [0.0, 1.0], 500, seed=0)
         cfg = FitConfig(init_theta=[0.0, 1.0], optimizer="multi-start(3)")
         res = fit(GammaScore(0.5), GAUSS_MS, sample, cfg)
-        single = fit(GammaScore(0.5), GAUSS_MS, sample, cfg.replace(optimizer="l-bfgs-b"))
+        single = fit(GammaScore(0.5), GAUSS_MS, sample, replace(cfg, optimizer="l-bfgs-b"))
         assert res.converged
         assert res.n_evals < 100
         assert np.array_equal(res.theta_hat, single.theta_hat)
@@ -628,7 +628,7 @@ class TestFitRegression:
         raw = fit_regression(0.5, 1.0, cmodel, sample, cfg)
         mapped_sample = Sample(points=sigma * sample.points[:, 0] + mu,
                                covariates=sample.covariates)
-        cfg2 = cfg.replace(init_theta=[sigma * 1.0, sigma * 0.0 + mu, sigma * 0.4])
+        cfg2 = replace(cfg, init_theta=[sigma * 1.0, sigma * 0.0 + mu, sigma * 0.4])
         mapped = fit_regression(0.5, 1.0, cmodel, mapped_sample, cfg2)
         pushed = np.array([sigma * raw.theta_hat[0],
                            sigma * raw.theta_hat[1] + mu,

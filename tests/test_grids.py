@@ -46,19 +46,32 @@ class TestFlatView:
     def test_cached_read_only_node_major(self):
         vals = np.arange(31 * 41, dtype=float).reshape(31, 41) + 1.0
         f = GridDensity([-1.0, 0.0], [2.0, 5.0], vals)
-        view = f.flat
-        assert f.flat is view
-        assert view.nodes.shape == (31 * 41, 2)
-        assert view.nodes.flags.f_contiguous
-        assert not view.nodes.flags.writeable
+        nodes = f.points()
+        assert f.points() is nodes
+        assert nodes.shape == (31 * 41, 2)
+        assert nodes.flags.f_contiguous
+        assert not nodes.flags.writeable
         # rows follow the row-major grid order of values and weights
         ax0, ax1 = f.axes()
         k = 5 * 41 + 7
-        assert np.array_equal(view.nodes[k], [ax0[5], ax1[7]])
-        assert view.values[k] == vals[5, 7]
-        assert view.weights[k] == f.weights[5, 7]
-        assert np.sum(view.weights * view.values) == pytest.approx(integrate(f), rel=1e-14)
+        weights, values = f.weights.ravel(), f.values.ravel()
+        assert np.array_equal(nodes[k], [ax0[5], ax1[7]])
+        assert values[k] == vals[5, 7]
+        assert weights[k] == f.weights[5, 7]
+        assert np.sum(weights * values) == pytest.approx(integrate(f), rel=1e-14)
 
+    def test_axes_built_once_read_only(self):
+        # the quadrature rule's own node vectors, not rebuilt per call; values
+        # given in another memory order are stored C-contiguous, so the flat
+        # views the sums read are never copies
+        f = GridDensity([-1.0, 0.0], [2.0, 5.0], np.ones((41, 31)).T)
+        axes = f.axes()
+        assert f.axes() is axes
+        for ax, lo, hi, n in zip(axes, f.domain_lo, f.domain_hi, f.points_per_axis):
+            assert not ax.flags.writeable
+            assert np.array_equal(ax, np.linspace(lo, hi, n))
+        for arr in (f.values, f.weights):
+            assert np.shares_memory(arr.ravel(), arr)
 
     def test_nodes_laid_out_only_when_read(self, monkeypatch):
         # a grid-against-grid divergence needs weights and values only
@@ -255,7 +268,7 @@ class TestCubicInterpolator:
         f = self.grid(shape)
         interp = f.interpolator("cubic")
         nodes = f.points()
-        assert np.max(np.abs(interp(nodes) - f.flat.values)) <= 1e-12 * np.max(f.values)
+        assert np.max(np.abs(interp(nodes) - f.values.ravel())) <= 1e-12 * np.max(f.values)
         width = f.domain_hi - f.domain_lo
         for axis in range(f.dim):
             for edge, step in ((f.domain_lo, -1e-9), (f.domain_hi, 1e-9)):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from holderscores import (ConfigError, DomainError, Sample, StructuralError,
-                          contaminate, draw_sample, integrate, make_parametric,
-                          read_samples, render_density, rng_for, write_samples)
+                          contaminate, draw_contaminated_sample, draw_sample,
+                          integrate, make_parametric, read_samples, render_density,
+                          rng_for, write_samples)
 from holderscores.scores import _log_and_gradient_rows
 
 ALL_KINDS = [
@@ -163,9 +164,9 @@ def test_gaussian_full_score_columns(d):
 def _box_power(model, theta, a):
     """<g^a> and its theta-gradient summed over the model's rendered box, with
     a scale for the gradient: a <g^a |s|>."""
-    flat = render_density(model, theta).flat
-    t = flat.weights * np.exp(a * model.log_density(theta, flat.nodes))
-    s = model.score(theta, flat.nodes).T
+    f = render_density(model, theta)
+    t = f.weights.ravel() * np.exp(a * model.log_density(theta, f.points()))
+    s = model.score(theta, f.points()).T
     return t.sum(), a * (s @ t), a * (np.abs(s) @ t)
 
 
@@ -292,6 +293,16 @@ class TestContaminate:
         model = make_parametric("exponential-rate")
         with pytest.raises(DomainError):
             contaminate(model, np.array([1.0]), 0.1, z=-2.0)
+
+    def test_drawn_sample_checks_z_as_contaminate_does(self):
+        # a point mass outside the support made every candidate +inf
+        expo = make_parametric("exponential-rate")
+        with pytest.raises(DomainError, match="outside the model support"):
+            draw_contaminated_sample(expo, [1.0], 0.1, -1.0, 200, seed=0)
+        with pytest.raises(StructuralError, match="wrong dimension"):
+            draw_contaminated_sample(expo, [1.0], 0.1, [1.0, 2.0], 200, seed=0)
+        with pytest.raises(DomainError, match="0 <= eps < 1"):
+            draw_contaminated_sample(expo, [1.0], 1.0, 1.0, 200, seed=0)
 
 
 class TestSample:
@@ -453,7 +464,7 @@ def test_log_quadratic_expands_log_density_and_score(kind, hyper, theta, loc, sc
     # lifted monomial sums of two weightings against their score sums
     log_g, gradient = _log_and_gradient_rows(f, (model, cand))
     assert np.max(np.abs(log_g - log_p)) <= 1e-13
-    t = np.vstack([f.flat.weights, f.flat.weights * f.flat.values])
+    t = np.vstack([f.weights.ravel(), (f.weights * f.values).ravel()])
     assert np.all(np.abs(gradient(t, t.sum(axis=1)) - t @ score)
                   <= 1e-12 * (t @ np.abs(score)))
 

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from holderscores import (DomainError, FitConfig, HolderScore,
-                          SingularHessianError, asymptotic_variance_sameness,
-                          contaminate, expected_score, gross_error_sensitivity,
-                          influence_curve, influence_function, make_parametric,
-                          objective_hessian, phi_cubic_tail, phi_kappa,
-                          population_fit, redescend_check, render_density)
+from holderscores import (DomainError, FitConfig, HolderScore, SingularHessianError,
+                          StructuralError, asymptotic_variance_sameness, contaminate,
+                          expected_score, gross_error_sensitivity, influence_curve,
+                          influence_function, make_parametric, objective_hessian,
+                          phi_cubic_tail, phi_kappa, population_fit, redescend_check,
+                          render_density)
 from holderscores.grids import log_moments
 from holderscores import robustness
 from holderscores.robustness import _default_z_ray, _frozen_grid
@@ -136,6 +136,22 @@ class TestInfluenceFunction:
         phi = phi_kappa(0.5, 1.0)
         with pytest.raises(DomainError):
             influence_function(phi, 0.5, expo, [1.0], -0.5)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda phi: influence_function(phi, 0.5, GAUSS_MS, [0.0, 1.0], [1.0, 2.0]),
+         StructuralError),
+        (lambda phi: influence_curve(phi, 0.5, GAUSS_MS, [0.0, 1.0], [[1.0, 2.0]]),
+         StructuralError),
+        (lambda phi: influence_curve(phi, 0.5, make_parametric("exponential-rate"), [1.0],
+                                     [[2.0], [-0.5]]), DomainError),
+        (lambda phi: influence_curve(phi, 0.5, GAUSS_MS, [0.0, 1.0], n_z=0), DomainError),
+    ], ids=["function-dim", "curve-dim", "curve-support", "curve-empty-ray"])
+    def test_bad_z_raises_before_the_frozen_grid(self, monkeypatch, call, error):
+        rendered = []
+        monkeypatch.setattr(robustness, "_frozen_grid", lambda *args: rendered.append(args))
+        with pytest.raises(error):
+            call(phi_kappa(0.5, 1.0))
+        assert rendered == []
 
 
 class TestRedescendCheck:
@@ -339,10 +355,11 @@ class TestInfluenceCurve:
     def test_degenerate_ray_rejected_before_the_hessian(self, monkeypatch, ray):
         # each read FAIL: one probe cannot decay, and a ray ending at or below
         # its 0.5 sd start stands still or runs backwards
-        def hessian(*args, **kwargs):
-            raise AssertionError("the Hessian was computed for a degenerate ray")
+        def no_work(*args, **kwargs):
+            raise AssertionError("a grid or Hessian was computed for a degenerate ray")
 
-        monkeypatch.setattr(robustness, "objective_hessian", hessian)
+        monkeypatch.setattr(robustness, "objective_hessian", no_work)
+        monkeypatch.setattr(robustness, "_frozen_grid", no_work)
         with pytest.raises(DomainError):
             redescend_check(phi_kappa(0.5, 1.0), 0.5, GAUSS_MS, [0.0, 1.0], **ray)
 
@@ -366,7 +383,7 @@ class TestBracketGradient:
         quad = _frozen_grid(model, theta_star)
 
         def bracket(theta, z):
-            cross, power, _ = log_moments(quad, model.log_density(theta, quad.flat.nodes), gamma)
+            cross, power, _ = log_moments(quad, model.log_density(theta, quad.points()), gamma)
             pz_gamma = np.exp(gamma * model.log_density(theta, z.reshape(1, -1))[0])
             return float(phi.d1(cross / power)) * (pz_gamma - cross)
 

@@ -74,7 +74,7 @@ class TestExpectedScore:
         # target has log g = -inf on the data grid's x < 0
         x = np.linspace(0, 1, 401)
         f = GridDensity([0.0], [1.0], np.where(x < 0.5, 2.0, 0.0))
-        w, v = f.flat.weights, f.flat.values
+        w, v = f.weights.ravel(), f.values.ravel()
         mass = float(np.sum(w * v))
         model = make_parametric("exponential-rate")
         data = render_density(model, [1.5], lo=[-1.0], hi=[8.0], points_per_axis=901)
@@ -82,11 +82,11 @@ class TestExpectedScore:
             assert expected_score(KL(), f, f) == pytest.approx(mass - math.log(2.0) * mass,
                                                                rel=1e-14)
             val = expected_score(KL(), data, (model, [1.3]))
-        fw, pos = data.flat.values * data.flat.weights, data.flat.values > 0
-        log_g = model.log_density(np.array([1.3]), data.flat.nodes)
+        fw, pos = (data.values * data.weights).ravel(), data.values.ravel() > 0
+        log_g = model.log_density(np.array([1.3]), data.points())
         assert not pos.all()
         assert val == pytest.approx(-np.sum(fw[pos] * log_g[pos])
-                                    + np.sum(data.flat.weights * np.exp(log_g)), rel=1e-12)
+                                    + np.sum(data.weights.ravel() * np.exp(log_g)), rel=1e-12)
 
     def test_kl_model_target_survives_underflow(self):
         # N(0, 0.1) underflows to zero on most of the +-8 box where N(0, 1)
