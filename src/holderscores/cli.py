@@ -177,13 +177,11 @@ def _check_mass(g, label):
             f"{label} integrates to {mass!r}, outside 1 +- {1e3 * tol:g}")
 
 
-def _fit_config(cfg, model_dim_k, seed, default_init):
+def _fit_config(cfg, model_dim_k, default_init):
     return FitConfig(init_theta=_get_floats(cfg, "init", default_init, model_dim_k),
                      max_iters=_get_int(cfg, "max_iters", 2000),
                      grad_tol=number_from_config(cfg, "grad_tol", 1e-4),
                      step_tol=number_from_config(cfg, "step_tol", 1e-8),
-                     optimizer=cfg.get("optimizer", "l-bfgs-b"),
-                     seed=seed,
                      polish=_get_bool(cfg, "polish", True))
 
 
@@ -247,7 +245,7 @@ def _cmd_fit(cfg, seed, jobs):
         else:
             sample = draw_sample(model, theta_true, n, seed)
         default_init = theta_true
-    fit_cfg = _fit_config(cfg, model.param_dim, seed, default_init)
+    fit_cfg = _fit_config(cfg, model.param_dim, default_init)
     yield
     result = fit(score, model, sample, fit_cfg)
     yield _fit_files(result, model.theta_names, f"objective={result.objective_value!r}",
@@ -279,7 +277,7 @@ def _cmd_regress(cfg, seed, jobs):
             y = np.where(rng.random(n) < out_eps, number_from_config(cfg, "outlier.y"), y)
         sample = Sample(points=y, covariates=x)
         default_init = np.concatenate([a, [b]] + ([] if noise_val else [[s]]))
-    fit_cfg = _fit_config(cfg, cmodel.param_dim, seed, default_init)
+    fit_cfg = _fit_config(cfg, cmodel.param_dim, default_init)
     yield
     yield _fit_files(fit_regression(gamma, kappa, cmodel, sample, fit_cfg),
                      cmodel.theta_names)
@@ -388,13 +386,13 @@ def _cmd_redescend(cfg, seed, jobs):
 
 # -- sweeps ------------------------------------------------------------------------------
 
-def _contamination_bias(make_model, theta_true, z, gamma, seed, eps, family):
+def _contamination_bias(make_model, theta_true, z, gamma, eps, family):
     """Population mean-bias of one family under eps-contamination at z.  A
     model does not pickle, so a ``--jobs`` worker gets its maker instead."""
     model = make_model()
     p_eps = contaminate(model, theta_true, eps, z)
     score = KL() if family == "kl" else GammaScore(gamma)
-    fit_cfg = FitConfig(init_theta=theta_true, step_tol=1e-9, grad_tol=1e-2, seed=seed)
+    fit_cfg = FitConfig(init_theta=theta_true, step_tol=1e-9, grad_tol=1e-2)
     res = population_fit(score, model, p_eps, fit_cfg)
     return float(res.theta_hat[0] - theta_true[0])
 
@@ -448,7 +446,7 @@ def _cmd_sweep(cfg, seed, jobs):
         yield
         families = ("gamma-score", "kl")
         tasks = [(float(eps), fam) for fam in families for eps in eps_values]
-        fixed = (make_model, theta_true, z, gamma, seed)
+        fixed = (make_model, theta_true, z, gamma)
         args = (*([v] * len(tasks) for v in fixed), *zip(*tasks))
         workers = min(jobs, len(tasks), os.cpu_count() or 1)
         if workers > 1:

@@ -3,14 +3,13 @@
 Fitting minimizes an empirical composite score over a parametric family.
 Every objective has a pair form giving its value and exact theta-gradient
 from one model evaluation (the score's ``empirical_with_gradient``/
-``expected_with_gradient``, or :func:`averaged_score_with_gradient`), so the
-default optimizer is L-BFGS-B.  A trial step out of the parameter domain (a
-+inf value) is rejected by the line search like any step that raises the
-value.  Where L-BFGS-B stops abnormally (a failed line search, for instance
-near a kink of a shape function), starts at +inf or meets a gradient that is
-not finite, Nelder-Mead takes over from the best point it reached, reading
-the pair's value; Nelder-Mead alone and jittered multi-start are available
-too.  A Newton polish (on by default) builds one Hessian from forward
+``expected_with_gradient``, or :func:`averaged_score_with_gradient`), so a
+fit runs L-BFGS-B.  A trial step out of the parameter domain (a +inf value)
+is rejected by the line search like any step that raises the value.  Where
+L-BFGS-B stops abnormally (a failed line search, for instance near a kink of
+a shape function), starts at +inf or meets a gradient that is not finite,
+Nelder-Mead takes over from the best point it reached, reading the pair's
+value.  A Newton polish (on by default) builds one Hessian from forward
 differences of the exact gradient (k pair evaluations for k parameters) and
 takes up to three guarded steps with it, and ``converged`` tests the exact
 gradient.  The pair is the only objective a fit evaluates, and every point
@@ -22,7 +21,6 @@ grid density, which is also how Fisher consistency is verified.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,10 +32,7 @@ from .errors import (ConfigError, DegenerateInputError, DomainError, StructuralE
 from .grids import GridDensity
 from .models import _gaussian_power
 from .scores import BregmanHolder, KL
-from .rng import rng_for
 
-_MULTISTART_RE = re.compile(r"^multi-start\((\d+)\)$")
-_OPTIMIZERS = ("l-bfgs-b", "nelder-mead")
 # L-BFGS-B also stops once a step lowers f by less than this relative amount,
 # a few ulps: past that the line search would only fail on rounding noise
 _LBFGSB_FTOL = 1e-15
@@ -48,26 +43,21 @@ _POLISH_STEPS = 3
 class FitConfig:
     """Optimizer settings for one fit.
 
-    ``optimizer`` is ``l-bfgs-b`` (the default), ``nelder-mead`` or
-    ``multi-start(k)`` (k jittered L-BFGS-B starts, the best kept; a start
-    outside the parameter domain is skipped).
     L-BFGS-B stops once the largest gradient component is at most
-    ``step_tol``; Nelder-Mead uses ``step_tol`` as its simplex size
-    tolerance, and both stop after ``max_iters`` iterations, which is
-    reported as non-convergence.  ``polish`` (on by default) runs up
-    to three guarded Newton steps on one Hessian from forward differences of
-    the exact gradient (k pair evaluations); it is cheap and tightens smooth
-    objectives to near machine accuracy.  A fit has ``converged`` when its
-    optimizer stopped on its tolerance and the exact gradient norm is below
-    ``grad_tol``.
+    ``step_tol``; the Nelder-Mead that takes over after an abnormal stop
+    uses ``step_tol`` as its simplex size tolerance, and both stop after
+    ``max_iters`` iterations, which is reported as non-convergence.
+    ``polish`` (on by default) runs up to three guarded Newton steps on one
+    Hessian from forward differences of the exact gradient (k pair
+    evaluations); it is cheap and tightens smooth objectives to near machine
+    accuracy.  A fit has ``converged`` when its optimizer stopped on its
+    tolerance and the exact gradient norm is below ``grad_tol``.
     """
 
     init_theta: np.ndarray
     max_iters: int = 2000
     grad_tol: float = 1e-4
     step_tol: float = 1e-8
-    optimizer: str = "l-bfgs-b"
-    seed: int = 0
     polish: bool = True
 
     def __post_init__(self):
@@ -77,9 +67,6 @@ class FitConfig:
             raise ConfigError("max_iters must be at least 1")
         if not (0 < self.grad_tol < math.inf and 0 < self.step_tol < math.inf):
             raise ConfigError("tolerances must be finite and positive")
-        if self.optimizer not in _OPTIMIZERS \
-                and not _MULTISTART_RE.match(self.optimizer):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +141,8 @@ class _Objective:
     evaluates: Nelder-Mead reads ``value``, the pair's first entry, and
     L-BFGS-B, the polish and the gradient check read ``pair``.  Every point
     the fit has evaluated is looked up first; ``evals`` counts the
-    evaluations paid for, and ``best`` is the best point of the current
-    L-BFGS-B run, ``(theta, value, gradient)``."""
+    evaluations paid for, and ``best`` is the best finite point evaluated,
+    ``(theta, value, gradient)``."""
 
     def __init__(self, pair):
         self._pair = _guarded(pair)
@@ -215,10 +202,10 @@ def _run_nelder_mead(fun, x0, cfg):
     return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit), bool(res.success)
 
 
-def _run_lbfgsb(objective, x0, cfg):
-    """L-BFGS-B on the value-and-gradient pair of an :class:`_Objective`;
-    Nelder-Mead from its best point when it stops abnormally, starts at +inf
-    or meets a gradient that is not finite."""
+def _run_lbfgsb(objective, cfg):
+    """L-BFGS-B from ``cfg.init_theta`` on the value-and-gradient pair of an
+    :class:`_Objective`; Nelder-Mead from its best point when it stops
+    abnormally, starts at +inf or meets a gradient that is not finite."""
     callback, count = _iteration_log()
     ceiling = []
 
@@ -237,7 +224,7 @@ def _run_lbfgsb(objective, x0, cfg):
         return fx, gx
 
     try:
-        res = minimize(pair, x0, jac=True, method="L-BFGS-B", callback=callback,
+        res = minimize(pair, cfg.init_theta, jac=True, method="L-BFGS-B", callback=callback,
                        options={"maxiter": cfg.max_iters, "ftol": _LBFGSB_FTOL,
                                 "gtol": cfg.step_tol})
         if res.status != 2:  # 0 converged, 1 out of iterations
@@ -250,38 +237,14 @@ def _run_lbfgsb(objective, x0, cfg):
     except _AbnormalStop:
         pass
     # from the best point, already evaluated, or from the start if it is +inf
-    x0 = objective.best[0] if objective.best else x0
+    x0 = objective.best[0] if objective.best else cfg.init_theta
     x, fx, iters, ok = _run_nelder_mead(objective.value, x0, cfg)
     return x, fx, count[0] + iters, ok
 
 
 def _minimize(pair, cfg):
     objective = _Objective(pair)
-    match = _MULTISTART_RE.match(cfg.optimizer)
-    if cfg.optimizer == "nelder-mead":
-        x, fx, iters, ok = _run_nelder_mead(objective.value, cfg.init_theta, cfg)
-    elif match:
-        best, total_iters = None, 0
-        for i in range(int(match.group(1))):
-            x0 = np.array(cfg.init_theta, dtype=float)
-            if i:
-                scale = 0.5 * (1.0 + np.abs(x0))
-                x0 = x0 + scale * rng_for(cfg.seed, i).standard_normal(x0.size)
-                # a jitter out of the parameter domain is skipped; a kept
-                # start is the first best point of its run, and L-BFGS-B's
-                # first call a memo hit
-                objective.best = None
-                if np.isinf(objective.pair(x0)[0]):
-                    continue
-            x, fx, iters, ok = _run_lbfgsb(objective, x0, cfg)
-            total_iters += iters
-            # ties within step_tol keep the earliest start for determinism
-            if best is None or fx < best[1] - cfg.step_tol:
-                best = (x, fx, total_iters, ok)
-        x, fx, iters, ok = best
-    else:
-        x, fx, iters, ok = _run_lbfgsb(objective, cfg.init_theta, cfg)
-
+    x, fx, iters, ok = _run_lbfgsb(objective, cfg)
     gx = objective.pair(x)[1]
     if cfg.polish and np.isfinite(fx):
         x, fx, gx = _newton_polish(objective.pair, x, fx, gx)
@@ -295,7 +258,7 @@ def _minimize(pair, cfg):
 def fit(score, model, sample, cfg):
     """Minimize the empirical score of model(theta) against a sample.
 
-    Deterministic for a fixed config and seed.  An infinite score value (for
+    Deterministic for a fixed config.  An infinite score value (for
     example a KL objective meeting a zero density at a sample point) simply
     signals +inf to the optimizer, which retreats.
     """

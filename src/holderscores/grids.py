@@ -84,8 +84,10 @@ class GridDensity:
     -----
     Quadrature weights are derived on construction (per-axis trapezoid rule,
     combined by outer product) and always sum to the Lebesgue volume of the
-    box.  Values, weights and the per-axis node vectors are frozen; callers
-    receive them with the writeable flag cleared.
+    box.  The grid copies the bounds and values it is given, so the caller's
+    arrays stay writable and a later write to them leaves the grid as it was.
+    Its values, weights and per-axis node vectors are frozen; callers receive
+    them with the writeable flag cleared.
     """
 
     domain_lo: np.ndarray
@@ -95,9 +97,10 @@ class GridDensity:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.domain_lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.domain_hi, dtype=float))
-        vals = np.ascontiguousarray(self.values, dtype=float)
+        # copies: the arrays frozen below are the grid's own, not the caller's
+        lo = np.array(self.domain_lo, dtype=float, ndmin=1)
+        hi = np.array(self.domain_hi, dtype=float, ndmin=1)
+        vals = np.array(self.values, dtype=float, order="C")
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise StructuralError("domain_lo and domain_hi must be 1-d vectors of equal length")
         d = lo.size

@@ -8,8 +8,8 @@ from .errors import DomainError
 def rng_for(seed, *path):
     """Return a Philox generator addressed by (seed, path).
 
-    Streams with distinct paths are statistically independent, so sweep rows,
-    multi-start branches and Monte-Carlo replicates can each derive their own
+    Streams with distinct paths are statistically independent, so drawn
+    samples, sweep rows and Monte-Carlo replicates can each derive their own
     generator from a single master seed and stay reproducible regardless of
     execution order.  A negative seed or path entry raises
     :class:`DomainError`.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,6 +101,14 @@ class RedescendReport:
         return "\n".join(lines)
 
 
+def _check_gamma(phi, gamma):
+    """Every analysis below reads gamma twice, from ``phi`` through its
+    score and from ``gamma`` through the moments; they must be one value."""
+    if phi.gamma != gamma:
+        raise DomainError(f"{phi.label} has gamma={phi.gamma!r}, which disagrees "
+                          f"with the analysis's gamma={gamma!r}")
+
+
 def _frozen_grid(model, theta_star):
     """model(theta_star) rendered on its box padded by a factor 1.25.
 
@@ -142,12 +150,13 @@ def objective_hessian(phi, gamma, model, theta_star, quad=None):
     matrix raises :class:`SingularHessianError` because the influence solve
     requires invertible curvature at theta_star.  A non-vanishing exact
     gradient triggers a warning: the formulas below assume theta_star is the
-    objective's stationary point.
+    objective's stationary point.  ``gamma`` must be ``phi.gamma``.
     """
+    _check_gamma(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     if quad is None:
         quad = _frozen_grid(model, theta_star)
-    score = HolderScore(replace(phi, gamma=gamma))
+    score = HolderScore(phi)
 
     def gradient(theta):
         return score.expected_with_gradient(quad, (model, theta))[1]
@@ -207,6 +216,7 @@ def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
 
 def influence_function(phi, gamma, model, theta_star, z, hessian=None):
     """Influence vector at a contamination point z (exact point-mass terms)."""
+    _check_gamma(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     z_rows = check_points(model, np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1))
     return _influence_at(phi, gamma, model, theta_star, z_rows, hessian)[0]
@@ -256,6 +266,7 @@ def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     before the frozen grid is rendered.  Returns a tuple of
     :class:`InfluenceResult`, one per row, in order.
     """
+    _check_gamma(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     z_rows = _z_rows(model, theta_star, z_grid, n_z, max_sd)
     return _influence_at(phi, gamma, model, theta_star, z_rows)
@@ -270,6 +281,7 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     theta_star (a mean-only symmetric model, for instance) the test has no
     power and the report is marked inconclusive.
     """
+    _check_gamma(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     if (n_z if z_grid is None else len(np.atleast_2d(z_grid))) < 2:
         raise DomainError("the redescending check needs at least 2 contamination points")
@@ -326,14 +338,16 @@ def asymptotic_variance_sameness(gamma, model, theta_star, phi_list, n_mc, seed,
                                  replicates=200, cfg=None):
     """Do matched shape functions share the estimator's sampling variance?
 
-    Every phi must satisfy phi'(1) = -(1+gamma) and phi''(1) = -gamma(1+gamma)
-    (the conditions under which the influence functions coincide); violators
-    are rejected up front with the failed condition named.  Each replicate
-    reuses one simulated data set across all shape functions, which sharpens
-    the variance-ratio comparison considerably.
+    Every phi must have gamma as its own and satisfy phi'(1) = -(1+gamma) and
+    phi''(1) = -gamma(1+gamma) (the conditions under which the influence
+    functions coincide); violators are rejected up front with the failed
+    condition named.  Each replicate reuses one simulated data set across all
+    shape functions, which sharpens the variance-ratio comparison
+    considerably.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     for phi in phi_list:
+        _check_gamma(phi, gamma)
         d1 = float(phi.d1(1.0))
         if abs(d1 + (1.0 + gamma)) > 1e-8:
             raise DomainError(

@@ -158,12 +158,11 @@ class TestFitCommand:
                         "family=kl", "init=0,1")
         assert code == 0
 
-    def test_multistart_optimizer_accepted(self, tmp_path):
+    def test_mixture_fit_recovers_the_means(self, tmp_path):
         code, out = run(tmp_path, "fit", "f3",
                         "model=gaussian-mixture-fixed-weights",
                         "family=gamma", "gamma=0.5",
-                        "theta_true=-1.5,0.8,1.5,0.9", "n=600",
-                        "optimizer=multi-start(3)", "init=-0.5,1,0.5,1",
+                        "theta_true=-1.5,0.8,1.5,0.9", "n=600", "init=-0.5,1,0.5,1",
                         "step_tol=1e-7", seed=8)
         assert code == 0
         cells = (out / "results.csv").read_text().splitlines()[1].split(",")
@@ -489,7 +488,13 @@ class TestUnreadKeysExit2:
                         "q.theta=1,1"), ["gama"]),
         ("regress", ("gamma=0.5", "kappa=1", "a=1", "b=0", "n=100", "max_iter=1",
                      "y.lo=5", "y.hi=-5"), ["max_iter", "y.hi", "y.lo"]),
-    ], ids=["misspelt-gamma", "misspelt-max-iters"])
+        # a fit has one route: no key chooses another
+        ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1", "n=200",
+                 "optimizer=multi-start(3)"), ["optimizer"]),
+        ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1", "n=200",
+                 "optimizer=nelder-mead"), ["optimizer"]),
+    ], ids=["misspelt-gamma", "misspelt-max-iters", "optimizer-multi-start",
+            "optimizer-nelder-mead"])
     def test_misspelt_key(self, tmp_path, capsys, command, sets, keys):
         code, out = run(tmp_path, command, "typo", *sets)
         self.assert_rejected(capsys, code, out, command, keys)

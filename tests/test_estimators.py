@@ -41,13 +41,6 @@ class TestFitConfig:
             for bad in (-1.0, 0.0, math.nan, math.inf):
                 with pytest.raises(ConfigError):
                     FitConfig(init_theta=[0.0], **{key: bad})
-        with pytest.raises(ConfigError):
-            FitConfig(init_theta=[0.0], optimizer="bfgs")
-        with pytest.raises(ConfigError):
-            FitConfig(init_theta=[0.0], optimizer="gradient-descent-with-fd")
-
-    def test_multistart_spelling_accepted(self):
-        FitConfig(init_theta=[0.0], optimizer="multi-start(5)")
 
     def test_polish_on_by_default(self):
         assert FitConfig(init_theta=[0.0]).polish is True
@@ -78,7 +71,6 @@ class TestFit:
     def test_gradient_descent_optimizer(self):
         sample = draw_sample(GAUSS_M, [0.4], 500, seed=2)
         res = fit(KL(), GAUSS_M, sample, FitConfig(init_theta=[0.0],
-                                                   optimizer="l-bfgs-b",
                                                    grad_tol=1e-6, step_tol=1e-10))
         assert res.theta_hat[0] == pytest.approx(sample.points.mean(), abs=1e-5)
 
@@ -86,7 +78,6 @@ class TestFit:
         sample = draw_sample(GAUSS_MS, [0.3, 1.2], 800, seed=12)
         res = fit(HolderScore(phi_kappa(0.5, 1.0)), GAUSS_MS, sample,
                   FitConfig(init_theta=[0.0, 1.0],
-                            optimizer="l-bfgs-b",
                             grad_tol=1e-5, step_tol=1e-10, max_iters=3000))
         nm = fit(HolderScore(phi_kappa(0.5, 1.0)), GAUSS_MS, sample,
                  cfg_for([0.0, 1.0], step_tol=1e-8))
@@ -227,22 +218,20 @@ class TestEvaluationCount:
         assert len(thetas) == len(set(thetas)) == res.n_evals == 11
 
     def test_nelder_mead_fit(self):
-        # the final gradient check reads the pair Nelder-Mead already paid for
+        # a gradient of the wrong sign hands the fit to Nelder-Mead; the
+        # final gradient check reads the pair Nelder-Mead already paid for
         recorded, thetas = recording_log_density(GAUSS_MS)
         sample = draw_sample(GAUSS_MS, [0.0, 1.0], 2000, seed=401)
-        res = fit(HolderScore(phi_kappa(0.5, 1.0)), recorded, sample,
-                  FitConfig(init_theta=[0.0, 1.0], step_tol=1e-7, grad_tol=1e-2,
-                            optimizer="nelder-mead"))
+        res = fit(WrongSignGradient(HolderScore(phi_kappa(0.5, 1.0))), recorded, sample,
+                  FitConfig(init_theta=[0.0, 1.0], step_tol=1e-7, grad_tol=1e-2))
         assert res.converged
         assert len(thetas) == len(set(thetas)) == res.n_evals
 
-    @pytest.mark.parametrize("optimizer,wrapper", [
-        ("nelder-mead", CountingScore), ("multi-start(3)", CountingScore),
-        ("l-bfgs-b", WrongSignGradient)], ids=["nelder-mead", "multi-start", "fallback"])
-    def test_n_evals_counts_every_evaluation_paid_for(self, optimizer, wrapper):
+    @pytest.mark.parametrize("wrapper", [WrongSignGradient], ids=["fallback"])
+    def test_n_evals_counts_every_evaluation_paid_for(self, wrapper):
         sample = draw_sample(GAUSS_MS, [0.3, 1.2], 500, seed=4)
         score = wrapper(GammaScore(0.5))
-        res = fit(score, GAUSS_MS, sample, FitConfig(init_theta=[0.0, 1.0], optimizer=optimizer))
+        res = fit(score, GAUSS_MS, sample, FitConfig(init_theta=[0.0, 1.0]))
         assert res.converged
         assert res.n_evals == score.values
 
@@ -262,9 +251,6 @@ class TestOptimizer:
         assert np.max(np.abs(res.theta_hat - theta_star)) < 1e-8
         assert counted.values <= 50
 
-    def test_default_is_l_bfgs_b(self):
-        assert FitConfig(init_theta=[0.0]).optimizer == "l-bfgs-b"
-
     @pytest.mark.parametrize("wrapper", [WrongSignGradient, NanGradient])
     def test_abnormal_stop_falls_back_to_nelder_mead(self, wrapper, monkeypatch):
         calls = []
@@ -282,17 +268,17 @@ class TestOptimizer:
                             polish=False))
         assert len(calls) == 1
         monkeypatch.undo()
-        nm = fit(HolderScore(phi_kappa(0.5, 1.0)), GAUSS_MS, sample,
-                 FitConfig(init_theta=[0.0, 1.0], step_tol=1e-9, optimizer="nelder-mead"))
-        assert np.max(np.abs(res.theta_hat - nm.theta_hat)) < 1e-6
+        exact = fit(HolderScore(phi_kappa(0.5, 1.0)), GAUSS_MS, sample,
+                    FitConfig(init_theta=[0.0, 1.0], step_tol=1e-9))
+        assert np.max(np.abs(res.theta_hat - exact.theta_hat)) < 1e-6
         if wrapper is WrongSignGradient:
             # the exact gradient's norm is blind to its sign
             assert res.converged
         else:
             assert not res.converged
 
-    @pytest.mark.parametrize("route", ["nelder-mead", "fallback"])
-    def test_nelder_mead_start_evaluated_once(self, route, monkeypatch):
+    @pytest.mark.parametrize("wrapper", [WrongSignGradient], ids=["fallback"])
+    def test_nelder_mead_start_evaluated_once(self, wrapper, monkeypatch):
         # Nelder-Mead evaluates its start for fatol and again in scipy; on a
         # fallback the start is L-BFGS-B's best point, already evaluated
         starts, points = [], []
@@ -309,12 +295,8 @@ class TestOptimizer:
         monkeypatch.setattr(estimators, "_run_nelder_mead", spy_nm)
         monkeypatch.setattr(estimators, "_guarded", spy_guarded)
         sample = draw_sample(GAUSS_MS, [0.3, 1.2], 800, seed=5)
-        score = HolderScore(phi_kappa(0.5, 1.0))
-        if route == "fallback":
-            score = WrongSignGradient(score)
-        fit(score, GAUSS_MS, sample,
-            FitConfig(init_theta=[0.0, 1.0], optimizer="nelder-mead" if route ==
-                      "nelder-mead" else "l-bfgs-b", polish=False))
+        fit(wrapper(HolderScore(phi_kappa(0.5, 1.0))), GAUSS_MS, sample,
+            FitConfig(init_theta=[0.0, 1.0], polish=False))
         assert len(starts) == 1
         assert sum(np.array_equal(x, starts[0]) for x in points) == 1
 
@@ -337,18 +319,6 @@ class TestOptimizer:
         assert np.isinf([value for value, _ in values]).any()
         assert res.converged
         assert np.max(np.abs(res.theta_hat - [pts.mean(), pts.std()])) < 1e-6
-
-    def test_multi_start_skips_starts_out_of_the_domain(self):
-        # with seed 0 both jittered starts have a negative scale; handed to
-        # L-BFGS-B, each ran Nelder-Mead on a simplex that was +inf everywhere
-        # (6259 evaluations in all)
-        sample = draw_sample(GAUSS_MS, [0.0, 1.0], 500, seed=0)
-        cfg = FitConfig(init_theta=[0.0, 1.0], optimizer="multi-start(3)")
-        res = fit(GammaScore(0.5), GAUSS_MS, sample, cfg)
-        single = fit(GammaScore(0.5), GAUSS_MS, sample, replace(cfg, optimizer="l-bfgs-b"))
-        assert res.converged
-        assert res.n_evals < 100
-        assert np.array_equal(res.theta_hat, single.theta_hat)
 
     def test_iteration_limit_is_not_retried(self, monkeypatch):
         monkeypatch.setattr(estimators, "_run_nelder_mead", None)
@@ -434,19 +404,6 @@ class TestPopulationFit:
         oracle_m = grid[int(np.argmin(vals))]
         assert abs(res.theta_hat[0] - oracle_m) < 5e-3
         assert abs(res.theta_hat[0]) < 0.05
-
-    def test_multistart_never_worse_than_single(self):
-        mix = make_parametric("gaussian-mixture-fixed-weights")
-        theta_star = np.array([-1.5, 0.7, 1.5, 0.9])
-        p_true = render_density(mix, theta_star)
-        single = population_fit(GammaScore(0.5), mix, p_true,
-                                FitConfig(init_theta=[-0.5, 1.0, 0.5, 1.0],
-                                          step_tol=1e-7))
-        multi = population_fit(GammaScore(0.5), mix, p_true,
-                               FitConfig(init_theta=[-0.5, 1.0, 0.5, 1.0],
-                                         step_tol=1e-7,
-                                         optimizer="multi-start(5)", seed=2))
-        assert multi.objective_value <= single.objective_value + 1e-12
 
 
 class TestAveragedScore:

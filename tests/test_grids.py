@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +244,18 @@ class TestCubicInterpolator:
         d = len(shape)
         return GridDensity.from_callable(edge_sloped, self.LO[:d], self.HI[:d], shape)
 
+    def test_package_import_leaves_ndimage_unloaded(self):
+        # only resampling needs scipy.ndimage; its import would count toward
+        # the start-up of every run, resampling or not
+        src = str(Path(grids.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, holderscores; print('scipy.ndimage' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            check=True)
+        assert probe.stdout.strip() == "False"
+
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
     def test_matches_the_not_a_knot_spline(self, shape):
         f = self.grid(shape)
@@ -294,6 +311,16 @@ class TestGridDensityValidation:
         f = GridDensity([0.0], [1.0], np.ones(11))
         with pytest.raises(ValueError):
             f.values[0] = 2.0
+
+    def test_caller_arrays_stay_the_callers(self):
+        # the grid froze the caller's own C-contiguous float arrays, so a
+        # write to them raised "assignment destination is read-only"
+        lo, hi, vals = np.array([0.0]), np.array([1.0]), np.ones(5)
+        f = GridDensity(lo, hi, vals)
+        lo[0], hi[0], vals[0] = -1.0, 2.0, 2.0
+        assert np.array_equal(f.values, np.ones(5))
+        assert f.domain_lo[0] == 0.0 and f.domain_hi[0] == 1.0
+        assert not f.values.flags.writeable
 
     def test_normalize(self):
         f = gaussian_1d().with_values(3.7 * gaussian_1d().values)

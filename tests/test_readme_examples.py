@@ -1,4 +1,5 @@
-"""Every ``holder`` command in README's Examples block runs as documented."""
+"""README's Python quick example and every ``holder`` command in its Examples
+block run as documented."""
 
 import shlex
 from pathlib import Path
@@ -17,6 +18,15 @@ def readme_examples():
 
 
 EXAMPLES = readme_examples()
+
+
+def test_python_quick_example(capsys):
+    namespace = {}
+    exec(README.read_text().split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    res = namespace["res"]
+    assert res.converged
+    assert abs(res.theta_hat[0]) < 0.1
+    assert capsys.readouterr().out.startswith("[")
 
 
 def test_examples_block_found():

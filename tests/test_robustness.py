@@ -154,6 +154,35 @@ class TestInfluenceFunction:
         assert rendered == []
 
 
+class TestGammaAgreement:
+    """An analysis given a gamma other than phi's own reads two objectives
+    at once: the score of phi and the moments of gamma.  It raises before
+    any quadrature or fit (redescend_check at gamma 1 with a phi of gamma 0.5
+    returned PASS with condition_met=False)."""
+
+    PHI = phi_kappa(0.5, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda phi: objective_hessian(phi, 1.0, GAUSS_MS, [0.0, 1.0]),
+        lambda phi: influence_function(phi, 1.0, GAUSS_MS, [0.0, 1.0], 2.0),
+        lambda phi: influence_curve(phi, 1.0, GAUSS_MS, [0.0, 1.0]),
+        lambda phi: redescend_check(phi, 1.0, GAUSS_MS, [0.0, 1.0]),
+        lambda phi: gross_error_sensitivity(phi, 1.0, GAUSS_MS, [0.0, 1.0], [[2.0], [5.0]]),
+        # phi's derivatives at 1 meet the premises for gamma 0.5; its own gamma does not
+        lambda phi: asymptotic_variance_sameness(0.5, GAUSS_MS, [0.0, 1.0],
+                                                 [phi, replace(phi, gamma=0.6)], 50, 0,
+                                                 replicates=2),
+    ], ids=["hessian", "influence-function", "influence-curve", "redescend",
+            "gross-error-sensitivity", "variance-sameness"])
+    def test_mismatch_raises_before_any_work(self, monkeypatch, call):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the gamma check")
+        for name in ("_frozen_grid", "draw_sample", "fit"):
+            monkeypatch.setattr(robustness, name, refuse)
+        with pytest.raises(DomainError, match="disagrees"):
+            call(self.PHI)
+
+
 class TestRedescendCheck:
     def test_gamma_score_redescends(self):
         report = redescend_check(phi_kappa(0.5, 1.0), 0.5, GAUSS_MS, [0.0, 1.0])
