@@ -38,8 +38,9 @@ from .errors import (ConfigError, DegenerateInputError, DomainError,
                      UnsupportedFamilyError)
 from .grids import default_tol, integrate, read_grid
 from .estimators import FitConfig, fit, fit_regression, make_conditional, population_fit
-from .models import (Sample, check_contamination, contaminate, draw_contaminated_sample,
-                     draw_sample, make_parametric, read_samples, render_density)
+from .models import (WIDE_BOX_POINTS, Sample, check_contamination, contaminate,
+                     draw_contaminated_sample, draw_sample, make_parametric, read_samples,
+                     render_density)
 from .robustness import influence_curve, redescend_check
 from .scores import (GammaScore, KL, divergence, number_from_config, phi_from_config,
                      score_from_config)
@@ -161,7 +162,8 @@ def _density_pair(cfg):
     else:
         lo, hi = zip(*(models[s].support(thetas[s]) for s in "pq"))
         lo, hi = np.minimum(*lo), np.maximum(*hi)
-        n = _get_int(cfg, "grid.n", max(m.quad_points for m in models.values()))
+        n = _get_int(cfg, "grid.n", max(WIDE_BOX_POINTS[lo.size],
+                                        *(m.quad_points for m in models.values())))
     yield
     for s, model in models.items():
         files[s] = render_density(model, thetas[s], lo=lo, hi=hi, points_per_axis=n)

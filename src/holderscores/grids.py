@@ -186,16 +186,20 @@ class GridDensity:
     def from_callable(cls, fn, lo, hi, points_per_axis):
         """Sample ``fn`` on the tensor grid of the box [lo, hi].
 
-        ``fn`` receives an (N, d) array of points and must return N values.
+        ``fn`` receives the grid's own nodes, the read-only (N, d) array that
+        its ``points()`` returns and the grid keeps (d times the memory of
+        its values, read or not), and must return N values.
         """
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if np.isscalar(points_per_axis) or np.ndim(points_per_axis) == 0:
             points_per_axis = (int(points_per_axis),) * lo.size
         shape = tuple(int(n) for n in points_per_axis)
-        pts = _tensor_nodes(_box_quadrature(lo, hi, shape)[0])
-        vals = np.asarray(fn(pts), dtype=float).reshape(shape)
-        return cls(lo, hi, vals)
+        nodes = _tensor_nodes(_box_quadrature(lo, hi, shape)[0])
+        nodes.setflags(write=False)
+        grid = cls(lo, hi, np.asarray(fn(nodes), dtype=float).reshape(shape))
+        object.__setattr__(grid, "_nodes", nodes)      # the cache that points() reads
+        return grid
 
     def with_values(self, values):
         """New density on the same box with replaced values."""

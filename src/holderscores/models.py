@@ -35,6 +35,10 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _GAUSS_HALF_WIDTH = 8.0
 # Exponential tails are cut where exp(-rate*x) < 1e-15.
 _EXPON_CUTOFF = 35.0
+# At least these nodes per axis on boxes wider than one density needs:
+# contaminate's point-mass bump keeps their cell on the model's box
+# (criterion 6 needs it), and the CLI's divergence lays them on the union box.
+WIDE_BOX_POINTS = {1: 2001, 2: 257, 3: 81}
 
 
 @dataclass(frozen=True)
@@ -260,8 +264,8 @@ def _gaussian_full(dim=2):
         m, chol, diag = unpack(theta)
         mt = np.array(m) - center
         if d == 1:
-            # in scalars: small-array calls would cost more than a
-            # 2,001-node pair saves
+            # in scalars: numpy's per-call cost on arrays of one to three
+            # entries exceeds their arithmetic
             s, mt = diag[0], float(mt[0])
             b = 1.0 / s
             p = b * b
@@ -323,7 +327,8 @@ def _gaussian_full(dim=2):
         in_support=lambda x: np.ones(_as_points(x, d).shape[0], dtype=bool),
         push_params=push,
         power_moment=power,
-        quad_points=257 if d == 2 else (2001 if d == 1 else 81),
+        # set by the accuracy rule of tests/test_quadrature_oracle.py
+        quad_points=(65, 129, 81)[d - 1],
         log_quadratic=log_quadratic,
     )
 
@@ -573,8 +578,8 @@ def contaminate(model, theta, eps, z):
     margin = (bhi - blo) / 16.0
     lo = np.minimum(blo, z - margin)
     hi = np.maximum(bhi, z + margin)
-    # keep the cell width of the model's default box
-    h = (bhi - blo) / (model.quad_points - 1)
+    # keep the cell width of the model's box at WIDE_BOX_POINTS nodes
+    h = (bhi - blo) / (max(model.quad_points, WIDE_BOX_POINTS[model.dim]) - 1)
     points_per_axis = tuple(int(np.ceil((hi[i] - lo[i]) / h[i])) + 1
                             for i in range(model.dim))
     base = render_density(model, theta, lo, hi, points_per_axis)

@@ -82,6 +82,25 @@ class TestDivergenceCommand:
         div = float((out / "results.csv").read_text().splitlines()[1].split(",")[-1])
         assert div > 1e-4
 
+    @pytest.mark.parametrize("pair,finer", [
+        (["p.theta=0,1", "q.theta=0,4"], 20001),
+        (["p.theta=0,1", "q.theta=0,10"], 20001),
+        (["p.model=gaussian-full-d", "p.model.dim=2", "p.theta=0,0,1,0,1",
+          "q.model=gaussian-full-d", "q.model.dim=2", "q.theta=0,0,4,0,4"], 513)],
+        ids=["1d-scale-4", "1d-scale-10", "2d-scale-4"])
+    def test_default_grid_keeps_the_narrower_density_resolved(self, tmp_path, pair, finer):
+        # the union box spans q's +-8 sd; the default grid lays at least 2001
+        # nodes in 1-D (257 per axis in 2-D) over it, so p stays resolved
+        # where its own default count (65, 129) would give cells 1 to 2.5 sd
+        # of p wide
+        divs = []
+        for sets in ([], [f"grid.n={finer}"]):
+            code, out = run(tmp_path, "divergence", f"w{len(sets)}", "family=gamma",
+                            "gamma=0.5", *pair, *sets)
+            assert code == 0
+            divs.append(float((out / "results.csv").read_text()
+                              .splitlines()[1].split(",")[-1]))
+        assert divs[0] == pytest.approx(divs[1], rel=1e-12)
 
 
 class TestGridFileInput:

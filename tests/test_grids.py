@@ -11,7 +11,8 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from holderscores import (GridDensity, DomainError, KL, StructuralError,
                           cross_moment, divergence, holder_cross_bound, integrate,
-                          l1_distance, power_moment, read_grid, write_grid)
+                          l1_distance, make_parametric, power_moment, read_grid,
+                          render_density, write_grid)
 from holderscores import grids
 
 
@@ -80,8 +81,8 @@ class TestFlatView:
 
     def test_nodes_laid_out_only_when_read(self, monkeypatch):
         # a grid-against-grid divergence needs weights and values only
-        f = gaussian_1d(n=401)
-        g = gaussian_1d(mean=0.3, n=401)
+        f = GridDensity([-8.0], [8.0], gaussian_1d(n=401).values)
+        g = GridDensity([-8.0], [8.0], gaussian_1d(mean=0.3, n=401).values)
         laid_out = []
         monkeypatch.setattr(grids, "_tensor_nodes",
                             lambda axes: laid_out.append(axes) or _tensor_nodes(axes))
@@ -89,6 +90,18 @@ class TestFlatView:
         assert laid_out == []
         f.points()
         assert len(laid_out) == 1
+
+    def test_render_lays_out_its_nodes_once(self, monkeypatch):
+        # from_callable samples fn at the nodes that points() then returns
+        laid_out = []
+        monkeypatch.setattr(grids, "_tensor_nodes",
+                            lambda axes: laid_out.append(axes) or _tensor_nodes(axes))
+        f = render_density(make_parametric("gaussian-full-d", dim=2),
+                           [0.2, -0.1, 1.1, 0.3, 0.8])
+        nodes = f.points()
+        assert len(laid_out) == 1
+        assert f.points() is nodes and not nodes.flags.writeable
+        assert np.array_equal(nodes, _tensor_nodes(f.axes()))
 
     @pytest.mark.parametrize("shape", [(7,), (6, 5), (4, 3, 5)],
                              ids=lambda s: "x".join(map(str, s)))
@@ -197,7 +210,6 @@ class TestQuadratureConvergence:
             assert abs(integrate(a) - integrate(b)) < 10 * 1e-8
 
     def test_refinement_across_builtin_families(self):
-        from holderscores import make_parametric, render_density
         cases = [
             ("gaussian-mean", {}, [0.3], 1e-8),
             ("gaussian-mean-scale", {}, [0.1, 1.2], 1e-8),

@@ -271,6 +271,24 @@ class TestContaminate:
                                 points_per_axis=base.points_per_axis)
         assert np.array_equal(base.values, direct.values)
 
+    @pytest.mark.parametrize("kind,hyper,theta,z,old_points,shape", [
+        ("gaussian-mean", {}, [0.3], 10.0, 2001, (2339,)),
+        ("gaussian-mean-scale", {}, [0.1, 1.2], -9.0, 2001, (2074,)),
+        ("gaussian-full-d", {"dim": 2}, [0.2, -0.1, 1.1, 0.3, 0.8], [6.0, -7.0], 257,
+         (257, 275))], ids=["gaussian-mean", "gaussian-mean-scale", "gaussian-full-d-2"])
+    def test_keeps_the_cell_width_of_the_former_default(self, kind, hyper, theta, z,
+                                                        old_points, shape):
+        # the bump is sized from the cell of 2001 nodes in 1-D and 257 per
+        # axis in 2-D, not from the coarser default render grid
+        model = make_parametric(kind, **hyper)
+        former = replace(model, quad_points=old_points)
+        for eps in (0.0, 0.1):
+            got, want = contaminate(model, theta, eps, z), contaminate(former, theta, eps, z)
+            assert got.points_per_axis == want.points_per_axis == shape
+            assert np.array_equal(got.domain_lo, want.domain_lo)
+            assert np.array_equal(got.domain_hi, want.domain_hi)
+            assert np.array_equal(got.values, want.values)
+
     def test_mixture_mass_near_far_point(self):
         model = make_parametric("gaussian-mean-scale")
         theta = np.array([0.0, 1.0])
