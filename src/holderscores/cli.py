@@ -313,6 +313,8 @@ def _cmd_invariance(cfg, seed, jobs):
         raise ConfigError(f"config key 'pairs' must be at least 1, got {pairs}")
     n = _get_int(cfg, "grid.n", 1201 if d == 1 else 81)
     tol = number_from_config(cfg, "tol", 1e-5)
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"config key 'tol' must be finite and positive, got {tol!r}")
     yield
     h = abs(amap.det_sigma) ** (-score.affine_scale_exponent)
     rows = []

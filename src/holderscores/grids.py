@@ -1,11 +1,12 @@
 """Densities on tensor-product grids and the quadrature behind every integral.
 
-Every integral in this package is a Lebesgue integral over a rectangular box,
-realized as tensor-product trapezoid quadrature on uniform per-axis grids.
-A :class:`GridDensity` is its own quadrature rule: it bundles the box, its
-per-axis nodes, the sampled nonnegative values and the matching weights; the
-free functions below compute the handful of integral shapes the score
-families need: ``<f>``, ``<f^a>`` and ``<f g^a>``.
+Every integral in this package is a Lebesgue integral over a parallelepiped,
+realized as tensor-product trapezoid quadrature on a uniform lattice in
+coordinates v, carried into outcome space by an affine frame x = sigma v + mu.
+A :class:`GridDensity` is its own quadrature rule: it bundles the lattice box,
+its per-axis nodes, the frame, the sampled nonnegative values and the
+matching weights; the free functions below compute the handful of integral
+shapes the score families need: ``<f>``, ``<f^a>`` and ``<f g^a>``.
 
 Grids are immutable after construction.  Operations return new objects.
 """
@@ -17,13 +18,15 @@ from functools import cached_property, reduce
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, StructuralError
 
 MAX_DIM = 3
 
 _DEFAULT_TOL = {1: 1e-8, 2: 1e-6, 3: 1e-4}
+
+# the pairs (i, j), i >= j, of the quadratic monomials u_i u_j in row-major order
+_LOWER_TRIANGLE = {d: np.tril_indices(d) for d in range(1, MAX_DIM + 1)}
 
 
 def default_tol(dim):
@@ -69,30 +72,38 @@ def _tensor_nodes(axes):
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Nonnegative function sampled on a uniform tensor grid.
+    """Nonnegative function sampled on a uniform tensor lattice in an affine frame.
 
     Parameters
     ----------
     domain_lo, domain_hi : array_like, shape (d,)
-        Per-axis bounds of the box, ``lo < hi`` elementwise.
+        Per-axis bounds of the lattice box in v, ``lo < hi`` elementwise.
     values : ndarray
-        Nonnegative samples on the tensor grid, shape ``(n_1, ..., n_d)`` in
+        Nonnegative samples at the nodes, shape ``(n_1, ..., n_d)`` in
         row-major axis order.  At least one value must be positive and at
         least two points per axis are required.
+    frame : (sigma, mu), optional
+        The affine frame x = sigma v + mu that carries the lattice into
+        outcome space: an invertible (d, d) matrix and a (d,) shift.  The
+        default is the identity, under which the box is axis-aligned in x.
 
     Notes
     -----
-    Quadrature weights are derived on construction (per-axis trapezoid rule,
-    combined by outer product) and always sum to the Lebesgue volume of the
-    box.  The grid copies the bounds and values it is given, so the caller's
-    arrays stay writable and a later write to them leaves the grid as it was.
-    Its values, weights and per-axis node vectors are frozen; callers receive
-    them with the writeable flag cleared.
+    Quadrature weights are derived on construction: the per-axis trapezoid
+    rule, combined by outer product, times |det sigma|, summing to the
+    volume of the box's image in x.  The trapezoid rule on a sheared lattice
+    is still the trapezoid rule, so an affine map moves a density by its
+    frame alone (:func:`~holderscores.affine.transform_density`).  The grid
+    copies the bounds, frame and values it is given, so the caller's arrays
+    stay writable and a later write to them leaves the grid as it was.  Its
+    values, weights, frame and per-axis node vectors are frozen; callers
+    receive them with the writeable flag cleared.
     """
 
     domain_lo: np.ndarray
     domain_hi: np.ndarray
     values: np.ndarray
+    frame: tuple = None
     points_per_axis: tuple = field(init=False)
     weights: np.ndarray = field(init=False)
 
@@ -116,15 +127,26 @@ class GridDensity:
             raise DomainError("values must be nonnegative")
         if not np.any(vals > 0):
             raise DomainError("at least one value must be positive (zero function excluded)")
+        sigma, mu = (np.eye(d), np.zeros(d)) if self.frame is None else self.frame
+        sigma = np.array(sigma, dtype=float, ndmin=2)
+        mu = np.array(mu, dtype=float, ndmin=1)
+        if sigma.shape != (d, d) or mu.shape != (d,):
+            raise StructuralError(f"the frame of a {d}-dimensional grid is a ({d}, {d}) "
+                                  f"matrix and a ({d},) shift")
+        volume = abs(float(np.linalg.det(sigma))) if np.all(np.isfinite(sigma)) else 0.0
+        if not (volume > 0.0 and np.all(np.isfinite(mu))):
+            raise DomainError("the frame must be finite and invertible")
 
         axes, w = _box_quadrature(lo, hi, vals.shape)
+        w *= volume
 
-        for arr in (lo, hi, vals, w, *axes):
+        for arr in (lo, hi, vals, w, sigma, mu, *axes):
             arr.setflags(write=False)
         object.__setattr__(self, "_axes", tuple(axes))
         object.__setattr__(self, "domain_lo", lo)
         object.__setattr__(self, "domain_hi", hi)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "frame", (sigma, mu))
         object.__setattr__(self, "points_per_axis", tuple(vals.shape))
         object.__setattr__(self, "weights", w)
 
@@ -135,26 +157,29 @@ class GridDensity:
         return self.domain_lo.size
 
     def axes(self):
-        """Per-axis node vectors, read-only: those of the quadrature rule."""
+        """Per-axis node vectors of the lattice in v, read-only: those of the
+        quadrature rule."""
         return self._axes
 
     def cell_widths(self):
+        """The lattice spacing along each axis, in v."""
         return (self.domain_hi - self.domain_lo) / (np.array(self.points_per_axis) - 1)
 
     @cached_property
     def midpoint(self):
-        """Centre of the box, the origin of :attr:`axis_monomials`; read-only."""
+        """Centre of the lattice box in v, the origin of :attr:`axis_monomials`;
+        read-only."""
         mid = (self.domain_lo + self.domain_hi) / 2.0
         mid.setflags(write=False)
         return mid
 
     @cached_property
     def axis_monomials(self):
-        """Per axis k, the rows [1, u_k, u_k^2] of u_k = x_k - midpoint_k at
+        """Per axis k, the rows [1, w_k, w_k^2] of w_k = v_k - midpoint_k at
         the axis's nodes, as a tuple of read-only (n_k, 3) arrays.
 
-        Built on first use and cached: on the tensor grid a polynomial of
-        degree 2 per axis in u is a product of these, one axis at a time.
+        Built on first use and cached: on the tensor lattice a polynomial of
+        degree 2 per axis in w is a product of these, one axis at a time.
         """
         rows = []
         for ax, c in zip(self.axes(), self.midpoint):
@@ -164,9 +189,37 @@ class GridDensity:
             rows.append(v)
         return tuple(rows)
 
+    @cached_property
+    def monomial_lift(self):
+        """``(c, M)``: c = sigma midpoint + mu, the midpoint's image in x, and
+        the read-only (r, r) matrix M with q(sigma w) = M q(w) for the
+        quadratic monomials q(u) = [1, u_1..u_d, u_i u_j (i >= j, row-major
+        lower triangle)] of ``ParametricModel.log_quadratic``.
+
+        At a node x - c = sigma w, so eta @ q(x - c) = (eta @ M) @ q(w), a
+        polynomial in w that :attr:`axis_monomials` contracts: the linear
+        part b becomes sigma^T b and the quadratic part A sigma^T A sigma.
+        Cached on first use; the identity frame gives c = midpoint, M = I.
+        """
+        sigma, mu = self.frame
+        d = self.dim
+        rows, cols = _LOWER_TRIANGLE[d]
+        # u_a u_b = sum_jl sigma_aj sigma_bl w_j w_l, folded onto j >= l
+        s = sigma[rows][:, :, None] * sigma[cols][:, None, :]
+        s = s + s.transpose(0, 2, 1)
+        lift = np.zeros((1 + d + rows.size,) * 2)
+        lift[0, 0] = 1.0
+        lift[1:d + 1, 1:d + 1] = sigma
+        lift[d + 1:, d + 1:] = np.where(rows == cols, 0.5, 1.0) * s[:, rows, cols]
+        center = sigma @ self.midpoint + mu
+        for arr in (center, lift):
+            arr.setflags(write=False)
+        return center, lift
+
     def points(self):
-        """All grid nodes as a read-only (N, d) array in row-major grid order,
-        Fortran-ordered so each coordinate column is contiguous.
+        """All grid nodes in x, sigma v + mu, as a read-only (N, d) array in
+        row-major grid order, Fortran-ordered so each coordinate column is
+        contiguous.
 
         Laid out on the first call and cached: sums over data and grid
         targets need the weights and values only, and a fit against a fixed
@@ -176,7 +229,8 @@ class GridDensity:
 
     @cached_property
     def _nodes(self):
-        nodes = _tensor_nodes(self._axes)
+        sigma, mu = self.frame
+        nodes = (sigma @ _tensor_nodes(self._axes).T + mu[:, None]).T
         nodes.setflags(write=False)
         return nodes
 
@@ -184,7 +238,7 @@ class GridDensity:
 
     @classmethod
     def from_callable(cls, fn, lo, hi, points_per_axis):
-        """Sample ``fn`` on the tensor grid of the box [lo, hi].
+        """Sample ``fn`` on the tensor grid of the box [lo, hi] in the identity frame.
 
         ``fn`` receives the grid's own nodes, the read-only (N, d) array that
         its ``points()`` returns and the grid keeps (d times the memory of
@@ -202,8 +256,8 @@ class GridDensity:
         return grid
 
     def with_values(self, values):
-        """New density on the same box with replaced values."""
-        return GridDensity(self.domain_lo, self.domain_hi, values)
+        """New density on the same lattice and frame with replaced values."""
+        return GridDensity(self.domain_lo, self.domain_hi, values, self.frame)
 
     def normalize(self):
         """Rescale so the quadrature integral is exactly 1."""
@@ -212,110 +266,29 @@ class GridDensity:
             raise DomainError("cannot normalize a density with vanishing mass")
         return self.with_values(self.values / total)
 
-    def interpolator(self, method="linear"):
-        """Interpolant over the box, zero outside; callable on (N, d) points.
-
-        ``cubic`` is the not-a-knot cubic spline through the nodes (node-exact,
-        O(h^4) error) at d = 1..3, as a uniform cubic B-spline: its
-        coefficients come from one tridiagonal solve per axis
-        (:func:`_spline_coefficients`) and :func:`_spline_at` evaluates it at
-        the points inside the box only.  A point off the box by no more than
-        the rounding of its coordinates counts as on the face.
-        """
-        if method != "cubic":
-            return RegularGridInterpolator(self.axes(), self.values, method="linear",
-                                           bounds_error=False, fill_value=0.0)
-        coeffs = _spline_coefficients(self.values)
-        lo, h = self.domain_lo, self.cell_widths()
-        # index 1 + (x - lo) / h is formed from numbers of size |x| / h
-        magnitude = np.maximum(np.abs(lo), np.abs(self.domain_hi)) / h \
-            + np.array(self.points_per_axis)
-
-        def evaluate(pts):
-            index = ((np.asarray(pts, dtype=float) - lo) / h + 1.0).T
-            return _spline_at(coeffs, index, magnitude)
-        return evaluate
-
     def evaluate(self, points):
-        """Multilinearly interpolated values at an (N, d) array of points."""
+        """Values at an (N, d) array of points x; 0 off the grid's image.
+
+        Each point is pulled back to the lattice, v = sigma^-1 (x - mu), and
+        the values are interpolated multilinearly there.  Points of another
+        dimension than the grid's raise :class:`StructuralError`.
+        """
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
+        if pts.ndim < 2:
             pts = pts.reshape(-1, 1) if self.dim == 1 else pts.reshape(1, -1)
-        return self.interpolator()(pts)
-
-
-def _spline_coefficients(values):
-    """The uniform cubic B-spline coefficients, n_k + 2 along each axis, of
-    the not-a-knot spline through the tensor grid ``values``.
-
-    Along an axis, c_i-1 + 4 c_i + c_i+1 = 6 v_i at every node i.  Not-a-knot
-    makes the first two cells one cubic, whose second difference is exact:
-    c_1 = v_1 - (v_0 - 2 v_1 + v_2) / 6, and likewise at the far end.  That
-    leaves one tridiagonal solve for c_1..c_n-2; the node equations then give
-    c_0, c_-1 and their mirror images.  Below 4 nodes the spline is the line
-    or parabola through them, and c_i = v_i - v''/6.  The axes are solved
-    last to first, so the result, built along axis 0 last, is C-contiguous.
-    """
-    coeffs = values
-    for axis, n in reversed(list(enumerate(values.shape))):
-        v = np.moveaxis(coeffs, axis, 0)
-        c = np.empty((n + 2,) + v.shape[1:])
-        if n < 4:
-            c[1:-1] = v - (v[0] - 2.0 * v[1] + v[2]) / 6.0 if n == 3 else v
-        else:
-            rhs = 6.0 * v[1:-1]
-            rhs[0] = 8.0 * v[1] - v[0] - v[2]
-            rhs[-1] = 8.0 * v[-2] - v[-3] - v[-1]
-            band = np.ones((3, n - 2))
-            band[1] = 4.0
-            band[1, [0, -1]] = 6.0
-            band[0, 1] = band[2, -2] = 0.0
-            c[2:-2] = solve_banded((1, 1), band, rhs.reshape(n - 2, -1),
-                                   check_finite=False).reshape(rhs.shape)
-            c[1] = 6.0 * v[1] - 4.0 * c[2] - c[3]
-            c[-2] = 6.0 * v[-2] - 4.0 * c[-3] - c[-4]
-        c[0] = 6.0 * v[0] - 4.0 * c[1] - c[2]
-        c[-1] = 6.0 * v[-1] - 4.0 * c[-2] - c[-3]
-        coeffs = np.moveaxis(c, 0, axis)
-    return coeffs
-
-
-# indices past a face by at most this many units in the last place of the
-# numbers they were formed from are rounding, and count as on the face
-_ROUNDING_ULPS = 8.0
-
-
-def _spline_at(coeffs, index, magnitude, fill=0.0):
-    """The B-spline with coefficients ``coeffs`` at fractional node indices.
-
-    ``index`` holds one array per axis, broadcastable together; on axis k
-    the box's nodes sit at indices 1..n_k.  An index outside [1, n_k] by no
-    more than ``_ROUNDING_ULPS`` units in the last place of ``magnitude[k]``,
-    the size of the numbers it was formed from, is moved onto the face;
-    further out the value is ``fill`` (0 for a spline of values, -inf for a
-    spline of log values, so that exp gives 0).  Only the nodes inside are
-    evaluated, in one pass.
-    """
-    from scipy import ndimage  # imported here: only resampling needs it
-    shape = np.broadcast_shapes(*(np.shape(s) for s in index))
-    slack = _ROUNDING_ULPS * np.finfo(float).eps * magnitude
-    bounds = [(1.0, n - 2.0) for n in coeffs.shape]
-    inside = np.ones(shape, dtype=bool)
-    for s, (first, last), tol in zip(index, bounds, slack):
-        inside &= (s >= first - tol) & (s <= last + tol)
-    coords = np.empty((len(bounds), np.count_nonzero(inside)))
-    for row, s, (first, last) in zip(coords, index, bounds):
-        np.clip(np.broadcast_to(s, shape)[inside], first, last, out=row)
-    out = np.full(shape, fill)
-    out[inside] = ndimage.map_coordinates(coeffs, coords, order=3, mode="mirror",
-                                          prefilter=False)
-    return out
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise StructuralError(f"points have dimension {pts.shape[-1]}, "
+                                  f"the grid is {self.dim}-dimensional")
+        sigma, mu = self.frame
+        lattice = np.linalg.solve(sigma, (pts - mu).T).T
+        return RegularGridInterpolator(self._axes, self.values, bounds_error=False,
+                                       fill_value=0.0)(lattice)
 
 
 def _require_same_grid(f, g):
-    if f.points_per_axis != g.points_per_axis or \
-            not np.array_equal(f.domain_lo, g.domain_lo) or \
-            not np.array_equal(f.domain_hi, g.domain_hi):
+    if f.points_per_axis != g.points_per_axis or not all(
+            map(np.array_equal, (f.domain_lo, f.domain_hi, *f.frame),
+                (g.domain_lo, g.domain_hi, *g.frame))):
         raise StructuralError("densities live on different grids")
 
 
@@ -412,8 +385,14 @@ def write_grid(f, path):
 
     Header line ``holder-grid v1; dim=<d>; lo=<csv>; hi=<csv>; n=<csv>``
     followed by one value per line in row-major order.  Finite values
-    round-trip bit-exactly through :func:`read_grid`.
+    round-trip bit-exactly through :func:`read_grid`.  The format has no
+    frame: a grid whose frame is not the identity raises
+    :class:`StructuralError`.
     """
+    sigma, mu = f.frame
+    if not np.array_equal(sigma, np.eye(f.dim)) or np.any(mu):
+        raise StructuralError("the holder-grid v1 format stores axis-aligned grids only; "
+                              "this grid carries an affine frame")
     with open(path, "w") as fh:
         fh.write(f"{_HEADER_PREFIX}; dim={f.dim}; lo={_fmt_floats(f.domain_lo)}; "
                  f"hi={_fmt_floats(f.domain_hi)}; n={','.join(str(n) for n in f.points_per_axis)}\n")

@@ -41,8 +41,8 @@ of ``expected`` or ``empirical`` bit for bit and only a gradient ever calls
 the model's ``score``.  On a data grid, a model with ``log_quadratic``
 (every Gaussian) needs no score at all: log g = eta @ q and s = jac @ q in
 the quadratic monomials q, so <h s> = jac @ <h q> for either weighting h;
-on the tensor grid, log g and <h q> come from the grid's cached per-axis
-rows [1, u_k, u_k^2].  Other models, and every model at sample points, take
+on the tensor lattice, log g and <h q> come from the grid's cached per-axis
+rows [1, w_k, w_k^2].  Other models, and every model at sample points, take
 ``log_density`` there and sum ``score`` columns for a gradient.
 """
 
@@ -331,14 +331,15 @@ def _log_and_gradient_rows(data, g):
     (2, k); at sample points t may be one row (n,), and totals are unused.
 
     ``g`` is a grid density, on the data grid or interpolated at the sample
-    points, whose ``gradient`` raises, or a ``(model, theta)`` pair.  On a
-    grid, a model with ``log_quadratic`` sums the non-constant monomials q(u)
-    of u = x - midpoint and lifts them through its Jacobian: log g = eta @ q
-    and the sums are contracted one axis at a time with the grid's per-axis
-    rows [1, u_k, u_k^2], through the (3,)*d array of the coefficients of
-    prod_k u_k^a_k; no (r, N) array is formed.  Any other model, and every
-    model at sample points, sums its score columns, and calls ``score`` only
-    when ``gradient`` is.
+    points, whose ``gradient`` raises, or a ``(model, theta)`` pair of the
+    data's dimension.  On a grid, a model with ``log_quadratic`` sums the
+    non-constant monomials q(w) of the lattice coordinates w = v - midpoint
+    and lifts them through its Jacobian, eta and Jacobian taken into w by the
+    grid's ``monomial_lift``: log g = eta @ q and the sums are contracted one
+    axis at a time with the grid's per-axis rows [1, w_k, w_k^2], through the
+    (3,)*d array of the coefficients of prod_k w_k^a_k; no (r, N) array is
+    formed.  Any other model, and every model at sample points, sums its
+    score columns, and calls ``score`` only when ``gradient`` is.
     """
     sample = isinstance(data, Sample)
     if isinstance(g, GridDensity):
@@ -350,12 +351,16 @@ def _log_and_gradient_rows(data, g):
         with np.errstate(divide="ignore"):
             return np.log(values), _no_gradient
     model, theta = g
+    if model.dim != data.dim:
+        raise StructuralError(f"points have dimension {data.dim}, model expects {model.dim}")
     theta = np.asarray(theta, dtype=float)
     if sample or model.log_quadratic is None:
         nodes = data.points if sample else data.points()
         return (model.log_density(theta, nodes),
                 lambda t, totals: t @ model.score(theta, nodes))
-    eta, jac = model.log_quadratic(theta, data.midpoint)
+    center, lift = data.monomial_lift
+    eta, jac = model.log_quadratic(theta, center)
+    eta, jac = eta @ lift, jac @ lift
     rows, d = data.axis_monomials, data.dim
     at = _MONOMIAL_AT[d]
     coef = np.zeros(3 ** d)

@@ -285,8 +285,24 @@ class TestInvarianceCommand:
                         for row in (out / "results.csv").read_text().splitlines()[1:]]
                 assert len(rows) == 5 and all(np.isfinite(row[4]) for row in rows)
                 worst = max([worst] + [row[5] for row in rows])
-        # measured 4.8e-15 (kl) and 8.9e-15 (holder)
+        # measured 4.8e-15 (kl) and 7.0e-15 (holder); 8.9e-15 through the
+        # spline resampler
         assert worst < 1e-12
+
+    @pytest.mark.parametrize("family", [("family=kl",),
+                                        ("family=holder", "phi=kappa", "kappa=1", "gamma=0.5")],
+                             ids=["kl", "holder"])
+    def test_coarse_grid_through_a_shear(self, tmp_path, family):
+        # the resampler lost what a shear moves off the box: at 9^2 and 17^2
+        # this read FAIL with worst residuals 0.69 and 0.085 (kl), 0.92 and
+        # 0.29 (holder); the pushforward is exact on any grid
+        for n in (9, 17):
+            code, out = run(tmp_path, "invariance", f"n{n}", *family,
+                            "sigma=1.2,0.3,-0.4,0.9", f"grid.n={n}")
+            assert code == 0
+            assert (out / "report.txt").read_text().splitlines()[0] == "PASS"
+            rows = (out / "results.csv").read_text().splitlines()[1:]
+            assert max(float(row.split(",")[-1]) for row in rows) < 1e-13
 
     def test_sigma_alone_sets_the_dimension(self, tmp_path):
         # d came from mu (default 0, so d = 1), and this exited 2 with
@@ -604,6 +620,11 @@ class TestBadValuesExit2:
         ("influence", ("gamma=0.5", "theta_star=0,1", "z.count=-3"), "contamination point"),
         ("divergence", ("family=kl", "p.theta=0,1", "q.theta=0,1", "grid.n=-5"), "2 points"),
         ("invariance", ("family=holder", "gamma=0.5", "pairs=0"), "'pairs'"),
+        # each ran the whole check and exited 3 with FAIL
+        ("invariance", ("family=kl", "sigma=4", "tol=nan"), "'tol'"),
+        ("invariance", ("family=kl", "sigma=4", "tol=-1"), "'tol'"),
+        ("invariance", ("family=kl", "sigma=4", "tol=0"), "'tol'"),
+        ("invariance", ("family=kl", "sigma=4", "tol=inf"), "'tol'"),
         ("divergence", ("family=kl", "p.model=gaussian-mean", "p.theta=0,7",
                         "q.theta=0,1"), "'p.theta'"),
         ("divergence", ("family=kl", "p.theta=0,1", "q.theta=0"), "'q.theta'"),

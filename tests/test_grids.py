@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from holderscores import (GridDensity, DomainError, KL, StructuralError,
                           cross_moment, divergence, holder_cross_bound, integrate,
@@ -225,37 +224,7 @@ class TestQuadratureConvergence:
             assert abs(integrate(coarse) - integrate(fine)) < 10 * tol, kind
 
 
-def edge_sloped(pts):
-    """sin(1.3x+0.4) cos(0.7y-0.2) cos(0.5z+0.3) + 0.5x + 3, y = z = 0 where absent:
-    its slope at the box edges is far from zero, where a mirror end condition errs."""
-    x = pts[:, 0]
-    y = pts[:, 1] if pts.shape[1] > 1 else 0.0
-    z = pts[:, 2] if pts.shape[1] > 2 else 0.0
-    return np.sin(1.3 * x + 0.4) * np.cos(0.7 * y - 0.2) * np.cos(0.5 * z + 0.3) + 0.5 * x + 3
-
-
-def tensor_spline(axes, values, pts):
-    """The tensor-product not-a-knot spline through ``values`` at each row of pts,
-    one CubicSpline per axis, last axis first."""
-    out = []
-    for row in pts:
-        v = values
-        for ax, x in reversed(list(zip(axes, row))):
-            v = CubicSpline(ax, v, axis=-1)(x)
-        out.append(v)
-    return np.array(out)
-
-
 class TestCubicInterpolator:
-    LO, HI = np.array([-2.0, -1.0, -1.5]), np.array([3.0, 2.5, 1.0])
-    SHAPES = [(n,) for n in (2, 3, 4, 5, 80, 241, 2401)] \
-        + [(n, n) for n in (2, 3, 4, 5, 80, 241)] \
-        + [(n, n, n) for n in (2, 3, 4, 5)] + [(5, 80, 3), (3, 4, 241)]
-
-    def grid(self, shape):
-        d = len(shape)
-        return GridDensity.from_callable(edge_sloped, self.LO[:d], self.HI[:d], shape)
-
     def test_package_import_leaves_ndimage_unloaded(self):
         # only resampling needs scipy.ndimage; its import would count toward
         # the start-up of every run, resampling or not
@@ -268,42 +237,111 @@ class TestCubicInterpolator:
             check=True)
         assert probe.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
-    def test_matches_the_not_a_knot_spline(self, shape):
-        f = self.grid(shape)
-        pts = np.random.default_rng(len(shape) * 1000 + shape[0]).uniform(
-            f.domain_lo, f.domain_hi, size=(300, f.dim))
-        axes = f.axes()
-        if f.dim == 1:
-            ref = CubicSpline(axes[0], f.values)(pts[:, 0])
-        elif f.dim == 2 and min(shape) >= 4:
-            ref = RectBivariateSpline(*axes, f.values, kx=3, ky=3, s=0).ev(*pts.T)
-        else:
-            ref = tensor_spline(axes, f.values, pts)
-        got = f.interpolator("cubic")(pts)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("shape", [(241,), (3, 80), (4, 5, 3)],
-                             ids=lambda s: "x".join(map(str, s)))
-    def test_coefficients_are_c_contiguous(self, shape):
-        # map_coordinates reads a strided array ~10% slower
-        coeffs = grids._spline_coefficients(self.grid(shape).values)
-        assert coeffs.shape == tuple(n + 2 for n in shape)
-        assert coeffs.flags.c_contiguous
+def quadratic_monomials(u):
+    """q(u) = [1, u_1..u_d, u_i u_j (i >= j, row-major lower triangle)] per row."""
+    rows, cols = np.tril_indices(u.shape[1])
+    return np.column_stack([np.ones(len(u)), u, u[:, rows] * u[:, cols]])
 
-    @pytest.mark.parametrize("shape", [(2,), (241,), (3, 80), (4, 5, 3)],
-                             ids=lambda s: "x".join(map(str, s)))
-    def test_exact_at_the_nodes_and_zero_outside(self, shape):
-        f = self.grid(shape)
-        interp = f.interpolator("cubic")
+
+class TestFrame:
+    """A grid carries an affine frame x = sigma v + mu over its lattice in v."""
+
+    # invertible frames of d = 1..3, a reflection (det < 0) and a shear among them
+    FRAMES = [
+        (np.array([[-1.3]]), np.array([0.4])),
+        (np.array([[1.1, 0.6], [0.0, -0.8]]), np.array([0.3, -0.5])),
+        (np.array([[1.3, 0.4, -0.2], [0.1, -0.8, 0.3], [-0.3, 0.2, 1.1]]),
+         np.array([0.3, -0.5, 0.2])),
+    ]
+
+    def lattice(self, d, frame=None):
+        shape = (7, 6, 5)[:d]
+        vals = np.arange(1.0, np.prod(shape) + 1.0).reshape(shape)
+        return GridDensity(np.arange(d) - 1.5, np.arange(d) + 2.0, vals, frame)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_identity_is_the_default_and_changes_no_bit(self, d):
+        f = self.lattice(d)
+        sigma, mu = f.frame
+        assert np.array_equal(sigma, np.eye(d)) and np.array_equal(mu, np.zeros(d))
+        assert not sigma.flags.writeable and not mu.flags.writeable
+        axes, weights = grids._box_quadrature(f.domain_lo, f.domain_hi, f.points_per_axis)
+        assert np.array_equal(f.weights, weights)
+        assert np.array_equal(f.points(), _tensor_nodes(axes))
+        center, lift = f.monomial_lift
+        assert np.array_equal(center, f.midpoint) and np.array_equal(lift, np.eye(len(lift)))
+        g = self.lattice(d, (np.eye(d), np.zeros(d)))
+        assert np.array_equal(g.weights, f.weights) and np.array_equal(g.points(), f.points())
+
+    @pytest.mark.parametrize("sigma, mu", FRAMES, ids=["1d", "2d", "3d"])
+    def test_nodes_weights_and_lift_follow_the_frame(self, sigma, mu):
+        d = mu.size
+        f, flat = self.lattice(d, (sigma, mu)), self.lattice(d)
         nodes = f.points()
-        assert np.max(np.abs(interp(nodes) - f.values.ravel())) <= 1e-12 * np.max(f.values)
-        width = f.domain_hi - f.domain_lo
-        for axis in range(f.dim):
-            for edge, step in ((f.domain_lo, -1e-9), (f.domain_hi, 1e-9)):
-                outside = np.array(nodes[:5])
-                outside[:, axis] = edge[axis] + step * width[axis]
-                assert np.all(interp(outside) == 0.0)
+        assert nodes.flags.f_contiguous and not nodes.flags.writeable
+        assert np.allclose(nodes, flat.points() @ sigma.T + mu, rtol=0, atol=1e-14)
+        assert np.array_equal(f.weights, flat.weights * abs(np.linalg.det(sigma)))
+        # q(x - c) = M q(w) at every node, w the lattice coordinates about the midpoint
+        center, lift = f.monomial_lift
+        assert np.allclose(center, sigma @ f.midpoint + mu, rtol=0, atol=1e-15)
+        w = flat.points() - flat.midpoint
+        assert np.allclose(quadratic_monomials(nodes - center),
+                           quadratic_monomials(w) @ lift.T, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("sigma, mu", FRAMES, ids=["1d", "2d", "3d"])
+    def test_evaluate_pulls_points_back_to_the_lattice(self, sigma, mu):
+        d = mu.size
+        f, flat = self.lattice(d, (sigma, mu)), self.lattice(d)
+        v = np.random.default_rng(d).uniform(flat.domain_lo - 0.5, flat.domain_hi + 0.5,
+                                             size=(200, d))
+        got, ref = f.evaluate(v @ sigma.T + mu), flat.evaluate(v)
+        assert np.count_nonzero(ref == 0.0) > 0  # some points fall off the grid
+        assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+    def test_evaluate_rejects_points_of_another_dimension(self):
+        # scipy's interpolator raised a bare ValueError
+        f1, f2 = self.lattice(1), self.lattice(2)
+        for f, pts in ((f1, np.zeros((4, 2))), (f2, np.zeros((4, 3))), (f2, np.zeros((4, 1)))):
+            with pytest.raises(StructuralError, match="points have dimension"):
+                f.evaluate(pts)
+
+    def test_values_change_and_the_frame_stays(self):
+        sigma, mu = self.FRAMES[1]
+        f = self.lattice(2, (sigma, mu))
+        for g in (f.with_values(2.0 * f.values), f.normalize()):
+            assert all(map(np.array_equal, g.frame, f.frame))
+        assert integrate(f.normalize()) == pytest.approx(1.0, rel=1e-15)
+
+    def test_grids_differing_in_frame_only_are_different_grids(self):
+        sigma, mu = self.FRAMES[1]
+        f = self.lattice(2)
+        for frame in ((sigma, mu), (np.eye(2), mu), (sigma, np.zeros(2))):
+            g = self.lattice(2, frame)
+            for op in (lambda: cross_moment(f, g, 0.5), lambda: l1_distance(g, f),
+                       lambda: divergence(KL(), f, g)):
+                with pytest.raises(StructuralError, match="different grids"):
+                    op()
+
+    def test_grid_file_refuses_a_framed_grid(self, tmp_path):
+        # holder-grid v1 has no frame: writing one would lose it
+        sigma, mu = self.FRAMES[1]
+        for frame in ((sigma, mu), (np.eye(2), mu)):
+            path = tmp_path / "framed.grid"
+            with pytest.raises(StructuralError, match="affine frame"):
+                write_grid(self.lattice(2, frame), path)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("frame, error", [
+        ((np.eye(3), np.zeros(2)), StructuralError),
+        ((np.eye(2), np.zeros(3)), StructuralError),
+        ((np.ones((2, 2)), np.zeros(2)), DomainError),
+        ((np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2)), DomainError),
+        ((np.eye(2), np.array([0.0, np.inf])), DomainError),
+    ], ids=["sigma-shape", "mu-shape", "singular", "sigma-nan", "mu-inf"])
+    def test_bad_frame_rejected(self, frame, error):
+        with pytest.raises(error):
+            self.lattice(2, frame)
 
 
 class TestGridDensityValidation:

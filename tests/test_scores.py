@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holderscores import (BregmanHolder, ConfigError, DegenerateInputError,
+from holderscores import (AffineMap, BregmanHolder, ConfigError, DegenerateInputError,
                           DensityPower, DomainError, GammaScore, GridDensity,
                           HolderScore, KL, PhiFunction, Pseudospherical,
                           Sample, bregman_to_holder_value,
@@ -19,7 +19,7 @@ from holderscores import (BregmanHolder, ConfigError, DegenerateInputError,
                           integrate, l1_distance, make_parametric, phi_cubic_tail,
                           phi_gamma_score, phi_kappa, phi_linear, power_moment,
                           phi_from_config, render_density, score_from_config,
-                          StructuralError, validate_phi)
+                          StructuralError, transform_density, validate_phi)
 
 GAUSS = make_parametric("gaussian-mean-scale")
 
@@ -376,16 +376,26 @@ class TestExactGradient:
     ], ids=["mean", "full-1", "full-2", "full-3"])
     @pytest.mark.parametrize("score", all_families(0.5), ids=lambda s: s.name)
     def test_quadratic_pair_matches_the_whitened_score_pair(self, kind, hyper, theta, score):
-        # the monomial path against log_density and score at every node
+        # the monomial path against log_density and score at every node, on
+        # the rendered grid and on its pushforward through a map with a
+        # reflection (and a shear at d > 1), whose frame lifts eta and jac
         model = make_parametric(kind, **hyper)
         whitened = replace(model, log_quadratic=None)
         theta = np.asarray(theta, dtype=float)
         p_true = render_density(model, theta, points_per_axis=(2001, 257, 31)[model.dim - 1])
         cand = 1.05 * theta + 0.02
-        value, grad = score.expected_with_gradient(p_true, (model, cand))
-        ref_value, ref_grad = score.expected_with_gradient(p_true, (whitened, cand))
-        assert value == pytest.approx(ref_value, rel=1e-12)
-        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+        amap = AffineMap(*map(np.array, {
+            1: ([[-1.7]], [0.6]), 2: ([[1.2, 0.3], [-0.4, 0.9]], [0.2, -0.1]),
+            3: ([[1.3, 0.4, -0.2], [0.1, -0.8, 0.3], [-0.3, 0.2, 1.1]], [0.3, -0.5, 0.2]),
+        }[model.dim]))
+        # the candidate follows the data; gaussian-mean has no push by |sigma| != 1
+        pushed = amap.apply(cand)[0] if kind == "gaussian-mean" else \
+            model.push_params(cand, amap.sigma, amap.mu)
+        for f, g in ((p_true, cand), (transform_density(p_true, amap), pushed)):
+            value, grad = score.expected_with_gradient(f, (model, g))
+            ref_value, ref_grad = score.expected_with_gradient(f, (whitened, g))
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
     def test_grid_dies_with_its_last_reference(self):
         # the per-axis rows a pair caches on the data grid refer to nothing
@@ -413,6 +423,44 @@ class TestExactGradient:
         assert math.isfinite(score.empirical(sample, q))
         with pytest.raises(StructuralError):
             score.empirical_with_gradient(sample, q)
+
+
+class TestDimensionMismatch:
+    """Data and a target of different dimensions raise StructuralError on
+    every path; the grid paths raised a bare ValueError from numpy or scipy."""
+
+    FULL2 = make_parametric("gaussian-full-d", dim=2)
+    THETA2 = [0.0, 0.0, 1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("case", [
+        "gamma-expected-2d-grid-1d-model", "gamma-pair-2d-grid-1d-model",
+        "kl-expected-1d-grid-2d-model", "gamma-pair-2d-grid-1d-mixture",
+        "gamma-empirical-2d-sample-1d-model"])
+    def test_model_of_another_dimension(self, case):
+        f1 = render_density(GAUSS, [0.0, 1.0])
+        f2 = render_density(self.FULL2, self.THETA2, points_per_axis=33)
+        data, target, call = {
+            "gamma-expected-2d-grid-1d-model":
+                (f2, (GAUSS, [0.0, 1.0]), GammaScore(0.5).expected),
+            "gamma-pair-2d-grid-1d-model":
+                (f2, (GAUSS, [0.0, 1.0]), GammaScore(0.5).expected_with_gradient),
+            "kl-expected-1d-grid-2d-model":
+                (f1, (self.FULL2, self.THETA2), KL().expected),
+            "gamma-pair-2d-grid-1d-mixture":
+                (f2, (make_parametric("gaussian-mixture-fixed-weights"), [-1.0, 1.0, 1.0, 1.0]),
+                 GammaScore(0.5).expected_with_gradient),
+            "gamma-empirical-2d-sample-1d-model":
+                (Sample(points=np.zeros((5, 2))), (GAUSS, [0.0, 1.0]), GammaScore(0.5).empirical),
+        }[case]
+        with pytest.raises(StructuralError, match=f"points have dimension {data.dim}, "
+                                                  f"model expects {target[0].dim}"):
+            call(data, target)
+
+    def test_grid_target_at_points_of_another_dimension(self):
+        # scipy's interpolator raised "The requested sample points xi have dimension 2"
+        with pytest.raises(StructuralError, match="points have dimension 2"):
+            GammaScore(0.5).empirical(Sample(points=np.zeros((5, 2))),
+                                      render_density(GAUSS, [0.0, 1.0]))
 
 
 class TestValueWithoutScore:
