@@ -115,12 +115,25 @@ def verify_invariance(score, p, q, amap):
     if exponent is None:
         raise UnsupportedFamilyError(
             f"{score.name} has no exact scale law; estimate one with fit_scale_exponent")
-    d_raw = divergence(score, p, q).divergence
-    p_a = transform_density(p, amap)
-    q_a = transform_density(q, amap)
-    d_mapped = divergence(score, p_a, q_a).divergence
-    h = abs(amap.det_sigma) ** (-exponent)
-    return abs(h * d_mapped - d_raw) / max(abs(d_raw), 1e-12)
+    raw = divergence(score, p, q)
+    mapped = divergence(score, transform_density(p, amap), transform_density(q, amap))
+    return invariance_residual(raw, mapped, abs(amap.det_sigma) ** (-exponent))
+
+
+def invariance_residual(raw, mapped, h):
+    """Relative residual |h D_mapped - D_raw| / |D_raw| of two
+    :class:`~holderscores.scores.ScoreValue` comparisons, less the rounding
+    of their two differences D = S(p, q) - S(p, p),
+    4 eps (|s_fg| + |s_ff| + h (|s_fg'| + |s_ff'|)), and never below 0.
+
+    Two densities that agree to rounding have a D that is rounding noise,
+    which no scale law governs; the floor keeps that noise out of the
+    residual.  |D_raw| below 1e-12 counts as 1e-12.
+    """
+    gap = abs(h * mapped.divergence - raw.divergence)
+    noise = 4 * np.finfo(float).eps * (abs(raw.s_fg) + abs(raw.s_ff)
+                                       + h * (abs(mapped.s_fg) + abs(mapped.s_ff)))
+    return max(gap - noise, 0.0) / max(abs(raw.divergence), 1e-12)
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,18 @@ Fitting minimizes an empirical composite score over a parametric family.
 Every objective has a pair form giving its value and exact theta-gradient
 from one model evaluation (the score's ``empirical_with_gradient``/
 ``expected_with_gradient``, or :func:`averaged_score_with_gradient`), so a
-fit runs L-BFGS-B.  A trial step out of the parameter domain (a +inf value)
-is rejected by the line search like any step that raises the value.  Where
-L-BFGS-B stops abnormally (a failed line search, for instance near a kink of
-a shape function), starts at +inf or meets a gradient that is not finite,
-Nelder-Mead takes over from the best point it reached, reading the pair's
-value.  A Newton polish (on by default) builds one Hessian from forward
-differences of the exact gradient (k pair evaluations for k parameters) and
-takes up to three guarded steps with it, and ``converged`` tests the exact
-gradient.  The pair is the only objective a fit evaluates, and every point
-evaluated is remembered, so each distinct theta costs one model evaluation.
+fit runs L-BFGS-B, and only L-BFGS-B.  Its start must lie in the parameter
+domain with a finite value and gradient, or the fit raises
+:class:`DomainError` before it runs.  A later trial step out of the domain,
+or to a point whose value or gradient is not finite, is rejected by the line
+search like any step that raises the value.  A line search that fails (for
+instance near a kink of a shape function) stops the fit at the best point
+evaluated, converged only if the exact gradient there is small.  A Newton
+polish (on by default) builds one Hessian from forward differences of the
+exact gradient (k pair evaluations for k parameters) and takes up to three
+guarded steps with it, and ``converged`` tests the exact gradient.  The
+pair is the only objective a fit evaluates, and every point evaluated is
+remembered, so each distinct theta costs one model evaluation.
 Population-level fits replace the sample average by quadrature against a
 grid density, which is also how Fisher consistency is verified.
 """
@@ -43,9 +45,8 @@ _POLISH_STEPS = 3
 class FitConfig:
     """Optimizer settings for one fit.
 
-    L-BFGS-B stops once the largest gradient component is at most
-    ``step_tol``; the Nelder-Mead that takes over after an abnormal stop
-    uses ``step_tol`` as its simplex size tolerance, and both stop after
+    L-BFGS-B starts at ``init_theta``, which must be finite, and stops once
+    the largest gradient component is at most ``step_tol``, or after
     ``max_iters`` iterations, which is reported as non-convergence.
     ``polish`` (on by default) runs up to three guarded Newton steps on one
     Hessian from forward differences of the exact gradient (k pair
@@ -63,6 +64,8 @@ class FitConfig:
     def __post_init__(self):
         object.__setattr__(self, "init_theta",
                            np.atleast_1d(np.asarray(self.init_theta, dtype=float)))
+        if not np.all(np.isfinite(self.init_theta)):
+            raise ConfigError(f"the start theta={self.init_theta.tolist()!r} must be finite")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if not (0 < self.grad_tol < math.inf and 0 < self.step_tol < math.inf):
@@ -90,10 +93,6 @@ class FitResult:
 
 # -- optimizer machinery -----------------------------------------------------------
 
-class _AbnormalStop(Exception):
-    """L-BFGS-B started at +inf or met a gradient that is not finite."""
-
-
 def _newton_polish(pair, x, fx, gx):
     """Up to three guarded Newton steps from ``x``, of value ``fx`` and
     gradient ``gx``, on one Hessian from forward differences of the exact
@@ -108,8 +107,6 @@ def _newton_polish(pair, x, fx, gx):
     if not np.all(np.isfinite(hess)) or np.min(np.linalg.eigvalsh(hess)) <= 0:
         return x, fx, gx
     for _ in range(_POLISH_STEPS):
-        if not np.all(np.isfinite(gx)):
-            break
         step = np.linalg.solve(hess, gx)
         x_new = x - step
         f_new, g_new = pair(x_new)
@@ -123,14 +120,15 @@ def _newton_polish(pair, x, fx, gx):
 
 def _guarded(objective):
     """``objective`` -> (value, gradient), (+inf, NaN) where theta leaves the
-    parameter domain, the score is undefined or the value is not finite.  Any
-    other error, such as a sample of the wrong dimension, propagates."""
+    parameter domain, the score is undefined, or the value or the gradient is
+    not finite: a fit steps back from all of them alike.  Any other error,
+    such as a sample of the wrong dimension, propagates."""
     def wrapped(theta):
         try:
             val, grad = objective(theta)
         except (DomainError, DegenerateInputError):
-            val = np.inf
-        if not np.isfinite(val):
+            val = grad = np.inf
+        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
             return np.inf, np.full(np.size(theta), np.nan)
         return float(val), grad
     return wrapped
@@ -138,20 +136,16 @@ def _guarded(objective):
 
 class _Objective:
     """The guarded value-and-gradient pair of one fit, the only objective it
-    evaluates: Nelder-Mead reads ``value``, the pair's first entry, and
-    L-BFGS-B, the polish and the gradient check read ``pair``.  Every point
-    the fit has evaluated is looked up first; ``evals`` counts the
-    evaluations paid for, and ``best`` is the best finite point evaluated,
-    ``(theta, value, gradient)``."""
+    evaluates: the start check, L-BFGS-B, the polish and the gradient check
+    all read ``pair``.  Every point the fit has evaluated is looked up first;
+    ``evals`` counts the evaluations paid for, and ``best`` is the best
+    finite point evaluated, ``(theta, value, gradient)``."""
 
     def __init__(self, pair):
         self._pair = _guarded(pair)
         self.evals = 0
         self.seen = {}                        # theta bytes -> (value, gradient)
         self.best = None
-
-    def value(self, theta):
-        return self.pair(theta)[0]
 
     def pair(self, theta):
         theta = np.array(theta, dtype=float)
@@ -174,83 +168,44 @@ def _iteration_log():
     return callback, count
 
 
-def _initial_simplex(x0):
-    """scipy's default Nelder-Mead simplex, each coordinate in turn scaled by
-    1.05 or, at 0, set to 0.00025, except that a coordinate whose 5% step is
-    shorter than 0.00025 moves by 0.00025: from a start such as -5e-16 (an
-    L-BFGS-B best point one rounding step off 0) the default is degenerate."""
-    x0 = np.asarray(x0, dtype=float)
-    sim = np.tile(x0, (x0.size + 1, 1))
-    for k in range(x0.size):
-        big = 0.05 * abs(x0[k]) >= 0.00025
-        sim[k + 1, k] = 1.05 * x0[k] if big else x0[k] + 0.00025
-    return sim
-
-
-def _run_nelder_mead(fun, x0, cfg):
-    """Nelder-Mead on an :class:`_Objective`'s ``value``; the start value
-    sets fatol, and scipy's evaluation of the start is a memo hit."""
-    f0 = fun(x0)
-    fatol = max(1e-13, 1e-11 * (1.0 + (abs(f0) if np.isfinite(f0) else 0.0)))
-    with np.errstate(invalid="ignore"):  # simplex may hold +inf sentinels
-        res = minimize(fun, x0, method="Nelder-Mead",
-                       options={"maxiter": cfg.max_iters,
-                                "xatol": cfg.step_tol,
-                                "fatol": fatol,
-                                "maxfev": 50 * cfg.max_iters,
-                                "initial_simplex": _initial_simplex(x0)})
-    return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit), bool(res.success)
-
-
-def _run_lbfgsb(objective, cfg):
+def _run_lbfgsb(objective, cfg, ceiling):
     """L-BFGS-B from ``cfg.init_theta`` on the value-and-gradient pair of an
-    :class:`_Objective`; Nelder-Mead from its best point when it stops
-    abnormally, starts at +inf or meets a gradient that is not finite."""
+    :class:`_Objective`; returns ``(x, value, iterations, converged)``.
+
+    A trial point at +inf (out of the domain, or not finite) reads
+    ``ceiling``, a finite value above the start's: scipy's line search cannot
+    step back from +inf (it reports convergence where it stands), and it
+    never accepts a value above the start.  A line search that failed at the
+    objective's rounding floor has converged if the exact gradient at the
+    best point evaluated says so; otherwise the fit stops there unconverged."""
     callback, count = _iteration_log()
-    ceiling = []
 
     def pair(x):
         fx, gx = objective.pair(x)
-        if ceiling and np.isinf(fx):
-            # a trial step left the parameter domain.  scipy's line search
-            # cannot step back from +inf (it reports convergence where it
-            # stands), so it gets a finite value above the start instead,
-            # which it never accepts
-            return ceiling[0], np.zeros(np.size(x))
-        if not np.all(np.isfinite(gx)):  # also a start at +inf, whose gradient is NaN
-            raise _AbnormalStop
-        if not ceiling:
-            ceiling.append(fx + abs(fx) + 1.0)
-        return fx, gx
+        return (ceiling, np.zeros(np.size(x))) if np.isinf(fx) else (fx, gx)
 
-    try:
-        res = minimize(pair, cfg.init_theta, jac=True, method="L-BFGS-B", callback=callback,
-                       options={"maxiter": cfg.max_iters, "ftol": _LBFGSB_FTOL,
-                                "gtol": cfg.step_tol})
-        if res.status != 2:  # 0 converged, 1 out of iterations
-            return np.asarray(res.x, dtype=float), float(res.fun), count[0], res.status == 0
-        # a line search that failed at the objective's rounding floor has
-        # converged if the exact gradient at the best point says so
-        x, fx, gx = objective.best
-        if np.all(np.isfinite(gx)) and np.linalg.norm(gx) < cfg.grad_tol:
-            return x, fx, count[0], True
-    except _AbnormalStop:
-        pass
-    # from the best point, already evaluated, or from the start if it is +inf
-    x0 = objective.best[0] if objective.best else cfg.init_theta
-    x, fx, iters, ok = _run_nelder_mead(objective.value, x0, cfg)
-    return x, fx, count[0] + iters, ok
+    res = minimize(pair, cfg.init_theta, jac=True, method="L-BFGS-B", callback=callback,
+                   options={"maxiter": cfg.max_iters, "ftol": _LBFGSB_FTOL,
+                            "gtol": cfg.step_tol})
+    if res.status != 2:  # 0 converged, 1 out of iterations
+        return np.asarray(res.x, dtype=float), float(res.fun), count[0], res.status == 0
+    x, fx, gx = objective.best
+    return x, fx, count[0], bool(np.linalg.norm(gx) < cfg.grad_tol)
 
 
 def _minimize(pair, cfg):
     objective = _Objective(pair)
-    x, fx, iters, ok = _run_lbfgsb(objective, cfg)
+    f0 = objective.pair(cfg.init_theta)[0]   # L-BFGS-B's first call reads the memo
+    if np.isinf(f0):
+        raise DomainError(f"the start theta={cfg.init_theta.tolist()!r} is outside the "
+                          "parameter domain, or the score or its gradient is not finite there")
+    x, fx, iters, ok = _run_lbfgsb(objective, cfg, f0 + abs(f0) + 1.0)
     gx = objective.pair(x)[1]
-    if cfg.polish and np.isfinite(fx):
+    if cfg.polish:
         x, fx, gx = _newton_polish(objective.pair, x, fx, gx)
-    grad_ok = bool(np.all(np.isfinite(gx)) and np.linalg.norm(gx) < cfg.grad_tol)
     return FitResult(theta_hat=x, objective_value=fx, iterations=iters,
-                     converged=bool(ok and grad_ok), n_evals=objective.evals)
+                     converged=bool(ok and np.linalg.norm(gx) < cfg.grad_tol),
+                     n_evals=objective.evals)
 
 
 # -- density fitting ---------------------------------------------------------------

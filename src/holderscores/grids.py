@@ -270,7 +270,10 @@ class GridDensity:
         """Values at an (N, d) array of points x; 0 off the grid's image.
 
         Each point is pulled back to the lattice, v = sigma^-1 (x - mu), and
-        the values are interpolated multilinearly there.  Points of another
+        the values are interpolated multilinearly there.  The pull-back
+        rounds: a coordinate within 32 eps |sigma^-1| (|sigma| |v|_max + |mu|)
+        outside the box, as a node on a face of the image may land, is
+        snapped onto the face; one farther out reads 0.  Points of another
         dimension than the grid's raise :class:`StructuralError`.
         """
         pts = np.asarray(points, dtype=float)
@@ -281,6 +284,12 @@ class GridDensity:
                                   f"the grid is {self.dim}-dimensional")
         sigma, mu = self.frame
         lattice = np.linalg.solve(sigma, (pts - mu).T).T
+        lo, hi = self.domain_lo, self.domain_hi
+        v_max = np.maximum(np.abs(lo), np.abs(hi))
+        slack = 32 * np.finfo(float).eps * (np.abs(np.linalg.inv(sigma))
+                                            @ (np.abs(sigma) @ v_max + np.abs(mu)))
+        near = (lattice >= lo - slack) & (lattice <= hi + slack)
+        lattice = np.where(near, np.clip(lattice, lo, hi), lattice)
         return RegularGridInterpolator(self._axes, self.values, bounds_error=False,
                                        fill_value=0.0)(lattice)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from holderscores import (AffineMap, DomainError, FitConfig, GammaScore,
                           GridDensity, HolderScore, KL, Pseudospherical,
@@ -8,6 +9,8 @@ from holderscores import (AffineMap, DomainError, FitConfig, GammaScore,
                           make_parametric, phi_kappa, population_fit, read_grid,
                           render_density, scale_function, transform_density,
                           verify_estimator_equivariance, verify_invariance, write_grid)
+from holderscores.affine import invariance_residual
+from holderscores.scores import ScoreValue
 
 GAUSS = make_parametric("gaussian-mean-scale")
 
@@ -150,6 +153,25 @@ class TestTransformDensity:
                 q = transform_density(f, amap)
                 assert np.all(q.values > 0), (scale, shift)
 
+    def test_evaluate_reads_every_node_of_a_sheared_grid(self):
+        # one of the 128 face nodes pulled back one ulp outside the box and read 0
+        model = make_parametric("gaussian-full-d", dim=2)
+        p = render_density(model, [0.3, -0.5, 1.3, 0.4, 0.7], points_per_axis=33)
+        q = transform_density(p, AffineMap(sigma=np.array([[1.2, 0.3], [-0.4, 0.9]]),
+                                           mu=np.zeros(2)))
+        assert np.max(np.abs(q.evaluate(q.points()) - q.values.ravel())) \
+            <= 1e-15 * q.values.max()
+        # a point truly outside still reads 0, here 1e-9 outward of the corner
+        sigma, mu = q.frame
+        assert q.evaluate(sigma @ (q.domain_hi + 1e-9) + mu)[0] == 0.0
+        # in the identity frame the pull-back is exact and nothing moves
+        pts = np.random.default_rng(3).uniform(p.domain_lo - 1.0, p.domain_hi + 1.0,
+                                               size=(500, 2))
+        pts[:4] = [p.domain_lo, p.domain_hi, [p.domain_lo[0], 0.0], [0.0, p.domain_hi[1]]]
+        exact = RegularGridInterpolator(p.axes(), p.values, bounds_error=False,
+                                        fill_value=0.0)(pts)
+        assert np.array_equal(p.evaluate(pts), exact)
+
     def test_dimension_mismatch_is_structural(self):
         p = gauss2_grid([0.0, 0.0], [1.0, 1.0], n=41)
         for amap in (AffineMap(sigma=np.array([[2.0]]), mu=np.array([0.0])),
@@ -267,6 +289,20 @@ class TestVerifyInvariance:
                 [-6.0] * 2, [6.0] * 2, 41).normalize()
         amap = AffineMap(sigma=np.array([[1.2, 0.3], [-0.4, 0.9]]), mu=np.array([0.2, -0.1]))
         assert verify_invariance(score, grid(0.3), grid(-0.2), amap) <= 1e-13
+
+    def test_rounding_floor(self):
+        # s_fg - s_ff of two densities equal to rounding is noise of order
+        # eps |s|: a gap below 4 eps (|s_fg| + |s_ff| + h (|s_fg'| + |s_ff'|))
+        # reads 0, and a larger one loses just that floor
+        eps = np.finfo(float).eps
+        raw = ScoreValue(s_fg=6.0 + 8 * eps, s_ff=6.0, divergence=8 * eps)
+        mapped = ScoreValue(s_fg=5.0, s_ff=5.0, divergence=0.0)
+        assert invariance_residual(raw, mapped, 1.0) == 0.0
+        mapped = ScoreValue(s_fg=5.0 + 0.5, s_ff=5.0, divergence=0.5)
+        raw = ScoreValue(s_fg=6.0 + 1.0, s_ff=6.0, divergence=1.0)
+        assert invariance_residual(raw, mapped, 2.0) == 0.0
+        assert invariance_residual(raw, mapped, 1.0) == pytest.approx(0.5 - 4 * eps * 34.5,
+                                                                       rel=1e-15)
 
     def test_family_without_exact_law_rejected(self):
         p, q = gauss_grid(0.0, 1.0), gauss_grid(0.6, 1.4)

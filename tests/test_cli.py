@@ -304,6 +304,15 @@ class TestInvarianceCommand:
             rows = (out / "results.csv").read_text().splitlines()[1:]
             assert max(float(row.split(",")[-1]) for row in rows) < 1e-13
 
+    def test_rounding_noise_is_no_residual(self, tmp_path):
+        # on 3^2 nodes every pair is one spike, D is rounding noise in
+        # S(p, q) - S(p, p), and the verdict read FAIL at seeds 0, 2 and 5
+        for seed in range(6):
+            code, out = run(tmp_path, "invariance", f"s{seed}", "family=kl",
+                            "sigma=2,0,0,1", "grid.n=3", seed=seed)
+            assert code == 0
+            assert (out / "report.txt").read_text().splitlines()[0] == "PASS"
+
     def test_sigma_alone_sets_the_dimension(self, tmp_path):
         # d came from mu (default 0, so d = 1), and this exited 2 with
         # "config key 'sigma' needs 1 values, got 4"
@@ -663,6 +672,22 @@ class TestBadValuesExit2:
         monkeypatch.setattr(cli, "fit", no_fit)
         code, _ = run(tmp_path, command, "bad", *sets)
         assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert needle in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("init, needle", [
+        # nan and inf wrote FAIL and exited 3 (inf with a RuntimeWarning),
+        # 0,-1 exited 3, and 0,0 (a scale on the boundary) exited 0 with PASS
+        ("nan,1", "must be finite"), ("inf,1", "must be finite"),
+        ("0,-1", "outside the parameter domain"), ("0,0", "outside the parameter domain"),
+    ])
+    def test_start_outside_the_domain(self, tmp_path, capsys, init, needle):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "fit", "bad", "model=gaussian-mean-scale",
+                            "family=gamma", "gamma=0.5", "theta_true=0,1", "n=500",
+                            f"init={init}")
+        assert code == 2 and not out.exists()
         err = capsys.readouterr().err.strip()
         assert needle in err and len(err.splitlines()) == 1
 

@@ -41,6 +41,9 @@ class TestFitConfig:
             for bad in (-1.0, 0.0, math.nan, math.inf):
                 with pytest.raises(ConfigError):
                     FitConfig(init_theta=[0.0], **{key: bad})
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="must be finite"):
+                FitConfig(init_theta=[bad, 1.0])
 
     def test_polish_on_by_default(self):
         assert FitConfig(init_theta=[0.0]).polish is True
@@ -218,9 +221,10 @@ class TestEvaluationCount:
         assert res.converged
         assert len(thetas) == len(set(thetas)) == res.n_evals == 11
 
-    def test_nelder_mead_fit(self):
-        # a gradient of the wrong sign hands the fit to Nelder-Mead; the
-        # final gradient check reads the pair Nelder-Mead already paid for
+    def test_failed_line_search_accepted_at_the_floor(self):
+        # a gradient of the wrong sign fails the first line search; the exact
+        # gradient at the best point is below grad_tol, so the fit has
+        # converged there, and the check reads the pair already paid for
         recorded, thetas = recording_log_density(GAUSS_MS)
         sample = draw_sample(GAUSS_MS, [0.0, 1.0], 2000, seed=401)
         res = fit(WrongSignGradient(HolderScore(phi_kappa(0.5, 1.0))), recorded, sample,
@@ -228,12 +232,13 @@ class TestEvaluationCount:
         assert res.converged
         assert len(thetas) == len(set(thetas)) == res.n_evals
 
-    @pytest.mark.parametrize("wrapper", [WrongSignGradient], ids=["fallback"])
+    @pytest.mark.parametrize("wrapper", [WrongSignGradient], ids=["failed-line-search"])
     def test_n_evals_counts_every_evaluation_paid_for(self, wrapper):
+        # the start, the failed line search, the polish and the gradient check
         sample = draw_sample(GAUSS_MS, [0.3, 1.2], 500, seed=4)
         score = wrapper(GammaScore(0.5))
         res = fit(score, GAUSS_MS, sample, FitConfig(init_theta=[0.0, 1.0]))
-        assert res.converged
+        assert not res.converged
         assert res.n_evals == score.values
 
 
@@ -252,60 +257,72 @@ class TestOptimizer:
         assert np.max(np.abs(res.theta_hat - theta_star)) < 1e-8
         assert counted.values <= 50
 
-    @pytest.mark.parametrize("wrapper", [WrongSignGradient, NanGradient])
-    def test_abnormal_stop_falls_back_to_nelder_mead(self, wrapper, monkeypatch):
-        calls = []
-        run_nm = estimators._run_nelder_mead
-
-        def spy(fun, x0, cfg):
-            calls.append(np.array(x0))
-            return run_nm(fun, x0, cfg)
-
-        monkeypatch.setattr(estimators, "_run_nelder_mead", spy)
+    def test_failed_line_search_stops_at_the_best_point(self):
+        # uphill gradients fail the first line search; the start is the best
+        # point evaluated, and its gradient is far from zero
         sample = draw_sample(GAUSS_MS, [0.3, 1.2], 800, seed=5)
-        score = wrapper(HolderScore(phi_kappa(0.5, 1.0)))
+        score = WrongSignGradient(HolderScore(phi_kappa(0.5, 1.0)))
         res = fit(score, GAUSS_MS, sample,
                   FitConfig(init_theta=[0.0, 1.0], step_tol=1e-9, grad_tol=1e-3,
                             polish=False))
-        assert len(calls) == 1
-        monkeypatch.undo()
-        exact = fit(HolderScore(phi_kappa(0.5, 1.0)), GAUSS_MS, sample,
-                    FitConfig(init_theta=[0.0, 1.0], step_tol=1e-9))
-        assert np.max(np.abs(res.theta_hat - exact.theta_hat)) < 1e-6
-        if wrapper is WrongSignGradient:
-            # the exact gradient's norm is blind to its sign
-            assert res.converged
-        else:
-            assert not res.converged
+        assert not res.converged
+        assert res.iterations == 0
+        assert np.max(np.abs(res.theta_hat - [0.0, 1.0])) < 1e-12
+        assert res.n_evals == score.values
 
-    @pytest.mark.parametrize("wrapper", [WrongSignGradient], ids=["fallback"])
-    def test_nelder_mead_start_evaluated_once(self, wrapper, monkeypatch):
-        # Nelder-Mead evaluates its start for fatol and again in scipy; on a
-        # fallback the start is L-BFGS-B's best point, already evaluated
-        starts, points = [], []
-        run_nm, guarded = estimators._run_nelder_mead, estimators._guarded
+    @pytest.mark.parametrize("wrapper, init", [(NanGradient, [0.0, 1.0]),
+                                               (CountingScore, [0.0, 0.0]),
+                                               (CountingScore, [0.0, -1.0])],
+                             ids=["nan-gradient", "scale-zero", "scale-negative"])
+    def test_start_outside_the_domain_raises(self, wrapper, init):
+        # the start is the only point evaluated
+        sample = draw_sample(GAUSS_MS, [0.3, 1.2], 200, seed=5)
+        score = wrapper(GammaScore(0.5))
+        with pytest.raises(DomainError, match=r"the start theta=\[0\.0, "):
+            fit(score, GAUSS_MS, sample, FitConfig(init_theta=init))
+        assert score.values == 1
 
-        def spy_nm(fun, x0, cfg):
-            starts.append(np.array(x0))
-            return run_nm(fun, x0, cfg)
+    def test_non_finite_gradient_is_stepped_back_from(self):
+        # a gradient that is not finite at scales up to 0.12 puts the data's
+        # scale, 0.1, behind a wall: the trial steps past it are rejected,
+        # and the fit stops short of it, unconverged
+        sample = draw_sample(GAUSS_MS, [0.3, 0.1], 500, seed=5)
+        walled = []
 
-        def spy_guarded(objective):
+        class Walled(CountingScore):
+            def empirical_with_gradient(self, sample, g):
+                value, grad = super().empirical_with_gradient(sample, g)
+                if g[1][1] > 0.12:
+                    return value, grad
+                walled.append(g[1][1])
+                return value, np.full(2, np.nan)
+        res = fit(Walled(KL()), GAUSS_MS, sample, FitConfig(init_theta=[0.3, 0.5]))
+        assert walled
+        assert not res.converged
+        assert 0.12 < res.theta_hat[1] < 0.13
+        assert np.isfinite(res.objective_value)
+
+    def test_start_evaluated_once(self, monkeypatch):
+        # the start check's evaluation is L-BFGS-B's first call, a memo hit
+        points = []
+        guarded = estimators._guarded
+
+        def spy(objective):
             fun = guarded(objective)
             return lambda theta: points.append(np.array(theta)) or fun(theta)
 
-        monkeypatch.setattr(estimators, "_run_nelder_mead", spy_nm)
-        monkeypatch.setattr(estimators, "_guarded", spy_guarded)
+        monkeypatch.setattr(estimators, "_guarded", spy)
         sample = draw_sample(GAUSS_MS, [0.3, 1.2], 800, seed=5)
-        fit(wrapper(HolderScore(phi_kappa(0.5, 1.0))), GAUSS_MS, sample,
-            FitConfig(init_theta=[0.0, 1.0], polish=False))
-        assert len(starts) == 1
-        assert sum(np.array_equal(x, starts[0]) for x in points) == 1
+        res = fit(HolderScore(phi_kappa(0.5, 1.0)), GAUSS_MS, sample,
+                  FitConfig(init_theta=[0.0, 1.0], polish=False))
+        assert res.converged
+        assert sum(np.array_equal(x, [0.0, 1.0]) for x in points) == 1
+        assert len(points) == res.n_evals
 
     def test_step_out_of_the_domain_is_stepped_back_from(self, monkeypatch):
         # from s = 0.5 on data with s = 0.1 the first unit step of L-BFGS-B
         # makes the scale negative; the line search must step back rather
-        # than hand over to Nelder-Mead or stop where it stands
-        monkeypatch.setattr(estimators, "_run_nelder_mead", None)
+        # than stop where it stands
         sample = draw_sample(GAUSS_MS, [0.3, 0.1], 500, seed=5)
         values = []
         guarded = estimators._guarded
@@ -321,8 +338,7 @@ class TestOptimizer:
         assert res.converged
         assert np.max(np.abs(res.theta_hat - [pts.mean(), pts.std()])) < 1e-6
 
-    def test_iteration_limit_is_not_retried(self, monkeypatch):
-        monkeypatch.setattr(estimators, "_run_nelder_mead", None)
+    def test_iteration_limit_is_not_retried(self):
         sample = draw_sample(GAUSS_MS, [0.0, 1.0], 200, seed=3)
         res = fit(HolderScore(phi_kappa(0.5, 1.0)), GAUSS_MS, sample,
                   FitConfig(init_theta=[5.0, 5.0], max_iters=2))

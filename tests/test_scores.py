@@ -358,7 +358,8 @@ class TestExactGradient:
     @pytest.mark.parametrize("score", all_families(0.5),
                              ids=lambda s: s.name)
     def test_pair_value_is_the_value_bit_for_bit(self, kind, hyper, theta, score):
-        # Nelder-Mead minimizes the value alone, L-BFGS-B the pair's value
+        # a fit minimizes the pair's value; divergence and the value-only
+        # entry points must read the same number
         model = make_parametric(kind, **hyper)
         theta = np.asarray(theta, dtype=float)
         p_true = render_density(model, theta)
