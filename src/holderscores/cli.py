@@ -156,6 +156,9 @@ def _density_pair(cfg):
     models = {s: _model_maker(cfg, f"{s}.model")() for s in "pq" if s not in files}
     thetas = {s: _get_floats(cfg, f"{s}.theta", size=m.param_dim)
               for s, m in models.items()}
+    dim_p, dim_q = ((files[s] if s in files else models[s]).dim for s in "pq")
+    if dim_p != dim_q:
+        raise StructuralError(f"p has dimension {dim_p} and q has dimension {dim_q}")
     if files:
         like = next(iter(files.values()))
         lo, hi, n = like.domain_lo, like.domain_hi, like.points_per_axis

@@ -179,6 +179,60 @@ def _gaussian_power(d, log_det_chol, a):
 
 # -- Gaussians: gaussian-full-d and its 1-d views -------------------------------
 
+def _quadratic_1d(u, chol):
+    (u0,), (s,) = u, chol
+    b = 1.0 / s
+    p = b * b
+    pm, kk = p * u0, p * b
+    return [-0.5 * u0 * pm - 0.5 * _LOG_2PI - math.log(s), pm, -0.5 * p,
+            -pm, p, 0.0,
+            kk * u0 * u0 - b, -2.0 * kk * u0, kk]
+
+
+def _quadratic_2d(u, chol):
+    u0, u1 = u
+    l00, l10, l11 = chol
+    b0, b1 = 1.0 / l00, 1.0 / l11
+    b10 = -l10 * b0 * b1
+    p00, p10, p11 = b0 * b0 + b10 * b10, b10 * b1, b1 * b1
+    pm0, pm1 = p00 * u0 + p10 * u1, p10 * u0 + p11 * u1
+    bu0, bu1 = b0 * u0, b10 * u0 + b1 * u1
+    return [-0.5 * (u0 * pm0 + u1 * pm1) - (_LOG_2PI + (math.log(l00) + math.log(l11))),
+            pm0, pm1, -0.5 * p00, -p10, -0.5 * p11,
+            -pm0, p00, p10, 0.0, 0.0, 0.0,
+            -pm1, p10, p11, 0.0, 0.0, 0.0,
+            pm0 * bu0 - b0, -(p00 * bu0 + b0 * pm0), -p10 * bu0, p00 * b0, p10 * b0, 0.0,
+            pm1 * bu0, -(p10 * bu0 + b0 * pm1), -p11 * bu0, p10 * b0, p11 * b0, 0.0,
+            pm1 * bu1 - b1, -(p10 * bu1 + b10 * pm1), -(p11 * bu1 + b1 * pm1),
+            p10 * b10, p11 * b10 + b1 * p10, p11 * b1]
+
+
+def _quadratic_3d(u, chol):
+    u0, u1, u2 = u
+    l00, l10, l11, l20, l21, l22 = chol
+    b0, b1, b2 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+    b10, b21 = -l10 * b0 * b1, -l21 * b1 * b2
+    b20 = -(l20 * b0 + l21 * b10) * b2
+    p00, p10, p20 = b0 * b0 + b10 * b10 + b20 * b20, b10 * b1 + b20 * b21, b20 * b2
+    p11, p21, p22 = b1 * b1 + b21 * b21, b21 * b2, b2 * b2
+    P = (p00, p10, p20), (p10, p11, p21), (p20, p21, p22)
+    B = (b0, 0.0, 0.0), (b10, b1, 0.0), (b20, b21, b2)
+    pm = [x0 * u0 + x1 * u1 + x2 * u2 for x0, x1, x2 in P]
+    bu = [x0 * u0 + x1 * u1 + x2 * u2 for x0, x1, x2 in B]
+
+    def row(a, b):
+        (x0, x1, x2), (y0, y1, y2), pa, ub = P[a], B[b], pm[a], bu[b]
+        return [pa * ub - (B[a][a] if a == b else 0.0), -(x0 * ub + y0 * pa),
+                -(x1 * ub + y1 * pa), -(x2 * ub + y2 * pa), x0 * y0, x1 * y0 + y1 * x0,
+                x1 * y1, x2 * y0 + y2 * x0, x2 * y1 + y2 * x1, x2 * y2]
+    zero = (0.0,) * 6
+    return [-0.5 * (u0 * pm[0] + u1 * pm[1] + u2 * pm[2])
+            - (1.5 * _LOG_2PI + (math.log(l00) + math.log(l11) + math.log(l22))),
+            *pm, -0.5 * p00, -p10, -0.5 * p11, -p20, -p21, -0.5 * p22,
+            -pm[0], *P[0], *zero, -pm[1], *P[1], *zero, -pm[2], *P[2], *zero,
+            *row(0, 0), *row(1, 0), *row(1, 1), *row(2, 0), *row(2, 1), *row(2, 2)]
+
+
 def _gaussian_full(dim=2):
     d = int(dim)
     if d < 1 or d > 3:
@@ -253,41 +307,23 @@ def _gaussian_full(dim=2):
                 g_chol -= 1.0 / diag[i]
         return out
 
-    # the monomials u_i u_j, i >= j, weigh P_ij twice in u^T P u unless i = j
-    half = np.where(rows == cols, 0.5, 1.0)
+    coefficients = (_quadratic_1d, _quadratic_2d, _quadratic_3d)[d - 1]
 
     def log_quadratic(theta, center):
-        # with mt = m - center, B = L^-1 and P = B^T B: log p = eta @ q(u),
-        # eta = [-mt^T P mt / 2 - d/2 log 2pi - log det L, P mt, -P_ij half_ij];
-        # the mean rows of jac are [-P mt, P, 0], and d log p / d L_ab =
-        # z^T K z - B_ba with z = u - mt and K = outer(P[a], B[b])
-        m, chol, diag = unpack(theta)
-        mt = np.array(m) - center
-        if d == 1:
-            # in scalars: numpy's per-call cost on arrays of one to three
-            # entries exceeds their arithmetic
-            s, mt = diag[0], float(mt[0])
-            b = 1.0 / s
-            p = b * b
-            pm, kk = p * mt, p * b
-            return (np.array([-0.5 * mt * pm - 0.5 * _LOG_2PI - math.log(s), pm, -0.5 * p]),
-                    np.array([[-pm, p, 0.0], [kk * mt * mt - b, -2.0 * kk * mt, kk]]))
-        L = np.zeros((d, d))
-        L[rows, cols] = chol
-        B = np.linalg.inv(L)
-        P = B.T @ B
-        pm = P @ mt
-        eta = np.concatenate([[-0.5 * (mt @ pm) - (0.5 * d * _LOG_2PI + log_det(diag))],
-                              pm, -half * P[rows, cols]])
-        K = P[rows][:, :, None] * B[cols][:, None, :]
-        S = K + K.transpose(0, 2, 1)
-        jac = np.zeros((k, eta.size))
-        jac[:d, 0] = -pm
-        jac[:d, 1:d + 1] = P
-        jac[d:, 0] = K @ mt @ mt - B[cols, rows]
-        jac[d:, 1:d + 1] = -(S @ mt)
-        jac[d:, d + 1:] = half * S[:, rows, cols]
-        return eta, jac
+        # with u = m - center, B = L^-1 by forward substitution, P = B^T B,
+        # pm = P u and bu = B u: eta = [-u^T pm / 2 - d/2 log 2pi - sum log
+        # L_ii, pm, -half_ij P_ij], where half_ij = 1/2 if i = j, since the
+        # monomials u_i u_j, i >= j, weigh P_ij twice in u^T P u unless i = j;
+        # the mean rows of jac are [-pm_a, P_a, 0], and with z = x - m,
+        # d log p / d L_ab = (P_a . z)(B_b . z) - [a = b] B_aa, whose row is
+        # [pm_a bu_b - [a = b] B_aa, -(P_a bu_b + B_b pm_a),
+        #  half_ij (P_ai B_bj + B_bi P_aj)].  Written out per dimension in
+        # Python floats (_quadratic_1d/2d/3d): numpy's per-call cost on arrays
+        # of a few entries, and a loop's over d, exceed the arithmetic
+        m, chol, _ = unpack(theta)
+        u = [a - c for a, c in zip(m, np.asarray(center, dtype=float).tolist())]
+        out = np.array(coefficients(u, chol)).reshape(k + 1, -1)
+        return out[0], out[1:]
     log_quadratic.expands = logpdf
 
     def power(theta, a):

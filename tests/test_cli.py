@@ -610,6 +610,41 @@ class TestParseThenRun:
         assert capsys.readouterr().err == "error: unknown score family 'bogus'\n"
 
 
+class TestMismatchedDimensionsExit2:
+    """p and q of different dimensions are refused before anything is
+    rendered: exit 2, one line on stderr, nothing written."""
+
+    P2 = ("p.model=gaussian-full-d", "p.model.dim=2", "p.theta=0,0,1,0,1")
+    Q3 = ("q.model=gaussian-full-d", "q.model.dim=3", "q.theta=0,0,0,1,0,1,0,0,1")
+    P3 = ("p.model=gaussian-full-d", "p.model.dim=3", "p.theta=0,0,0,1,0,1,0,0,1")
+    Q2 = ("q.model=gaussian-full-d", "q.model.dim=2", "q.theta=0,0,1,0,1")
+    GAMMA_SWEEP = ("sweep.kind=divergence-gamma", "families=gamma", "gammas=0.5,1")
+
+    @staticmethod
+    def assert_refused(capsys, code, out, dims):
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: p has dimension {} and q has dimension {}\n".format(*dims)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, sets, dims", [
+        ("divergence", ("family=kl", *P2, *Q3), (2, 3)),
+        ("divergence", ("family=kl", *P3, *Q2), (3, 2)),
+        ("sweep", (*GAMMA_SWEEP, *P2, *Q3), (2, 3)),
+    ], ids=["2-3", "3-2", "sweep-2-3"])
+    def test_two_models(self, tmp_path, capsys, monkeypatch, command, sets, dims):
+        monkeypatch.setattr(cli, "render_density", _refuse("render_density"))
+        code, out = run(tmp_path, command, "mismatch", *sets)
+        self.assert_refused(capsys, code, out, dims)
+
+    def test_grid_file_against_a_model(self, tmp_path, capsys):
+        path = tmp_path / "p.grid"
+        write_grid(render_density(make_parametric("gaussian-mean-scale"), [0.0, 1.0]), path)
+        code, out = run(tmp_path, "divergence", "mismatch", "family=kl",
+                        f"p.file={path}", *self.Q2)
+        self.assert_refused(capsys, code, out, (1, 2))
+
+
 class TestBadValuesExit2:
     @pytest.mark.parametrize("command, sets, needle", [
         ("divergence", ("family=gamma", "gamma=abc", "p.theta=0,1", "q.theta=0,1"), "'gamma'"),

@@ -210,6 +210,20 @@ class TestEvaluationCount:
         assert res.converged
         assert len(thetas) == len(set(thetas)) == res.n_evals == distinct
 
+    def test_a_small_gradient_alone_does_not_stop_a_fit(self):
+        # L-BFGS-B's first trial here lands at L_11 = 4.6e-5, 0.78 from theta*,
+        # where the density has all but vanished: the score is -1.1e-17 and
+        # its exact gradient 5.1e-12, below step_tol; a fit that stopped at
+        # any trial whose gradient met step_tol would report it as converged
+        model = make_parametric("gaussian-full-d", dim=2)
+        theta_star = np.array([0.19827231, -0.11286771, 1.10843754, 0.3107814, 0.779407])
+        res = population_fit(HolderScore(phi_kappa(0.5, 1.5)), model,
+                             render_density(model, theta_star),
+                             FitConfig(init_theta=theta_star * 1.05 + 0.02,
+                                       step_tol=1e-9, grad_tol=1e-2))
+        assert res.converged
+        assert np.max(np.abs(res.theta_hat - theta_star)) <= 1e-4
+
     @pytest.mark.parametrize("phi", [phi_kappa(0.5, 1.0), phi_cubic_tail(0.5, 0.5)],
                              ids=lambda phi: phi.label)
     def test_empirical_fit(self, phi):

@@ -428,7 +428,8 @@ def test_bad_cholesky_factor_raises(kind, hyper):
         for bad in (0.0, -0.5, np.inf, np.nan) if i == j else (np.nan, np.inf, -np.inf):
             theta = good.copy()
             theta[d + c] = bad
-            for call in _THETA_CALLS.values():
+            for call in [*_THETA_CALLS.values(),
+                         lambda model, th, x: model.log_quadratic(th, x[0])]:
                 call(model, good, x)
                 with pytest.raises(DomainError):
                     call(model, theta, x)
@@ -485,6 +486,47 @@ def test_log_quadratic_expands_log_density_and_score(kind, hyper, theta, loc, sc
     t = np.vstack([f.weights.ravel(), (f.weights * f.values).ravel()])
     assert np.all(np.abs(gradient(t, t.sum(axis=1)) - t @ score)
                   <= 1e-12 * (t @ np.abs(score)))
+
+
+def _ridge_theta(d, case):
+    """A seeded 2-D or 3-D theta and its per-axis scales, log-uniform on
+    [1e-6, 1e2] with one of them at an end; the correlation of axes 0 and 1
+    goes from +-0.9999 to 0.3 (negative off-diagonal entries of L included),
+    and L's third row is a random unit vector times its scale."""
+    rng = np.random.default_rng([d, case])
+    r = (-0.9999, 0.9999, -0.999, 0.99, -0.9, 0.3)[case]
+    V = np.eye(d)
+    V[1, :2] = r, np.sqrt(1.0 - r * r)
+    if d == 3:
+        V[2] = rng.standard_normal(3)
+        V[2, 2] = abs(V[2, 2])
+        V[2] /= np.linalg.norm(V[2])
+    scales = 10.0 ** rng.uniform(-6.0, 2.0, d)
+    scales[case % d] = (1e-6, 1e2)[case % 2]
+    L = scales[:, None] * V
+    return np.concatenate([scales * rng.standard_normal(d), L[np.tril_indices(d)]]), scales
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("case", range(6))
+def test_log_quadratic_on_ridges_and_mixed_scales(d, case):
+    # the tolerances of the test above, relative to the largest |log p| on the
+    # grid: at |r| = 0.9999 log p reaches ~-1e6 at the box corners, where one
+    # ulp is above 1e-13
+    model = make_parametric("gaussian-full-d", dim=d)
+    data, scales = _ridge_theta(d, case)
+    cand = np.concatenate([data[:d] + scales / 3.0, 1.05 * data[d:]])
+    f = render_density(model, data, points_per_axis=(61, 21)[d - 2])
+    eta, jac = model.log_quadratic(cand, f.midpoint)
+    u = f.points() - f.midpoint
+    rows, cols = np.tril_indices(d)
+    q = np.vstack([np.ones(len(u))] + [u[:, i] for i in range(d)]
+                  + [u[:, i] * u[:, j] for i, j in zip(rows, cols)])
+    log_p = model.log_density(cand, f.points())
+    assert np.max(np.abs(eta @ q - log_p)) <= 1e-13 * np.max(np.abs(log_p))
+    score = model.score(cand, f.points())
+    assert np.all(np.max(np.abs((jac @ q).T - score), axis=0)
+                  <= 1e-12 * np.max(np.abs(score), axis=0))
 
 
 @pytest.mark.parametrize("key", [(-1,), (0, -2), (3, 1, -1)])
