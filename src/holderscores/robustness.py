@@ -12,6 +12,13 @@ generating parameter.  The point-mass terms enter only through pointwise
 values p_theta(z)^gamma (and p_theta(z)^gamma s_theta(z) in the analysis), so
 they are evaluated exactly rather than through a smoothing bump.
 
+Each analysis renders p_star = model(theta_star) once.  The premises
+phi(1) = -1 and phi'(1) = -(1+gamma), checked first, make theta_star
+stationary and cancel every derivative of the score s in I, which leaves,
+exactly on the grid (p_theta = p_star at its nodes), with m = <p^(1+gamma) s>,
+
+    I = gamma (1 + gamma) <p^(1+gamma) s s^T> + phi''(1) m m^T / <p^(1+gamma)>.
+
 As ||z|| grows the bracket converges, and the influence limit is
 
     -(phi''(1) + gamma (1 + gamma)) I^-1 <p_star^(1+gamma) s_star>,
@@ -38,14 +45,12 @@ from .scores import HolderScore, _log_and_gradient_rows
 
 logger = logging.getLogger(__name__)
 
-# The Hessian is a relative-step 1e-5 central difference of the exact gradient.
-# Measured: an off-diagonal that vanishes by symmetry (gaussian-mean-scale at
-# (0, 1)) reads 3e-13, against 5.6e-9 for the former second differences of
-# the value, and the truncation error is ~9e-11 (2-D gaussian-full, steps
-# 1e-5 against 1e-6).  Eigenvalues below ~1e-9 are therefore unresolved; the
-# collapsed mixture of the singular-curvature test reads 1.4e-12 and 1.6e-11
-# next to O(0.1) curvature (cond 1.2e11).  The limit stays at 1e6: O(1)
-# curvature with a larger condition number is treated as singular.
+# The Hessian is formed in closed form at theta_star, so no step size enters:
+# its floor is the rounding of the weighted sums, ~1e-16 of its largest
+# entry.  The collapsed mixture of the singular-curvature test reads null
+# singular values of ~5e-18 next to O(0.1) curvature (cond 3.7e16).  The limit
+# stays at 1e6, far above that floor: O(1) curvature with a larger condition
+# number is treated as singular.
 _COND_LIMIT = 1e6
 
 
@@ -109,68 +114,50 @@ def _check_gamma(phi, gamma):
                           f"with the analysis's gamma={gamma!r}")
 
 
+def _check_premises(phi, gamma):
+    """phi(1) = -1 and phi'(1) = -(1+gamma), to 1e-8: together they make
+    theta_star the objective's stationary point and its Hessian's closed form
+    exact.  Raises :class:`DomainError` naming the failed condition."""
+    value = float(phi(1.0))
+    if abs(value + 1.0) > 1e-8:
+        raise DomainError(f"{phi.label}: phi(1) = {value:.8g} violates the premise "
+                          f"phi(1) = -1")
+    d1 = float(phi.d1(1.0))
+    if abs(d1 + (1.0 + gamma)) > 1e-8:
+        raise DomainError(f"{phi.label}: phi'(1) = {d1:.8g} violates the premise "
+                          f"phi'(1) = -(1+gamma) = {-(1.0 + gamma):.8g}")
+
+
 def _frozen_grid(model, theta_star):
-    """model(theta_star) rendered on its box padded by a factor 1.25.
-
-    The padding never crosses a hard support edge (e.g. x >= 0).  Pinning the
-    quadrature at theta_star keeps the objective smooth in theta, which the
-    difference quotients below rely on.
-    """
-    theta_star = np.asarray(theta_star, dtype=float)
-    box_lo, box_hi = model.support(theta_star)
-    center, half = (box_lo + box_hi) / 2.0, (box_hi - box_lo) / 2.0
-    lo = center - 1.25 * half
-    hi = center + 1.25 * half
-    if not bool(np.all(model.in_support(lo.reshape(1, -1)))):
-        lo = box_lo
-    if not bool(np.all(model.in_support(hi.reshape(1, -1)))):
-        hi = box_hi
-    return render_density(model, theta_star, lo=lo, hi=hi)
+    """model(theta_star) on its default render, the quadrature of every analysis."""
+    return render_density(model, theta_star)
 
 
-def _frozen_moments(quad, model, theta_star, gamma):
-    """``(c, P, c_s, P_s)`` and their weighted rows t: the frozen-grid
-    moments c = <p_star p^gamma> and P = <p^(1+gamma)> of model(theta_star)
-    over the nodes of ``quad``, and their score-weighted forms <p_star
-    p^gamma s> and <p^(1+gamma) s>, from the ``_log_and_gradient_rows`` and
-    ``log_moments`` calls that the objective's gradient makes."""
-    log_p, rows = _log_and_gradient_rows(quad, (model, theta_star))
-    cross, power, t = log_moments(quad, log_p, gamma)
-    return (cross, power, *rows(t, (cross, power))), t
+def _frozen_moments(model, theta_star, gamma):
+    """``(moments, second, spread)`` over the render of p = model(theta_star):
+    ``moments`` = (c, P, c_s, P_s), the moments c = <p_star p^gamma> and
+    P = <p^(1+gamma)> and their forms weighted by s; ``second`` = <p^(1+gamma)
+    s s^T> and ``spread`` = <p^(1+gamma) |s|>.  One ``score`` call at the
+    nodes gives all of them; its (N, k) array is reweighted in place."""
+    quad = _frozen_grid(model, theta_star)
+    # the score before the moments, so that t is not alive next to its temporaries
+    s = model.score(theta_star, quad.points())
+    cross, power, t = log_moments(quad, _log_and_gradient_rows(quad, (model, theta_star))[0],
+                                  gamma)
+    cross_s, power_s = t @ s
+    # rows sqrt(w p^(1+gamma)) s: their Gram matrix is <p^(1+gamma) s s^T>
+    root = np.sqrt(t[1], out=t[1])
+    s *= root[:, None]
+    second = s.T @ s
+    spread = root @ np.abs(s, out=s)
+    return (cross, power, cross_s, power_s), second, spread
 
 
-def objective_hessian(phi, gamma, model, theta_star, quad=None):
-    """Hessian of the population objective from its exact gradient.
-
-    The objective phi(u) <p_theta^(1+gamma)> on the frozen quadrature grid
-    ``quad`` (by default model(theta_star) on its padded box) is
-    ``HolderScore(phi).expected(quad, (model, theta))``; its exact gradient
-    is differenced centrally with relative step 1e-5 (2k calls) and
-    symmetrized.  The condition number is logged and a numerically singular
-    matrix raises :class:`SingularHessianError` because the influence solve
-    requires invertible curvature at theta_star.  A non-vanishing exact
-    gradient triggers a warning: the formulas below assume theta_star is the
-    objective's stationary point.  ``gamma`` must be ``phi.gamma``.
-    """
-    _check_gamma(phi, gamma)
-    theta_star = np.asarray(theta_star, dtype=float)
-    if quad is None:
-        quad = _frozen_grid(model, theta_star)
-    score = HolderScore(phi)
-
-    def gradient(theta):
-        return score.expected_with_gradient(quad, (model, theta))[1]
-
-    grad = gradient(theta_star)
-    h = 1e-5 * np.maximum(1.0, np.abs(theta_star))
-    hess = np.array([(gradient(theta_star + h[i] * e) - gradient(theta_star - h[i] * e))
-                     / (2.0 * h[i]) for i, e in enumerate(np.eye(theta_star.size))])
-    hess = 0.5 * (hess + hess.T)
-    scale = max(float(np.max(np.abs(hess))), 1e-12)
-    if float(np.linalg.norm(grad)) > 1e-2 * scale:
-        warnings.warn("objective gradient is not negligible at theta_star; "
-                      "influence formulas assume a stationary point",
-                      stacklevel=2)
+def _curvature(phi, gamma, moments, second):
+    """The module docstring's I from :func:`_frozen_moments`; raises
+    :class:`SingularHessianError` when it is numerically singular."""
+    power, m = moments[1], moments[3]
+    hess = gamma * (1.0 + gamma) * second + float(phi.d2(1.0)) / power * np.outer(m, m)
     cond = float(np.linalg.cond(hess))
     logger.debug("objective hessian condition number: %.3e", cond)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -179,6 +166,19 @@ def objective_hessian(phi, gamma, model, theta_star, quad=None):
             f"(condition number {cond:.3e}); influence analysis requires "
             f"invertible curvature")
     return hess
+
+
+def objective_hessian(phi, gamma, model, theta_star):
+    """Hessian I of the population objective at theta_star, in the closed
+    form of the module docstring; it depends on phi only through phi''(1).
+    ``gamma`` must be ``phi.gamma``, a phi that fails a premise raises
+    :class:`DomainError`, and a numerically singular I raises
+    :class:`SingularHessianError` (the influence solve needs invertible
+    curvature)."""
+    _check_gamma(phi, gamma)
+    _check_premises(phi, gamma)
+    moments, second, _ = _frozen_moments(model, np.asarray(theta_star, dtype=float), gamma)
+    return _curvature(phi, gamma, moments, second)
 
 
 def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
@@ -217,6 +217,7 @@ def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
 def influence_function(phi, gamma, model, theta_star, z, hessian=None):
     """Influence vector at a contamination point z (exact point-mass terms)."""
     _check_gamma(phi, gamma)
+    _check_premises(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     z_rows = check_points(model, np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1))
     return _influence_at(phi, gamma, model, theta_star, z_rows, hessian)[0]
@@ -250,10 +251,9 @@ def _z_rows(model, theta_star, z_grid, n_z, max_sd):
 def _influence_at(phi, gamma, model, theta_star, z_rows, hessian=None):
     """:func:`_influence_rows` at checked ``z_rows`` on the frozen grid of
     theta_star, with the objective's Hessian there unless one is given."""
-    quad = _frozen_grid(model, theta_star)
-    moments = _frozen_moments(quad, model, theta_star, gamma)[0]
+    moments, second, _ = _frozen_moments(model, theta_star, gamma)
     if hessian is None:
-        hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
+        hessian = _curvature(phi, gamma, moments, second)
     return _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments)
 
 
@@ -267,6 +267,7 @@ def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     :class:`InfluenceResult`, one per row, in order.
     """
     _check_gamma(phi, gamma)
+    _check_premises(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     z_rows = _z_rows(model, theta_star, z_grid, n_z, max_sd)
     return _influence_at(phi, gamma, model, theta_star, z_rows)
@@ -282,21 +283,15 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     power and the report is marked inconclusive.
     """
     _check_gamma(phi, gamma)
+    _check_premises(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     if (n_z if z_grid is None else len(np.atleast_2d(z_grid))) < 2:
         raise DomainError("the redescending check needs at least 2 contamination points")
     z_rows = _z_rows(model, theta_star, z_grid, n_z, max_sd)
-    quad = _frozen_grid(model, theta_star)
-    # |s| at the nodes for the zero test's scale <p^(1+gamma) |s|>: taken
-    # before the moments, so that t is not alive next to the score's own
-    # temporaries (+1.1 MB peak at 66,049 nodes), and freed before the Hessian
-    abs_s = model.score(theta_star, quad.points())
-    np.abs(abs_s, out=abs_s)
-    moments, t = _frozen_moments(quad, model, theta_star, gamma)
+    moments, second, spread = _frozen_moments(model, theta_star, gamma)
     b = moments[3]
-    informative = bool(np.any(np.abs(b) > 1e-6 * np.maximum(t[1] @ abs_s, 1e-300)))
-    del abs_s, t
-    hessian = objective_hessian(phi, gamma, model, theta_star, quad=quad)
+    informative = bool(np.any(np.abs(b) > 1e-6 * np.maximum(spread, 1e-300)))
+    hessian = _curvature(phi, gamma, moments, second)
     curve = _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments)
     if not informative:
         warnings.warn("the model's <p^(1+gamma) s> moment vanishes at theta_star; "
@@ -338,21 +333,17 @@ def asymptotic_variance_sameness(gamma, model, theta_star, phi_list, n_mc, seed,
                                  replicates=200, cfg=None):
     """Do matched shape functions share the estimator's sampling variance?
 
-    Every phi must have gamma as its own and satisfy phi'(1) = -(1+gamma) and
-    phi''(1) = -gamma(1+gamma) (the conditions under which the influence
-    functions coincide); violators are rejected up front with the failed
-    condition named.  Each replicate reuses one simulated data set across all
-    shape functions, which sharpens the variance-ratio comparison
-    considerably.
+    Every phi must have gamma as its own, meet the premises phi(1) = -1 and
+    phi'(1) = -(1+gamma), and have phi''(1) = -gamma(1+gamma) (the conditions
+    under which the influence functions coincide); violators are rejected up
+    front with the failed condition named.  Each replicate reuses one
+    simulated data set across all shape functions, which sharpens the
+    variance-ratio comparison considerably.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     for phi in phi_list:
         _check_gamma(phi, gamma)
-        d1 = float(phi.d1(1.0))
-        if abs(d1 + (1.0 + gamma)) > 1e-8:
-            raise DomainError(
-                f"{phi.label}: phi'(1) = {d1:.8g} violates the premise "
-                f"phi'(1) = -(1+gamma) = {-(1.0 + gamma):.8g}")
+        _check_premises(phi, gamma)
         d2 = float(phi.d2(1.0))
         if abs(d2 + gamma * (1.0 + gamma)) > 1e-8:
             raise DomainError(

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from holderscores import (DomainError, FitConfig, HolderScore, SingularHessianError,
-                          StructuralError, asymptotic_variance_sameness, contaminate,
-                          expected_score, gross_error_sensitivity, influence_curve,
-                          influence_function, make_parametric, objective_hessian,
-                          phi_cubic_tail, phi_kappa, population_fit, redescend_check,
-                          render_density)
+from holderscores import (DomainError, FitConfig, HolderScore, PhiFunction,
+                          SingularHessianError, StructuralError,
+                          asymptotic_variance_sameness, contaminate, expected_score,
+                          gross_error_sensitivity, influence_curve, influence_function,
+                          make_parametric, objective_hessian, phi_cubic_tail, phi_kappa,
+                          phi_linear, population_fit, redescend_check, render_density)
 from holderscores.grids import log_moments
 from holderscores import robustness
 from holderscores.robustness import _default_z_ray, _frozen_grid
@@ -52,12 +52,14 @@ def fourth_order_hessian(fun, x, h=5e-5):
 
 
 class TestFrozenGrid:
-    def test_padding_stops_at_a_hard_support_edge(self):
-        expo = make_parametric("exponential-rate")
-        lo, hi = expo.support(np.array([1.3]))
-        quad = _frozen_grid(expo, [1.3])
-        assert quad.domain_lo[0] == lo[0] == 0.0
-        assert quad.domain_hi[0] == pytest.approx(hi[0] + 0.25 * (hi[0] - lo[0]) / 2)
+    def test_3d_power_moment_meets_the_closed_form(self):
+        # on the former 1.25x-padded box (81 nodes per axis, h = 0.25 sd)
+        # <p^2> of this theta was off by 6.7e-9; the default render meets it
+        model = make_parametric("gaussian-full-d", dim=3)
+        theta = np.array([0.081, 0.261, 0.453, 1.373, 1.027, 0.943, -0.191, 0.722, 0.178])
+        quad = _frozen_grid(model, theta)
+        power = log_moments(quad, model.log_density(theta, quad.points()), 1.0)[1]
+        assert power == pytest.approx(model.power_moment(theta, 2.0)[0], rel=1e-12)
 
 
 class TestObjectiveHessian:
@@ -79,14 +81,72 @@ class TestObjectiveHessian:
                                       theta)
         assert np.max(np.abs(hess - oracle)) < 1e-4 * max(1.0, np.max(np.abs(oracle)))
 
-    def test_non_stationary_point_warns(self):
-        phi = phi_kappa(0.5, 1.0)
-        quad_theta = [0.0, 1.0]
-        with pytest.warns(UserWarning, match="stationary"):
-            # the quadrature grid is pinned at theta_star, so moving theta_star
-            # away from the objective minimum leaves a visible gradient
-            quad = _frozen_grid(GAUSS_MS, quad_theta)
-            objective_hessian(phi, 0.5, GAUSS_MS, [0.5, 1.3], quad=quad)
+    # cubic-tail is left out: its third derivative jumps at z = 1, inside
+    # the difference stencil, whose error then reads up to ~2e-6
+    @pytest.mark.parametrize("kind,hyper,theta_star", [
+        ("gaussian-full-d", {"dim": 1}, [0.2, 1.1]),
+        ("gaussian-full-d", {"dim": 2}, [0.2, -0.1, 1.1, 0.3, 0.8]),
+        ("gaussian-full-d", {"dim": 3}, [0.1, -0.2, 0.3, 1.2, 0.2, 0.9, -0.1, 0.3, 1.1]),
+        ("gaussian-mixture-fixed-weights", {}, [-1.0, 0.8, 1.5, 1.2]),
+        ("exponential-rate", {}, [1.3]),
+    ], ids=["full-1", "full-2", "full-3", "mixture", "exponential"])
+    @pytest.mark.parametrize("phi", [phi_kappa(0.5, 1.0), phi_kappa(0.5, 2.0),
+                                     phi_linear(0.5)], ids=["kappa1", "kappa2", "linear"])
+    def test_closed_form_matches_differences_of_the_gradient(self, kind, hyper,
+                                                             theta_star, phi):
+        model = make_parametric(kind, **hyper)
+        theta_star = np.asarray(theta_star, dtype=float)
+        quad = _frozen_grid(model, theta_star)
+        score = HolderScore(phi)
+
+        def gradient(theta):
+            return score.expected_with_gradient(quad, (model, theta))[1]
+
+        numeric = np.empty((theta_star.size, theta_star.size))
+        for i in range(theta_star.size):
+            e = np.zeros(theta_star.size)
+            e[i] = 1e-5 * max(1.0, abs(theta_star[i]))
+            numeric[i] = (gradient(theta_star + e) - gradient(theta_star - e)) / (2 * e[i])
+        hess = objective_hessian(phi, phi.gamma, model, theta_star)
+        assert np.max(np.abs(hess - numeric)) <= 1e-8 * np.max(np.abs(numeric))
+
+
+class TestPremises:
+    """phi(1) = -1 and phi'(1) = -(1+gamma) make theta_star stationary and
+    the Hessian's closed form exact; a phi that fails either raises before
+    any quadrature or fit."""
+
+    @staticmethod
+    def _shifted(value_shift, slope_shift):
+        # -z^1.5 + a + b (z - 1): phi(1) = -1 + a, phi'(1) = -1.5 + b
+        return PhiFunction(
+            gamma=0.5,
+            value=lambda z: -np.asarray(z, dtype=float) ** 1.5 + value_shift
+            + slope_shift * (np.asarray(z, dtype=float) - 1.0),
+            d1=lambda z: -1.5 * np.asarray(z, dtype=float) ** 0.5 + slope_shift,
+            d2=lambda z: -0.75 * np.asarray(z, dtype=float) ** -0.5,
+            label="shifted")
+
+    @pytest.mark.parametrize("shifts,match", [((0.1, 0.0), r"phi\(1\) = -0.9 "),
+                                              ((0.0, 0.1), r"phi'\(1\) = -1.4 ")],
+                             ids=["value", "slope"])
+    @pytest.mark.parametrize("call", [
+        lambda phi: objective_hessian(phi, 0.5, GAUSS_MS, [0.0, 1.0]),
+        lambda phi: influence_function(phi, 0.5, GAUSS_MS, [0.0, 1.0], 2.0),
+        lambda phi: influence_curve(phi, 0.5, GAUSS_MS, [0.0, 1.0]),
+        lambda phi: redescend_check(phi, 0.5, GAUSS_MS, [0.0, 1.0]),
+        lambda phi: gross_error_sensitivity(phi, 0.5, GAUSS_MS, [0.0, 1.0], [[2.0], [5.0]]),
+        lambda phi: asymptotic_variance_sameness(0.5, GAUSS_MS, [0.0, 1.0], [phi], 50, 0,
+                                                 replicates=2),
+    ], ids=["hessian", "influence-function", "influence-curve", "redescend",
+            "gross-error-sensitivity", "variance-sameness"])
+    def test_violation_raises_before_any_work(self, monkeypatch, call, shifts, match):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the premise check")
+        for name in ("_frozen_grid", "draw_sample", "fit"):
+            monkeypatch.setattr(robustness, name, refuse)
+        with pytest.raises(DomainError, match=match):
+            call(self._shifted(*shifts))
 
 
 class TestInfluenceFunction:
@@ -224,6 +284,14 @@ class TestRedescendCheck:
         assert len(rendered) == 1
         assert report.verdict == "INCONCLUSIVE"
 
+    def test_value_only_phi_redescends(self):
+        # the difference fallback must read phi''(1) within the criterion's
+        # 1e-8; 3-point differences at step 1e-5 read it 2.3e-6 off (FAIL)
+        phi = PhiFunction(gamma=0.5, value=lambda z: -np.asarray(z, dtype=float) ** 1.5)
+        report = redescend_check(phi, 0.5, GAUSS_MS, [0.0, 1.0])
+        assert report.condition_met
+        assert report.verdict == "PASS"
+
     def test_limit_estimate_for_redescending_family_is_zero(self):
         report = redescend_check(phi_kappa(0.5, 1.0), 0.5, GAUSS_MS, [0.0, 1.0])
         assert report.limit_estimate < 1e-10
@@ -338,8 +406,9 @@ class TestInfluenceCurve:
             assert np.array_equal(res.if_vector, ref.if_vector)
             assert res.norm == ref.norm
 
-    def test_gaussian_scores_only_the_contamination_points(self):
-        # the frozen-grid moments come from the Gaussian's quadratic log-density
+    def test_scores_the_nodes_once_and_the_contamination_points_once(self):
+        # one score call at the render's nodes gives the Hessian and the
+        # score-weighted moments; one at the rows gives s(z)
         calls = []
 
         def score(theta, x):
@@ -348,7 +417,7 @@ class TestInfluenceCurve:
         model = replace(GAUSS_MS, score=score)
         zs = np.array([[0.3], [1.7], [4.0]])
         curve = influence_curve(phi_kappa(0.5, 1.0), 0.5, model, [0.0, 1.0], zs)
-        assert calls == [len(zs)]
+        assert calls == [_frozen_grid(GAUSS_MS, [0.0, 1.0]).values.size, len(zs)]
         assert [res.norm for res in curve] == \
             [res.norm for res in influence_curve(phi_kappa(0.5, 1.0), 0.5, GAUSS_MS,
                                                  [0.0, 1.0], zs)]

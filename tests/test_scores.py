@@ -590,6 +590,14 @@ class TestPhiKappa:
         assert float(phi.d2(2.0)) == pytest.approx(-(1 + gamma) * gamma * 2.0 ** (gamma - 1),
                                                    rel=1e-3)
 
+    def test_fd_fallback_near_zero(self):
+        # a fit reads phi' at u = <f g^gamma> / <g^(1+gamma)> far below 1; the
+        # stencil shrinks with z there and never leaves phi's domain z > 0
+        phi = PhiFunction(gamma=0.5, value=lambda z: -np.asarray(z, dtype=float) ** 1.5)
+        for z in (3e-4, 1e-6):
+            assert float(phi.d1(z)) == pytest.approx(-1.5 * z ** 0.5, rel=1e-10)
+            assert float(phi.d2(z)) == pytest.approx(-0.75 * z ** -0.5, rel=1e-8)
+
 
 class TestValidatePhi:
     def test_builtin_passes(self):
