@@ -38,9 +38,8 @@ from .errors import (ConfigError, DegenerateInputError, DomainError,
                      UnsupportedFamilyError)
 from .grids import default_tol, integrate, read_grid
 from .estimators import FitConfig, fit, fit_regression, make_conditional, population_fit
-from .models import (WIDE_BOX_POINTS, Sample, check_contamination, contaminate,
-                     draw_contaminated_sample, draw_sample, make_parametric, read_samples,
-                     render_density)
+from .models import (Sample, check_contamination, contaminate, draw_contaminated_sample,
+                     draw_sample, make_parametric, read_samples, render_density)
 from .robustness import influence_curve, redescend_check
 from .scores import (GammaScore, KL, divergence, number_from_config, phi_from_config,
                      score_from_config)
@@ -144,6 +143,11 @@ def _model_maker(cfg, prefix="model"):
     if f"{prefix}.weights" in cfg:
         hyper["weights"] = tuple(_get_floats(cfg, f"{prefix}.weights"))
     return partial(make_parametric, kind, **hyper)
+
+
+# Without grid.n, a divergence lays at least these nodes per axis on the union
+# box of p's and q's supports, which is wider than either density needs.
+WIDE_BOX_POINTS = {1: 2001, 2: 257, 3: 81}
 
 
 def _density_pair(cfg):

@@ -35,10 +35,6 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _GAUSS_HALF_WIDTH = 8.0
 # Exponential tails are cut where exp(-rate*x) < 1e-15.
 _EXPON_CUTOFF = 35.0
-# At least these nodes per axis on boxes wider than one density needs:
-# contaminate's point-mass bump keeps their cell on the model's box
-# (criterion 6 needs it), and the CLI's divergence lays them on the union box.
-WIDE_BOX_POINTS = {1: 2001, 2: 257, 3: 81}
 
 
 @dataclass(frozen=True)
@@ -601,12 +597,13 @@ def check_contamination(model, eps, z):
 
 
 def contaminate(model, theta, eps, z):
-    """Grid density of (1 - eps) * p_theta + eps * delta_z.
+    """Grid density of (1 - eps) * p_theta + eps * delta_z, exact on its grid.
 
-    The point mass is realized as a normalized triangular bump spanning three
-    grid cells, centered on the node nearest to z; the quadrature box is
-    extended when z falls outside the model's own box.  The result integrates
-    to <p_theta> within quadrature tolerance for any eps in [0, 1).
+    The box is the model's own joined with z +- (box width)/16.  Along each
+    axis the lattice steps from the box's low end to z in cells no wider
+    than the model's own, so z is a node, and the mass eps sits on that
+    node's quadrature weight: every moment <f h> of the result is
+    (1 - eps) <p_theta h> + eps h(z) on the grid.
     """
     theta = np.asarray(theta, dtype=float)
     z = check_contamination(model, eps, z)
@@ -614,23 +611,12 @@ def contaminate(model, theta, eps, z):
     margin = (bhi - blo) / 16.0
     lo = np.minimum(blo, z - margin)
     hi = np.maximum(bhi, z + margin)
-    # keep the cell width of the model's box at WIDE_BOX_POINTS nodes
-    h = (bhi - blo) / (max(model.quad_points, WIDE_BOX_POINTS[model.dim]) - 1)
-    points_per_axis = tuple(int(np.ceil((hi[i] - lo[i]) / h[i])) + 1
-                            for i in range(model.dim))
-    base = render_density(model, theta, lo, hi, points_per_axis)
-    if eps == 0.0:
-        return base
-
-    axes = base.axes()
-    cell = base.cell_widths()
-    tents = []
-    for i, ax in enumerate(axes):
-        center = ax[int(np.argmin(np.abs(ax - z[i])))]
-        tents.append(np.clip(1.0 - np.abs(ax - center) / (1.5 * cell[i]), 0.0, None))
-    bump = reduce(np.multiply.outer, tents)
-    mass = float(np.sum(bump * base.weights))
-    vals = (1.0 - eps) * base.values + eps * bump / mass
+    k = np.ceil((z - lo) * (model.quad_points - 1) / (bhi - blo)).astype(int)
+    h = (z - lo) / k
+    n = np.ceil((hi - lo) / h).astype(int) + 1
+    base = render_density(model, theta, lo, lo + (n - 1) * h, tuple(n))
+    vals = (1.0 - eps) * base.values
+    vals[tuple(k)] += eps / base.weights[tuple(k)]
     return base.with_values(vals)
 
 

@@ -10,7 +10,7 @@ where u(theta) = <p_star p_theta^gamma> / <p_theta^(1+gamma)> and I is the
 Hessian of the population objective phi(u(theta)) <p_theta^(1+gamma)> at the
 generating parameter.  The point-mass terms enter only through pointwise
 values p_theta(z)^gamma (and p_theta(z)^gamma s_theta(z) in the analysis), so
-they are evaluated exactly rather than through a smoothing bump.
+they are evaluated exactly at z.
 
 Each analysis renders p_star = model(theta_star) once.  The premises
 phi(1) = -1 and phi'(1) = -(1+gamma), checked first, make theta_star

@@ -413,6 +413,19 @@ class TestSweepCommand:
         assert abs(biases[0.0]) < 1e-6
         assert biases[0.1] == pytest.approx(1.0, abs=0.05)  # mean shifts to eps*z
 
+    def test_contamination_sweep_in_2d(self, tmp_path):
+        # the point mass far out in the tail leaves the gamma-score fit where it was
+        code, out = run(tmp_path, "sweep", "s2d",
+                        "sweep.kind=contamination", "model=gaussian-full-d", "model.dim=2",
+                        "theta_true=0.2,-0.1,1.1,0.3,0.8", "z=6,-7", "eps.values=0,0.1",
+                        seed=6)
+        assert code == 0
+        assert (out / "report.txt").read_text().splitlines()[0] == "PASS"
+        rows = [l.split(",") for l in (out / "results.csv").read_text().splitlines()[1:]]
+        gamma_rows = [r for r in rows if r[0] == "gamma-score"]
+        assert len(gamma_rows) == 2
+        assert all(abs(float(r[2])) < 1e-8 for r in gamma_rows)
+
     def test_sweep_reproducible(self, tmp_path):
         args = ("sweep.kind=influence-z", "gamma=0.5", "phi=kappa", "kappa=1",
                 "model=gaussian-mean-scale", "theta_star=0,1", "z.count=11")

@@ -436,6 +436,17 @@ class TestPopulationFit:
         assert abs(res.theta_hat[0] - oracle_m) < 5e-3
         assert abs(res.theta_hat[0]) < 0.05
 
+    @pytest.mark.parametrize("z", [-12.0, 1.73, 10.0], ids=["left", "inside", "right"])
+    def test_kl_mean_bias_is_exact_under_point_contamination(self, z):
+        # the KL fit of a mean is the mixture's mean, m + eps (z - m); a
+        # point mass spread over cells around the node nearest z missed it
+        # by up to 3e-5
+        m, eps = 0.3, 0.1
+        p_eps = contaminate(GAUSS_M, [m], eps, z)
+        res = population_fit(KL(), GAUSS_M, p_eps,
+                             cfg_for([m], step_tol=1e-9, grad_tol=1e-2))
+        assert res.theta_hat[0] - m == pytest.approx(eps * (z - m), rel=1e-12)
+
 
 class TestAveragedScore:
     def setup_method(self):

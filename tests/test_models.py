@@ -271,23 +271,37 @@ class TestContaminate:
                                 points_per_axis=base.points_per_axis)
         assert np.array_equal(base.values, direct.values)
 
-    @pytest.mark.parametrize("kind,hyper,theta,z,old_points,shape", [
-        ("gaussian-mean", {}, [0.3], 10.0, 2001, (2339,)),
-        ("gaussian-mean-scale", {}, [0.1, 1.2], -9.0, 2001, (2074,)),
-        ("gaussian-full-d", {"dim": 2}, [0.2, -0.1, 1.1, 0.3, 0.8], [6.0, -7.0], 257,
-         (257, 275))], ids=["gaussian-mean", "gaussian-mean-scale", "gaussian-full-d-2"])
-    def test_keeps_the_cell_width_of_the_former_default(self, kind, hyper, theta, z,
-                                                        old_points, shape):
-        # the bump is sized from the cell of 2001 nodes in 1-D and 257 per
-        # axis in 2-D, not from the coarser default render grid
+    @pytest.mark.parametrize("kind,hyper,theta,z", [
+        ("gaussian-mean", {}, [0.3], -12.0),
+        ("gaussian-mean", {}, [0.3], 1.7),
+        ("gaussian-mean", {}, [0.3], 10.0),
+        ("gaussian-mean-scale", {}, [0.1, 1.2], -11.0),
+        ("gaussian-mean-scale", {}, [0.1, 1.2], -2.3),
+        ("gaussian-mean-scale", {}, [0.1, 1.2], 12.5),
+        ("gaussian-full-d", {"dim": 2}, [0.2, -0.1, 1.1, 0.3, 0.8], [6.0, -7.0])],
+        ids=["mean-left", "mean-inside", "mean-right", "mean-scale-left",
+             "mean-scale-inside", "mean-scale-right", "full-d-2"])
+    def test_point_mass_on_a_node(self, kind, hyper, theta, z):
+        # z is a lattice node whose quadrature weight carries exactly eps, on
+        # a box holding the model's and z +- margin, in cells no wider than
+        # the model's own
         model = make_parametric(kind, **hyper)
-        former = replace(model, quad_points=old_points)
-        for eps in (0.0, 0.1):
-            got, want = contaminate(model, theta, eps, z), contaminate(former, theta, eps, z)
-            assert got.points_per_axis == want.points_per_axis == shape
-            assert np.array_equal(got.domain_lo, want.domain_lo)
-            assert np.array_equal(got.domain_hi, want.domain_hi)
-            assert np.array_equal(got.values, want.values)
+        theta, z, eps = np.asarray(theta), np.atleast_1d(z), 0.1
+        f = contaminate(model, theta, eps, z)
+        nodes = f.points()
+        i = int(np.argmin(np.max(np.abs(nodes - z), axis=1)))
+        scale = np.maximum(np.abs(f.domain_lo), np.abs(f.domain_hi))
+        assert np.all(np.abs(nodes[i] - z) <= 4 * np.spacing(scale))
+        w = f.weights.ravel()[i]
+        p_z = model.density(theta, z.reshape(1, -1))[0]
+        assert f.values.ravel()[i] * w - (1.0 - eps) * p_z * w == pytest.approx(eps, rel=1e-13)
+        blo, bhi = model.support(theta)
+        margin = (bhi - blo) / 16.0
+        slack = 1e-12 * (f.domain_hi - f.domain_lo)
+        assert np.all(f.domain_lo <= np.minimum(blo, z - margin) + slack)
+        assert np.all(f.domain_hi >= np.maximum(bhi, z + margin) - slack)
+        own = (bhi - blo) / (model.quad_points - 1)
+        assert np.all(f.cell_widths() <= own * (1.0 + 1e-12))
 
     def test_mixture_mass_near_far_point(self):
         model = make_parametric("gaussian-mean-scale")
