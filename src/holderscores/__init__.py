@@ -18,8 +18,9 @@ from .affine import (AffineMap, EquivarianceReport, ScaleFitReport,
                      fit_scale_exponent, scale_function, transform_density,
                      verify_estimator_equivariance, verify_invariance)
 from .estimators import (ConditionalModel, FitConfig, FitResult,
-                         averaged_score, averaged_score_with_gradient, fit,
-                         fit_regression, make_conditional, population_fit)
+                         averaged_score, averaged_score_with_gradient,
+                         averaged_score_with_hessian, fit, fit_regression,
+                         make_conditional, population_fit)
 from .robustness import (InfluenceResult, RedescendReport,
                          VarianceSamenessReport, asymptotic_variance_sameness,
                          gross_error_sensitivity, influence_curve,

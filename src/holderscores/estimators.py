@@ -1,21 +1,27 @@
 """Optimum-score estimation for densities and conditional densities.
 
 Fitting minimizes an empirical composite score over a parametric family.
-Every objective has a pair form giving its value and exact theta-gradient
-from one model evaluation (the score's ``empirical_with_gradient``/
-``expected_with_gradient``, or :func:`averaged_score_with_gradient`), so a
-fit runs L-BFGS-B, and only L-BFGS-B.  Its start must lie in the parameter
-domain with a finite value and gradient, or the fit raises
-:class:`DomainError` before it runs.  A later trial step out of the domain,
-or to a point whose value or gradient is not finite, is rejected by the line
-search like any step that raises the value.  A line search that fails (for
-instance near a kink of a shape function) stops the fit at the best point
-evaluated, converged only if the exact gradient there is small.  A Newton
-polish (on by default) builds one Hessian from forward differences of the
-exact gradient (k pair evaluations for k parameters) and takes up to three
-guarded steps with it, and ``converged`` tests the exact gradient.  The
-pair is the only objective a fit evaluates, and every point evaluated is
-remembered, so each distinct theta costs one model evaluation.
+Every objective has a triple form giving its value, exact theta-gradient and
+exact theta-Hessian from one model evaluation (the score's
+``empirical_with_hessian``/``expected_with_hessian``, or
+:func:`averaged_score_with_hessian`), so a fit runs a damped Newton method,
+and only that: the direction solves with the Hessian, its eigenvalues
+replaced by their absolute values floored at 1e-12 of the largest, and a
+backtracking line search (Armijo, halving from the full step; Nocedal and
+Wright, *Numerical Optimization*, 2nd ed., section 3.4) takes the step.
+Newton's method on the exact Hessian is equivariant under affine changes of
+theta, as the Holder-score estimators are under affine maps of the data.
+The start must lie in the parameter domain with a finite value, gradient and
+Hessian, or the fit raises :class:`DomainError` before it runs.  A later
+trial step out of the domain, or to a point where any of the three is not
+finite, is rejected by the line search like any step that does not lower the
+value enough.  A line search that fails (for instance near a kink of a shape
+function, or at the objective's rounding floor) stops the fit at the best
+point evaluated, converged only if the exact gradient there is small.  The
+polish (on by default) then takes up to three more Newton steps that may
+raise the value by rounding noise, and ``converged`` tests the exact
+gradient.  The triple is the only objective a fit evaluates, and every point
+evaluated is remembered, so each distinct theta costs one model evaluation.
 Population-level fits replace the sample average by quadrature against a
 grid density, which is also how Fisher consistency is verified.
 """
@@ -27,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (ConfigError, DegenerateInputError, DomainError, StructuralError,
                      UnsupportedFamilyError)
@@ -35,9 +40,11 @@ from .grids import GridDensity
 from .models import _gaussian_power
 from .scores import BregmanHolder, KL
 
-# L-BFGS-B also stops once a step lowers f by less than this relative amount,
-# a few ulps: past that the line search would only fail on rounding noise
-_LBFGSB_FTOL = 1e-15
+# Armijo's sufficient-decrease constant
+_ARMIJO = 1e-4
+# the rounding floor: a step below this much of max |theta|, or a predicted
+# decrease below this much of |f|, is rounding noise the value cannot resolve
+_ROUNDING = 4.0 * np.finfo(float).eps
 _POLISH_STEPS = 3
 
 
@@ -45,14 +52,15 @@ _POLISH_STEPS = 3
 class FitConfig:
     """Optimizer settings for one fit.
 
-    L-BFGS-B starts at ``init_theta``, which must be finite, and stops once
-    the largest gradient component is at most ``step_tol``, or after
-    ``max_iters`` iterations, which is reported as non-convergence.
-    ``polish`` (on by default) runs up to three guarded Newton steps on one
-    Hessian from forward differences of the exact gradient (k pair
-    evaluations); it is cheap and tightens smooth objectives to near machine
-    accuracy.  A fit has ``converged`` when its optimizer stopped on its
-    tolerance and the exact gradient norm is below ``grad_tol``.
+    Newton's method starts at ``init_theta``, which must be finite, and
+    stops once the largest gradient component is at most ``step_tol``, once
+    its line search fails, or after ``max_iters`` iterations, which is
+    reported as non-convergence.  ``polish`` (on by default) then takes up to
+    three more Newton steps, each kept while the value rises by no more than
+    1e-13 of itself, its rounding noise: it tightens smooth objectives to
+    near machine accuracy.  A fit has ``converged`` when it stopped on its
+    tolerance (or on a failed line search) and the exact gradient norm is
+    below ``grad_tol``.
     """
 
     init_theta: np.ndarray
@@ -75,8 +83,9 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of one fit; ``converged`` additionally requires a small
-    exact gradient at the reported optimum.  ``n_evals`` counts the pair
-    evaluations paid for; memo hits are not counted."""
+    exact gradient at the reported optimum.  ``iterations`` counts the Newton
+    steps taken before the polish; ``n_evals`` counts the (value, gradient,
+    Hessian) evaluations paid for; memo hits are not counted."""
 
     theta_hat: np.ndarray
     objective_value: float
@@ -93,116 +102,114 @@ class FitResult:
 
 # -- optimizer machinery -----------------------------------------------------------
 
-def _newton_polish(pair, x, fx, gx):
-    """Up to three guarded Newton steps from ``x``, of value ``fx`` and
-    gradient ``gx``, on one Hessian from forward differences of the exact
-    gradient (k calls), symmetrized.  Every difference step is
-    1e-6 max_j |x_j| (1e-6 at x = 0), with no absolute floor, so a change of
-    units scales it with x.  A step is kept only while the value stays finite
-    and rises by at most 1e-13 |fx|, its rounding noise in any units.
-    Returns the last point kept, ``(x, fx, gx)``."""
-    h = 1e-6 * (float(np.max(np.abs(x))) or 1.0)
-    hess = np.array([(pair(x + h * e)[1] - gx) / h for e in np.eye(x.size)])
-    hess = 0.5 * (hess + hess.T)
-    if not np.all(np.isfinite(hess)) or np.min(np.linalg.eigvalsh(hess)) <= 0:
-        return x, fx, gx
-    for _ in range(_POLISH_STEPS):
-        step = np.linalg.solve(hess, gx)
-        x_new = x - step
-        f_new, g_new = pair(x_new)
-        if not np.isfinite(f_new) or f_new - fx > 1e-13 * abs(fx):
-            break
-        x, fx, gx = x_new, f_new, g_new
-        if np.max(np.abs(step)) < 1e-12:
-            break
-    return x, fx, gx
-
-
 def _guarded(objective):
-    """``objective`` -> (value, gradient), (+inf, NaN) where theta leaves the
-    parameter domain, the score is undefined, or the value or the gradient is
-    not finite: a fit steps back from all of them alike.  Any other error,
+    """``objective`` -> (value, gradient, Hessian), (+inf, NaN, NaN) where theta
+    leaves the parameter domain, the score is undefined, or any of the three
+    is not finite: a fit steps back from all of them alike.  Any other error,
     such as a sample of the wrong dimension, propagates."""
     def wrapped(theta):
         try:
-            val, grad = objective(theta)
+            val, grad, hess = objective(theta)
         except (DomainError, DegenerateInputError):
-            val = grad = np.inf
-        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
-            return np.inf, np.full(np.size(theta), np.nan)
-        return float(val), grad
+            val = grad = hess = np.inf
+        if not (np.isfinite(val) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+            k = np.size(theta)
+            return np.inf, np.full(k, np.nan), np.full((k, k), np.nan)
+        return float(val), grad, hess
     return wrapped
 
 
 class _Objective:
-    """The guarded value-and-gradient pair of one fit, the only objective it
-    evaluates: the start check, L-BFGS-B, the polish and the gradient check
-    all read ``pair``.  Every point the fit has evaluated is looked up first;
-    ``evals`` counts the evaluations paid for, and ``best`` is the best
-    finite point evaluated, ``(theta, value, gradient)``."""
+    """The guarded value-gradient-Hessian triple of one fit, the only
+    objective it evaluates.  Every point the fit has evaluated is looked up
+    first; ``evals`` counts the evaluations paid for, and ``best`` is the
+    best finite point evaluated, ``(theta, value, gradient, Hessian)``."""
 
-    def __init__(self, pair):
-        self._pair = _guarded(pair)
+    def __init__(self, triple):
+        self._triple = _guarded(triple)
         self.evals = 0
-        self.seen = {}                        # theta bytes -> (value, gradient)
+        self.seen = {}                        # theta bytes -> (value, gradient, Hessian)
         self.best = None
 
-    def pair(self, theta):
+    def triple(self, theta):
         theta = np.array(theta, dtype=float)
         key = theta.tobytes()
         seen = self.seen.get(key)
         if seen is None:
             self.evals += 1
-            seen = self.seen[key] = self._pair(theta)
+            seen = self.seen[key] = self._triple(theta)
         if np.isfinite(seen[0]) and (self.best is None or seen[0] < self.best[1]):
             self.best = (theta,) + seen
         return seen
 
 
-def _iteration_log():
-    """A scipy callback counting iterations, and the count it fills."""
-    count = [0]
-
-    def callback(intermediate_result):
-        count[0] += 1
-    return callback, count
-
-
-def _run_lbfgsb(objective, cfg, ceiling):
-    """L-BFGS-B from ``cfg.init_theta`` on the value-and-gradient pair of an
-    :class:`_Objective`; returns ``(x, value, iterations, converged)``.
-
-    A trial point at +inf (out of the domain, or not finite) reads
-    ``ceiling``, a finite value above the start's: scipy's line search cannot
-    step back from +inf (it reports convergence where it stands), and it
-    never accepts a value above the start.  A line search that failed at the
-    objective's rounding floor has converged if the exact gradient at the
-    best point evaluated says so; otherwise the fit stops there unconverged."""
-    callback, count = _iteration_log()
-
-    def pair(x):
-        fx, gx = objective.pair(x)
-        return (ceiling, np.zeros(np.size(x))) if np.isinf(fx) else (fx, gx)
-
-    res = minimize(pair, cfg.init_theta, jac=True, method="L-BFGS-B", callback=callback,
-                   options={"maxiter": cfg.max_iters, "ftol": _LBFGSB_FTOL,
-                            "gtol": cfg.step_tol})
-    if res.status != 2:  # 0 converged, 1 out of iterations
-        return np.asarray(res.x, dtype=float), float(res.fun), count[0], res.status == 0
-    x, fx, gx = objective.best
-    return x, fx, count[0], bool(np.linalg.norm(gx) < cfg.grad_tol)
+def _newton_step(grad, hess):
+    """-H^-1 g, with the eigenvalues of H replaced by max(|lambda|, 1e-12
+    max |lambda|): a descent direction wherever H is indefinite or nearly
+    singular, and Newton's own step where it is safely positive."""
+    lam, vec = np.linalg.eigh(hess)
+    lam = np.abs(lam)
+    with np.errstate(divide="ignore", invalid="ignore"):   # H = 0: a NaN step, which fails
+        return -vec @ ((vec.T @ grad) / np.maximum(lam, 1e-12 * np.max(lam)))
 
 
-def _minimize(pair, cfg):
-    objective = _Objective(pair)
-    f0 = objective.pair(cfg.init_theta)[0]   # L-BFGS-B's first call reads the memo
-    if np.isinf(f0):
+def _line_search(objective, x, fx, gx, step):
+    """Armijo backtracking from the full ``step``, halving: the first trial
+    with f <= fx + 1e-4 t g.step, as ``(theta, value, gradient, Hessian)``, or
+    None once t step is below the rounding floor of theta or its predicted
+    decrease below that of the value.  A trial at +inf is rejected."""
+    slope = float(gx @ step)
+    size, floor = np.max(np.abs(step)), _ROUNDING * np.max(np.abs(x))
+    t = 1.0
+    # written so that a NaN step fails at once
+    while t * size > floor and -t * slope > _ROUNDING * abs(fx):
+        trial = x + t * step
+        ft, gt, ht = objective.triple(trial)
+        if ft <= fx + _ARMIJO * t * slope:
+            return trial, ft, gt, ht
+        t *= 0.5
+    return None
+
+
+def _polish(objective, x, fx, gx, hx):
+    """Up to three Newton steps from ``x`` on the exact Hessian, each kept
+    while the value stays finite and rises by at most 1e-13 |fx|, its
+    rounding noise in any units; a step below the rounding floor of theta is
+    not taken.  Returns the last point kept, ``(x, fx, gx)``."""
+    for _ in range(_POLISH_STEPS):
+        step = _newton_step(gx, hx)
+        if not np.max(np.abs(step)) > _ROUNDING * np.max(np.abs(x)):
+            break
+        x_new = x + step
+        f_new, g_new, h_new = objective.triple(x_new)
+        if not f_new - fx <= 1e-13 * abs(fx):
+            break
+        x, fx, gx, hx = x_new, f_new, g_new, h_new
+    return x, fx, gx
+
+
+def _minimize(triple, cfg):
+    objective = _Objective(triple)
+    x = cfg.init_theta.copy()
+    fx, gx, hx = objective.triple(x)
+    if np.isinf(fx):
         raise DomainError(f"the start theta={cfg.init_theta.tolist()!r} is outside the "
-                          "parameter domain, or the score or its gradient is not finite there")
-    x, fx, iters, ok = _run_lbfgsb(objective, cfg, f0 + abs(f0) + 1.0)
-    gx = objective.pair(x)[1]
+                          "parameter domain, or the score or its derivatives are not finite "
+                          "there")
+    iters, ok = 0, True
+    while np.max(np.abs(gx)) > cfg.step_tol:
+        if iters == cfg.max_iters:
+            ok = False
+            break
+        trial = _line_search(objective, x, fx, gx, _newton_step(gx, hx))
+        if trial is None:
+            # stopped at the rounding floor: converged if the gradient says so
+            x, fx, gx, hx = objective.best
+            break
+        x, fx, gx, hx = trial
+        iters += 1
     if cfg.polish:
-        x, fx, gx = _newton_polish(objective.pair, x, fx, gx)
+        x, fx, gx = _polish(objective, x, fx, gx, hx)
     return FitResult(theta_hat=x, objective_value=fx, iterations=iters,
                      converged=bool(ok and np.linalg.norm(gx) < cfg.grad_tol),
                      n_evals=objective.evals)
@@ -223,7 +230,7 @@ def fit(score, model, sample, cfg):
         raise StructuralError(f"the sample is {sample.dim}-dimensional, {model.name} "
                               f"is {model.dim}-dimensional")
 
-    return _minimize(lambda theta: score.empirical_with_gradient(sample, (model, theta)), cfg)
+    return _minimize(lambda theta: score.empirical_with_hessian(sample, (model, theta)), cfg)
 
 
 def population_fit(score, model, p_true, cfg):
@@ -239,7 +246,7 @@ def population_fit(score, model, p_true, cfg):
         raise StructuralError(f"p_true is {p_true.dim}-dimensional, {model.name} "
                               f"is {model.dim}-dimensional")
 
-    return _minimize(lambda theta: score.expected_with_gradient(p_true, (model, theta)), cfg)
+    return _minimize(lambda theta: score.expected_with_hessian(p_true, (model, theta)), cfg)
 
 
 # -- conditional models ---------------------------------------------------------------
@@ -252,10 +259,11 @@ class ConditionalModel:
     from the (n, m) covariate array, so both per-observation values (y of
     shape (n,)) and quadrature grids (y of shape (1, ny)) work.
     ``cond_score(theta, y, x)`` gives the (n, k) theta-gradient of the
-    log-density at the observations.
+    log-density at the observations, and ``cond_curvature(theta, y, x, h)``
+    the (k, k) sum_i h_i d^2 log q(y_i | x_i) / dtheta^2 for n weights h.
     ``power_moment(theta, a)`` is the y-integral <q(.|x)^a> over all of R in
-    closed form with its theta-gradient; for the location-scale family it is
-    the same for every x.
+    closed form with its theta-gradient and theta-Hessian; for the
+    location-scale family it is the same for every x.
     """
 
     name: str
@@ -265,6 +273,7 @@ class ConditionalModel:
     cond_log_density: Callable
     cond_score: Callable
     power_moment: Callable
+    cond_curvature: Callable
 
 
 def make_conditional(kind, x_dim=1, noise=None):
@@ -316,14 +325,30 @@ def make_conditional(kind, x_dim=1, noise=None):
             cols.append(u * u * s - 1.0 / s)    # (y - mu)^2 / s^3 - 1 / s
         return np.stack(cols, axis=-1)
 
+    def curvature(theta, y, x, h):
+        # with e = y - mu and phi = d mu / d(a, b) = (x, 1): -phi phi^T / s^2,
+        # -2 e phi / s^3 against s, and (1 - 3 e^2 / s^2) / s^2 in s
+        a, b, s = unpack(theta)
+        xm = np.atleast_2d(np.asarray(x, dtype=float))
+        phi = np.column_stack([xm, np.ones(xm.shape[0])])
+        h = np.asarray(h, dtype=float)
+        out = np.zeros((k, k))
+        out[:m + 1, :m + 1] = -((h[:, None] * phi).T @ phi) / (s * s)
+        if fixed_noise is None:
+            e = np.asarray(y, dtype=float) - (xm @ a + b)
+            out[:m + 1, m + 1] = out[m + 1, :m + 1] = -2.0 / s ** 3 * ((h * e) @ phi)
+            out[m + 1, m + 1] = np.sum(h * (1.0 - 3.0 * (e / s) ** 2)) / (s * s)
+        return out
+
     def power(theta, a):
         # M = (2 pi s^2)^(-(a-1)/2) a^(-1/2), whatever x and the mean
         s = unpack(theta)[2]
         p = _gaussian_power(1, math.log(s), a)
-        grad = np.zeros(k)
+        grad, hess = np.zeros(k), np.zeros((k, k))
         if fixed_noise is None:
             grad[m + 1] = -(a - 1.0) / s * p
-        return p, grad
+            hess[m + 1, m + 1] = a * (a - 1.0) / (s * s) * p
+        return p, grad, hess
 
     names = tuple(f"a{j + 1}" for j in range(m)) + ("b",)
     if fixed_noise is None:
@@ -331,7 +356,7 @@ def make_conditional(kind, x_dim=1, noise=None):
     return ConditionalModel(
         name="linear-gaussian", param_dim=k, x_dim=m, theta_names=names,
         cond_log_density=logpdf, cond_score=score_fn,
-        power_moment=power)
+        power_moment=power, cond_curvature=curvature)
 
 
 def _averaged_inputs(score, cmodel, sample):
@@ -359,25 +384,65 @@ def averaged_score(score, cmodel, theta, sample):
     log-density, so an observation far in the tail keeps a finite value.  A
     general shape-function family has no such empirical form and is rejected.
     """
-    return averaged_score_with_gradient(score, cmodel, theta, sample)[0]
+    return _averaged(score, cmodel, theta, sample)[0]
 
 
 def averaged_score_with_gradient(score, cmodel, theta, sample):
     """``(averaged_score(...), its theta-gradient)`` from one call each of
     ``cmodel``'s cond_log_density, cond_score and power_moment."""
+    value, derivatives = _averaged(score, cmodel, theta, sample)
+    return value, derivatives()
+
+
+def averaged_score_with_hessian(score, cmodel, theta, sample):
+    """``(averaged_score(...), its theta-gradient, its theta-Hessian)``; value
+    and gradient are those of :func:`averaged_score_with_gradient` bit for
+    bit, and the Hessian adds one call of ``cmodel.cond_curvature``."""
+    value, derivatives = _averaged(score, cmodel, theta, sample)
+    return (value, *derivatives(True))
+
+
+def _averaged(score, cmodel, theta, sample):
+    """``(averaged_score(...), derivatives)``; ``derivatives(hessian=False)``
+    forms the theta-gradient, or with ``hessian`` the gradient and the
+    theta-Hessian.  Per observation the cross term c_i = q_i^gamma has
+    dc_i = u_i s_i and d2c_i = u_i (gamma s_i s_i^T + ds_i), u_i = gamma c_i,
+    and the mean of the family's S(c_i, M) differentiates as in
+    :mod:`holderscores.scores`."""
     y, x = _averaged_inputs(score, cmodel, sample)
     theta = np.asarray(theta, dtype=float)
-    m_int, dm_int = cmodel.power_moment(theta, 1.0 + score.gamma)
+    m_int, dm_int, hm_int = cmodel.power_moment(theta, 1.0 + score.gamma)
     log_qi = cmodel.cond_log_density(theta, y, x)
-    s_i = cmodel.cond_score(theta, y, x).T                            # (k, n)
+    n = y.size
     if isinstance(score, KL):
-        return float(np.mean(-log_qi) + m_int), dm_int - np.mean(s_i, axis=1)
+        def kl_derivatives(hessian=False):
+            grad = dm_int - np.mean(cmodel.cond_score(theta, y, x).T, axis=1)
+            if not hessian:
+                return grad
+            return grad, hm_int - cmodel.cond_curvature(theta, y, x, np.full(n, 1.0 / n))
+        return float(np.mean(-log_qi) + m_int), kl_derivatives
     if not 0.0 < m_int < math.inf:
-        return math.inf, np.full(theta.size, np.nan)
-    q_gamma = np.exp(score.gamma * log_qi)
-    d_cross, d_power = score._partials(q_gamma, m_int)
-    return float(np.mean(score._combine(q_gamma, m_int))), \
-        (s_i @ (score.gamma * q_gamma * d_cross) + dm_int * np.sum(d_power)) / y.size
+        k = theta.size
+        return math.inf, lambda hessian=False: \
+            (np.full(k, np.nan), np.full((k, k), np.nan)) if hessian else np.full(k, np.nan)
+    gamma = score.gamma
+    q_gamma = np.exp(gamma * log_qi)
+
+    def derivatives(hessian=False):
+        s_i = cmodel.cond_score(theta, y, x).T                        # (k, n)
+        d_cross, d_power = score._partials(q_gamma, m_int)
+        grad = (s_i @ (gamma * q_gamma * d_cross) + dm_int * np.sum(d_power)) / n
+        if not hessian:
+            return grad
+        u = gamma * q_gamma
+        s_cc, s_cp, s_pp = score._second_partials(q_gamma, m_int)
+        cp = np.outer(s_i @ (s_cp * u), dm_int)
+        hess = ((s_i * (gamma * u * d_cross + s_cc * u * u)) @ s_i.T
+                + cmodel.cond_curvature(theta, y, x, u * d_cross)
+                + np.sum(d_power) * hm_int + cp + cp.T
+                + np.sum(s_pp) * np.outer(dm_int, dm_int))
+        return grad, hess / n
+    return float(np.mean(score._combine(q_gamma, m_int))), derivatives
 
 
 def fit_regression(gamma, kappa, cmodel, sample, cfg):
@@ -388,5 +453,5 @@ def fit_regression(gamma, kappa, cmodel, sample, cfg):
     """
     score = BregmanHolder(gamma, kappa)
     _averaged_inputs(score, cmodel, sample)
-    return _minimize(lambda theta: averaged_score_with_gradient(score, cmodel, theta, sample),
+    return _minimize(lambda theta: averaged_score_with_hessian(score, cmodel, theta, sample),
                      cfg)

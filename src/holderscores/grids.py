@@ -175,16 +175,20 @@ class GridDensity:
 
     @cached_property
     def axis_monomials(self):
-        """Per axis k, the rows [1, w_k, w_k^2] of w_k = v_k - midpoint_k at
-        the axis's nodes, as a tuple of read-only (n_k, 3) arrays.
+        """Per axis k, the rows [1, w_k, w_k^2, w_k^3, w_k^4] of
+        w_k = v_k - midpoint_k at the axis's nodes, as a tuple of read-only
+        (n_k, 5) arrays.
 
         Built on first use and cached: on the tensor lattice a polynomial of
-        degree 2 per axis in w is a product of these, one axis at a time.
+        degree up to 4 per axis in w is a product of these, one axis at a
+        time; the first three columns carry a quadratic polynomial, and all
+        five the products of two.
         """
         rows = []
         for ax, c in zip(self.axes(), self.midpoint):
             u = ax - c
-            v = np.stack([np.ones_like(u), u, u * u], axis=1)
+            u2 = u * u
+            v = np.stack([np.ones_like(u), u, u2, u2 * u, u2 * u2], axis=1)
             v.setflags(write=False)
             rows.append(v)
         return tuple(rows)

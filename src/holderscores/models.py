@@ -7,11 +7,13 @@ implementation, ``gaussian-full-d``, parameterized by the mean and the
 Cholesky factor L of the covariance; ``gaussian-mean-scale`` is that family at
 d = 1, and ``gaussian-mean`` is ``gaussian-mean-scale`` with the scale held
 fixed.  Each family is named by its ``make_parametric`` kind and carries an
-analytic score function (gradient of the log-density in the parameter), a
-seeded sampler and a quadrature box wide enough that truncated mass is
-negligible against the integration tolerance; all but the mixture also carry
-their power integral <g^a> in closed form, and the Gaussians their
-log-density as a quadratic polynomial in x (``log_quadratic``).
+analytic score function (gradient of the log-density in the parameter), its
+second derivatives summed over weighted points (``curvature``), a seeded
+sampler and a quadrature box wide enough that truncated mass is negligible
+against the integration tolerance; all but the mixture also carry their power
+integral <g^a> in closed form with its gradient and Hessian, and the
+Gaussians their log-density as a quadratic polynomial in x
+(``log_quadratic``), whose second theta-derivatives are in closed form too.
 """
 
 from __future__ import annotations
@@ -59,23 +61,32 @@ class ParametricModel:
     push_params : callable(theta, sigma, mu) -> theta', optional
         Parameter pushforward for data mapped through x -> sigma^-1 (x - mu);
         None when the family is not closed under affine maps.
-    power_moment : callable(theta, a) -> (<g^a>, d<g^a>/dtheta), optional
-        The power integral over all of R^d in closed form, formed from logs;
-        None when the family has none, and the quadrature box is summed.
+    power_moment : callable(theta, a) -> (<g^a>, gradient, Hessian), optional
+        The power integral over all of R^d in closed form, formed from logs,
+        with its theta-gradient (k,) and theta-Hessian (k, k); None when the
+        family has none, and the quadrature box is summed.
     density : callable(theta, x) -> (n,), optional
         ``exp(log_density)``, derived on construction unless given; only
         :func:`render_density` calls it.
-    log_quadratic : callable(theta, center) -> (eta, jac), optional
+    log_quadratic : callable(theta, center) -> (eta, jac, curv), optional
         For a family whose log-density is a quadratic polynomial in x (the
         Gaussians): with u = x - center and the monomials
         q(u) = [1, u_1..u_d, u_i u_j (i >= j, row-major lower triangle)],
         ``log_density(theta, x) = eta @ q(u)`` and ``score(theta, x) =
         jac @ q(u)``, jac = d eta / dtheta of shape (param_dim, len(q)).
-        Population moments on a grid then need only the grid's cached
-        per-axis rows (:attr:`GridDensity.axis_monomials`), no whitening and
-        no per-node score.  None where log p is no such polynomial, e.g. -inf
-        off a support; dropped by ``replace(model, log_density=...)`` unless
-        replaced with it.
+        ``curv(v)`` maps monomial sums v = <h q(u)>, shape (len(q),), to
+        sum_r v_r d^2 eta_r / dtheta^2 = <h d s / dtheta>, shape (k, k), in
+        closed form.  Population moments on a grid then need only the grid's
+        cached per-axis rows (:attr:`GridDensity.axis_monomials`), no
+        whitening and no per-node score.  None where log p is no such
+        polynomial, e.g. -inf off a support; dropped by
+        ``replace(model, log_density=...)`` unless replaced with it.
+    curvature : callable(theta, x, h) -> (k, k), optional
+        sum_i h_i d^2 log g(x_i) / dtheta^2 for an (n, d) array of points and
+        n weights h: with the score, the second derivatives of every moment
+        of g.  A fit needs it (or ``log_quadratic`` on a data grid) for its
+        Newton steps; like ``score``, it is not dropped with a replaced
+        ``log_density``.
     """
 
     name: str
@@ -92,6 +103,7 @@ class ParametricModel:
     quad_points: int = 2001
     density: Optional[Callable] = None
     log_quadratic: Optional[Callable] = None
+    curvature: Optional[Callable] = None
 
     def __post_init__(self):
         # derived afresh, so replace(model, log_density=...) keeps the two in step
@@ -239,6 +251,9 @@ def _gaussian_full(dim=2):
     # theta = (mean, L row by row): L[i][j] is chol[at[i, j]]
     at = {(i, j): c for c, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
     diag_at = [at[i, i] for i in range(d)]
+    # second_sum's (i, j) of each L entry, and where it finds u_i u_j in q
+    pairs = list(at)
+    quad_at = [[d + 1 + at[max(i, j), min(i, j)] for j in range(d)] for i in range(d)]
 
     def unpack(theta):
         """The mean, the entries of L in theta's order and the diagonal of L,
@@ -316,19 +331,69 @@ def _gaussian_full(dim=2):
         #  half_ij (P_ai B_bj + B_bi P_aj)].  Written out per dimension in
         # Python floats (_quadratic_1d/2d/3d): numpy's per-call cost on arrays
         # of a few entries, and a loop's over d, exceed the arithmetic
-        m, chol, _ = unpack(theta)
+        m, chol, diag = unpack(theta)
         u = [a - c for a, c in zip(m, np.asarray(center, dtype=float).tolist())]
         out = np.array(coefficients(u, chol)).reshape(k + 1, -1)
-        return out[0], out[1:]
+        return out[0], out[1:], lambda v: second_sum(u, chol, diag, v)
     log_quadratic.expands = logpdf
 
+    def second_sum(u, chol, diag, v):
+        # sum_r v_r d^2 eta_r / dtheta^2 = d^2/dtheta^2 of <h log p> for the
+        # monomial sums v = <h q(x - center)>: with u = m - center, w and V the
+        # linear and (symmetric) quadratic sums, <h (x - m)(x - m)^T> =
+        # M = v0 u u^T - (u w^T + w u^T) + V, and <h log p> = -tr(P M) / 2
+        # - v0 sum log L_ii + const.  With B = L^-1 (forward substitution),
+        # z = v0 u - w, F = P M B^T and G = B M B^T the blocks are -v0 P
+        # (mean, mean), P_ia (B z)_j + (P z)_i B_ja (mean a, L_ij) and
+        # -(B_bi F_aj + P_ia G_bj + F_ib B_ja) + [i = j = a = b] v0 / L_ii^2
+        # (L_ij, L_ab).  In Python floats, like _quadratic_1d/2d/3d
+        v = np.asarray(v, dtype=float).tolist()
+        v0, w, R = v[0], v[1:d + 1], range(d)
+        B = [[0.0] * d for _ in R]
+        for i in R:
+            for j in range(i + 1):
+                B[i][j] = ((i == j) - sum(chol[at[i, c]] * B[c][j] for c in range(j, i))) / diag[i]
+        P = [[sum(B[c][i] * B[c][j] for c in R) for j in R] for i in R]
+        z = [v0 * u[i] - w[i] for i in R]
+        M = [[v0 * u[i] * u[j] - (u[i] * w[j] + w[i] * u[j]) + v[quad_at[i][j]] for j in R]
+             for i in R]
+        MB = [[sum(M[i][c] * B[j][c] for c in R) for j in R] for i in R]
+        F = [[sum(P[i][c] * MB[c][j] for c in R) for j in R] for i in R]
+        G = [[sum(B[i][c] * MB[c][j] for c in R) for j in R] for i in R]
+        bz = [sum(B[i][c] * z[c] for c in R) for i in R]
+        pz = [sum(P[i][c] * z[c] for c in R) for i in R]
+        out = [[0.0] * k for _ in range(k)]
+        for a in R:
+            out[a][:d] = [-v0 * x for x in P[a]]
+            for c, (i, j) in enumerate(pairs):
+                out[a][d + c] = out[d + c][a] = P[i][a] * bz[j] + pz[i] * B[j][a]
+        for c, (i, j) in enumerate(pairs):
+            out[d + c][d:] = [-(B[b][i] * F[a][j] + P[i][a] * G[b][j] + F[i][b] * B[j][a])
+                              for a, b in pairs]
+            if i == j:
+                out[d + c][d + c] += v0 / (diag[i] * diag[i])
+        return np.array(out)
+
+    def curvature(theta, x, h):
+        # the monomial sums of the points about their mean, through second_sum
+        pts = _as_points(x, d)
+        center = pts.mean(axis=0)
+        u = pts - center
+        h = np.asarray(h, dtype=float)
+        v = [np.sum(h), *(h @ u)] + [(h * u[:, i]) @ u[:, j] for i, j in zip(rows, cols)]
+        return log_quadratic(theta, center)[2](v)
+
     def power(theta, a):
+        # the Hessian is g g^T / p - diag(g / L_ii) over the diagonal entries
+        # of L, (a - 1)^2 p / (L_ii L_jj) and a (a - 1) p / L_ii^2 on them
         _, _, diag = unpack(theta)
         p = _gaussian_power(d, log_det(diag), a)
-        grad = np.zeros(k)
+        grad, hess = np.zeros(k), np.zeros((k, k))
         for c, v in zip(diag_at, diag):
             grad[d + c] = -(a - 1.0) / v * p
-        return p, grad
+            for c2, v2 in zip(diag_at, diag):
+                hess[d + c, d + c2] = (a - 1.0) * (a if c == c2 else a - 1.0) / v / v2 * p
+        return p, grad, hess
 
     def push(theta, sigma, mu):
         m, L = dense(theta)
@@ -362,6 +427,7 @@ def _gaussian_full(dim=2):
         # set by the accuracy rule of tests/test_quadrature_oracle.py
         quad_points=(65, 129, 81)[d - 1],
         log_quadratic=log_quadratic,
+        curvature=curvature,
     )
 
 
@@ -385,8 +451,8 @@ def _gaussian_mean(scale=1.0):
         return base.log_density(full(theta), x)
 
     def log_quadratic(theta, center):
-        eta, jac = base.log_quadratic(full(theta), center)
-        return eta, jac[:1]
+        eta, jac, curv = base.log_quadratic(full(theta), center)
+        return eta, jac[:1], lambda v: curv(v)[:1, :1]
     log_quadratic.expands = log_density
 
     def push(theta, sigma, mu):
@@ -404,7 +470,9 @@ def _gaussian_mean(scale=1.0):
         sampler=lambda th, n, rng: base.sampler(full(th), n, rng),
         support=lambda th: base.support(full(th)),
         push_params=push,
-        power_moment=lambda th, a: (base.power_moment(full(th), a)[0], np.zeros(1)),
+        power_moment=lambda th, a: (base.power_moment(full(th), a)[0], np.zeros(1),
+                                    np.zeros((1, 1))),
+        curvature=lambda th, x, h: base.curvature(full(th), x, h)[:1, :1],
     )
 
 
@@ -434,15 +502,36 @@ def _gaussian_mixture(weights=(0.5, 0.5)):
         # log-sum-exp over components: finite wherever any component is
         return reduce(np.logaddexp, log_components(theta, x)[0].T)
 
-    def score(theta, x):
-        # responsibilities as a softmax of the log-components, finite where
-        # the density itself underflows
+    def parts(theta, x):
+        # the score, with the responsibilities (a softmax of the
+        # log-components, finite where the density itself underflows), x - m_i
+        # and s
         log_c, r, s = log_components(theta, x)
         resp = np.exp(log_c - reduce(np.logaddexp, log_c.T)[:, None])
         out = np.empty((r.shape[0], k), order="F")
         out[:, 0::2] = resp * r / (s * s)
         out[:, 1::2] = resp * (r * r / s ** 3 - 1.0 / s)
-        return out
+        return out, resp, r, s
+
+    def score(theta, x):
+        return parts(theta, x)[0]
+
+    def curvature(theta, x, h):
+        # sum_i h_i [sum_c resp_ic (d^2 log phi_c + s_c s_c^T) - s_i s_i^T],
+        # s_c component c's own score in its (mean, scale) and s_i the
+        # mixture's: one 2 x 2 block per component, less a weighted Gram matrix
+        sc, resp, r, s = parts(theta, x)
+        h = np.asarray(h, dtype=float)
+        hr = h[:, None] * resp
+        d_mean, d_scale = r / (s * s), r * r / s ** 3 - 1.0 / s
+        out = np.zeros((k, k))
+        at = np.arange(0, k, 2)
+        out[at, at] = np.sum(hr * (d_mean * d_mean - 1.0 / (s * s)), axis=0)
+        out[at, at + 1] = out[at + 1, at] = np.sum(hr * (d_mean * d_scale - 2.0 * r / s ** 3),
+                                                   axis=0)
+        out[at + 1, at + 1] = np.sum(hr * (d_scale * d_scale
+                                           + (1.0 - 3.0 * r * r / (s * s)) / (s * s)), axis=0)
+        return out - (h[:, None] * sc).T @ sc
 
     def sampler(theta, n, rng):
         m, s = unpack(theta)
@@ -472,6 +561,7 @@ def _gaussian_mixture(weights=(0.5, 0.5)):
         in_support=lambda x: np.ones(_as_points(x, 1).shape[0], dtype=bool),
         push_params=push,
         quad_points=3001,
+        curvature=curvature,
     )
 
 
@@ -500,7 +590,8 @@ def _exponential_rate():
     def power(theta, a):
         lam = rate(theta)
         p = float(np.exp((a - 1.0) * math.log(lam) - math.log(a)))
-        return p, np.array([(a - 1.0) / lam * p])
+        return (p, np.array([(a - 1.0) / lam * p]),
+                np.array([[(a - 1.0) * (a - 2.0) / lam ** 2 * p]]))
 
     return ParametricModel(
         name="exponential-rate", dim=1, param_dim=1, theta_names=("rate",),
@@ -511,6 +602,8 @@ def _exponential_rate():
         in_support=lambda x: _as_points(x, 1)[:, 0] >= 0,
         push_params=None,
         power_moment=power,
+        # d^2 log g / dlambda^2 = -1 / lambda^2 at every x
+        curvature=lambda th, x, h: np.array([[-np.sum(h) / rate(th) ** 2]]),
         # the trapezoid rule is only O(h^2) here (the integrand's derivative
         # does not vanish at x = 0), so the default grid is much denser
         quad_points=150001,

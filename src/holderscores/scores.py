@@ -25,25 +25,32 @@ discrete values as well, not merely in the continuum limit.
 Empirical forms replace the cross term with a sample average, which is what
 the optimum-score estimators in :mod:`holderscores.estimators` minimize.
 
-For a candidate ``(model, theta)`` the theta-gradient is exact: each family
-gives its partials ``(dS/dcross, dS/dpower)`` and the moments differentiate
-through the model score s = d log g / dtheta,
+For a candidate ``(model, theta)`` the theta-gradient and theta-Hessian are
+exact: each family gives its partials ``(dS/dcross, dS/dpower)`` and its
+second partials ``(S_CC, S_CP, S_PP)``, and the moments differentiate through
+the model score s = d log g / dtheta,
 
     d<f g^gamma>/dtheta = gamma <f g^gamma s>,
-    d<g^(1+gamma)>/dtheta = (1+gamma) <g^(1+gamma) s>
+    d<g^(1+gamma)>/dtheta = (1+gamma) <g^(1+gamma) s>,
+    d^2<f g^gamma>/dtheta^2 = gamma^2 <f g^gamma s s^T> + gamma <f g^gamma ds>,
 
-(KL: ``-<f s> + <g s>``).  A moment and its gradient share their weighted
-terms, so each family has one private ``_evaluate(data, g)`` against a data
-grid or a ``Sample``: it returns the value and a zero-argument function that
-forms the gradient, and the four entry points (``expected``, ``empirical``
-and their ``*_with_gradient`` pairs) all call it, so a pair's value is that
-of ``expected`` or ``empirical`` bit for bit and only a gradient ever calls
-the model's ``score``.  On a data grid, a model with ``log_quadratic``
-(every Gaussian) needs no score at all: log g = eta @ q and s = jac @ q in
-the quadratic monomials q, so <h s> = jac @ <h q> for either weighting h;
-on the tensor lattice, log g and <h q> come from the grid's cached per-axis
-rows [1, w_k, w_k^2].  Other models, and every model at sample points, take
-``log_density`` there and sum ``score`` columns for a gradient.
+and likewise for the power term (KL: gradient ``-<f s> + <g s>``, Hessian
+``<g s s^T> + <(g - f) ds>``).  The Hessian of S(C, P) is then
+a d2C + b d2P + [dC dP] S2 [dC dP]^T.  A moment and its derivatives share
+their weighted terms, so each family has one private ``_evaluate(data, g)``
+against a data grid or a ``Sample``: it returns the value and a function that
+forms the gradient, or the gradient and the Hessian, and the six entry points
+(``expected``, ``empirical``, their ``*_with_gradient`` pairs and their
+``*_with_hessian`` triples) all call it, so every value is that of
+``expected`` or ``empirical`` bit for bit, a triple's gradient is the pair's,
+and only derivatives ever call the model's ``score`` or ``curvature``.  On a
+data grid, a model with ``log_quadratic`` (every Gaussian) needs neither:
+log g = eta @ q and s = jac @ q in the quadratic monomials q, so
+<h s> = jac @ <h q>, <h s s^T> = jac <h q q^T> jac^T and <h ds> is
+``curv(<h q>)``; on the tensor lattice, log g comes from the grid's cached
+per-axis rows [1, w_k, w_k^2] and every moment from one contraction with
+[1, w_k, .., w_k^4].  Other models, and every model at sample points, take
+``log_density`` there and sum ``score`` columns and ``curvature``.
 """
 
 from __future__ import annotations
@@ -204,9 +211,10 @@ class CompositeScore:
     """Base class for the score families.
 
     Subclasses provide ``_combine(cross, g_power)`` mapping the two moments
-    of the target to the score value and ``_partials(cross, g_power)``, its
-    two partial derivatives; the KL family overrides ``_evaluate`` because
-    it uses logarithmic moments.
+    of the target to the score value, ``_partials(cross, g_power)``, its two
+    partial derivatives, and ``_second_partials(cross, g_power)``, its three
+    second partials (S_CC, S_CP, S_PP); the KL family overrides
+    ``_evaluate`` because it uses logarithmic moments.
     """
 
     name = "composite"
@@ -226,6 +234,9 @@ class CompositeScore:
         raise NotImplementedError
 
     def _partials(self, cross, g_power):
+        raise NotImplementedError
+
+    def _second_partials(self, cross, g_power):
         raise NotImplementedError
 
     # entry points ---------------------------------------------------------------
@@ -252,29 +263,60 @@ class CompositeScore:
         value, gradient = self._evaluate(sample, g)
         return value, gradient()
 
+    def expected_with_hessian(self, f, g):
+        """``(expected(f, g), its theta-gradient, its theta-Hessian)`` for a
+        ``(model, theta)`` target; value and gradient are the pair's bit for bit."""
+        value, derivatives = self._evaluate(f, g)
+        return (value, *derivatives(True))
+
+    def empirical_with_hessian(self, sample, g):
+        """``(empirical(sample, g), its theta-gradient, its theta-Hessian)`` for a
+        ``(model, theta)`` target; value and gradient are the pair's bit for bit."""
+        value, derivatives = self._evaluate(sample, g)
+        return (value, *derivatives(True))
+
     def _evaluate(self, data, g):
-        """``(S, gradient)`` against a data grid or a ``Sample``; the zero-argument
-        ``gradient`` forms the theta-gradient, and is the only caller of the
-        model's ``score``."""
+        """``(S, derivatives)`` against a data grid or a ``Sample``;
+        ``derivatives(hessian=False)`` forms the theta-gradient, or with
+        ``hessian`` the gradient and the theta-Hessian, and is the only caller
+        of the model's ``score`` and ``curvature``."""
         gamma = self.gamma
         log_g, rows = _log_and_gradient_rows(data, g)
         if isinstance(data, Sample):
-            power, d_power = _candidate_power(g, 1.0 + gamma)
+            power, power_moments = _candidate_power(g, 1.0 + gamma)
             q = np.exp(gamma * log_g)
             cross = float(np.mean(q))
 
-            def gradient():
-                a, b = self._partials(cross, power)
-                return a * gamma / data.n * rows(q, None) + b * d_power()
+            def moments():
+                # C = <q> / n: dC = c <q s>, d2C = c (gamma <q s s^T> + <q ds>), c = gamma / n
+                (d_q, second_q), (d_power, second_power) = rows(q, None), power_moments()
+                c = gamma / data.n
+                return c * d_q, d_power, \
+                    lambda a, b: second_q(a * c * gamma, a * c) + second_power(b)
         else:
             cross, power, t = log_moments(data, log_g, gamma)
             power = _positive_power(power, 1.0 + gamma)
 
-            def gradient():
-                d_cross, d_power = rows(t, (cross, power))
-                a, b = self._partials(cross, power)
-                return a * gamma * d_cross + b * (1.0 + gamma) * d_power
-        return self._combine(cross, power), gradient
+            def moments():
+                # dC = gamma <h0 s>, d2C = gamma (gamma <h0 s s^T> + <h0 ds>),
+                # and likewise for P with h1 and 1 + gamma
+                (d_cross, d_power), second = rows(t, (cross, power))
+                g0, g1 = gamma, 1.0 + gamma
+                return g0 * d_cross, g1 * d_power, \
+                    lambda a, b: second((a * g0 * g0, b * g1 * g1), (a * g0, b * g1))
+
+        def derivatives(hessian=False):
+            # second(a, b) = a d2C + b d2P
+            d_c, d_p, second = moments()
+            a, b = self._partials(cross, power)
+            grad = a * d_c + b * d_p
+            if not hessian:
+                return grad
+            s_cc, s_cp, s_pp = self._second_partials(cross, power)
+            dc, dp = d_c[:, None], d_p[:, None]
+            cp = dc * d_p
+            return grad, second(a, b) + s_cc * (dc * d_c) + s_cp * (cp + cp.T) + s_pp * (dp * d_p)
+        return self._combine(cross, power), derivatives
 
 
 class KL(CompositeScore):
@@ -290,20 +332,29 @@ class KL(CompositeScore):
         return "KL()"
 
     def _evaluate(self, data, g):
+        # the Hessian is <g s s^T> + <g ds> - <f ds>, or at sample points the
+        # power term's less the mean of ds
         log_g, rows = _log_and_gradient_rows(data, g)
         if isinstance(data, Sample):
-            power, d_power = _candidate_power(g, 1.0)
-            return -float(np.mean(log_g)) + power, \
-                lambda: d_power() - rows(np.full(data.n, 1.0 / data.n), None)
+            power, power_moments = _candidate_power(g, 1.0)
+
+            def derivatives(hessian=False):
+                (d_power, second_power), (d_log, second) = \
+                    power_moments(), rows(np.full(data.n, 1.0 / data.n), None)
+                grad = d_power - d_log
+                return (grad, second_power(1.0) - second(0.0, 1.0)) if hessian else grad
+            return -float(np.mean(log_g)) + power, derivatives
         weights, values = data.weights.ravel(), data.values.ravel()
         t = np.empty((2, log_g.size))
         np.multiply(values, weights, out=t[0])
         power = float(_power_sum(weights, log_g, 1.0, out=t[1]))
 
-        def gradient():
-            d_cross, d_power = rows(t, (float(np.sum(t[0])), power))
-            return d_power - d_cross
-        return _kl_cross(t[0], values, log_g) + power, gradient
+        def derivatives(hessian=False):
+            (d_cross, d_power), second = rows(t, (float(np.sum(t[0])), power))
+            if not hessian:
+                return d_power - d_cross
+            return d_power - d_cross, second((0.0, 1.0), (-1.0, 1.0))
+        return _kl_cross(t[0], values, log_g) + power, derivatives
 
 
 def _kl_cross(fw, values, log_g):
@@ -316,10 +367,15 @@ def _kl_cross(fw, values, log_g):
 
 def _monomial_at(d):
     """Where each quadratic monomial q_m(u) = prod_k u_k^a_k sits in a (3,)*d
-    array indexed by the exponents a, as flat indices (base-3 digits a)."""
-    place = 3 ** np.arange(d - 1, -1, -1)
+    array indexed by the exponents a, and where it and each product
+    q_m q_n sit in a (5,)*d array, as flat indices (base-3 or base-5 digits
+    a): ``(at3, at5, pairs5)``, the last of shape (r, r)."""
+    eye = np.eye(d, dtype=int)
     low, high = np.tril_indices(d)
-    return np.concatenate([[0], place, place[low] + place[high]])
+    exponents = np.vstack([np.zeros(d, dtype=int), eye, eye[low] + eye[high]])
+    place3, place5 = 3 ** np.arange(d - 1, -1, -1), 5 ** np.arange(d - 1, -1, -1)
+    return (exponents @ place3, exponents @ place5,
+            (exponents[:, None] + exponents[None]) @ place5)
 
 
 _MONOMIAL_AT = {d: _monomial_at(d) for d in range(1, MAX_DIM + 1)}
@@ -329,23 +385,37 @@ def _no_gradient(*_):
     raise StructuralError("theta-gradients need a (model, theta) target")
 
 
+def _second_moments(model, theta, nodes, s, h_ss, h_cv):
+    """<h_ss s s^T> + <h_cv ds> at the nodes, from the score columns s (N, k)
+    and the model's ``curvature``."""
+    if model.curvature is None:
+        raise StructuralError(f"{model.name} has no curvature: its Hessian needs one")
+    return (h_ss[:, None] * s).T @ s + model.curvature(theta, nodes, h_cv)
+
+
 def _log_and_gradient_rows(data, g):
-    """``(log g, gradient)`` at the nodes of the data grid, or at the points
-    of a ``Sample``; -inf marks g = 0.  For node weights h, ``gradient(t,
+    """``(log g, moments)`` at the nodes of the data grid, or at the points
+    of a ``Sample``; -inf marks g = 0.  For node weights h, ``moments(t,
     totals)`` maps the terms t of such weightings, shape (2, N) on a grid,
-    and their totals <h>, (2,), to the theta-gradients <h d log g / dtheta>,
-    (2, k); at sample points t may be one row (n,), and totals are unused.
+    and their totals <h>, (2,), to ``(gradients, second)``: the
+    theta-gradients <h s>, (2, k), of s = d log g / dtheta, and
+    ``second(w_ss, w_cv)``, the (k, k) sum over the weightings of
+    w_ss <h s s^T> + w_cv <h ds/dtheta>, so that one ``curvature`` call serves
+    every weighting; at sample points t may be one row (n,), totals are
+    unused, the gradient is (k,) and the w are scalars.
 
     ``g`` is a grid density, on the data grid or interpolated at the sample
-    points, whose ``gradient`` raises, or a ``(model, theta)`` pair of the
+    points, whose ``moments`` raises, or a ``(model, theta)`` pair of the
     data's dimension.  On a grid, a model with ``log_quadratic`` sums the
-    non-constant monomials q(w) of the lattice coordinates w = v - midpoint
-    and lifts them through its Jacobian, eta and Jacobian taken into w by the
-    grid's ``monomial_lift``: log g = eta @ q and the sums are contracted one
-    axis at a time with the grid's per-axis rows [1, w_k, w_k^2], through the
-    (3,)*d array of the coefficients of prod_k w_k^a_k; no (r, N) array is
-    formed.  Any other model, and every model at sample points, sums its
-    score columns, and calls ``score`` only when ``gradient`` is.
+    monomials q(w) of the lattice coordinates w = v - midpoint and lifts them
+    through its Jacobian, eta and Jacobian taken into w by the grid's
+    ``monomial_lift``: log g = eta @ q, contracted one axis at a time with
+    the first three of the grid's per-axis rows [1, w_k, .., w_k^4] through
+    the (3,)*d array of the coefficients of prod_k w_k^a_k, and the sums
+    <h prod_k w_k^a_k>, a_k <= 4, are one contraction with all five, from
+    which <h q> and <h q q^T> are read; no (r, N) array is formed.  Any other
+    model, and every model at sample points, sums its score columns and its
+    ``curvature``, and calls them only when ``moments`` and ``second`` are.
     """
     sample = isinstance(data, Sample)
     if isinstance(g, GridDensity):
@@ -362,46 +432,60 @@ def _log_and_gradient_rows(data, g):
     theta = np.asarray(theta, dtype=float)
     if sample or model.log_quadratic is None:
         nodes = data.points if sample else data.points()
-        return (model.log_density(theta, nodes),
-                lambda t, totals: t @ model.score(theta, nodes))
+
+        def score_moments(t, totals):
+            s = model.score(theta, nodes)
+            return t @ s, lambda w_ss, w_cv: _second_moments(model, theta, nodes, s,
+                                                             np.dot(w_ss, t), np.dot(w_cv, t))
+        return model.log_density(theta, nodes), score_moments
     center, lift = data.monomial_lift
-    eta, jac = model.log_quadratic(theta, center)
+    eta, jac, curv = model.log_quadratic(theta, center)
     eta, jac = eta @ lift, jac @ lift
     rows, d = data.axis_monomials, data.dim
-    at = _MONOMIAL_AT[d]
+    at3, at5, pairs5 = _MONOMIAL_AT[d]
     coef = np.zeros(3 ** d)
-    coef[at] = eta
+    coef[at3] = eta
     # each product trades the leading exponent axis for one grid axis, put
     # last, so that after d products the array is log g in grid order
     for v in rows:
-        coef = coef.reshape(3, -1).T @ v.T
+        coef = coef.reshape(3, -1).T @ v[:, :3].T
 
-    def gradient(t, totals):
+    def monomial_moments(t, totals):
         # grid axes last to first, each replaced by its exponent axis in place
         x = t.reshape(-1, rows[-1].shape[0]) @ rows[-1]
         for k in reversed(range(d - 1)):
-            x = np.matmul(rows[k].T, x.reshape(-1, rows[k].shape[0], 3 ** (d - 1 - k)))
-        return np.outer(totals, jac[:, 0]) + x.reshape(2, -1)[:, at[1:]] @ jac[:, 1:].T
-    return coef.ravel(), gradient
+            x = np.matmul(rows[k].T, x.reshape(-1, rows[k].shape[0], 5 ** (d - 1 - k)))
+        x = x.reshape(2, -1)
+        # <h s s^T> = jac <h q q^T> jac^T, and curv reads <h q(u)> = lift <h q(w)>
+        return (np.outer(totals, jac[:, 0]) + x[:, at5[1:]] @ jac[:, 1:].T,
+                lambda w_ss, w_cv: (jac @ (np.dot(w_ss, x)[pairs5] @ jac.T)
+                                    + curv(lift @ np.dot(w_cv, x)[at5])))
+    return coef.ravel(), monomial_moments
 
 
 def _candidate_power(g, a):
-    """``(<g^a>, gradient)``: over g's own grid, or for a ``(model, theta)``
+    """``(<g^a>, moments)``: over g's own grid, or for a ``(model, theta)``
     pair its closed form or, where it has none, the sum over its quadrature
     box without rendering it; anything but a finite positive value raises.
-    The zero-argument ``gradient`` gives d<g^a>/dtheta."""
+    The zero-argument ``moments`` gives ``(d<g^a>/dtheta, second)``, and
+    ``second(w)`` the Hessian w d^2<g^a>/dtheta^2."""
     if isinstance(g, GridDensity):
         return _positive_power(power_moment(g, a), a), _no_gradient
     model, theta = g
     theta = np.asarray(theta, dtype=float)
     if model.power_moment is not None:
-        power, d_power = model.power_moment(theta, a)
-        return _positive_power(power, a), lambda: d_power
+        power, d_power, h_power = model.power_moment(theta, a)
+        return _positive_power(power, a), lambda: (d_power, lambda w: w * h_power)
     axes, weights = _box_quadrature(*model.support(theta), (model.quad_points,) * model.dim)
     log_box, rows = _log_and_gradient_rows(Sample(_tensor_nodes(axes)), g)
     t = np.empty(log_box.size)
     power = _power_sum(weights.ravel(), log_box, a, out=t)
-    return _positive_power(power, a), lambda: a * rows(t, None)
+
+    def moments():
+        # a <t s> and a^2 <t s s^T> + a <t ds> for t = weights g^a
+        d_t, second = rows(t, None)
+        return a * d_t, lambda w: second(w * a * a, w * a)
+    return _positive_power(power, a), moments
 
 
 def _positive_power(power, a):
@@ -422,6 +506,9 @@ class DensityPower(CompositeScore):
     def _partials(self, cross, g_power):
         return -(1.0 + self.gamma) / self.gamma, 1.0
 
+    def _second_partials(self, cross, g_power):
+        return 0.0, 0.0, 0.0
+
 
 class Pseudospherical(CompositeScore):
     """Pseudospherical score -<f g^gamma> / <g^(1+gamma)>^(gamma/(1+gamma))."""
@@ -434,6 +521,10 @@ class Pseudospherical(CompositeScore):
     def _partials(self, cross, g_power):
         b = self.gamma / (1.0 + self.gamma)
         return -g_power ** -b, b * cross * g_power ** (-b - 1.0)
+
+    def _second_partials(self, cross, g_power):
+        b = self.gamma / (1.0 + self.gamma)
+        return 0.0, b * g_power ** (-b - 1.0), -b * (b + 1.0) * cross * g_power ** (-b - 2.0)
 
 
 class GammaScore(CompositeScore):
@@ -456,6 +547,11 @@ class GammaScore(CompositeScore):
         if cross <= 0.0:  # where the value is +inf
             return math.nan, math.nan
         return -1.0 / (self.gamma * cross), 1.0 / ((1.0 + self.gamma) * g_power)
+
+    def _second_partials(self, cross, g_power):
+        if cross <= 0.0:
+            return math.nan, math.nan, math.nan
+        return 1.0 / (self.gamma * cross * cross), 0.0, -1.0 / ((1.0 + self.gamma) * g_power ** 2)
 
 
 class HolderScore(CompositeScore):
@@ -483,6 +579,11 @@ class HolderScore(CompositeScore):
         r = cross / g_power
         d1 = self.phi.d1(r)
         return d1, self.phi.value(r) - r * d1
+
+    def _second_partials(self, cross, g_power):
+        r = cross / g_power
+        d2 = self.phi.d2(r) / g_power
+        return d2, -r * d2, r * r * d2
 
 
 class BregmanHolder(CompositeScore):
@@ -514,6 +615,11 @@ class BregmanHolder(CompositeScore):
         e = self.kappa / (1.0 + self.gamma)
         scale = g_power ** (e - 1.0)
         return -scale, scale * (e * (1.0 - 1.0 / self.kappa) - (e - 1.0) * cross / g_power)
+
+    def _second_partials(self, cross, g_power):
+        e = self.kappa / (1.0 + self.gamma)
+        scale = (e - 1.0) * g_power ** (e - 2.0)
+        return 0.0, -scale, scale * (e * (1.0 - 1.0 / self.kappa) - (e - 2.0) * cross / g_power)
 
 
 def bregman_to_holder_value(value, gamma, kappa):

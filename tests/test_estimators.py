@@ -7,7 +7,8 @@ import pytest
 from holderscores import (BregmanHolder, ConfigError, DomainError, FitConfig,
                           GammaScore, HolderScore, KL, Pseudospherical, Sample,
                           StructuralError, UnsupportedFamilyError, averaged_score,
-                          averaged_score_with_gradient, contaminate,
+                          averaged_score_with_gradient, averaged_score_with_hessian,
+                          contaminate,
                           draw_contaminated_sample, draw_sample, fit,
                           fit_regression, make_conditional, make_parametric,
                           phi_cubic_tail, phi_kappa, population_fit,
@@ -134,7 +135,7 @@ class TestFit:
 
 class CountingScore:
     """A score that counts its evaluations, of the value alone or of the
-    value with its gradient."""
+    value with its gradient and Hessian."""
 
     def __init__(self, score):
         self.score = score
@@ -151,27 +152,27 @@ class CountingScore:
         self.values += 1
         return self.score.empirical(sample, g)
 
-    def expected_with_gradient(self, f, g):
+    def expected_with_hessian(self, f, g):
         self.values += 1
-        return self.score.expected_with_gradient(f, g)
+        return self.score.expected_with_hessian(f, g)
 
-    def empirical_with_gradient(self, sample, g):
+    def empirical_with_hessian(self, sample, g):
         self.values += 1
-        return self.score.empirical_with_gradient(sample, g)
+        return self.score.empirical_with_hessian(sample, g)
 
 
 class WrongSignGradient(CountingScore):
-    """Gradients pointing uphill: every L-BFGS-B line search fails."""
+    """Gradients pointing uphill: every line search fails."""
 
-    def empirical_with_gradient(self, sample, g):
-        value, grad = super().empirical_with_gradient(sample, g)
-        return value, -grad
+    def empirical_with_hessian(self, sample, g):
+        value, grad, hess = super().empirical_with_hessian(sample, g)
+        return value, -grad, hess
 
 
 class NanGradient(CountingScore):
-    def empirical_with_gradient(self, sample, g):
-        value, _ = super().empirical_with_gradient(sample, g)
-        return value, np.full(np.size(g[1]), np.nan)
+    def empirical_with_hessian(self, sample, g):
+        value, _, hess = super().empirical_with_hessian(sample, g)
+        return value, np.full(np.size(g[1]), np.nan), hess
 
 
 def recording_log_density(model):
@@ -191,16 +192,19 @@ def recording_log_density(model):
 
 
 class TestEvaluationCount:
-    """Value and gradient come from one log_density call, and a point asked
-    for again (L-BFGS-B's iterate after a failed trial, the polish start, the
-    final gradient check) is remembered: one call per distinct theta."""
+    """Value, gradient and Hessian come from one log_density call, and a
+    point asked for again (the best point after a failed line search, the
+    polish start) is remembered: one call per distinct theta.  Newton's
+    method on the exact Hessian takes the start, four iterations and one
+    polish step on the 2-D population fit, where L-BFGS-B and the difference
+    polish took 19-23 evaluations, and 5 on the empirical fit, where they
+    took 11."""
 
     @pytest.mark.parametrize("score,distinct", [
-        (GammaScore(0.5), 23), (HolderScore(phi_kappa(0.5, 1.5)), 19), (KL(), 19)],
+        (GammaScore(0.5), 6), (HolderScore(phi_kappa(0.5, 1.5)), 6), (KL(), 6)],
         ids=["gamma", "holder", "kl"])
     def test_2d_population_fit(self, score, distinct):
-        # criterion 5's gaussian-full-d case; the counts follow the data
-        # grid's node count (gamma took 29 on 257^2, 23 on the default 129^2)
+        # criterion 5's gaussian-full-d case
         model = make_parametric("gaussian-full-d", dim=2)
         theta_star = np.array([0.2, -0.1, 1.1, 0.3, 0.8])
         recorded, thetas = recording_log_density(model)
@@ -233,7 +237,7 @@ class TestEvaluationCount:
         res = fit(HolderScore(phi), recorded, sample,
                   FitConfig(init_theta=[0.0, 1.0], step_tol=1e-7, grad_tol=1e-2))
         assert res.converged
-        assert len(thetas) == len(set(thetas)) == res.n_evals == 11
+        assert len(thetas) == len(set(thetas)) == res.n_evals == 5
 
     def test_failed_line_search_accepted_at_the_floor(self):
         # a gradient of the wrong sign fails the first line search; the exact
@@ -245,6 +249,58 @@ class TestEvaluationCount:
                   FitConfig(init_theta=[0.0, 1.0], step_tol=1e-7, grad_tol=1e-2))
         assert res.converged
         assert len(thetas) == len(set(thetas)) == res.n_evals
+
+    # lbfgsb: the evaluations that L-BFGS-B with a forward-difference Newton
+    # polish, the optimizer Newton's method replaced, paid for on each fit
+    # below; Newton's method may not take more
+    MIXTURE = make_parametric("gaussian-mixture-fixed-weights", weights=(0.3, 0.7))
+    THETA_MIXTURE = np.array([-1.0, 0.8, 1.5, 1.2])
+    EXPONENTIAL = make_parametric("exponential-rate")
+
+    @pytest.mark.parametrize("score,lbfgsb", [(KL(), 20), (GammaScore(0.5), 17),
+                                              (HolderScore(phi_kappa(0.5, 1.5)), 17)],
+                             ids=["kl", "gamma", "holder"])
+    def test_mixture_population_fit(self, score, lbfgsb):
+        theta = self.THETA_MIXTURE
+        res = population_fit(score, self.MIXTURE, render_density(self.MIXTURE, theta),
+                             FitConfig(init_theta=1.05 * theta + 0.02, step_tol=1e-9,
+                                       grad_tol=1e-2))
+        assert res.converged and np.max(np.abs(res.theta_hat - theta)) < 1e-8
+        assert res.n_evals <= lbfgsb
+
+    @pytest.mark.parametrize("score,lbfgsb", [(KL(), 19), (GammaScore(0.5), 17),
+                                              (HolderScore(phi_kappa(0.5, 1.5)), 16)],
+                             ids=["kl", "gamma", "holder"])
+    def test_mixture_empirical_fit(self, score, lbfgsb):
+        theta = self.THETA_MIXTURE
+        res = fit(score, self.MIXTURE, draw_sample(self.MIXTURE, theta, 2000, seed=4),
+                  FitConfig(init_theta=1.05 * theta + 0.02))
+        assert res.converged
+        assert res.n_evals <= lbfgsb
+
+    @pytest.mark.parametrize("score", [KL(), GammaScore(0.5), HolderScore(phi_kappa(0.5, 1.5))],
+                             ids=lambda s: s.name)
+    def test_exponential_fits(self, score):
+        model = self.EXPONENTIAL
+        pop = population_fit(score, model, render_density(model, [1.3]),
+                             FitConfig(init_theta=[1.1]))
+        emp = fit(score, model, draw_sample(model, [1.3], 2000, seed=4),
+                  FitConfig(init_theta=[1.0]))
+        assert pop.converged and pop.theta_hat[0] == pytest.approx(1.3, rel=1e-10)
+        assert emp.converged
+        assert pop.n_evals <= 10 and emp.n_evals <= 10
+
+    @pytest.mark.parametrize("kappa,lbfgsb", [(1.0, 18), (1.5, 20)])
+    def test_regression_fit(self, kappa, lbfgsb):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(500)
+        y = 1.2 * x - 0.3 + 0.5 * rng.standard_normal(500)
+        y[:50] = 10.0
+        res = fit_regression(0.5, kappa, make_conditional("linear-gaussian"),
+                             Sample(points=y, covariates=x[:, None]),
+                             FitConfig(init_theta=[1.0, 0.0, 1.0]))
+        assert res.converged
+        assert res.n_evals <= lbfgsb
 
     @pytest.mark.parametrize("wrapper", [WrongSignGradient], ids=["failed-line-search"])
     def test_n_evals_counts_every_evaluation_paid_for(self, wrapper):
@@ -304,12 +360,12 @@ class TestOptimizer:
         walled = []
 
         class Walled(CountingScore):
-            def empirical_with_gradient(self, sample, g):
-                value, grad = super().empirical_with_gradient(sample, g)
+            def empirical_with_hessian(self, sample, g):
+                value, grad, hess = super().empirical_with_hessian(sample, g)
                 if g[1][1] > 0.12:
-                    return value, grad
+                    return value, grad, hess
                 walled.append(g[1][1])
-                return value, np.full(2, np.nan)
+                return value, np.full(2, np.nan), hess
         res = fit(Walled(KL()), GAUSS_MS, sample, FitConfig(init_theta=[0.3, 0.5]))
         assert walled
         assert not res.converged
@@ -317,7 +373,7 @@ class TestOptimizer:
         assert np.isfinite(res.objective_value)
 
     def test_start_evaluated_once(self, monkeypatch):
-        # the start check's evaluation is L-BFGS-B's first call, a memo hit
+        # the start check's evaluation is the Newton loop's first point
         points = []
         guarded = estimators._guarded
 
@@ -334,9 +390,9 @@ class TestOptimizer:
         assert len(points) == res.n_evals
 
     def test_step_out_of_the_domain_is_stepped_back_from(self, monkeypatch):
-        # from s = 0.5 on data with s = 0.1 the first unit step of L-BFGS-B
-        # makes the scale negative; the line search must step back rather
-        # than stop where it stands
+        # from s = 0.5 on data with s = 0.1 the first full Newton step makes
+        # the scale negative; the line search must step back rather than stop
+        # where it stands
         sample = draw_sample(GAUSS_MS, [0.3, 0.1], 500, seed=5)
         values = []
         guarded = estimators._guarded
@@ -348,7 +404,7 @@ class TestOptimizer:
         monkeypatch.setattr(estimators, "_guarded", spy)
         res = fit(KL(), GAUSS_MS, sample, FitConfig(init_theta=[0.3, 0.5]))
         pts = sample.points[:, 0]
-        assert np.isinf([value for value, _ in values]).any()
+        assert np.isinf([value for value, *_ in values]).any()
         assert res.converged
         assert np.max(np.abs(res.theta_hat - [pts.mean(), pts.std()])) < 1e-6
 
@@ -548,8 +604,35 @@ class TestAveragedScoreGradient:
         x = rng.uniform(-2, 2, size=(300, 1))
         sample = Sample(points=1.5 * x[:, 0] - 0.5 + 0.8 * rng.standard_normal(300),
                         covariates=x)
-        value, _ = averaged_score_with_gradient(score, cmodel, theta, sample)
+        value, grad = averaged_score_with_gradient(score, cmodel, theta, sample)
         assert value == averaged_score(score, cmodel, theta, sample)
+        # the triple that fit_regression minimizes: the pair's value and gradient
+        triple = averaged_score_with_hessian(score, cmodel, theta, sample)
+        assert triple[0] == value and np.array_equal(triple[1], grad)
+
+    # fit_regression's data: y-outliers at 10 pull every Hessian term in
+    @pytest.mark.parametrize("noise,theta", [(0.8, [1.4, -0.4]), (None, [1.4, -0.4, 0.9]),
+                                             (None, [1.0, 0.1, 0.9])],
+                             ids=["fixed-noise", "fitted-noise", "fitted-noise-off"])
+    @pytest.mark.parametrize("score", [KL(), BregmanHolder(0.5, 1.0), BregmanHolder(0.5, 1.5)],
+                             ids=repr)
+    def test_hessian_matches_central_differences_of_the_gradient(self, noise, theta, score):
+        cmodel = make_conditional("linear-gaussian", noise=noise)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(500)
+        y = 1.2 * x - 0.3 + 0.5 * rng.standard_normal(500)
+        y[:50] = 10.0
+        sample = Sample(points=y, covariates=x[:, None])
+        theta = np.array(theta)
+        exact = averaged_score_with_hessian(score, cmodel, theta, sample)[2]
+        numeric = np.empty((theta.size, theta.size))
+        for i in range(theta.size):
+            e = np.zeros(theta.size)
+            e[i] = 1e-6 * max(1.0, abs(theta[i]))
+            numeric[:, i] = (averaged_score_with_gradient(score, cmodel, theta + e, sample)[1]
+                             - averaged_score_with_gradient(score, cmodel, theta - e, sample)[1]
+                             ) / (2 * e[i])
+        assert np.max(np.abs(exact - numeric)) <= 1e-8 * np.max(np.abs(numeric))
 
 
 class TestStructuralMismatch:
@@ -672,7 +755,7 @@ class TestConditionalModel:
                              ids=["fixed-noise", "fitted-noise"])
     def test_power_moment_matches_the_y_grid(self, noise, theta, a):
         cmodel = make_conditional("linear-gaussian", noise=noise)
-        power, grad = cmodel.power_moment(theta, a)
+        power, grad, _ = cmodel.power_moment(theta, a)
         ygrid, wy = y_grid()
         for x in ([0.5], [-1.0], [2.0]):
             xs = np.tile(x, (ygrid.size, 1))

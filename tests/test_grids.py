@@ -113,7 +113,9 @@ class TestFlatView:
         assert len(rows) == d and rows is f.axis_monomials
         for k, v in enumerate(rows):
             uk = np.unique(u[:, k])
-            assert np.array_equal(v, np.column_stack([np.ones(shape[k]), uk, uk * uk]))
+            u2 = uk * uk
+            assert np.array_equal(v, np.column_stack([np.ones(shape[k]), uk, u2, u2 * uk,
+                                                      u2 * u2]))
             assert v.flags.c_contiguous and not v.flags.writeable
 
 

@@ -194,7 +194,7 @@ class TestPowerMoment:
                                   "full-2", "full-3"])
     def test_gaussian_closed_form_matches_quadrature(self, kind, hyper, theta, a):
         model = make_parametric(kind, **hyper)
-        power, grad = model.power_moment(theta, a)
+        power, grad, _ = model.power_moment(theta, a)
         box_power, box_grad, scale = _box_power(model, theta, a)
         assert power == pytest.approx(box_power, rel=1e-12)
         assert grad.shape == (model.param_dim,)
@@ -203,9 +203,11 @@ class TestPowerMoment:
     @pytest.mark.parametrize("a", [1.0, 1.5, 3.0])
     def test_exponential_closed_form(self, a):
         model = make_parametric("exponential-rate")
-        power, grad = model.power_moment([1.4], a)
+        power, grad, hess = model.power_moment([1.4], a)
         assert power == pytest.approx(1.4 ** (a - 1) / a, rel=1e-14)
         assert grad[0] == pytest.approx((a - 1) * 1.4 ** (a - 2) / a, rel=1e-14, abs=0)
+        assert hess[0, 0] == pytest.approx((a - 1) * (a - 2) * 1.4 ** (a - 3) / a,
+                                           rel=1e-14, abs=0)
 
     def test_mixture_has_no_closed_form(self):
         assert make_parametric("gaussian-mixture-fixed-weights").power_moment is None
@@ -406,8 +408,10 @@ class TestOneGaussianFamily:
         assert np.array_equal(ms.log_density(theta, x), full.log_density(theta, x))
         assert np.array_equal(ms.score(theta, x), full.score(theta, x))
         for a in (1.0, 1.5, 3.0):
-            (p_ms, g_ms), (p_full, g_full) = ms.power_moment(theta, a), full.power_moment(theta, a)
+            (p_ms, g_ms, h_ms), (p_full, g_full, h_full) = \
+                ms.power_moment(theta, a), full.power_moment(theta, a)
             assert p_ms == p_full and np.array_equal(g_ms, g_full)
+            assert np.array_equal(h_ms, h_full)
         assert np.array_equal(ms.sampler(theta, 50, rng_for(4)), full.sampler(theta, 50, rng_for(4)))
         assert np.array_equal(np.concatenate(ms.support(theta)), np.concatenate(full.support(theta)))
         for sigma in (2.5, -0.5):
@@ -422,9 +426,9 @@ class TestOneGaussianFamily:
         assert np.array_equal(mean.log_density([m], x), ms.log_density([m, scale], x))
         assert np.array_equal(mean.score([m], x), ms.score([m, scale], x)[:, :1])
         for a in (1.0, 1.5, 3.0):
-            power, grad = mean.power_moment([m], a)
+            power, grad, hess = mean.power_moment([m], a)
             assert power == ms.power_moment([m, scale], a)[0]
-            assert np.array_equal(grad, np.zeros(1))
+            assert np.array_equal(grad, np.zeros(1)) and np.array_equal(hess, np.zeros((1, 1)))
         assert np.array_equal(mean.sampler([m], 20, rng_for(5)), ms.sampler([m, scale], 20, rng_for(5)))
 
 
@@ -481,7 +485,7 @@ def test_log_quadratic_expands_log_density_and_score(kind, hyper, theta, loc, sc
     data = np.concatenate([loc + scale * theta[:d], scale * theta[d:]])
     cand = np.concatenate([data[:d] + scale / 3.0, 1.05 * data[d:]])
     f = render_density(model, data, points_per_axis=(201, 61, 21)[d - 1])
-    eta, jac = model.log_quadratic(cand, f.midpoint)
+    eta, jac, _ = model.log_quadratic(cand, f.midpoint)
     nodes = f.points()
     u = nodes - f.midpoint
     rows, cols = np.tril_indices(d)
@@ -498,7 +502,7 @@ def test_log_quadratic_expands_log_density_and_score(kind, hyper, theta, loc, sc
     log_g, gradient = _log_and_gradient_rows(f, (model, cand))
     assert np.max(np.abs(log_g - log_p)) <= 1e-13
     t = np.vstack([f.weights.ravel(), (f.weights * f.values).ravel()])
-    assert np.all(np.abs(gradient(t, t.sum(axis=1)) - t @ score)
+    assert np.all(np.abs(gradient(t, t.sum(axis=1))[0] - t @ score)
                   <= 1e-12 * (t @ np.abs(score)))
 
 
@@ -531,7 +535,7 @@ def test_log_quadratic_on_ridges_and_mixed_scales(d, case):
     data, scales = _ridge_theta(d, case)
     cand = np.concatenate([data[:d] + scales / 3.0, 1.05 * data[d:]])
     f = render_density(model, data, points_per_axis=(61, 21)[d - 2])
-    eta, jac = model.log_quadratic(cand, f.midpoint)
+    eta, jac, _ = model.log_quadratic(cand, f.midpoint)
     u = f.points() - f.midpoint
     rows, cols = np.tril_indices(d)
     q = np.vstack([np.ones(len(u))] + [u[:, i] for i in range(d)]
@@ -541,6 +545,69 @@ def test_log_quadratic_on_ridges_and_mixed_scales(d, case):
     score = model.score(cand, f.points())
     assert np.all(np.max(np.abs((jac @ q).T - score), axis=0)
                   <= 1e-12 * np.max(np.abs(score), axis=0))
+
+
+def _curv_against_jacobian_differences(model, cand, f):
+    """Largest error of ``curv`` on <f q> against central differences of
+    log_quadratic's Jacobian, in parameters scaled by |theta|, relative to
+    the largest entry."""
+    d, k = model.dim, cand.size
+    u = f.points() - f.midpoint
+    rows, cols = np.tril_indices(d)
+    q = np.vstack([np.ones(len(u))] + [u[:, i] for i in range(d)]
+                  + [u[:, i] * u[:, j] for i, j in zip(rows, cols)])
+    v = q @ (f.weights * f.values).ravel()
+    scale = np.abs(cand)
+    numeric = np.empty((k, k))
+    for i in range(k):
+        e = np.zeros(k)
+        e[i] = 1e-6 * scale[i]
+        numeric[:, i] = (model.log_quadratic(cand + e, f.midpoint)[1]
+                         - model.log_quadratic(cand - e, f.midpoint)[1]) @ v / (2 * e[i])
+    exact = model.log_quadratic(cand, f.midpoint)[2](v)
+    exact, numeric = scale[:, None] * exact * scale, scale[:, None] * numeric * scale
+    return np.max(np.abs(exact - numeric)) / np.max(np.abs(numeric))
+
+
+@pytest.mark.parametrize("kind,hyper,theta", QUADRATIC_KINDS,
+                         ids=["full-1", "full-2", "full-3", "mean-scale", "mean"])
+def test_log_quadratic_curv_matches_differences_of_the_jacobian(kind, hyper, theta):
+    # sum_r v_r d^2 eta_r / dtheta^2 for the monomial sums of a rendered grid;
+    # the differences themselves are good to ~1e-10
+    model = make_parametric(kind, **hyper)
+    theta = np.asarray(theta, dtype=float)
+    f = render_density(model, theta, points_per_axis=(201, 61, 21)[model.dim - 1])
+    assert _curv_against_jacobian_differences(model, 1.05 * theta + 0.02, f) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("case", range(6))
+def test_log_quadratic_curv_on_ridges_and_mixed_scales(d, case):
+    model = make_parametric("gaussian-full-d", dim=d)
+    data, scales = _ridge_theta(d, case)
+    cand = np.concatenate([data[:d] + scales / 3.0, 1.05 * data[d:]])
+    f = render_density(model, data, points_per_axis=(61, 21)[d - 2])
+    assert _curv_against_jacobian_differences(model, cand, f) <= 1e-9
+
+
+@pytest.mark.parametrize("kind,hyper,theta", ALL_KINDS + [
+    ("gaussian-full-d", {"dim": 3}, np.array([0.2, -0.1, 0.3, 1.1, 0.3, 0.8, -0.2, 0.1, 0.9]))],
+    ids=[k[0] for k in ALL_KINDS] + ["gaussian-full-d-3"])
+def test_curvature_matches_differences_of_the_score(kind, hyper, theta):
+    # sum_i h_i d^2 log g(x_i) / dtheta^2 against central differences of the
+    # weighted score sum, at points of the model and a candidate off theta
+    model = make_parametric(kind, **hyper)
+    x = model.sampler(theta, 60, rng_for(7))
+    h = rng_for(8).uniform(0.0, 1.0, 60)
+    cand = 1.05 * theta + 0.02
+    numeric = np.empty((cand.size, cand.size))
+    for i in range(cand.size):
+        e = np.zeros(cand.size)
+        e[i] = 1e-6 * max(1.0, abs(cand[i]))
+        numeric[:, i] = h @ (model.score(cand + e, x) - model.score(cand - e, x)) / (2 * e[i])
+    exact = model.curvature(cand, x, h)
+    assert exact.shape == (model.param_dim, model.param_dim)
+    assert np.max(np.abs(exact - numeric)) <= 1e-8 * np.max(np.abs(numeric))
 
 
 @pytest.mark.parametrize("key", [(-1,), (0, -2), (3, 1, -1)])

@@ -368,6 +368,13 @@ class TestExactGradient:
             g = (model, cand)
             assert score.expected_with_gradient(p_true, g)[0] == score.expected(p_true, g)
             assert score.empirical_with_gradient(sample, g)[0] == score.empirical(sample, g)
+            # the triples a fit minimizes: the pairs' value and gradient
+            for triple, pair, data in (
+                    (score.expected_with_hessian, score.expected_with_gradient, p_true),
+                    (score.empirical_with_hessian, score.empirical_with_gradient, sample)):
+                value, grad, _ = triple(data, g)
+                ref_value, ref_grad = pair(data, g)
+                assert value == ref_value and np.array_equal(grad, ref_grad)
 
     @pytest.mark.parametrize("kind,hyper,theta", [
         ("gaussian-mean", {}, [0.3]),
@@ -398,6 +405,34 @@ class TestExactGradient:
             assert value == pytest.approx(ref_value, rel=1e-12)
             assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
+    @pytest.mark.parametrize("kind,hyper,theta", [
+        ("gaussian-mean", {}, [0.3]),
+        ("gaussian-full-d", {"dim": 1}, [0.3, 1.1]),
+        ("gaussian-full-d", {"dim": 2}, [0.2, -0.1, 1.1, 0.3, 0.8]),
+        ("gaussian-full-d", {"dim": 3}, [0.2, -0.1, 0.1, 1.1, 0.3, 0.8, -0.2, 0.1, 0.9]),
+    ], ids=["mean", "full-1", "full-2", "full-3"])
+    @pytest.mark.parametrize("score", [KL(), GammaScore(0.5), HolderScore(phi_kappa(0.5, 1.5))],
+                             ids=lambda s: s.name)
+    def test_quadratic_hessian_matches_the_whitened_score_hessian(self, kind, hyper, theta,
+                                                                   score):
+        # <h q q^T> from the per-axis rows up to w^4 and curv against score
+        # columns and curvature at every node, on the rendered grid and on its
+        # pushforward through a sheared frame
+        model = make_parametric(kind, **hyper)
+        whitened = replace(model, log_quadratic=None)
+        theta = np.asarray(theta, dtype=float)
+        p_true = render_density(model, theta, points_per_axis=(2001, 257, 31)[model.dim - 1])
+        cand = 1.05 * theta + 0.02
+        sigma = {1: [[-1.7]], 2: [[1.2, 0.3], [-0.4, 0.9]],
+                 3: [[1.3, 0.4, -0.2], [0.1, -0.8, 0.3], [-0.3, 0.2, 1.1]]}[model.dim]
+        amap = AffineMap(np.array(sigma), np.full(model.dim, 0.2))
+        pushed = amap.apply(cand)[0] if kind == "gaussian-mean" else \
+            model.push_params(cand, amap.sigma, amap.mu)
+        for f, g in ((p_true, cand), (transform_density(p_true, amap), pushed)):
+            hess = score.expected_with_hessian(f, (model, g))[2]
+            ref = score.expected_with_hessian(f, (whitened, g))[2]
+            assert np.max(np.abs(hess - ref)) <= 1e-10 * np.max(np.abs(ref))
+
     def test_grid_dies_with_its_last_reference(self):
         # the per-axis rows a pair caches on the data grid refer to nothing
         # that refers back to it, so no cycle collection is needed to free it
@@ -424,6 +459,51 @@ class TestExactGradient:
         assert math.isfinite(score.empirical(sample, q))
         with pytest.raises(StructuralError):
             score.empirical_with_gradient(sample, q)
+
+
+def central_hessian(gradient, theta, rel_step=1e-6):
+    hess = np.empty((theta.size, theta.size))
+    for i in range(theta.size):
+        e = np.zeros(theta.size)
+        e[i] = rel_step * max(1.0, abs(theta[i]))
+        hess[:, i] = (gradient(theta + e) - gradient(theta - e)) / (2.0 * e[i])
+    return hess
+
+
+class TestExactHessian:
+    """expected_with_hessian and empirical_with_hessian: their Hessian
+    against central differences of the exact gradient, for every model and
+    family, on a grid and on a sample, away from the optimum."""
+
+    KINDS = TestEmpiricalPowerFromLogDensity.KINDS + [
+        ("gaussian-full-d", {"dim": 3}, [0.2, -0.1, 0.3, 1.1, 0.3, 0.8, -0.2, 0.1, 0.9])]
+
+    @pytest.mark.parametrize("kind,hyper,theta", KINDS, ids=[f"{k[0]}-{len(k[2])}" for k in KINDS])
+    @pytest.mark.parametrize("score", all_families(0.5) + [HolderScore(phi_cubic_tail(0.5, 0.5))],
+                             ids=repr)
+    def test_matches_central_differences_of_the_gradient(self, kind, hyper, theta, score):
+        model = make_parametric(kind, **hyper)
+        theta = np.asarray(theta, dtype=float)
+        p_true = render_density(model, theta, points_per_axis=21 if model.dim == 3 else None)
+        sample = draw_sample(model, theta, 300, seed=1)
+        cand = 1.05 * theta + 0.02
+        for data, triple, pair in (
+                (p_true, score.expected_with_hessian, score.expected_with_gradient),
+                (sample, score.empirical_with_hessian, score.empirical_with_gradient)):
+            exact = triple(data, (model, cand))[2]
+            numeric = central_hessian(lambda t: pair(data, (model, t))[1], cand)
+            assert np.max(np.abs(exact - numeric)) <= 1e-8 * np.max(np.abs(numeric))
+            assert np.array_equal(exact, exact.T) or \
+                np.max(np.abs(exact - exact.T)) <= 1e-13 * np.max(np.abs(exact))
+
+    def test_model_without_curvature_has_no_hessian(self):
+        # the value and gradient need none; a fit's Newton steps do
+        model = replace(make_parametric("gaussian-mixture-fixed-weights"), curvature=None)
+        theta = np.array([-1.5, 0.8, 1.2, 1.1])
+        sample = draw_sample(model, theta, 50, seed=9)
+        GammaScore(0.5).empirical_with_gradient(sample, (model, theta))
+        with pytest.raises(StructuralError, match="has no curvature"):
+            GammaScore(0.5).empirical_with_hessian(sample, (model, theta))
 
 
 class TestDimensionMismatch:
