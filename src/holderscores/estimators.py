@@ -387,53 +387,40 @@ def averaged_score(score, cmodel, theta, sample):
     return _averaged(score, cmodel, theta, sample)[0]
 
 
-def averaged_score_with_gradient(score, cmodel, theta, sample):
-    """``(averaged_score(...), its theta-gradient)`` from one call each of
-    ``cmodel``'s cond_log_density, cond_score and power_moment."""
-    value, derivatives = _averaged(score, cmodel, theta, sample)
-    return value, derivatives()
-
-
 def averaged_score_with_hessian(score, cmodel, theta, sample):
-    """``(averaged_score(...), its theta-gradient, its theta-Hessian)``; value
-    and gradient are those of :func:`averaged_score_with_gradient` bit for
-    bit, and the Hessian adds one call of ``cmodel.cond_curvature``."""
+    """``(averaged_score(...), its theta-gradient, its theta-Hessian)`` from
+    one call each of ``cmodel``'s cond_log_density, cond_score, cond_curvature
+    and power_moment; the value is :func:`averaged_score`'s bit for bit."""
     value, derivatives = _averaged(score, cmodel, theta, sample)
-    return (value, *derivatives(True))
+    return (value, *derivatives())
 
 
 def _averaged(score, cmodel, theta, sample):
-    """``(averaged_score(...), derivatives)``; ``derivatives(hessian=False)``
-    forms the theta-gradient, or with ``hessian`` the gradient and the
-    theta-Hessian.  Per observation the cross term c_i = q_i^gamma has
-    dc_i = u_i s_i and d2c_i = u_i (gamma s_i s_i^T + ds_i), u_i = gamma c_i,
-    and the mean of the family's S(c_i, M) differentiates as in
-    :mod:`holderscores.scores`."""
+    """``(averaged_score(...), derivatives)``; ``derivatives()`` forms the
+    theta-gradient and the theta-Hessian.  Per observation the cross term
+    c_i = q_i^gamma has dc_i = u_i s_i and d2c_i = u_i (gamma s_i s_i^T + ds_i),
+    u_i = gamma c_i, and the mean of the family's S(c_i, M) differentiates as
+    in :mod:`holderscores.scores`."""
     y, x = _averaged_inputs(score, cmodel, sample)
     theta = np.asarray(theta, dtype=float)
     m_int, dm_int, hm_int = cmodel.power_moment(theta, 1.0 + score.gamma)
     log_qi = cmodel.cond_log_density(theta, y, x)
     n = y.size
     if isinstance(score, KL):
-        def kl_derivatives(hessian=False):
-            grad = dm_int - np.mean(cmodel.cond_score(theta, y, x).T, axis=1)
-            if not hessian:
-                return grad
-            return grad, hm_int - cmodel.cond_curvature(theta, y, x, np.full(n, 1.0 / n))
+        def kl_derivatives():
+            return (dm_int - np.mean(cmodel.cond_score(theta, y, x).T, axis=1),
+                    hm_int - cmodel.cond_curvature(theta, y, x, np.full(n, 1.0 / n)))
         return float(np.mean(-log_qi) + m_int), kl_derivatives
     if not 0.0 < m_int < math.inf:
         k = theta.size
-        return math.inf, lambda hessian=False: \
-            (np.full(k, np.nan), np.full((k, k), np.nan)) if hessian else np.full(k, np.nan)
+        return math.inf, lambda: (np.full(k, np.nan), np.full((k, k), np.nan))
     gamma = score.gamma
     q_gamma = np.exp(gamma * log_qi)
 
-    def derivatives(hessian=False):
+    def derivatives():
         s_i = cmodel.cond_score(theta, y, x).T                        # (k, n)
         d_cross, d_power = score._partials(q_gamma, m_int)
         grad = (s_i @ (gamma * q_gamma * d_cross) + dm_int * np.sum(d_power)) / n
-        if not hessian:
-            return grad
         u = gamma * q_gamma
         s_cc, s_cp, s_pp = score._second_partials(q_gamma, m_int)
         cp = np.outer(s_i @ (s_cp * u), dm_int)

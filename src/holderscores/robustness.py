@@ -12,10 +12,11 @@ generating parameter.  The point-mass terms enter only through pointwise
 values p_theta(z)^gamma (and p_theta(z)^gamma s_theta(z) in the analysis), so
 they are evaluated exactly at z.
 
-Each analysis renders p_star = model(theta_star) once.  The premises
-phi(1) = -1 and phi'(1) = -(1+gamma), checked first, make theta_star
-stationary and cancel every derivative of the score s in I, which leaves,
-exactly on the grid (p_theta = p_star at its nodes), with m = <p^(1+gamma) s>,
+Each analysis renders p_star = model(theta_star) once, and I is the exact
+theta-Hessian of ``HolderScore(phi).expected_with_hessian`` against that
+render.  The premises phi(1) = -1 and phi'(1) = -(1+gamma), checked first,
+make theta_star stationary and cancel every derivative of the score s in I,
+which leaves, with m = <p^(1+gamma) s>,
 
     I = gamma (1 + gamma) <p^(1+gamma) s s^T> + phi''(1) m m^T / <p^(1+gamma)>.
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularHessianError
+from .errors import DomainError, SingularHessianError, StructuralError
 from .estimators import FitConfig, fit
 from .grids import log_moments
 from .models import check_points, draw_sample, render_density
@@ -45,12 +46,11 @@ from .scores import HolderScore, _log_and_gradient_rows
 
 logger = logging.getLogger(__name__)
 
-# The Hessian is formed in closed form at theta_star, so no step size enters:
+# The Hessian is the score's exact one at theta_star, so no step size enters:
 # its floor is the rounding of the weighted sums, ~1e-16 of its largest
-# entry.  The collapsed mixture of the singular-curvature test reads null
-# singular values of ~5e-18 next to O(0.1) curvature (cond 3.7e16).  The limit
-# stays at 1e6, far above that floor: O(1) curvature with a larger condition
-# number is treated as singular.
+# entry.  The collapsed mixture of the singular-curvature test reads a
+# condition number of ~7e17.  The limit stays at 1e6, far above that floor:
+# O(1) curvature with a larger condition number is treated as singular.
 _COND_LIMIT = 1e6
 
 
@@ -106,18 +106,14 @@ class RedescendReport:
         return "\n".join(lines)
 
 
-def _check_gamma(phi, gamma):
-    """Every analysis below reads gamma twice, from ``phi`` through its
-    score and from ``gamma`` through the moments; they must be one value."""
+def _check_premises(phi, gamma):
+    """``gamma`` is ``phi.gamma`` (every analysis reads it from both), and
+    phi(1) = -1 and phi'(1) = -(1+gamma) to 1e-8: together they make
+    theta_star the objective's stationary point and reduce its Hessian to the
+    closed form.  Raises :class:`DomainError` naming the failed condition."""
     if phi.gamma != gamma:
         raise DomainError(f"{phi.label} has gamma={phi.gamma!r}, which disagrees "
                           f"with the analysis's gamma={gamma!r}")
-
-
-def _check_premises(phi, gamma):
-    """phi(1) = -1 and phi'(1) = -(1+gamma), to 1e-8: together they make
-    theta_star the objective's stationary point and its Hessian's closed form
-    exact.  Raises :class:`DomainError` naming the failed condition."""
     value = float(phi(1.0))
     if abs(value + 1.0) > 1e-8:
         raise DomainError(f"{phi.label}: phi(1) = {value:.8g} violates the premise "
@@ -133,52 +129,49 @@ def _frozen_grid(model, theta_star):
     return render_density(model, theta_star)
 
 
-def _frozen_moments(model, theta_star, gamma):
-    """``(moments, second, spread)`` over the render of p = model(theta_star):
-    ``moments`` = (c, P, c_s, P_s), the moments c = <p_star p^gamma> and
-    P = <p^(1+gamma)> and their forms weighted by s; ``second`` = <p^(1+gamma)
-    s s^T> and ``spread`` = <p^(1+gamma) |s|>.  One ``score`` call at the
-    nodes gives all of them; its (N, k) array is reweighted in place."""
-    quad = _frozen_grid(model, theta_star)
-    # the score before the moments, so that t is not alive next to its temporaries
-    s = model.score(theta_star, quad.points())
-    cross, power, t = log_moments(quad, _log_and_gradient_rows(quad, (model, theta_star))[0],
-                                  gamma)
-    cross_s, power_s = t @ s
-    # rows sqrt(w p^(1+gamma)) s: their Gram matrix is <p^(1+gamma) s s^T>
-    root = np.sqrt(t[1], out=t[1])
-    s *= root[:, None]
-    second = s.T @ s
-    spread = root @ np.abs(s, out=s)
-    return (cross, power, cross_s, power_s), second, spread
+def _frozen_moments(quad, model, theta_star, gamma):
+    """``((c, P, c_s, P_s), second)`` over the render ``quad`` of
+    p = model(theta_star): c = <p_star p^gamma>, P = <p^(1+gamma)>, their
+    forms weighted by s, and ``second`` of ``_log_and_gradient_rows`` on
+    those two weightings.  No ``score`` call with ``log_quadratic``."""
+    log_g, rows = _log_and_gradient_rows(quad, (model, theta_star))
+    cross, power, t = log_moments(quad, log_g, gamma)
+    (cross_s, power_s), second = rows(t, (cross, power))
+    return (cross, power, cross_s, power_s), second
 
 
-def _curvature(phi, gamma, moments, second):
-    """The module docstring's I from :func:`_frozen_moments`; raises
-    :class:`SingularHessianError` when it is numerically singular."""
-    power, m = moments[1], moments[3]
-    hess = gamma * (1.0 + gamma) * second + float(phi.d2(1.0)) / power * np.outer(m, m)
-    cond = float(np.linalg.cond(hess))
+def _hessian(quad, phi, model, theta_star, hessian=None):
+    """The Holder objective's theta-Hessian at theta_star against ``quad``,
+    unless ``hessian`` is given, checked: a shape other than (k, k) raises
+    :class:`StructuralError`, and a non-finite or numerically singular one
+    :class:`SingularHessianError`."""
+    if hessian is None:
+        hessian = HolderScore(phi).expected_with_hessian(quad, (model, theta_star))[2]
+    hessian, k = np.asarray(hessian, dtype=float), theta_star.size
+    if hessian.shape != (k, k):
+        raise StructuralError(f"the objective Hessian must have shape ({k}, {k}), "
+                              f"got {hessian.shape}")
+    cond = float(np.linalg.cond(hessian)) if np.all(np.isfinite(hessian)) else np.inf
     logger.debug("objective hessian condition number: %.3e", cond)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    if not cond <= _COND_LIMIT:
         raise SingularHessianError(
             f"objective Hessian at theta_star is numerically singular "
             f"(condition number {cond:.3e}); influence analysis requires "
             f"invertible curvature")
-    return hess
+    return hessian
 
 
 def objective_hessian(phi, gamma, model, theta_star):
-    """Hessian I of the population objective at theta_star, in the closed
-    form of the module docstring; it depends on phi only through phi''(1).
-    ``gamma`` must be ``phi.gamma``, a phi that fails a premise raises
+    """Hessian I of the population objective at theta_star: the exact one of
+    ``HolderScore(phi)`` against the render of model(theta_star), which the
+    premises reduce to the closed form of the module docstring.  ``gamma``
+    must be ``phi.gamma``, a phi that fails a premise raises
     :class:`DomainError`, and a numerically singular I raises
     :class:`SingularHessianError` (the influence solve needs invertible
     curvature)."""
-    _check_gamma(phi, gamma)
     _check_premises(phi, gamma)
-    moments, second, _ = _frozen_moments(model, np.asarray(theta_star, dtype=float), gamma)
-    return _curvature(phi, gamma, moments, second)
+    theta_star = np.asarray(theta_star, dtype=float)
+    return _hessian(_frozen_grid(model, theta_star), phi, model, theta_star)
 
 
 def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
@@ -205,7 +198,7 @@ def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
     if_vecs = -np.linalg.solve(hessian, grad_terms[:, :, None])[:, :, 0]
     residuals = np.linalg.norm(if_vecs @ hessian.T + grad_terms, axis=1)
     tols = 1e-8 * np.maximum(1.0, np.linalg.norm(grad_terms, axis=1))
-    bad = np.flatnonzero(residuals > tols)
+    bad = np.flatnonzero(~(residuals <= tols))  # NaN fails the guard
     if bad.size:
         raise SingularHessianError(f"linear solve residual {residuals[bad[0]]:.3e} "
                                    f"exceeds tolerance {tols[bad[0]]:.3e}")
@@ -216,7 +209,6 @@ def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
 
 def influence_function(phi, gamma, model, theta_star, z, hessian=None):
     """Influence vector at a contamination point z (exact point-mass terms)."""
-    _check_gamma(phi, gamma)
     _check_premises(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     z_rows = check_points(model, np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1))
@@ -250,10 +242,11 @@ def _z_rows(model, theta_star, z_grid, n_z, max_sd):
 
 def _influence_at(phi, gamma, model, theta_star, z_rows, hessian=None):
     """:func:`_influence_rows` at checked ``z_rows`` on the frozen grid of
-    theta_star, with the objective's Hessian there unless one is given."""
-    moments, second, _ = _frozen_moments(model, theta_star, gamma)
-    if hessian is None:
-        hessian = _curvature(phi, gamma, moments, second)
+    theta_star, with the objective's Hessian there unless one is given; a
+    given one is checked as a computed one is."""
+    quad = _frozen_grid(model, theta_star)
+    moments, _ = _frozen_moments(quad, model, theta_star, gamma)
+    hessian = _hessian(quad, phi, model, theta_star, hessian)
     return _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments)
 
 
@@ -266,7 +259,6 @@ def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     before the frozen grid is rendered.  Returns a tuple of
     :class:`InfluenceResult`, one per row, in order.
     """
-    _check_gamma(phi, gamma)
     _check_premises(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     z_rows = _z_rows(model, theta_star, z_grid, n_z, max_sd)
@@ -282,16 +274,18 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     theta_star (a mean-only symmetric model, for instance) the test has no
     power and the report is marked inconclusive.
     """
-    _check_gamma(phi, gamma)
     _check_premises(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     if (n_z if z_grid is None else len(np.atleast_2d(z_grid))) < 2:
         raise DomainError("the redescending check needs at least 2 contamination points")
     z_rows = _z_rows(model, theta_star, z_grid, n_z, max_sd)
-    moments, second, spread = _frozen_moments(model, theta_star, gamma)
-    b = moments[3]
-    informative = bool(np.any(np.abs(b) > 1e-6 * np.maximum(spread, 1e-300)))
-    hessian = _curvature(phi, gamma, moments, second)
+    quad = _frozen_grid(model, theta_star)
+    moments, second = _frozen_moments(quad, model, theta_star, gamma)
+    power, b = moments[1], moments[3]
+    # b_i against its Cauchy-Schwarz bound sqrt(<p^(1+gamma)> <p^(1+gamma) s_i^2>)
+    bound = np.sqrt(power * np.diag(second((0.0, 1.0), (0.0, 0.0))))
+    informative = bool(np.any(np.abs(b) > 1e-6 * np.maximum(bound, 1e-300)))
+    hessian = _hessian(quad, phi, model, theta_star)
     curve = _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments)
     if not informative:
         warnings.warn("the model's <p^(1+gamma) s> moment vanishes at theta_star; "
@@ -342,7 +336,6 @@ def asymptotic_variance_sameness(gamma, model, theta_star, phi_list, n_mc, seed,
     """
     theta_star = np.asarray(theta_star, dtype=float)
     for phi in phi_list:
-        _check_gamma(phi, gamma)
         _check_premises(phi, gamma)
         d2 = float(phi.d2(1.0))
         if abs(d2 + gamma * (1.0 + gamma)) > 1e-8:

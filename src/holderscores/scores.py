@@ -39,11 +39,10 @@ and likewise for the power term (KL: gradient ``-<f s> + <g s>``, Hessian
 a d2C + b d2P + [dC dP] S2 [dC dP]^T.  A moment and its derivatives share
 their weighted terms, so each family has one private ``_evaluate(data, g)``
 against a data grid or a ``Sample``: it returns the value and a function that
-forms the gradient, or the gradient and the Hessian, and the six entry points
-(``expected``, ``empirical``, their ``*_with_gradient`` pairs and their
-``*_with_hessian`` triples) all call it, so every value is that of
-``expected`` or ``empirical`` bit for bit, a triple's gradient is the pair's,
-and only derivatives ever call the model's ``score`` or ``curvature``.  On a
+forms the gradient and the Hessian.  The four entry points (``expected``,
+``empirical`` and their ``*_with_hessian`` triples) all call it, so a
+triple's value is that of ``expected`` or ``empirical`` bit for bit, and only
+derivatives ever call the model's ``score`` or ``curvature``.  On a
 data grid, a model with ``log_quadratic`` (every Gaussian) needs neither:
 log g = eta @ q and s = jac @ q in the quadratic monomials q, so
 <h s> = jac @ <h q>, <h s s^T> = jac <h q q^T> jac^T and <h ds> is
@@ -253,33 +252,22 @@ class CompositeScore:
         """Empirical score with the cross term replaced by a sample mean."""
         return self._evaluate(sample, g)[0]
 
-    def expected_with_gradient(self, f, g):
-        """``(expected(f, g), its theta-gradient)`` for a ``(model, theta)`` target."""
-        value, gradient = self._evaluate(f, g)
-        return value, gradient()
-
-    def empirical_with_gradient(self, sample, g):
-        """``(empirical(sample, g), its theta-gradient)`` for a ``(model, theta)`` target."""
-        value, gradient = self._evaluate(sample, g)
-        return value, gradient()
-
     def expected_with_hessian(self, f, g):
         """``(expected(f, g), its theta-gradient, its theta-Hessian)`` for a
-        ``(model, theta)`` target; value and gradient are the pair's bit for bit."""
+        ``(model, theta)`` target; the value is ``expected``'s bit for bit."""
         value, derivatives = self._evaluate(f, g)
-        return (value, *derivatives(True))
+        return (value, *derivatives())
 
     def empirical_with_hessian(self, sample, g):
-        """``(empirical(sample, g), its theta-gradient, its theta-Hessian)`` for a
-        ``(model, theta)`` target; value and gradient are the pair's bit for bit."""
+        """``(empirical(sample, g), its theta-gradient, its theta-Hessian)`` for
+        a ``(model, theta)`` target; the value is ``empirical``'s bit for bit."""
         value, derivatives = self._evaluate(sample, g)
-        return (value, *derivatives(True))
+        return (value, *derivatives())
 
     def _evaluate(self, data, g):
         """``(S, derivatives)`` against a data grid or a ``Sample``;
-        ``derivatives(hessian=False)`` forms the theta-gradient, or with
-        ``hessian`` the gradient and the theta-Hessian, and is the only caller
-        of the model's ``score`` and ``curvature``."""
+        ``derivatives()`` forms the theta-gradient and the theta-Hessian, and
+        is the only caller of the model's ``score`` and ``curvature``."""
         gamma = self.gamma
         log_g, rows = _log_and_gradient_rows(data, g)
         if isinstance(data, Sample):
@@ -305,17 +293,15 @@ class CompositeScore:
                 return g0 * d_cross, g1 * d_power, \
                     lambda a, b: second((a * g0 * g0, b * g1 * g1), (a * g0, b * g1))
 
-        def derivatives(hessian=False):
+        def derivatives():
             # second(a, b) = a d2C + b d2P
             d_c, d_p, second = moments()
             a, b = self._partials(cross, power)
-            grad = a * d_c + b * d_p
-            if not hessian:
-                return grad
             s_cc, s_cp, s_pp = self._second_partials(cross, power)
             dc, dp = d_c[:, None], d_p[:, None]
             cp = dc * d_p
-            return grad, second(a, b) + s_cc * (dc * d_c) + s_cp * (cp + cp.T) + s_pp * (dp * d_p)
+            return (a * d_c + b * d_p,
+                    second(a, b) + s_cc * (dc * d_c) + s_cp * (cp + cp.T) + s_pp * (dp * d_p))
         return self._combine(cross, power), derivatives
 
 
@@ -338,21 +324,18 @@ class KL(CompositeScore):
         if isinstance(data, Sample):
             power, power_moments = _candidate_power(g, 1.0)
 
-            def derivatives(hessian=False):
+            def derivatives():
                 (d_power, second_power), (d_log, second) = \
                     power_moments(), rows(np.full(data.n, 1.0 / data.n), None)
-                grad = d_power - d_log
-                return (grad, second_power(1.0) - second(0.0, 1.0)) if hessian else grad
+                return d_power - d_log, second_power(1.0) - second(0.0, 1.0)
             return -float(np.mean(log_g)) + power, derivatives
         weights, values = data.weights.ravel(), data.values.ravel()
         t = np.empty((2, log_g.size))
         np.multiply(values, weights, out=t[0])
         power = float(_power_sum(weights, log_g, 1.0, out=t[1]))
 
-        def derivatives(hessian=False):
+        def derivatives():
             (d_cross, d_power), second = rows(t, (float(np.sum(t[0])), power))
-            if not hessian:
-                return d_power - d_cross
             return d_power - d_cross, second((0.0, 1.0), (-1.0, 1.0))
         return _kl_cross(t[0], values, log_g) + power, derivatives
 

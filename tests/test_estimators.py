@@ -7,8 +7,7 @@ import pytest
 from holderscores import (BregmanHolder, ConfigError, DomainError, FitConfig,
                           GammaScore, HolderScore, KL, Pseudospherical, Sample,
                           StructuralError, UnsupportedFamilyError, averaged_score,
-                          averaged_score_with_gradient, averaged_score_with_hessian,
-                          contaminate,
+                          averaged_score_with_hessian, contaminate,
                           draw_contaminated_sample, draw_sample, fit,
                           fit_regression, make_conditional, make_parametric,
                           phi_cubic_tail, phi_kappa, population_fit,
@@ -585,7 +584,7 @@ class TestAveragedScoreGradient:
         sample = Sample(points=1.5 * x[:, 0] - 0.5 + 0.8 * rng.standard_normal(300),
                         covariates=x)
         theta = np.array(theta)
-        exact = averaged_score_with_gradient(score, cmodel, theta, sample)[1]
+        exact = averaged_score_with_hessian(score, cmodel, theta, sample)[1]
         numeric = np.empty(theta.size)
         for i in range(theta.size):
             e = np.zeros(theta.size)
@@ -604,11 +603,9 @@ class TestAveragedScoreGradient:
         x = rng.uniform(-2, 2, size=(300, 1))
         sample = Sample(points=1.5 * x[:, 0] - 0.5 + 0.8 * rng.standard_normal(300),
                         covariates=x)
-        value, grad = averaged_score_with_gradient(score, cmodel, theta, sample)
+        # the triple that fit_regression minimizes reads averaged_score's value
+        value = averaged_score_with_hessian(score, cmodel, theta, sample)[0]
         assert value == averaged_score(score, cmodel, theta, sample)
-        # the triple that fit_regression minimizes: the pair's value and gradient
-        triple = averaged_score_with_hessian(score, cmodel, theta, sample)
-        assert triple[0] == value and np.array_equal(triple[1], grad)
 
     # fit_regression's data: y-outliers at 10 pull every Hessian term in
     @pytest.mark.parametrize("noise,theta", [(0.8, [1.4, -0.4]), (None, [1.4, -0.4, 0.9]),
@@ -629,8 +626,8 @@ class TestAveragedScoreGradient:
         for i in range(theta.size):
             e = np.zeros(theta.size)
             e[i] = 1e-6 * max(1.0, abs(theta[i]))
-            numeric[:, i] = (averaged_score_with_gradient(score, cmodel, theta + e, sample)[1]
-                             - averaged_score_with_gradient(score, cmodel, theta - e, sample)[1]
+            numeric[:, i] = (averaged_score_with_hessian(score, cmodel, theta + e, sample)[1]
+                             - averaged_score_with_hessian(score, cmodel, theta - e, sample)[1]
                              ) / (2 * e[i])
         assert np.max(np.abs(exact - numeric)) <= 1e-8 * np.max(np.abs(numeric))
 

@@ -330,7 +330,7 @@ def central_fd(fun, theta, rel_step=1e-5):
 
 
 class TestExactGradient:
-    """expected_with_gradient and empirical_with_gradient: their gradient
+    """The gradients of expected_with_hessian and empirical_with_hessian
     against central differences of the value, and their value bit for bit
     against expected and empirical, for every model and family, away from
     the optimum."""
@@ -347,9 +347,9 @@ class TestExactGradient:
         sample = draw_sample(model, theta, 300, seed=1)
         cand = 1.05 * theta + 0.02
         for exact, value in (
-                (score.expected_with_gradient(p_true, (model, cand))[1],
+                (score.expected_with_hessian(p_true, (model, cand))[1],
                  lambda t: score.expected(p_true, (model, t))),
-                (score.empirical_with_gradient(sample, (model, cand))[1],
+                (score.empirical_with_hessian(sample, (model, cand))[1],
                  lambda t: score.empirical(sample, (model, t)))):
             numeric = central_fd(value, cand)
             assert np.max(np.abs(exact - numeric)) <= 1e-6 * np.max(np.abs(numeric))
@@ -358,7 +358,7 @@ class TestExactGradient:
     @pytest.mark.parametrize("score", all_families(0.5),
                              ids=lambda s: s.name)
     def test_pair_value_is_the_value_bit_for_bit(self, kind, hyper, theta, score):
-        # a fit minimizes the pair's value; divergence and the value-only
+        # a fit minimizes the triple's value; divergence and the value-only
         # entry points must read the same number
         model = make_parametric(kind, **hyper)
         theta = np.asarray(theta, dtype=float)
@@ -366,15 +366,8 @@ class TestExactGradient:
         sample = draw_sample(model, theta, 300, seed=1)
         for cand in (theta, 1.05 * theta + 0.02):
             g = (model, cand)
-            assert score.expected_with_gradient(p_true, g)[0] == score.expected(p_true, g)
-            assert score.empirical_with_gradient(sample, g)[0] == score.empirical(sample, g)
-            # the triples a fit minimizes: the pairs' value and gradient
-            for triple, pair, data in (
-                    (score.expected_with_hessian, score.expected_with_gradient, p_true),
-                    (score.empirical_with_hessian, score.empirical_with_gradient, sample)):
-                value, grad, _ = triple(data, g)
-                ref_value, ref_grad = pair(data, g)
-                assert value == ref_value and np.array_equal(grad, ref_grad)
+            assert score.expected_with_hessian(p_true, g)[0] == score.expected(p_true, g)
+            assert score.empirical_with_hessian(sample, g)[0] == score.empirical(sample, g)
 
     @pytest.mark.parametrize("kind,hyper,theta", [
         ("gaussian-mean", {}, [0.3]),
@@ -400,8 +393,8 @@ class TestExactGradient:
         pushed = amap.apply(cand)[0] if kind == "gaussian-mean" else \
             model.push_params(cand, amap.sigma, amap.mu)
         for f, g in ((p_true, cand), (transform_density(p_true, amap), pushed)):
-            value, grad = score.expected_with_gradient(f, (model, g))
-            ref_value, ref_grad = score.expected_with_gradient(f, (whitened, g))
+            value, grad = score.expected_with_hessian(f, (model, g))[:2]
+            ref_value, ref_grad = score.expected_with_hessian(f, (whitened, g))[:2]
             assert value == pytest.approx(ref_value, rel=1e-12)
             assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
@@ -442,7 +435,7 @@ class TestExactGradient:
         alive = weakref.ref(f)
         gc.disable()
         try:
-            GammaScore(0.5).expected_with_gradient(f, (model, 1.05 * theta))
+            GammaScore(0.5).expected_with_hessian(f, (model, 1.05 * theta))
             assert f.axis_monomials
             del f
             assert alive() is None
@@ -453,12 +446,12 @@ class TestExactGradient:
     def test_grid_target_has_no_gradient(self, score):
         p, q = gaussian_pair([0.0, 1.0], [0.2, 1.1])
         with pytest.raises(StructuralError):
-            score.expected_with_gradient(p, q)
+            score.expected_with_hessian(p, q)
         # the value alone is fine: the grid density interpolated at the points
         sample = Sample(points=[-0.5, 0.1, 0.7])
         assert math.isfinite(score.empirical(sample, q))
         with pytest.raises(StructuralError):
-            score.empirical_with_gradient(sample, q)
+            score.empirical_with_hessian(sample, q)
 
 
 def central_hessian(gradient, theta, rel_step=1e-6):
@@ -487,21 +480,20 @@ class TestExactHessian:
         p_true = render_density(model, theta, points_per_axis=21 if model.dim == 3 else None)
         sample = draw_sample(model, theta, 300, seed=1)
         cand = 1.05 * theta + 0.02
-        for data, triple, pair in (
-                (p_true, score.expected_with_hessian, score.expected_with_gradient),
-                (sample, score.empirical_with_hessian, score.empirical_with_gradient)):
+        for data, triple in ((p_true, score.expected_with_hessian),
+                             (sample, score.empirical_with_hessian)):
             exact = triple(data, (model, cand))[2]
-            numeric = central_hessian(lambda t: pair(data, (model, t))[1], cand)
+            numeric = central_hessian(lambda t: triple(data, (model, t))[1], cand)
             assert np.max(np.abs(exact - numeric)) <= 1e-8 * np.max(np.abs(numeric))
             assert np.array_equal(exact, exact.T) or \
                 np.max(np.abs(exact - exact.T)) <= 1e-13 * np.max(np.abs(exact))
 
     def test_model_without_curvature_has_no_hessian(self):
-        # the value and gradient need none; a fit's Newton steps do
+        # the value needs none; a fit's Newton steps do
         model = replace(make_parametric("gaussian-mixture-fixed-weights"), curvature=None)
         theta = np.array([-1.5, 0.8, 1.2, 1.1])
         sample = draw_sample(model, theta, 50, seed=9)
-        GammaScore(0.5).empirical_with_gradient(sample, (model, theta))
+        assert math.isfinite(GammaScore(0.5).empirical(sample, (model, theta)))
         with pytest.raises(StructuralError, match="has no curvature"):
             GammaScore(0.5).empirical_with_hessian(sample, (model, theta))
 
@@ -524,12 +516,12 @@ class TestDimensionMismatch:
             "gamma-expected-2d-grid-1d-model":
                 (f2, (GAUSS, [0.0, 1.0]), GammaScore(0.5).expected),
             "gamma-pair-2d-grid-1d-model":
-                (f2, (GAUSS, [0.0, 1.0]), GammaScore(0.5).expected_with_gradient),
+                (f2, (GAUSS, [0.0, 1.0]), GammaScore(0.5).expected_with_hessian),
             "kl-expected-1d-grid-2d-model":
                 (f1, (self.FULL2, self.THETA2), KL().expected),
             "gamma-pair-2d-grid-1d-mixture":
                 (f2, (make_parametric("gaussian-mixture-fixed-weights"), [-1.0, 1.0, 1.0, 1.0]),
-                 GammaScore(0.5).expected_with_gradient),
+                 GammaScore(0.5).expected_with_hessian),
             "gamma-empirical-2d-sample-1d-model":
                 (Sample(points=np.zeros((5, 2))), (GAUSS, [0.0, 1.0]), GammaScore(0.5).empirical),
         }[case]
@@ -546,7 +538,7 @@ class TestDimensionMismatch:
 
 class TestValueWithoutScore:
     """A value alone (``expected``, ``divergence``, ``empirical``) never calls
-    the model's ``score``: only a gradient does."""
+    the model's ``score``: only the derivatives do."""
 
     @pytest.mark.parametrize("kind,theta", [
         ("gaussian-mixture-fixed-weights", [-1.0, 1.0, 1.5, 0.7]),
@@ -568,9 +560,9 @@ class TestValueWithoutScore:
         divergence(score, f, target)
         empirical_score(score, sample, target)
         assert calls == []
-        # the pairs do call it
-        score.expected_with_gradient(f, target)
-        score.empirical_with_gradient(sample, target)
+        # the triples do call it
+        score.expected_with_hessian(f, target)
+        score.empirical_with_hessian(sample, target)
         assert len(calls) >= 2
 
 
