@@ -3,8 +3,8 @@
 Fitting minimizes an empirical composite score over a parametric family.
 Every objective has a triple form giving its value, exact theta-gradient and
 exact theta-Hessian from one model evaluation (the score's
-``empirical_with_hessian``/``expected_with_hessian``, or
-:func:`averaged_score_with_hessian`), so a fit runs a damped Newton method,
+``empirical_with_hessian``/``expected_with_hessian``; a regression's outcomes
+are one such model), so a fit runs a damped Newton method,
 and only that: the direction solves with the Hessian, its eigenvalues
 replaced by their absolute values floored at 1e-12 of the largest, and a
 backtracking line search (Armijo, halving from the full step; Nocedal and
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (ConfigError, DegenerateInputError, DomainError, StructuralError,
                      UnsupportedFamilyError)
 from .grids import GridDensity
-from .models import _gaussian_power
+from .models import ParametricModel, _gaussian_power
 from .scores import BregmanHolder, KL
 
 # Armijo's sufficient-decrease constant
@@ -359,77 +359,54 @@ def make_conditional(kind, x_dim=1, noise=None):
         power_moment=power, cond_curvature=curvature)
 
 
-def _averaged_inputs(score, cmodel, sample):
-    """Observations and covariates of an averaged score."""
+def _outcome_model(score, cmodel, sample):
+    """The sample's outcomes as one :class:`ParametricModel`: at outcome i
+    its log-density, score and curvature are q(.|x_i)'s, x_i the i-th row
+    of the covariates, and its power moment is ``cmodel.power_moment``,
+    which does not depend on x.  Only its points' order ties each outcome to
+    its covariates, so it serves the sample it was built from; its dimension
+    is 1, so a sample whose outcomes have more columns is rejected before
+    any evaluation, as any sample of another dimension is."""
     if sample.covariates is None:
         raise StructuralError("averaged scores need covariates in the sample")
     if not isinstance(score, (KL, BregmanHolder)):
         raise UnsupportedFamilyError(
             f"{score.name} cannot be averaged over covariates: only Bregman-representable "
             "families (kl, bregman-holder) admit an empirical per-observation sum")
-    if sample.covariates.shape[1] != cmodel.x_dim:
-        raise StructuralError(f"the sample has {sample.covariates.shape[1]} covariate "
+    x = sample.covariates
+    if x.shape[1] != cmodel.x_dim:
+        raise StructuralError(f"the sample has {x.shape[1]} covariate "
                               f"columns, {cmodel.name} expects x_dim={cmodel.x_dim}")
-    return sample.points[:, 0], sample.covariates
+    return ParametricModel(
+        name=cmodel.name, dim=1, param_dim=cmodel.param_dim, theta_names=cmodel.theta_names,
+        log_density=lambda theta, y: cmodel.cond_log_density(theta, y[:, 0], x),
+        score=lambda theta, y: cmodel.cond_score(theta, y[:, 0], x),
+        curvature=lambda theta, y, h: cmodel.cond_curvature(theta, y[:, 0], x, h),
+        power_moment=cmodel.power_moment, sampler=None, support=None, in_support=None)
 
 
 def averaged_score(score, cmodel, theta, sample):
     """Covariate-averaged empirical score of a conditional family.
 
     Only the Bregman-representable members average into a plain sum over the
-    observations: KL and the (gamma, kappa) family.  For the latter the value
-    is the mean over observations of ``score._combine(q(y_i|x_i)^gamma, M_i)``,
-    with M_i the y-integral of q(.|x_i)^(1+gamma) in the model's closed form
-    (``cmodel.power_moment``).  The cross term is formed from the
-    log-density, so an observation far in the tail keeps a finite value.  A
-    general shape-function family has no such empirical form and is rejected.
+    observations: KL and the (gamma, kappa) family.  Both are linear in the
+    cross term C, and the power term M, the y-integral of q(.|x)^(1+gamma)
+    in the model's closed form (``cmodel.power_moment``), does not depend on
+    x; so the mean over observations of S(q(y_i|x_i)^gamma, M) is
+    S(mean_i q(y_i|x_i)^gamma, M), the empirical score of the outcomes
+    against the conditional family at their covariates.  The cross term is
+    formed from the log-density, so an observation far in the tail keeps a
+    finite value.  A general shape-function family has no such empirical
+    form and is rejected, as is a sample whose outcomes are not scalar.
     """
-    return _averaged(score, cmodel, theta, sample)[0]
+    return score.empirical(sample, (_outcome_model(score, cmodel, sample), theta))
 
 
 def averaged_score_with_hessian(score, cmodel, theta, sample):
     """``(averaged_score(...), its theta-gradient, its theta-Hessian)`` from
     one call each of ``cmodel``'s cond_log_density, cond_score, cond_curvature
     and power_moment; the value is :func:`averaged_score`'s bit for bit."""
-    value, derivatives = _averaged(score, cmodel, theta, sample)
-    return (value, *derivatives())
-
-
-def _averaged(score, cmodel, theta, sample):
-    """``(averaged_score(...), derivatives)``; ``derivatives()`` forms the
-    theta-gradient and the theta-Hessian.  Per observation the cross term
-    c_i = q_i^gamma has dc_i = u_i s_i and d2c_i = u_i (gamma s_i s_i^T + ds_i),
-    u_i = gamma c_i, and the mean of the family's S(c_i, M) differentiates as
-    in :mod:`holderscores.scores`."""
-    y, x = _averaged_inputs(score, cmodel, sample)
-    theta = np.asarray(theta, dtype=float)
-    m_int, dm_int, hm_int = cmodel.power_moment(theta, 1.0 + score.gamma)
-    log_qi = cmodel.cond_log_density(theta, y, x)
-    n = y.size
-    if isinstance(score, KL):
-        def kl_derivatives():
-            return (dm_int - np.mean(cmodel.cond_score(theta, y, x).T, axis=1),
-                    hm_int - cmodel.cond_curvature(theta, y, x, np.full(n, 1.0 / n)))
-        return float(np.mean(-log_qi) + m_int), kl_derivatives
-    if not 0.0 < m_int < math.inf:
-        k = theta.size
-        return math.inf, lambda: (np.full(k, np.nan), np.full((k, k), np.nan))
-    gamma = score.gamma
-    q_gamma = np.exp(gamma * log_qi)
-
-    def derivatives():
-        s_i = cmodel.cond_score(theta, y, x).T                        # (k, n)
-        d_cross, d_power = score._partials(q_gamma, m_int)
-        grad = (s_i @ (gamma * q_gamma * d_cross) + dm_int * np.sum(d_power)) / n
-        u = gamma * q_gamma
-        s_cc, s_cp, s_pp = score._second_partials(q_gamma, m_int)
-        cp = np.outer(s_i @ (s_cp * u), dm_int)
-        hess = ((s_i * (gamma * u * d_cross + s_cc * u * u)) @ s_i.T
-                + cmodel.cond_curvature(theta, y, x, u * d_cross)
-                + np.sum(d_power) * hm_int + cp + cp.T
-                + np.sum(s_pp) * np.outer(dm_int, dm_int))
-        return grad, hess / n
-    return float(np.mean(score._combine(q_gamma, m_int))), derivatives
+    return score.empirical_with_hessian(sample, (_outcome_model(score, cmodel, sample), theta))
 
 
 def fit_regression(gamma, kappa, cmodel, sample, cfg):
@@ -439,6 +416,4 @@ def fit_regression(gamma, kappa, cmodel, sample, cfg):
     gamma-score; the latter is the robust choice under y-outliers.
     """
     score = BregmanHolder(gamma, kappa)
-    _averaged_inputs(score, cmodel, sample)
-    return _minimize(lambda theta: averaged_score_with_hessian(score, cmodel, theta, sample),
-                     cfg)
+    return fit(score, _outcome_model(score, cmodel, sample), sample, cfg)

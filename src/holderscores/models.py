@@ -375,13 +375,14 @@ def _gaussian_full(dim=2):
         return np.array(out)
 
     def curvature(theta, x, h):
-        # the monomial sums of the points about their mean, through second_sum
+        # second_sum on the monomial sums of the points about their mean
         pts = _as_points(x, d)
         center = pts.mean(axis=0)
-        u = pts - center
+        y = pts - center
         h = np.asarray(h, dtype=float)
-        v = [np.sum(h), *(h @ u)] + [(h * u[:, i]) @ u[:, j] for i, j in zip(rows, cols)]
-        return log_quadratic(theta, center)[2](v)
+        v = [np.sum(h), *(h @ y)] + [(h * y[:, i]) @ y[:, j] for i, j in zip(rows, cols)]
+        m, chol, diag = unpack(theta)
+        return second_sum([a - c for a, c in zip(m, center.tolist())], chol, diag, v)
 
     def power(theta, a):
         # the Hessian is g g^T / p - diag(g / L_ii) over the diagonal entries

@@ -12,9 +12,10 @@ generating parameter.  The point-mass terms enter only through pointwise
 values p_theta(z)^gamma (and p_theta(z)^gamma s_theta(z) in the analysis), so
 they are evaluated exactly at z.
 
-Each analysis renders p_star = model(theta_star) once, and I is the exact
-theta-Hessian of ``HolderScore(phi).expected_with_hessian`` against that
-render.  The premises phi(1) = -1 and phi'(1) = -(1+gamma), checked first,
+Each analysis renders p_star = model(theta_star) once and evaluates
+``HolderScore(phi)`` against that render once: the moments, their gradients
+and I, that score's exact theta-Hessian, all come from its ``_moments`` and
+``_chain``.  The premises phi(1) = -1 and phi'(1) = -(1+gamma), checked first,
 make theta_star stationary and cancel every derivative of the score s in I,
 which leaves, with m = <p^(1+gamma) s>,
 
@@ -39,10 +40,9 @@ import numpy as np
 
 from .errors import DomainError, SingularHessianError, StructuralError
 from .estimators import FitConfig, fit
-from .grids import log_moments
 from .models import check_points, draw_sample, render_density
 from .rng import rng_for
-from .scores import HolderScore, _log_and_gradient_rows
+from .scores import HolderScore
 
 logger = logging.getLogger(__name__)
 
@@ -129,24 +129,20 @@ def _frozen_grid(model, theta_star):
     return render_density(model, theta_star)
 
 
-def _frozen_moments(quad, model, theta_star, gamma):
-    """``((c, P, c_s, P_s), second)`` over the render ``quad`` of
-    p = model(theta_star): c = <p_star p^gamma>, P = <p^(1+gamma)>, their
-    forms weighted by s, and ``second`` of ``_log_and_gradient_rows`` on
-    those two weightings.  No ``score`` call with ``log_quadratic``."""
-    log_g, rows = _log_and_gradient_rows(quad, (model, theta_star))
-    cross, power, t = log_moments(quad, log_g, gamma)
-    (cross_s, power_s), second = rows(t, (cross, power))
-    return (cross, power, cross_s, power_s), second
-
-
-def _hessian(quad, phi, model, theta_star, hessian=None):
-    """The Holder objective's theta-Hessian at theta_star against ``quad``,
-    unless ``hessian`` is given, checked: a shape other than (k, k) raises
-    :class:`StructuralError`, and a non-finite or numerically singular one
-    :class:`SingularHessianError`."""
+def _frozen(phi, model, theta_star, hessian=None):
+    """``((c, P, dc, dP), I)`` from one evaluation of ``HolderScore(phi)``
+    against the render of p = model(theta_star): c = <p_star p^gamma>,
+    P = <p^(1+gamma)> and their theta-gradients, and the objective's
+    theta-Hessian I, unless ``hessian`` is given, checked: a shape other
+    than (k, k) raises :class:`StructuralError`, and a non-finite or
+    numerically singular one :class:`SingularHessianError`.  A model without
+    ``log_quadratic`` is scored once at the render's nodes, and its
+    ``curvature`` is called there only for I."""
+    score, g = HolderScore(phi), (model, theta_star)
+    c, power, moments = score._moments(_frozen_grid(model, theta_star), g)
+    d_c, d_p, second = moments()
     if hessian is None:
-        hessian = HolderScore(phi).expected_with_hessian(quad, (model, theta_star))[2]
+        hessian = score._chain(c, power, d_c, d_p, second)[1]
     hessian, k = np.asarray(hessian, dtype=float), theta_star.size
     if hessian.shape != (k, k):
         raise StructuralError(f"the objective Hessian must have shape ({k}, {k}), "
@@ -158,7 +154,7 @@ def _hessian(quad, phi, model, theta_star, hessian=None):
             f"objective Hessian at theta_star is numerically singular "
             f"(condition number {cond:.3e}); influence analysis requires "
             f"invertible curvature")
-    return hessian
+    return (c, power, d_c, d_p), hessian
 
 
 def objective_hessian(phi, gamma, model, theta_star):
@@ -170,11 +166,10 @@ def objective_hessian(phi, gamma, model, theta_star):
     :class:`SingularHessianError` (the influence solve needs invertible
     curvature)."""
     _check_premises(phi, gamma)
-    theta_star = np.asarray(theta_star, dtype=float)
-    return _hessian(_frozen_grid(model, theta_star), phi, model, theta_star)
+    return _frozen(phi, model, np.asarray(theta_star, dtype=float))[1]
 
 
-def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
+def _influence_rows(phi, gamma, model, theta_star, z_rows, moments, hessian):
     """:class:`InfluenceResult` for each row of ``z_rows``.
 
     The bracket B(theta) = phi'(r) (p_theta(z)^gamma - c), with c and P the
@@ -183,14 +178,14 @@ def _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments):
         phi''(r) r_theta (p(z)^gamma - c) + phi'(r) (gamma p(z)^gamma s(z) - c_theta),
         r_theta = (c_theta - r P_theta) / P,
 
-    with c_theta = gamma <p_star p^gamma s> and P_theta = (1+gamma) <p^(1+gamma) s>.
-    Everything but p(z) and s(z) is formed once, and those come from one
-    ``log_density`` and one ``score`` call at all rows.
+    with c_theta = gamma <p_star p^gamma s> and P_theta = (1+gamma) <p^(1+gamma) s>
+    given in ``moments``, ``(c, P, c_theta, P_theta)``.  Everything but p(z)
+    and s(z) is formed once, and those come from one ``log_density`` and one
+    ``score`` call at all rows.
     """
-    c, power, cross_s, power_s = moments
+    c, power, d_cross, d_power = moments
     r = c / power
-    d_cross = gamma * cross_s
-    d_r = (d_cross - r * (1.0 + gamma) * power_s) / power
+    d_r = (d_cross - r * d_power) / power
     pz_gamma = np.exp(gamma * model.log_density(theta_star, z_rows))
     s_z = model.score(theta_star, z_rows)
     grad_terms = (float(phi.d2(r)) * np.outer(pz_gamma - c, d_r)
@@ -212,7 +207,8 @@ def influence_function(phi, gamma, model, theta_star, z, hessian=None):
     _check_premises(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     z_rows = check_points(model, np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1))
-    return _influence_at(phi, gamma, model, theta_star, z_rows, hessian)[0]
+    return _influence_rows(phi, gamma, model, theta_star, z_rows,
+                           *_frozen(phi, model, theta_star, hessian))[0]
 
 
 def _default_z_ray(model, theta_star, n_z=25, max_sd=12.0):
@@ -240,16 +236,6 @@ def _z_rows(model, theta_star, z_grid, n_z, max_sd):
     return check_points(model, z_rows)
 
 
-def _influence_at(phi, gamma, model, theta_star, z_rows, hessian=None):
-    """:func:`_influence_rows` at checked ``z_rows`` on the frozen grid of
-    theta_star, with the objective's Hessian there unless one is given; a
-    given one is checked as a computed one is."""
-    quad = _frozen_grid(model, theta_star)
-    moments, _ = _frozen_moments(quad, model, theta_star, gamma)
-    hessian = _hessian(quad, phi, model, theta_star, hessian)
-    return _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments)
-
-
 def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=12.0):
     """Influence at every point of ``z_grid``, sharing one quadrature and Hessian.
 
@@ -262,7 +248,8 @@ def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     _check_premises(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
     z_rows = _z_rows(model, theta_star, z_grid, n_z, max_sd)
-    return _influence_at(phi, gamma, model, theta_star, z_rows)
+    return _influence_rows(phi, gamma, model, theta_star, z_rows,
+                           *_frozen(phi, model, theta_star))
 
 
 def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=12.0):
@@ -279,22 +266,23 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     if (n_z if z_grid is None else len(np.atleast_2d(z_grid))) < 2:
         raise DomainError("the redescending check needs at least 2 contamination points")
     z_rows = _z_rows(model, theta_star, z_grid, n_z, max_sd)
-    quad = _frozen_grid(model, theta_star)
-    moments, second = _frozen_moments(quad, model, theta_star, gamma)
-    power, b = moments[1], moments[3]
-    # b_i against its Cauchy-Schwarz bound sqrt(<p^(1+gamma)> <p^(1+gamma) s_i^2>)
-    bound = np.sqrt(power * np.diag(second((0.0, 1.0), (0.0, 0.0))))
-    informative = bool(np.any(np.abs(b) > 1e-6 * np.maximum(bound, 1e-300)))
-    hessian = _hessian(quad, phi, model, theta_star)
-    curve = _influence_rows(phi, gamma, model, theta_star, z_rows, hessian, moments)
+    moments, hessian = _frozen(phi, model, theta_star)
+    power, m = moments[1], moments[3] / (1.0 + gamma)
+    phi_d2 = float(phi.d2(1.0))
+    gg = gamma * (1.0 + gamma)
+    # m_i = <p^(1+gamma) s_i> against its Cauchy-Schwarz bound
+    # sqrt(P <p^(1+gamma) s_i^2>), whose second factor is
+    # (I_ii - phi''(1) m_i^2 / P) / (gamma (1+gamma)) by the closed form of I
+    bound = np.sqrt((power * np.diag(hessian) - phi_d2 * m * m) / gg)
+    informative = bool(np.any(np.abs(m) > 1e-6 * np.maximum(bound, 1e-300)))
+    curve = _influence_rows(phi, gamma, model, theta_star, z_rows, moments, hessian)
     if not informative:
         warnings.warn("the model's <p^(1+gamma) s> moment vanishes at theta_star; "
                       "the redescending criterion has no power here", stacklevel=2)
 
-    phi_d2 = float(phi.d2(1.0))
-    condition_met = bool(abs(phi_d2 + gamma * (1.0 + gamma)) < 1e-8)
+    condition_met = bool(abs(phi_d2 + gg) < 1e-8)
     tail = tuple((float(np.linalg.norm(res.z)), res.norm) for res in curve)
-    limit_vec = np.linalg.solve(hessian, (phi_d2 + gamma * (1.0 + gamma)) * b)
+    limit_vec = np.linalg.solve(hessian, (phi_d2 + gg) * m)
     return RedescendReport(gamma=float(gamma), phi_d2_at_1=phi_d2,
                            condition_met=condition_met, tail_norms=tail,
                            limit_estimate=float(np.linalg.norm(limit_vec)),

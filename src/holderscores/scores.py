@@ -35,14 +35,18 @@ the model score s = d log g / dtheta,
     d^2<f g^gamma>/dtheta^2 = gamma^2 <f g^gamma s s^T> + gamma <f g^gamma ds>,
 
 and likewise for the power term (KL: gradient ``-<f s> + <g s>``, Hessian
-``<g s s^T> + <(g - f) ds>``).  The Hessian of S(C, P) is then
-a d2C + b d2P + [dC dP] S2 [dC dP]^T.  A moment and its derivatives share
-their weighted terms, so each family has one private ``_evaluate(data, g)``
-against a data grid or a ``Sample``: it returns the value and a function that
-forms the gradient and the Hessian.  The four entry points (``expected``,
-``empirical`` and their ``*_with_hessian`` triples) all call it, so a
-triple's value is that of ``expected`` or ``empirical`` bit for bit, and only
-derivatives ever call the model's ``score`` or ``curvature``.  On a
+``<g s s^T> + <(g - f) ds>``).  A moment and its derivatives share their
+weighted terms: ``_moments(data, g)``, against a data grid or a ``Sample``,
+gives C, P and a function for (dC, dP, a d2C + b d2P), and ``_chain`` alone
+holds the chain rule, gradient a dC + b dP and Hessian
+a d2C + b d2P + [dC dP] S2 [dC dP]^T.  Each family's private
+``_evaluate(data, g)`` is those two calls (KL has its own): the value and a
+function that forms the gradient and the Hessian.  The four entry points
+(``expected``, ``empirical`` and their ``*_with_hessian`` triples) all call
+it, so a triple's value is that of ``expected`` or ``empirical`` bit for bit,
+and only derivatives ever call the model's ``score`` or ``curvature``.
+Regression scores through ``empirical`` and robustness through ``_moments``
+and ``_chain``.  On a
 data grid, a model with ``log_quadratic`` (every Gaussian) needs neither:
 log g = eta @ q and s = jac @ q in the quadratic monomials q, so
 <h s> = jac @ <h q>, <h s s^T> = jac <h q q^T> jac^T and <h ds> is
@@ -268,12 +272,18 @@ class CompositeScore:
         """``(S, derivatives)`` against a data grid or a ``Sample``;
         ``derivatives()`` forms the theta-gradient and the theta-Hessian, and
         is the only caller of the model's ``score`` and ``curvature``."""
+        cross, power, moments = self._moments(data, g)
+        return self._combine(cross, power), lambda: self._chain(cross, power, *moments())
+
+    def _moments(self, data, g):
+        """``(C, P, moments)``: the cross and power terms against a data grid
+        or a ``Sample``, and ``moments()``, their theta-derivatives
+        ``(dC, dP, second)`` with ``second(a, b) = a d2C + b d2P``."""
         gamma = self.gamma
         log_g, rows = _log_and_gradient_rows(data, g)
         if isinstance(data, Sample):
             power, power_moments = _candidate_power(g, 1.0 + gamma)
             q = np.exp(gamma * log_g)
-            cross = float(np.mean(q))
 
             def moments():
                 # C = <q> / n: dC = c <q s>, d2C = c (gamma <q s s^T> + <q ds>), c = gamma / n
@@ -281,28 +291,29 @@ class CompositeScore:
                 c = gamma / data.n
                 return c * d_q, d_power, \
                     lambda a, b: second_q(a * c * gamma, a * c) + second_power(b)
-        else:
-            cross, power, t = log_moments(data, log_g, gamma)
-            power = _positive_power(power, 1.0 + gamma)
+            return float(np.mean(q)), power, moments
+        cross, power, t = log_moments(data, log_g, gamma)
+        power = _positive_power(power, 1.0 + gamma)
 
-            def moments():
-                # dC = gamma <h0 s>, d2C = gamma (gamma <h0 s s^T> + <h0 ds>),
-                # and likewise for P with h1 and 1 + gamma
-                (d_cross, d_power), second = rows(t, (cross, power))
-                g0, g1 = gamma, 1.0 + gamma
-                return g0 * d_cross, g1 * d_power, \
-                    lambda a, b: second((a * g0 * g0, b * g1 * g1), (a * g0, b * g1))
+        def moments():
+            # dC = gamma <h0 s>, d2C = gamma (gamma <h0 s s^T> + <h0 ds>),
+            # and likewise for P with h1 and 1 + gamma
+            (d_cross, d_power), second = rows(t, (cross, power))
+            g0, g1 = gamma, 1.0 + gamma
+            return g0 * d_cross, g1 * d_power, \
+                lambda a, b: second((a * g0 * g0, b * g1 * g1), (a * g0, b * g1))
+        return cross, power, moments
 
-        def derivatives():
-            # second(a, b) = a d2C + b d2P
-            d_c, d_p, second = moments()
-            a, b = self._partials(cross, power)
-            s_cc, s_cp, s_pp = self._second_partials(cross, power)
-            dc, dp = d_c[:, None], d_p[:, None]
-            cp = dc * d_p
-            return (a * d_c + b * d_p,
-                    second(a, b) + s_cc * (dc * d_c) + s_cp * (cp + cp.T) + s_pp * (dp * d_p))
-        return self._combine(cross, power), derivatives
+    def _chain(self, cross, power, d_c, d_p, second):
+        """``(gradient, Hessian)`` of S(C, P) from the moments' derivatives:
+        a dC + b dP and second(a, b) + [dC dP] S2 [dC dP]^T, with (a, b) the
+        family's partials and S2 its second partials at (C, P)."""
+        a, b = self._partials(cross, power)
+        s_cc, s_cp, s_pp = self._second_partials(cross, power)
+        dc, dp = d_c[:, None], d_p[:, None]
+        cp = dc * d_p
+        return (a * d_c + b * d_p,
+                second(a, b) + s_cc * (dc * d_c) + s_cp * (cp + cp.T) + s_pp * (dp * d_p))
 
 
 class KL(CompositeScore):
@@ -594,7 +605,6 @@ class BregmanHolder(CompositeScore):
             (1.0 - 1.0 / self.kappa - cross / g_power)
 
     def _partials(self, cross, g_power):
-        # elementwise, for the per-observation moments of averaged_score
         e = self.kappa / (1.0 + self.gamma)
         scale = g_power ** (e - 1.0)
         return -scale, scale * (e * (1.0 - 1.0 / self.kappa) - (e - 1.0) * cross / g_power)

@@ -660,6 +660,27 @@ class TestStructuralMismatch:
         with pytest.raises(StructuralError, match="x_dim=1"):
             fit_regression(0.5, 1.0, cmodel, sample, cfg_for([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("call", ["averaged_score", "fit_regression"])
+    def test_outcomes_of_more_than_one_column(self, call):
+        # column 1 alone was scored and fitted, and the fit reported converged
+        rng = rng_for(3)
+        x = rng.uniform(-2, 2, size=(50, 1))
+        y = 1.2 * x + 0.3 + 0.5 * rng.standard_normal((50, 2))
+        sample = Sample(points=y, covariates=x)
+        base = make_conditional("linear-gaussian")
+        calls = []
+
+        def cond_log_density(*args):
+            calls.append(args)
+            return base.cond_log_density(*args)
+        cmodel = replace(base, cond_log_density=cond_log_density)
+        with pytest.raises(StructuralError, match="dimension 2|2-dimensional"):
+            if call == "averaged_score":
+                averaged_score(BregmanHolder(0.5, 1.0), cmodel, [1.2, 0.3, 0.5], sample)
+            else:
+                fit_regression(0.5, 1.0, cmodel, sample, cfg_for([1.0, 0.0, 1.0]))
+        assert calls == []
+
 
 class TestFitRegression:
     def make_data(self, n=400, a=1.2, b=-0.7, s=0.5, seed=5, out_eps=0.0, out_y=20.0):

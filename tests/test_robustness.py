@@ -466,6 +466,29 @@ class TestInfluenceCurve:
             [res.norm for res in influence_curve(phi_kappa(0.5, 1.0), 0.5, GAUSS_MS,
                                                  [0.0, 1.0], zs)]
 
+    @pytest.mark.parametrize("analysis", ["influence_curve", "redescend_check"])
+    def test_scores_a_model_without_log_quadratic_once_at_the_nodes(self, analysis):
+        # the moments, the Hessian and the Cauchy-Schwarz scale share one
+        # evaluation of the score: one score and one curvature call at the
+        # render's nodes, and one score call at the contamination points
+        base = make_parametric("gaussian-mixture-fixed-weights", weights=(0.3, 0.7))
+        theta_star = [-1.0, 0.8, 1.5, 1.2]
+        scored, curved = [], []
+
+        def score(theta, x):
+            scored.append(len(x))
+            return base.score(theta, x)
+
+        def curvature(theta, x, h):
+            curved.append(len(x))
+            return base.curvature(theta, x, h)
+        model = replace(base, score=score, curvature=curvature)
+        zs = np.array([[0.5], [3.0], [9.0]])
+        getattr(robustness, analysis)(phi_kappa(0.5, 1.0), 0.5, model, theta_star, zs)
+        nodes = _frozen_grid(base, np.array(theta_star)).values.size
+        assert scored == [nodes, len(zs)]
+        assert curved == [nodes]
+
     def test_gross_error_sensitivity_is_largest_norm(self):
         phi = phi_kappa(0.5, 1.0)
         grid = np.linspace(-6, 6, 13).reshape(-1, 1)
