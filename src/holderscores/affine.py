@@ -23,7 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, StructuralError, UnsupportedFamilyError
+from .estimators import fit
 from .grids import GridDensity
+from .models import Sample
 from .scores import divergence
 
 _MIN_DET = 1e-12
@@ -202,9 +204,6 @@ def verify_estimator_equivariance(score, model, sample, amap, cfg):
     raised.  Passes when the parameter-space discrepancy stays below ten times
     the optimizer step tolerance.
     """
-    from .estimators import fit  # local import to avoid a cycle
-    from .models import Sample
-
     if model.push_params is None:
         raise UnsupportedFamilyError(
             f"{model.name} is not closed under affine reparameterization")

@@ -224,8 +224,6 @@ def fit(score, model, sample, cfg):
     example a KL objective meeting a zero density at a sample point) simply
     signals +inf to the optimizer, which retreats.
     """
-    if sample.n < 1:
-        raise DomainError("sample is empty")
     if sample.dim != model.dim:
         raise StructuralError(f"the sample is {sample.dim}-dimensional, {model.name} "
                               f"is {model.dim}-dimensional")

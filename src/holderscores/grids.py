@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DomainError, StructuralError
 
@@ -274,11 +273,12 @@ class GridDensity:
         """Values at an (N, d) array of points x; 0 off the grid's image.
 
         Each point is pulled back to the lattice, v = sigma^-1 (x - mu), and
-        the values are interpolated multilinearly there.  The pull-back
-        rounds: a coordinate within 32 eps |sigma^-1| (|sigma| |v|_max + |mu|)
+        read multilinearly from its cell's 2^d corners, summed in the order of
+        scipy's ``RegularGridInterpolator`` so the two agree bit for bit.  The
+        pull-back rounds: a coordinate within 32 eps |sigma^-1| (|sigma| |v|_max + |mu|)
         outside the box, as a node on a face of the image may land, is
-        snapped onto the face; one farther out reads 0.  Points of another
-        dimension than the grid's raise :class:`StructuralError`.
+        snapped onto the face; one farther out reads 0, and a NaN point NaN.
+        Points of another dimension than the grid's raise :class:`StructuralError`.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim < 2:
@@ -293,9 +293,16 @@ class GridDensity:
         slack = 32 * np.finfo(float).eps * (np.abs(np.linalg.inv(sigma))
                                             @ (np.abs(sigma) @ v_max + np.abs(mu)))
         near = (lattice >= lo - slack) & (lattice <= hi + slack)
-        lattice = np.where(near, np.clip(lattice, lo, hi), lattice)
-        return RegularGridInterpolator(self._axes, self.values, bounds_error=False,
-                                       fill_value=0.0)(lattice)
+        inside = np.all(near | np.isnan(lattice), axis=1)
+        cells = []
+        for ax, v in zip(self._axes, np.clip(lattice, lo, hi).T):
+            i = np.minimum(np.searchsorted(ax, v, side="right") - 1, ax.size - 2)
+            y = (v - ax[i]) / (ax[i + 1] - ax[i])
+            cells.append((i, (1 - y, y)))
+        value = sum(self.values[tuple(i + k for (i, _), k in zip(cells, corner))]
+                    * reduce(np.multiply, (w[k] for (_, w), k in zip(cells, corner)))
+                    for corner in np.ndindex((2,) * self.dim))
+        return np.where(inside, value, 0.0)
 
 
 def _require_same_grid(f, g):

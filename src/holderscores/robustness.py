@@ -33,7 +33,6 @@ against the empirical tail of ||IF||.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,9 +275,6 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     bound = np.sqrt((power * np.diag(hessian) - phi_d2 * m * m) / gg)
     informative = bool(np.any(np.abs(m) > 1e-6 * np.maximum(bound, 1e-300)))
     curve = _influence_rows(phi, gamma, model, theta_star, z_rows, moments, hessian)
-    if not informative:
-        warnings.warn("the model's <p^(1+gamma) s> moment vanishes at theta_star; "
-                      "the redescending criterion has no power here", stacklevel=2)
 
     condition_met = bool(abs(phi_d2 + gg) < 1e-8)
     tail = tuple((float(np.linalg.norm(res.z)), res.norm) for res in curve)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
@@ -426,6 +428,19 @@ class TestEstimatorEquivariance:
                 score, model, sample, AffineMap(sigma=np.array([[sign]]), mu=np.array([0.5])), cfg)
             assert report.passed
             assert report.discrepancy < 1e-12
+
+    def test_report_prints_verdict_discrepancy_and_tolerance(self):
+        model = make_parametric("gaussian-mean")
+        sample = draw_sample(model, [0.3], 400, seed=3)
+        cfg = FitConfig(init_theta=[0.1], step_tol=1e-9)
+        report = verify_estimator_equivariance(
+            HolderScore(phi_kappa(0.5, 1.0)), model, sample,
+            AffineMap(sigma=np.array([[1.0]]), mu=np.array([0.5])), cfg)
+        text = str(report)
+        assert text.startswith("PASS: |push(theta_raw) - theta_transformed| = ")
+        assert text.endswith(" (tolerance 1.0e-08)")
+        assert str(replace(report, discrepancy=0.5, passed=False)) == \
+            "FAIL: |push(theta_raw) - theta_transformed| = 5.000e-01 (tolerance 1.0e-08)"
 
     def test_mle_closed_form_equivariance_is_exact(self):
         # sample mean/sd transform exactly under x -> (x - mu)/sigma

@@ -374,6 +374,14 @@ class TestRedescendCommand:
         row = (out / "results.csv").read_text().splitlines()[1].split(",")
         assert row[0] == "false"
 
+    def test_mean_only_model_is_inconclusive_and_quiet(self, tmp_path, capsys):
+        # the report says the criterion has no power here; stderr stays empty
+        code, out = run(tmp_path, "redescend", "rd3", "model=gaussian-mean",
+                        "theta_star=0.3", "gamma=0.5", "phi=kappa", "kappa=1")
+        assert code == 0
+        assert (out / "report.txt").read_text().splitlines()[0] == "INCONCLUSIVE"
+        assert capsys.readouterr().err == ""
+
 
 class TestSweepCommand:
     def test_influence_sweep_row_count_and_plotdata(self, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from holderscores import (GridDensity, DomainError, KL, StructuralError,
                           cross_moment, divergence, holder_cross_bound, integrate,
@@ -227,17 +228,36 @@ class TestQuadratureConvergence:
 
 
 class TestCubicInterpolator:
-    def test_package_import_leaves_ndimage_unloaded(self):
-        # only resampling needs scipy.ndimage; its import would count toward
-        # the start-up of every run, resampling or not
+    # the library runs on numpy alone: importing scipy would cost every
+    # process most of its start-up time and memory
+    NUMPY_ALONE = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from holderscores import GammaScore, Sample, cli, make_parametric, render_density
+p = render_density(make_parametric("gaussian-mean-scale"), [0.0, 1.0],
+                   points_per_axis=401)
+read = p.evaluate([[-1.0], [0.0], [0.5], [99.0]])
+assert read[-1] == 0.0 and np.all(read[:-1] > 0), read
+assert np.isfinite(GammaScore(0.5).empirical(Sample(points=[[-0.3], [0.2], [1.1]]), p))
+assert cli.main(["divergence", "--out", sys.argv[1], "--set", "family=gamma",
+                 "--set", "gamma=0.5", "--set", "p.theta=0,1", "--set", "q.theta=0.5,1.2",
+                 "--set", "grid.n=201"]) == 0
+"""
+
+    def probe(self, *args):
         src = str(Path(grids.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        probe = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, holderscores; print('scipy.ndimage' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-            check=True)
-        assert probe.stdout.strip() == "False"
+        run = subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        return run
+
+    def test_package_import_leaves_ndimage_unloaded(self, tmp_path):
+        loaded = self.probe("-c", "import sys, holderscores; print('scipy' in sys.modules)")
+        assert loaded.stdout.strip() == "False"
+        self.probe("-c", self.NUMPY_ALONE, str(tmp_path / "out"))
+        assert (tmp_path / "out" / "results.csv").read_text().startswith("family,gamma,")
 
 
 def quadratic_monomials(u):
@@ -300,6 +320,35 @@ class TestFrame:
         got, ref = f.evaluate(v @ sigma.T + mu), flat.evaluate(v)
         assert np.count_nonzero(ref == 0.0) > 0  # some points fall off the grid
         assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("sheared", [False, True], ids=["identity", "sheared"])
+    def test_evaluate_reads_scipy_bit_for_bit(self, d, sheared):
+        rng = np.random.default_rng(10 + d)
+        frame = self.FRAMES[d - 1] if sheared else (np.eye(d), np.zeros(d))
+        f = self.lattice(d, frame)
+        f = f.with_values(rng.uniform(0.0, 2.0, f.points_per_axis))
+        lo, hi = f.domain_lo, f.domain_hi
+        inside = rng.uniform(lo, hi, size=(300, d))
+        rows, k = np.arange(100), np.arange(100) % d
+        faces, outside = inside[:100].copy(), inside[100:200].copy()
+        faces[rows, k] = np.where(rows % 2, hi[k], lo[k])
+        outside[rows, k] = np.where(rows % 2, hi[k] + 0.3, lo[k] - 0.3)
+        nan = inside[:1].copy()
+        nan[0, -1] = np.nan
+        v = np.vstack([inside, _tensor_nodes(f.axes()), faces, outside, nan])
+        sigma, mu = f.frame
+        x = v @ sigma.T + mu
+        # the reference reads the same pull-back, snapped onto the box where
+        # the point lies in it
+        lattice = np.linalg.solve(sigma, (x - mu).T).T
+        off = len(v) - len(outside) - 1
+        lattice[:off] = np.clip(lattice[:off], lo, hi)
+        exact = RegularGridInterpolator(f.axes(), f.values, bounds_error=False,
+                                        fill_value=0.0)(lattice)
+        got = f.evaluate(x)
+        assert np.array_equal(got, exact, equal_nan=True)
+        assert np.all(got[off:-1] == 0.0) and np.isnan(got[-1])
 
     def test_evaluate_rejects_points_of_another_dimension(self):
         # scipy's interpolator raised a bare ValueError

@@ -288,8 +288,7 @@ class TestRedescendCheck:
 
     def test_mean_only_model_is_inconclusive(self):
         # <p^(1+gamma) s> = 0 by symmetry for the pure location family
-        with pytest.warns(UserWarning, match="no power"):
-            report = redescend_check(phi_kappa(0.5, 1.0), 0.5, GAUSS_M, [0.0])
+        report = redescend_check(phi_kappa(0.5, 1.0), 0.5, GAUSS_M, [0.0])
         assert not report.model_informative
         assert report.verdict == "INCONCLUSIVE"
 
@@ -302,8 +301,7 @@ class TestRedescendCheck:
             rendered.append(theta_star)
             return _frozen_grid(model, theta_star)
         monkeypatch.setattr(robustness, "_frozen_grid", frozen_grid)
-        with pytest.warns(UserWarning, match="no power"):
-            report = redescend_check(phi_kappa(0.5, 1.0), 0.5, GAUSS_M, [0.0])
+        report = redescend_check(phi_kappa(0.5, 1.0), 0.5, GAUSS_M, [0.0])
         assert len(rendered) == 1
         assert report.verdict == "INCONCLUSIVE"
 

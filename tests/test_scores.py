@@ -692,6 +692,16 @@ class TestValidatePhi:
         assert not report.passed
         assert any(z == 0.0 for z, _ in report.violations)
 
+    def test_report_prints_verdict_and_ten_violations_at_most(self):
+        phi = PhiFunction(gamma=1.0, value=lambda z: -2.0 * np.asarray(z, dtype=float))
+        lines = str(validate_phi(phi)).splitlines()
+        # -2z lies below -z^2 on (0, 2): 1999 of the 10000 lattice points
+        assert lines[0] == "FAIL: anchor |phi(1)+1| = 1.000e+00, 1999 bound violations on [0, 10]"
+        assert len(lines) == 11
+        assert lines[1] == "  phi(0.0010001) below -z^(1+gamma) by 1.999e-03"
+        assert str(validate_phi(phi_kappa(0.5, 1.5))) == \
+            "PASS: anchor |phi(1)+1| = 0.000e+00, 0 bound violations on [0, 10]"
+
     def test_z_max_must_cross_anchor(self):
         with pytest.raises(DomainError):
             validate_phi(phi_kappa(0.5, 1.0), z_max=0.5)
@@ -731,6 +741,15 @@ class TestEquivalence:
         assert check_equivalence_in_probability(a, b, trials=3, seed=4).passed
         # S(p, q) and S(p, q') once each, per score and trial
         assert calls.count(a) == calls.count(b) == 6
+
+    def test_report_prints_verdict_and_count(self):
+        assert str(check_equivalence_in_probability(
+            GammaScore(0.5), Pseudospherical(0.5), trials=3, seed=2)) == \
+            "PASS: 0 order disagreements in 3 sampled triples"
+        # KL and the density power score are not equivalent in probability
+        assert str(check_equivalence_in_probability(
+            KL(), DensityPower(0.5), trials=20, seed=2)) == \
+            "FAIL: 2 order disagreements in 20 sampled triples"
 
     def test_kappa_one_bregman_is_pseudospherical_exactly(self):
         p, q = gaussian_pair([0.0, 1.0], [0.5, 0.8])
