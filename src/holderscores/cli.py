@@ -351,7 +351,7 @@ def _robustness_inputs(cfg):
 
 def _influence_table(cfg, sweep=False):
     """IF(z) at the ';'-separated csv points of ``z``, or else along the
-    default ray of ``z.count`` points out to ``z.max`` standard deviations.
+    default ray of ``z.count`` points out to ``z.max`` sixteenths of the box.
     Pauses once every key is read, and for a ``sweep`` once it has at least
     2 points; returns the influence curve with the header and rows of its
     results.csv."""

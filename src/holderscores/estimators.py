@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (ConfigError, DegenerateInputError, DomainError, StructuralError,
                      UnsupportedFamilyError)
 from .grids import GridDensity
-from .models import ParametricModel, _gaussian_power
+from .models import ParametricModel, _as_points, _gaussian_power, _theta
 from .scores import BregmanHolder, KL
 
 # Armijo's sufficient-decrease constant
@@ -253,25 +253,22 @@ def population_fit(score, model, p_true, cfg):
 class ConditionalModel:
     """theta-indexed family of conditional densities q(y | x), scalar y.
 
-    ``cond_log_density(theta, y, x)`` broadcasts y against the mean produced
-    from the (n, m) covariate array, so both per-observation values (y of
-    shape (n,)) and quadrature grids (y of shape (1, ny)) work.
-    ``cond_score(theta, y, x)`` gives the (n, k) theta-gradient of the
-    log-density at the observations, and ``cond_curvature(theta, y, x, h)``
-    the (k, k) sum_i h_i d^2 log q(y_i | x_i) / dtheta^2 for n weights h.
-    ``power_moment(theta, a)`` is the y-integral <q(.|x)^a> over all of R in
-    closed form with its theta-gradient and theta-Hessian; for the
-    location-scale family it is the same for every x.
+    ``at(x)`` is the :class:`ParametricModel` of n outcomes at the (n,
+    x_dim) covariate rows x: at its i-th point its log-density, score and
+    curvature are q(.|x_i)'s, and its ``power_moment`` is the y-integral
+    <q(.|x)^a> over all of R in closed form with its theta-gradient and
+    theta-Hessian, the same for every x in a location-scale family.  Only
+    the points' order ties each outcome to its covariates.
     """
 
     name: str
-    param_dim: int
     x_dim: int
     theta_names: tuple
-    cond_log_density: Callable
-    cond_score: Callable
-    power_moment: Callable
-    cond_curvature: Callable
+    at: Callable
+
+    @property
+    def param_dim(self):
+        return len(self.theta_names)
 
 
 def make_conditional(kind, x_dim=1, noise=None):
@@ -289,54 +286,16 @@ def make_conditional(kind, x_dim=1, noise=None):
     fixed_noise = None if noise is None else float(noise)
     if fixed_noise is not None and not 0 < fixed_noise < math.inf:
         raise ConfigError("fixed noise scale must be finite and positive")
-    k = m + 1 + (0 if fixed_noise is not None else 1)
+    names = tuple(f"a{j + 1}" for j in range(m)) + ("b",)
+    names += ("s",) if fixed_noise is None else ()
+    k = len(names)
 
     def unpack(theta):
-        th = np.asarray(theta, dtype=float).ravel()
-        if th.size != k:
-            raise StructuralError(f"linear-gaussian expects {k} parameters")
-        a, b = th[:m], th[m]
+        th = _theta(theta, k, "linear-gaussian")
         s = fixed_noise if fixed_noise is not None else th[m + 1]
         if s <= 0 or not np.isfinite(s):
             raise DomainError("noise scale must be positive")
-        return a, b, s
-
-    def mean(theta, x):
-        a, b, _ = unpack(theta)
-        return np.atleast_2d(np.asarray(x, dtype=float)) @ a + b
-
-    def logpdf(theta, y, x):
-        a, b, s = unpack(theta)
-        mu = mean(theta, x)
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 2:
-            mu = mu[:, None]
-        u = (y - mu) / s
-        return -0.5 * u * u - 0.5 * np.log(2 * np.pi) - np.log(s)
-
-    def score_fn(theta, y, x):
-        a, b, s = unpack(theta)
-        xm = np.atleast_2d(np.asarray(x, dtype=float))
-        u = (np.asarray(y, dtype=float) - (xm @ a + b)) / (s * s)   # d/db
-        cols = [xm[:, j] * u for j in range(m)] + [u]
-        if fixed_noise is None:
-            cols.append(u * u * s - 1.0 / s)    # (y - mu)^2 / s^3 - 1 / s
-        return np.stack(cols, axis=-1)
-
-    def curvature(theta, y, x, h):
-        # with e = y - mu and phi = d mu / d(a, b) = (x, 1): -phi phi^T / s^2,
-        # -2 e phi / s^3 against s, and (1 - 3 e^2 / s^2) / s^2 in s
-        a, b, s = unpack(theta)
-        xm = np.atleast_2d(np.asarray(x, dtype=float))
-        phi = np.column_stack([xm, np.ones(xm.shape[0])])
-        h = np.asarray(h, dtype=float)
-        out = np.zeros((k, k))
-        out[:m + 1, :m + 1] = -((h[:, None] * phi).T @ phi) / (s * s)
-        if fixed_noise is None:
-            e = np.asarray(y, dtype=float) - (xm @ a + b)
-            out[:m + 1, m + 1] = out[m + 1, :m + 1] = -2.0 / s ** 3 * ((h * e) @ phi)
-            out[m + 1, m + 1] = np.sum(h * (1.0 - 3.0 * (e / s) ** 2)) / (s * s)
-        return out
+        return th[:m], th[m], s
 
     def power(theta, a):
         # M = (2 pi s^2)^(-(a-1)/2) a^(-1/2), whatever x and the mean
@@ -348,39 +307,66 @@ def make_conditional(kind, x_dim=1, noise=None):
             hess[m + 1, m + 1] = a * (a - 1.0) / (s * s) * p
         return p, grad, hess
 
-    names = tuple(f"a{j + 1}" for j in range(m)) + ("b",)
-    if fixed_noise is None:
-        names += ("s",)
-    return ConditionalModel(
-        name="linear-gaussian", param_dim=k, x_dim=m, theta_names=names,
-        cond_log_density=logpdf, cond_score=score_fn,
-        power_moment=power, cond_curvature=curvature)
+    def at(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != m:
+            raise StructuralError(f"covariates of shape {x.shape}: linear-gaussian "
+                                  f"expects x_dim={m} columns")
+        phi = np.column_stack([x, np.ones(x.shape[0])])     # d mu / d(a, b)
+
+        def residual(theta, y):
+            # e = y - mu at each outcome, and s
+            a, b, s = unpack(theta)
+            y = _as_points(y, 1)[:, 0]
+            if y.size != x.shape[0]:
+                raise StructuralError(f"{y.size} outcomes against {x.shape[0]} covariate rows")
+            return y - (x @ a + b), s
+
+        def logpdf(theta, y):
+            e, s = residual(theta, y)
+            u = e / s
+            return -0.5 * u * u - 0.5 * np.log(2 * np.pi) - np.log(s)
+
+        def score(theta, y):
+            e, s = residual(theta, y)
+            u = e / (s * s)                     # d/db; phi u is d/d(a, b)
+            if fixed_noise is not None:
+                return phi * u[:, None]
+            # d/ds = (y - mu)^2 / s^3 - 1 / s
+            return np.column_stack([phi * u[:, None], u * u * s - 1.0 / s])
+
+        def curvature(theta, y, h):
+            # -phi phi^T / s^2, -2 e phi / s^3 against s, and
+            # (1 - 3 e^2 / s^2) / s^2 in s
+            e, s = residual(theta, y)
+            h = np.asarray(h, dtype=float)
+            out = np.zeros((k, k))
+            out[:m + 1, :m + 1] = -((h[:, None] * phi).T @ phi) / (s * s)
+            if fixed_noise is None:
+                out[:m + 1, m + 1] = out[m + 1, :m + 1] = -2.0 / s ** 3 * ((h * e) @ phi)
+                out[m + 1, m + 1] = np.sum(h * (1.0 - 3.0 * (e / s) ** 2)) / (s * s)
+            return out
+
+        return ParametricModel(
+            name="linear-gaussian", dim=1, theta_names=names, log_density=logpdf,
+            score=score, curvature=curvature, power_moment=power, sampler=None,
+            support=None, in_support=None)
+
+    return ConditionalModel(name="linear-gaussian", x_dim=m, theta_names=names, at=at)
 
 
 def _outcome_model(score, cmodel, sample):
-    """The sample's outcomes as one :class:`ParametricModel`: at outcome i
-    its log-density, score and curvature are q(.|x_i)'s, x_i the i-th row
-    of the covariates, and its power moment is ``cmodel.power_moment``,
-    which does not depend on x.  Only its points' order ties each outcome to
-    its covariates, so it serves the sample it was built from; its dimension
-    is 1, so a sample whose outcomes have more columns is rejected before
-    any evaluation, as any sample of another dimension is."""
+    """The sample's outcomes as one :class:`ParametricModel`,
+    ``cmodel.at(covariates)``, which checks the covariates' x_dim.  Its
+    dimension is 1, so a sample whose outcomes have more columns is rejected
+    before any evaluation, as any sample of another dimension is."""
     if sample.covariates is None:
         raise StructuralError("averaged scores need covariates in the sample")
     if not isinstance(score, (KL, BregmanHolder)):
         raise UnsupportedFamilyError(
             f"{score.name} cannot be averaged over covariates: only Bregman-representable "
             "families (kl, bregman-holder) admit an empirical per-observation sum")
-    x = sample.covariates
-    if x.shape[1] != cmodel.x_dim:
-        raise StructuralError(f"the sample has {x.shape[1]} covariate "
-                              f"columns, {cmodel.name} expects x_dim={cmodel.x_dim}")
-    return ParametricModel(
-        name=cmodel.name, dim=1, param_dim=cmodel.param_dim, theta_names=cmodel.theta_names,
-        log_density=lambda theta, y: cmodel.cond_log_density(theta, y[:, 0], x),
-        score=lambda theta, y: cmodel.cond_score(theta, y[:, 0], x),
-        curvature=lambda theta, y, h: cmodel.cond_curvature(theta, y[:, 0], x, h),
-        power_moment=cmodel.power_moment, sampler=None, support=None, in_support=None)
+    return cmodel.at(sample.covariates)
 
 
 def averaged_score(score, cmodel, theta, sample):
@@ -389,7 +375,7 @@ def averaged_score(score, cmodel, theta, sample):
     Only the Bregman-representable members average into a plain sum over the
     observations: KL and the (gamma, kappa) family.  Both are linear in the
     cross term C, and the power term M, the y-integral of q(.|x)^(1+gamma)
-    in the model's closed form (``cmodel.power_moment``), does not depend on
+    in closed form (the outcome model's ``power_moment``), does not depend on
     x; so the mean over observations of S(q(y_i|x_i)^gamma, M) is
     S(mean_i q(y_i|x_i)^gamma, M), the empirical score of the outcomes
     against the conditional family at their covariates.  The cross term is
@@ -402,8 +388,8 @@ def averaged_score(score, cmodel, theta, sample):
 
 def averaged_score_with_hessian(score, cmodel, theta, sample):
     """``(averaged_score(...), its theta-gradient, its theta-Hessian)`` from
-    one call each of ``cmodel``'s cond_log_density, cond_score, cond_curvature
-    and power_moment; the value is :func:`averaged_score`'s bit for bit."""
+    one call each of the outcome model's log_density, score, curvature and
+    power_moment; the value is :func:`averaged_score`'s bit for bit."""
     return score.empirical_with_hessian(sample, (_outcome_model(score, cmodel, sample), theta))
 
 

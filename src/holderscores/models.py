@@ -41,7 +41,8 @@ _EXPON_CUTOFF = 35.0
 
 @dataclass(frozen=True)
 class ParametricModel:
-    """A theta-indexed density family on R^d.
+    """A theta-indexed density family on R^d, with ``param_dim =
+    len(theta_names)`` parameters.
 
     Attributes
     ----------
@@ -91,7 +92,6 @@ class ParametricModel:
 
     name: str
     dim: int
-    param_dim: int
     theta_names: tuple
     log_density: Callable
     score: Callable
@@ -119,6 +119,10 @@ class ParametricModel:
         if getattr(self.log_quadratic, "expands", self.log_density) is not self.log_density:
             object.__setattr__(self, "log_quadratic", None)
 
+    @property
+    def param_dim(self):
+        return len(self.theta_names)
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -142,6 +146,8 @@ class Sample:
                 cov = cov.reshape(-1, 1)
             if cov.shape[0] != pts.shape[0]:
                 raise StructuralError("covariates and points disagree on n")
+            if not np.all(np.isfinite(cov)):
+                raise DomainError("sample covariates must be finite")
             object.__setattr__(self, "covariates", cov)
 
     @property
@@ -415,7 +421,7 @@ def _gaussian_full(dim=2):
         return m + rng.standard_normal((n, d)) @ L.T
 
     return ParametricModel(
-        name="gaussian-full-d", dim=d, param_dim=k,
+        name="gaussian-full-d", dim=d,
         theta_names=tuple(f"mean{i}" for i in range(d))
         + tuple(f"chol{r}{c}" for r, c in zip(rows, cols)),
         log_density=logpdf,
@@ -464,7 +470,7 @@ def _gaussian_mean(scale=1.0):
         return base.push_params(full(theta), sigma, mu)[:1]
 
     return replace(
-        base, name="gaussian-mean", param_dim=1, theta_names=("mean",),
+        base, name="gaussian-mean", theta_names=("mean",),
         log_density=log_density,
         log_quadratic=log_quadratic,
         score=lambda th, x: base.score(full(th), x)[:, :1],
@@ -553,7 +559,7 @@ def _gaussian_mixture(weights=(0.5, 0.5)):
         return out
 
     return ParametricModel(
-        name="gaussian-mixture-fixed-weights", dim=1, param_dim=k,
+        name="gaussian-mixture-fixed-weights", dim=1,
         theta_names=tuple(x for i in range(ncomp) for x in (f"mean{i}", f"scale{i}")),
         log_density=logpdf,
         score=score,
@@ -595,7 +601,7 @@ def _exponential_rate():
                 np.array([[(a - 1.0) * (a - 2.0) / lam ** 2 * p]]))
 
     return ParametricModel(
-        name="exponential-rate", dim=1, param_dim=1, theta_names=("rate",),
+        name="exponential-rate", dim=1, theta_names=("rate",),
         log_density=logpdf,
         score=score,
         sampler=lambda th, n, rng: rng.exponential(1.0 / rate(th), size=n).reshape(-1, 1),
@@ -674,9 +680,12 @@ def render_density(model, theta, lo=None, hi=None, points_per_axis=None):
 
 def check_points(model, z_rows):
     """``z_rows``, contamination points as (m, d) rows, once d is the model's
-    dimension and every row lies in its support; raises otherwise."""
+    dimension and every row is finite and lies in its support; raises
+    otherwise."""
     if z_rows.shape[1] != model.dim:
         raise StructuralError("contamination point has wrong dimension")
+    if not np.all(np.isfinite(z_rows)):
+        raise DomainError("contamination point must be finite")
     if not bool(np.all(model.in_support(z_rows))):
         raise DomainError("contamination point lies outside the model support")
     return z_rows
@@ -684,7 +693,7 @@ def check_points(model, z_rows):
 
 def check_contamination(model, eps, z):
     """z as a point of the model's dimension, once eps lies in [0, 1) and z
-    in the model's support; raises otherwise."""
+    is finite and in the model's support; raises otherwise."""
     if not 0.0 <= eps < 1.0:
         raise DomainError("contamination level must satisfy 0 <= eps < 1")
     return check_points(model, np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1))[0]

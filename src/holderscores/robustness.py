@@ -214,8 +214,8 @@ def _default_z_ray(model, theta_star, n_z=25, max_sd=12.0):
     if n_z < 1:
         raise DomainError("influence curve needs at least one contamination point")
     if not (np.isfinite(max_sd) and max_sd > 0.5):
-        raise DomainError(f"the default ray runs out from 0.5 standard deviations; its "
-                          f"max_sd must be finite and above 0.5, got {max_sd!r}")
+        raise DomainError(f"the default ray runs out from 0.5 sixteenths of the model's "
+                          f"box; its max_sd must be finite and above 0.5, got {max_sd!r}")
     lo, hi = model.support(np.asarray(theta_star, dtype=float))
     center, sd = (lo + hi) / 2.0, (hi - lo) / 16.0
     ts = np.linspace(0.5, max_sd, int(n_z))
@@ -239,10 +239,11 @@ def influence_curve(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     """Influence at every point of ``z_grid``, sharing one quadrature and Hessian.
 
     ``z_grid`` holds one contamination point per row; by default it is a ray of
-    ``n_z`` points along the first axis, from 0.5 to ``max_sd`` model standard
-    deviations off the centre of the model's box.  The points are checked
-    before the frozen grid is rendered.  Returns a tuple of
-    :class:`InfluenceResult`, one per row, in order.
+    ``n_z`` points along the first axis, from 0.5 to ``max_sd`` sixteenths of
+    the model's box off its centre (one sd for a Gaussian, 35/(16 lambda) for
+    ``exponential-rate``).  The points are checked before the frozen grid is
+    rendered.  Returns a tuple of :class:`InfluenceResult`, one per row, in
+    order.
     """
     _check_premises(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)
@@ -255,10 +256,11 @@ def redescend_check(phi, gamma, model, theta_star, z_grid=None, n_z=25, max_sd=1
     """Evaluate the curvature criterion and compare with the influence tail.
 
     The criterion phi''(1) = -gamma(1+gamma) is checked analytically; the
-    empirical side sweeps ||IF|| along a ray of contamination points out to
-    ``max_sd`` model standard deviations.  When <p^(1+gamma) s> vanishes at
-    theta_star (a mean-only symmetric model, for instance) the test has no
-    power and the report is marked inconclusive.
+    empirical side sweeps ||IF|| along ``z_grid``, by default
+    :func:`influence_curve`'s ray out to ``max_sd`` sixteenths of the model's
+    box.  When <p^(1+gamma) s> vanishes at theta_star (a mean-only symmetric
+    model, for instance) the test has no power and the report is marked
+    inconclusive.
     """
     _check_premises(phi, gamma)
     theta_star = np.asarray(theta_star, dtype=float)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holderscores import (GammaScore, KL, divergence, make_parametric, read_grid,
+from holderscores import (FitConfig, GammaScore, KL, divergence, draw_sample, fit,
+                          influence_function, make_parametric, phi_kappa, read_grid,
                           render_density, write_grid)
 from holderscores import cli, robustness
 from holderscores.cli import load_config, main
@@ -791,6 +792,106 @@ class TestNonFiniteOrNegativeExit2:
     def test_one_line_message(self, tmp_path, capsys, command, sets, seed, needle):
         code, _ = run(tmp_path, command, "bad", *sets, seed=seed)
         assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert needle in err and len(err.splitlines()) == 1
+
+
+class TestNonFiniteInputsExit2:
+    @pytest.mark.parametrize("command, sets", [
+        ("influence", ("model=gaussian-mean-scale", "gamma=0.5", "theta_star=0,1", "z=nan")),
+        ("influence", ("model=gaussian-mean-scale", "gamma=0.5", "theta_star=0,1", "z=1;inf")),
+        ("sweep", ("sweep.kind=influence-z", "gamma=0.5", "theta_star=0,1", "z=1;-inf")),
+        ("sweep", ("sweep.kind=contamination", "model=gaussian-mean", "theta_true=0",
+                   "eps.values=0,0.1", "z=nan")),
+        ("fit", ("family=gamma", "gamma=0.5", "theta_true=0,1", "eps=0.1", "z=inf")),
+    ], ids=["influence-nan", "influence-inf", "influence-sweep", "contamination-sweep",
+            "contaminated-fit"])
+    def test_contamination_point(self, tmp_path, capsys, monkeypatch, command, sets):
+        # influence exited 3 on a linear solve with a nan residual (inf also
+        # warned), and the contamination sweep warned in a cast, then blamed
+        # the grid's node count
+        rendered = []
+        monkeypatch.setattr(robustness, "_frozen_grid", lambda *args: rendered.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, command, "bad", *sets)
+        assert code == 2 and not out.exists() and rendered == []
+        err = capsys.readouterr().err.strip()
+        assert "contamination point must be finite" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_regression_covariate(self, tmp_path, capsys, bad):
+        # exited 2 blaming the start theta, and inf also printed 8 warnings
+        data = tmp_path / "xy.csv"
+        data.write_text("x1,y\n0.5,1.0\n" + f"{bad},0.3\n" + "-1.0,-0.4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "regress", "bad", f"data={data}", "gamma=0.5",
+                            "kappa=1", "init=1,0,1")
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert "covariates must be finite" in err and len(err.splitlines()) == 1
+
+
+class TestBooleanKeys:
+    @pytest.mark.parametrize("sets, polish", [((), True), (("polish=false",), False),
+                                              (("polish=on",), True), (("polish=0",), False)])
+    def test_polish_reaches_the_fit(self, tmp_path, monkeypatch, sets, polish):
+        seen = []
+
+        def recording_fit(score, model, sample, cfg):
+            seen.append(cfg.polish)
+            return fit(score, model, sample, cfg)
+        monkeypatch.setattr(cli, "fit", recording_fit)
+        code, out = run(tmp_path, "fit", "f", "model=gaussian-mean-scale", "family=gamma",
+                        "gamma=0.5", "theta_true=0,1", "n=300", *sets)
+        assert code == 0 and seen == [polish]
+
+    def test_unpolished_row_is_the_unpolished_fit(self, tmp_path):
+        code, out = run(tmp_path, "fit", "f", "model=gaussian-mean-scale", "family=gamma",
+                        "gamma=0.5", "theta_true=0,1", "n=300", "polish=false", seed=4)
+        model = make_parametric("gaussian-mean-scale")
+        res = fit(GammaScore(0.5), model, draw_sample(model, [0.0, 1.0], 300, 4),
+                  FitConfig(init_theta=[0.0, 1.0], polish=False))
+        assert code == 0
+        assert (out / "results.csv").read_text().splitlines()[1] == res.csv_row()
+
+    def test_not_boolean_like_exits_2(self, tmp_path, capsys):
+        code, out = run(tmp_path, "fit", "f", "model=gaussian-mean-scale", "family=gamma",
+                        "gamma=0.5", "theta_true=0,1", "polish=maybe")
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert "'polish'" in err and "maybe" in err and len(err.splitlines()) == 1
+
+
+class TestModelHyperParameters:
+    @pytest.mark.parametrize("kind, sets, hyper, theta", [
+        ("gaussian-mean", ("model.scale=2.5",), {"scale": 2.5}, [0.3]),
+        ("gaussian-mixture-fixed-weights", ("model.weights=0.3,0.7",),
+         {"weights": (0.3, 0.7)}, [-1.0, 0.8, 1.5, 1.2]),
+    ], ids=["scale", "weights"])
+    def test_influence_uses_the_configured_model(self, tmp_path, kind, sets, hyper, theta):
+        code, out = run(tmp_path, "influence", "h", f"model={kind}", *sets, "gamma=0.5",
+                        "phi=kappa", "kappa=1", f"theta_star={','.join(map(str, theta))}",
+                        "z=2.0")
+        res = influence_function(phi_kappa(0.5, 1.0), 0.5, make_parametric(kind, **hyper),
+                                 theta, 2.0)
+        assert code == 0
+        row = (out / "results.csv").read_text().splitlines()[1].split(",")
+        assert [float(v) for v in row[1:-1]] == res.if_vector.tolist()
+        # the default hyper-parameter gives another influence vector
+        default = influence_function(phi_kappa(0.5, 1.0), 0.5, make_parametric(kind), theta, 2.0)
+        assert not np.allclose(default.if_vector, res.if_vector)
+
+    @pytest.mark.parametrize("sets, needle", [
+        (("model=gaussian-mean", "model.scale=-1", "theta_true=0"), "scale"),
+        (("model=gaussian-mixture-fixed-weights", "model.weights=0.3,0.6",
+          "theta_true=-1,1,1,1"), "weights"),
+        (("model=gaussian-mean-scale", "model.scale=2", "theta_true=0,1"), "'scale'"),
+    ], ids=["bad-scale", "weights-off-one", "scale-on-another-kind"])
+    def test_bad_hyper_parameter_exits_2(self, tmp_path, capsys, sets, needle):
+        code, out = run(tmp_path, "fit", "h", "family=gamma", "gamma=0.5", *sets)
+        assert code == 2 and not out.exists()
         err = capsys.readouterr().err.strip()
         assert needle in err and len(err.splitlines()) == 1
 

@@ -26,6 +26,13 @@ def y_grid():
     return ygrid, wy
 
 
+def y_grid_density(cmodel, theta, x):
+    """q(y | x_i) on the reference y-grid, one row per covariate row x_i."""
+    ygrid, _ = y_grid()
+    return np.array([np.exp(cmodel.at(np.tile(row, (ygrid.size, 1))).log_density(theta, ygrid))
+                     for row in x])
+
+
 def cfg_for(init, **kw):
     base = dict(init_theta=init, step_tol=1e-9, grad_tol=1e-3, polish=True)
     base.update(kw)
@@ -517,12 +524,11 @@ class TestAveragedScore:
         got = averaged_score(BregmanHolder(gamma, 1 + gamma), self.cmodel,
                              self.theta, self.sample)
         # per-observation density power terms, averaged
-        ygrid, wy = y_grid()
-        dens = np.exp(self.cmodel.cond_log_density(self.theta, ygrid[None, :],
-                                                   self.sample.covariates))
+        _, wy = y_grid()
+        dens = y_grid_density(self.cmodel, self.theta, self.sample.covariates)
         m_int = (dens ** (1 + gamma)) @ wy
-        qi = np.exp(self.cmodel.cond_log_density(self.theta, self.sample.points[:, 0],
-                                                 self.sample.covariates))
+        qi = np.exp(self.cmodel.at(self.sample.covariates).log_density(self.theta,
+                                                                       self.sample.points))
         dp_terms = m_int - (1 + gamma) / gamma * qi ** gamma
         assert got == pytest.approx(gamma / (1 + gamma) * dp_terms.mean(), rel=1e-12)
 
@@ -540,12 +546,11 @@ class TestAveragedScore:
         gamma = 0.5
         s1 = Sample(points=self.sample.points[:1], covariates=self.sample.covariates[:1])
         got = averaged_score(BregmanHolder(gamma, 1.0), self.cmodel, self.theta, s1)
-        ygrid, wy = y_grid()
-        dens = np.exp(self.cmodel.cond_log_density(self.theta, ygrid[None, :],
-                                                   s1.covariates))
+        _, wy = y_grid()
+        dens = y_grid_density(self.cmodel, self.theta, s1.covariates)
         m1 = ((dens ** (1 + gamma)) @ wy).item()
-        q1 = float(np.exp(self.cmodel.cond_log_density(self.theta, s1.points[:, 0],
-                                                       s1.covariates)[0]))
+        q1 = float(np.exp(self.cmodel.at(s1.covariates).log_density(self.theta,
+                                                                    s1.points)[0]))
         assert got == pytest.approx(-m1 ** (1 / (1 + gamma)) * q1 ** gamma / m1, rel=1e-12)
 
     def test_non_bregman_family_rejected(self):
@@ -563,7 +568,7 @@ class TestAveragedScore:
         y = 1.2 * x[:, 0] + 0.3 + 0.5 * rng.standard_normal(400)
         y[:4] = 25.0
         theta = np.array([1.2, 0.3])
-        assert np.any(np.exp(cmodel.cond_log_density(theta, y, x)) == 0.0)
+        assert np.any(np.exp(cmodel.at(x).log_density(theta, y)) == 0.0)
         got = averaged_score(KL(), cmodel, theta, Sample(points=y, covariates=x))
         # <q(.|x)> is 1 in closed form, so the score is the mean negative
         # log-likelihood plus one
@@ -670,10 +675,17 @@ class TestStructuralMismatch:
         base = make_conditional("linear-gaussian")
         calls = []
 
-        def cond_log_density(*args):
-            calls.append(args)
-            return base.cond_log_density(*args)
-        cmodel = replace(base, cond_log_density=cond_log_density)
+        def recorded(name, method):
+            def call(*args):
+                calls.append(name)
+                return method(*args)
+            return call
+
+        def at(x):
+            model = base.at(x)
+            return replace(model, **{name: recorded(name, getattr(model, name))
+                                     for name in ("log_density", "score", "curvature")})
+        cmodel = replace(base, at=at)
         with pytest.raises(StructuralError, match="dimension 2|2-dimensional"):
             if call == "averaged_score":
                 averaged_score(BregmanHolder(0.5, 1.0), cmodel, [1.2, 0.3, 0.5], sample)
@@ -762,10 +774,9 @@ class TestConditionalModel:
 
     def test_conditional_density_normalized_in_y(self):
         cmodel = make_conditional("linear-gaussian", noise=0.7)
-        ygrid, wy = y_grid()
+        _, wy = y_grid()
         x = np.array([[0.5], [-1.0], [2.0]])
-        dens = np.exp(cmodel.cond_log_density([1.0, 0.3], ygrid[None, :], x))
-        masses = dens @ wy
+        masses = y_grid_density(cmodel, [1.0, 0.3], x) @ wy
         assert np.max(np.abs(masses - 1.0)) < 1e-8
 
     @pytest.mark.parametrize("a", [1.0, 1.5, 3.0])
@@ -773,12 +784,12 @@ class TestConditionalModel:
                              ids=["fixed-noise", "fitted-noise"])
     def test_power_moment_matches_the_y_grid(self, noise, theta, a):
         cmodel = make_conditional("linear-gaussian", noise=noise)
-        power, grad, _ = cmodel.power_moment(theta, a)
         ygrid, wy = y_grid()
         for x in ([0.5], [-1.0], [2.0]):
-            xs = np.tile(x, (ygrid.size, 1))
-            t = wy * np.exp(a * cmodel.cond_log_density(theta, ygrid, xs))
-            s = cmodel.cond_score(theta, ygrid, xs).T
+            model = cmodel.at(np.tile(x, (ygrid.size, 1)))
+            power, grad, _ = model.power_moment(theta, a)
+            t = wy * np.exp(a * model.log_density(theta, ygrid))
+            s = model.score(theta, ygrid).T
             assert power == pytest.approx(t.sum(), rel=1e-12)
             assert np.all(np.abs(grad - a * (s @ t)) <= 1e-12 * a * (np.abs(s) @ t))
 
@@ -787,11 +798,51 @@ class TestConditionalModel:
         theta = np.array([1.1, -0.2, 0.9])
         x = np.array([[0.7], [-0.4]])
         y = np.array([1.0, -0.8])
-        analytic = cmodel.cond_score(theta, y, x)
+        model = cmodel.at(x)
+        analytic = model.score(theta, y)
         h = 1e-6
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            fd = (cmodel.cond_log_density(theta + e, y, x)
-                  - cmodel.cond_log_density(theta - e, y, x)) / (2 * h)
+            fd = (model.log_density(theta + e, y) - model.log_density(theta - e, y)) / (2 * h)
             assert np.max(np.abs(analytic[:, i] - fd)) < 1e-5
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown conditional model kind"):
+            make_conditional("linear-student")
+
+    @pytest.mark.parametrize("x_dim", [0, -1])
+    def test_x_dim_below_one_rejected(self, x_dim):
+        with pytest.raises(ConfigError, match="x_dim"):
+            make_conditional("linear-gaussian", x_dim=x_dim)
+
+    @pytest.mark.parametrize("noise,theta", [(None, [1.0, 0.3]), (None, [1.0, 0.3, 0.9, 2.0]),
+                                             (0.7, [1.0]), (0.7, [1.0, 0.3, 0.9])])
+    @pytest.mark.parametrize("method", ["log_density", "score", "curvature", "power_moment"])
+    def test_theta_of_the_wrong_length_through_at(self, noise, theta, method):
+        model = make_conditional("linear-gaussian", noise=noise).at(np.array([[0.5], [-1.0]]))
+        y = np.array([[0.2], [-0.4]])
+        args = {"log_density": (y,), "score": (y,), "curvature": (y, np.ones(2)),
+                "power_moment": (1.5,)}[method]
+        with pytest.raises(StructuralError, match="expects"):
+            getattr(model, method)(theta, *args)
+
+    @pytest.mark.parametrize("x", [np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3, 1))],
+                             ids=["two-columns", "flat", "three-axes"])
+    def test_covariates_of_another_shape_rejected(self, x):
+        with pytest.raises(StructuralError, match="x_dim=1"):
+            make_conditional("linear-gaussian").at(x)
+
+    def test_outcomes_and_covariate_rows_must_agree(self):
+        # one covariate row against three outcomes broadcast silently
+        model = make_conditional("linear-gaussian").at(np.array([[0.5]]))
+        with pytest.raises(StructuralError, match="3 outcomes against 1 covariate rows"):
+            model.log_density([1.0, 0.3, 0.9], np.zeros((3, 1)))
+
+    def test_param_dim_counts_the_names(self):
+        for x_dim in (1, 2, 3):
+            for noise in (None, 0.5):
+                cmodel = make_conditional("linear-gaussian", x_dim=x_dim, noise=noise)
+                outcomes = cmodel.at(np.zeros((4, x_dim)))
+                assert cmodel.param_dim == outcomes.param_dim == len(cmodel.theta_names)
+                assert cmodel.param_dim == x_dim + 1 + (noise is None)

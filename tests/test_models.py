@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ from holderscores import (ConfigError, DomainError, Sample, StructuralError,
                           contaminate, draw_contaminated_sample, draw_sample,
                           integrate, make_parametric, read_samples, render_density,
                           rng_for, write_samples)
+from holderscores.models import check_points
 from holderscores.scores import _log_and_gradient_rows
 
 ALL_KINDS = [
@@ -338,11 +341,34 @@ class TestContaminate:
         with pytest.raises(DomainError, match="0 <= eps < 1"):
             draw_contaminated_sample(expo, [1.0], 1.0, 1.0, 200, seed=0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind, hyper, theta", [
+        ("gaussian-mean-scale", {}, [0.0, 1.0]), ("gaussian-full-d", {"dim": 2}, [0, 0, 1, 0, 1]),
+        ("exponential-rate", {}, [1.0])])
+    def test_non_finite_z_rejected(self, z, kind, hyper, theta):
+        # nan warned in a cast and then failed on the lattice's node count
+        model = make_parametric(kind, **hyper)
+        zs = np.full(model.dim, 1.0)
+        zs[-1] = z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: contaminate(model, theta, 0.1, zs),
+                         lambda: draw_contaminated_sample(model, theta, 0.1, zs, 50, seed=0),
+                         lambda: check_points(model, zs.reshape(1, -1))):
+                with pytest.raises(DomainError, match="contamination point must be finite"):
+                    call()
+
 
 class TestSample:
     def test_requires_points(self):
         with pytest.raises(StructuralError):
             Sample(points=np.empty((0, 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_covariates_must_be_finite(self, bad):
+        # a regression on them blamed its start theta, and inf also warned
+        with pytest.raises(DomainError, match="covariates must be finite"):
+            Sample(points=np.zeros(3), covariates=np.array([[0.5, 1.0], [bad, 2.0], [0.0, 1.0]]))
 
     def test_csv_round_trip_plain(self, tmp_path):
         s = Sample(points=np.array([0.25, -1.5, 3.125]))

@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -234,6 +236,24 @@ class TestInfluenceFunction:
         monkeypatch.setattr(robustness, "_frozen_grid", lambda *args: rendered.append(args))
         with pytest.raises(error):
             call(phi_kappa(0.5, 1.0))
+        assert rendered == []
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind, hyper, theta", [
+        ("gaussian-mean-scale", {}, [0.0, 1.0]), ("exponential-rate", {}, [1.0])])
+    def test_non_finite_z_rejected(self, monkeypatch, z, kind, hyper, theta):
+        # nan read as a linear-solve failure, inf also warned
+        rendered = []
+        monkeypatch.setattr(robustness, "_frozen_grid", lambda *args: rendered.append(args))
+        model = make_parametric(kind, **hyper)
+        phi = phi_kappa(0.5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: influence_function(phi, 0.5, model, theta, z),
+                         lambda: influence_curve(phi, 0.5, model, theta, [[1.0], [z]]),
+                         lambda: redescend_check(phi, 0.5, model, theta, [[1.0], [z]])):
+                with pytest.raises(DomainError, match="must be finite"):
+                    call()
         assert rendered == []
 
 
