@@ -28,6 +28,24 @@ _DEFAULT_TOL = {1: 1e-8, 2: 1e-6, 3: 1e-4}
 _LOWER_TRIANGLE = {d: np.tril_indices(d) for d in range(1, MAX_DIM + 1)}
 
 
+def _monomial_lift(sigma):
+    """The read-only (r, r) M with q(sigma w) = M q(w) for the quadratic
+    monomials q(u) = [1, u_1..u_d, u_i u_j (i >= j, row-major lower
+    triangle)] of ``ParametricModel.log_quadratic``: eta @ q(u) has linear
+    part sigma^T b and quadratic part sigma^T A sigma in w."""
+    d = sigma.shape[0]
+    rows, cols = _LOWER_TRIANGLE[d]
+    # u_a u_b = sum_jl sigma_aj sigma_bl w_j w_l, folded onto j >= l
+    s = sigma[rows][:, :, None] * sigma[cols][:, None, :]
+    s = s + s.transpose(0, 2, 1)
+    lift = np.zeros((1 + d + rows.size,) * 2)
+    lift[0, 0] = 1.0
+    lift[1:d + 1, 1:d + 1] = sigma
+    lift[d + 1:, d + 1:] = np.where(rows == cols, 0.5, 1.0) * s[:, rows, cols]
+    lift.setflags(write=False)
+    return lift
+
+
 def default_tol(dim):
     """Absolute integration tolerance used by validity checks at dimension d."""
     if dim not in _DEFAULT_TOL:
@@ -195,29 +213,15 @@ class GridDensity:
     @cached_property
     def monomial_lift(self):
         """``(c, M)``: c = sigma midpoint + mu, the midpoint's image in x, and
-        the read-only (r, r) matrix M with q(sigma w) = M q(w) for the
-        quadratic monomials q(u) = [1, u_1..u_d, u_i u_j (i >= j, row-major
-        lower triangle)] of ``ParametricModel.log_quadratic``.
-
-        At a node x - c = sigma w, so eta @ q(x - c) = (eta @ M) @ q(w), a
-        polynomial in w that :attr:`axis_monomials` contracts: the linear
-        part b becomes sigma^T b and the quadratic part A sigma^T A sigma.
-        Cached on first use; the identity frame gives c = midpoint, M = I.
+        M = ``_monomial_lift(sigma)``.  At a node x - c = sigma w, so
+        eta @ q(x - c) = (eta @ M) @ q(w), a polynomial in w that
+        :attr:`axis_monomials` contracts.  Cached on first use; the identity
+        frame gives c = midpoint, M = I.
         """
         sigma, mu = self.frame
-        d = self.dim
-        rows, cols = _LOWER_TRIANGLE[d]
-        # u_a u_b = sum_jl sigma_aj sigma_bl w_j w_l, folded onto j >= l
-        s = sigma[rows][:, :, None] * sigma[cols][:, None, :]
-        s = s + s.transpose(0, 2, 1)
-        lift = np.zeros((1 + d + rows.size,) * 2)
-        lift[0, 0] = 1.0
-        lift[1:d + 1, 1:d + 1] = sigma
-        lift[d + 1:, d + 1:] = np.where(rows == cols, 0.5, 1.0) * s[:, rows, cols]
         center = sigma @ self.midpoint + mu
-        for arr in (center, lift):
-            arr.setflags(write=False)
-        return center, lift
+        center.setflags(write=False)
+        return center, _monomial_lift(sigma)
 
     def points(self):
         """All grid nodes in x, sigma v + mu, as a read-only (N, d) array in

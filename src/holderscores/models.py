@@ -21,13 +21,13 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, StructuralError
-from .grids import GridDensity
+from .grids import _LOWER_TRIANGLE, GridDensity, _monomial_lift
 from .rng import rng_for
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -77,15 +77,17 @@ class ParametricModel:
         jac @ q(u)``, jac = d eta / dtheta of shape (param_dim, len(q)).
         ``curv(v)`` maps monomial sums v = <h q(u)>, shape (len(q),), to
         sum_r v_r d^2 eta_r / dtheta^2 = <h d s / dtheta>, shape (k, k), in
-        closed form.  Population moments on a grid then need only the grid's
-        cached per-axis rows (:attr:`GridDensity.axis_monomials`), no
-        whitening and no per-node score.  None where log p is no such
-        polynomial, e.g. -inf off a support; dropped by
-        ``replace(model, log_density=...)`` unless replaced with it.
+        closed form.  Moments then need only the monomials that the data
+        cache in their own frame (:attr:`GridDensity.axis_monomials` on a
+        grid, :attr:`Sample.monomials` at sample points), one call of this
+        per evaluation and no whitening, per-point score or ``curvature``.
+        None where log p is no such polynomial, e.g. -inf off a support;
+        dropped by ``replace(model, log_density=...)`` unless replaced with
+        it.
     curvature : callable(theta, x, h) -> (k, k), optional
         sum_i h_i d^2 log g(x_i) / dtheta^2 for an (n, d) array of points and
         n weights h: with the score, the second derivatives of every moment
-        of g.  A fit needs it (or ``log_quadratic`` on a data grid) for its
+        of g.  A fit of a model without ``log_quadratic`` needs it for its
         Newton steps; like ``score``, it is not dropped with a replaced
         ``log_density``.
     """
@@ -126,19 +128,21 @@ class ParametricModel:
 
 @dataclass(frozen=True)
 class Sample:
-    """Observed outcomes, optionally paired with regression covariates."""
+    """Observed outcomes, optionally paired with regression covariates; the
+    points are the sample's own read-only copy, like its cached monomials."""
 
     points: np.ndarray
     covariates: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise StructuralError("points must be a nonempty (n, d) array")
         if not np.all(np.isfinite(pts)):
             raise DomainError("sample points must be finite")
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.covariates is not None:
             cov = np.asarray(self.covariates, dtype=float)
@@ -157,6 +161,39 @@ class Sample:
     @property
     def dim(self):
         return self.points.shape[1]
+
+    @cached_property
+    def monomial_lift(self):
+        """``(c, M)`` as :attr:`GridDensity.monomial_lift`, read-only and built
+        on first use, for the sample's frame x = sigma w + c: its mean c and
+        the Cholesky factor sigma of its covariance, which whitens w, or where
+        that is singular or M overflows, each axis's largest |x_k - c_k|, at
+        most 1e150, so that M is finite."""
+        center = self.points.mean(axis=0)
+        y = self.points - center
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                lift = _monomial_lift(np.linalg.cholesky(y.T @ y / self.n))
+            except np.linalg.LinAlgError:   # n = 1, equal or collinear points
+                lift = None
+        if lift is None or not np.isfinite(lift).all():
+            scale = np.minimum(np.max(np.abs(y), axis=0), 1e150)
+            lift = _monomial_lift(np.diag(np.where(scale > 0.0, scale, 1.0)))
+        center.setflags(write=False)
+        return center, lift
+
+    @cached_property
+    def monomials(self):
+        """The read-only (r, n) rows q(w) of ``ParametricModel.log_quadratic``'s
+        quadratic monomials at the points, w = sigma^-1 (x - c) in the frame
+        of :attr:`monomial_lift`, whose linear block is sigma."""
+        center, lift = self.monomial_lift
+        d = self.dim
+        w = np.linalg.inv(lift[1:d + 1, 1:d + 1]) @ (self.points - center).T
+        low, high = _LOWER_TRIANGLE[d]
+        rows = np.vstack([np.ones(self.n), w, w[low] * w[high]])
+        rows.setflags(write=False)
+        return rows
 
 
 def _as_points(x, dim):
@@ -201,6 +238,17 @@ def _quadratic_1d(u, chol):
     return [-0.5 * u0 * pm - 0.5 * _LOG_2PI - math.log(s), pm, -0.5 * p,
             -pm, p, 0.0,
             kk * u0 * u0 - b, -2.0 * kk * u0, kk]
+
+
+def _second_1d(u, chol, v):
+    # second_sum at d = 1: with z = v0 u - v1 and M = v2 - u (2 v1 - v0 u)
+    # = <h (x - m)^2>, the Hessian of <h log p> in (m, s) is
+    # [[-v0 p, 2 z p / s], [2 z p / s, (v0 - 3 M p) p]], p = 1 / s^2
+    (u0,), (s,) = u, chol
+    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
+    p = 1.0 / (s * s)
+    ms = 2.0 * (v0 * u0 - v1) * p / s
+    return np.array([[-v0 * p, ms], [ms, (v0 - 3.0 * (v2 - u0 * (v1 + v1 - v0 * u0)) * p) * p]])
 
 
 def _quadratic_2d(u, chol):
@@ -340,6 +388,8 @@ def _gaussian_full(dim=2):
         m, chol, diag = unpack(theta)
         u = [a - c for a, c in zip(m, np.asarray(center, dtype=float).tolist())]
         out = np.array(coefficients(u, chol)).reshape(k + 1, -1)
+        if d == 1:
+            return out[0], out[1:], lambda v: _second_1d(u, chol, v)
         return out[0], out[1:], lambda v: second_sum(u, chol, diag, v)
     log_quadratic.expands = logpdf
 
@@ -381,14 +431,11 @@ def _gaussian_full(dim=2):
         return np.array(out)
 
     def curvature(theta, x, h):
-        # second_sum on the monomial sums of the points about their mean
-        pts = _as_points(x, d)
-        center = pts.mean(axis=0)
-        y = pts - center
-        h = np.asarray(h, dtype=float)
-        v = [np.sum(h), *(h @ y)] + [(h * y[:, i]) @ y[:, j] for i, j in zip(rows, cols)]
-        m, chol, diag = unpack(theta)
-        return second_sum([a - c for a, c in zip(m, center.tolist())], chol, diag, v)
+        # curv on the points' monomial sums in their own frame
+        sample = Sample(_as_points(x, d))
+        center, lift = sample.monomial_lift
+        v = lift @ (sample.monomials @ np.asarray(h, dtype=float))
+        return log_quadratic(theta, center)[2](v)
 
     def power(theta, a):
         # the Hessian is g g^T / p - diag(g / L_ii) over the diagonal entries

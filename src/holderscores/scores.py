@@ -46,14 +46,16 @@ function that forms the gradient and the Hessian.  The four entry points
 it, so a triple's value is that of ``expected`` or ``empirical`` bit for bit,
 and only derivatives ever call the model's ``score`` or ``curvature``.
 Regression scores through ``empirical`` and robustness through ``_moments``
-and ``_chain``.  On a
-data grid, a model with ``log_quadratic`` (every Gaussian) needs neither:
-log g = eta @ q and s = jac @ q in the quadratic monomials q, so
-<h s> = jac @ <h q>, <h s s^T> = jac <h q q^T> jac^T and <h ds> is
-``curv(<h q>)``; on the tensor lattice, log g comes from the grid's cached
-per-axis rows [1, w_k, w_k^2] and every moment from one contraction with
-[1, w_k, .., w_k^4].  Other models, and every model at sample points, take
-``log_density`` there and sum ``score`` columns and ``curvature``.
+and ``_chain``.  A model with ``log_quadratic`` (every Gaussian) needs
+neither, on a data grid or at sample points alike: log g = eta @ q and
+s = jac @ q in the quadratic monomials q, so <h s> = jac @ <h q>,
+<h s s^T> = jac <h q q^T> jac^T and <h ds> is ``curv(<h q>)``, from one
+``log_quadratic`` call per evaluation.  The data hold q in their own frame:
+on the tensor lattice, log g comes from the grid's cached per-axis rows
+[1, w_k, w_k^2] and every moment from one contraction with
+[1, w_k, .., w_k^4]; a ``Sample`` caches q(w) at its points, whitened by its
+mean and covariance, and every moment is one pass over those rows.  Other
+models take ``log_density`` and sum ``score`` columns and ``curvature``.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def phi_cubic_tail(gamma, c=0.5):
     base = phi_kappa(gamma, 1.0)
 
     def relu(z):
-        return np.clip(np.asarray(z, dtype=float) - 1.0, 0.0, None)
+        return np.maximum(np.asarray(z, dtype=float) - 1.0, 0.0)
 
     return PhiFunction(
         gamma=gamma,
@@ -400,16 +402,19 @@ def _log_and_gradient_rows(data, g):
 
     ``g`` is a grid density, on the data grid or interpolated at the sample
     points, whose ``moments`` raises, or a ``(model, theta)`` pair of the
-    data's dimension.  On a grid, a model with ``log_quadratic`` sums the
-    monomials q(w) of the lattice coordinates w = v - midpoint and lifts them
-    through its Jacobian, eta and Jacobian taken into w by the grid's
-    ``monomial_lift``: log g = eta @ q, contracted one axis at a time with
-    the first three of the grid's per-axis rows [1, w_k, .., w_k^4] through
-    the (3,)*d array of the coefficients of prod_k w_k^a_k, and the sums
-    <h prod_k w_k^a_k>, a_k <= 4, are one contraction with all five, from
-    which <h q> and <h q q^T> are read; no (r, N) array is formed.  Any other
-    model, and every model at sample points, sums its score columns and its
-    ``curvature``, and calls them only when ``moments`` and ``second`` are.
+    data's dimension.  A model with ``log_quadratic`` makes one call to it
+    about the centre c of the data's ``monomial_lift``, and eta and its
+    Jacobian are lifted into the data's frame w, x - c = sigma w: log g =
+    eta @ q(w), <h s> = jac @ <h q> and <h ds> = ``curv``(lift @ <h q>), with
+    no ``log_density``, ``score`` or ``curvature`` call.  On a grid, log g is
+    contracted one axis at a time with the first three of the per-axis rows
+    [1, w_k, .., w_k^4] through the (3,)*d array of the coefficients of
+    prod_k w_k^a_k, and the sums <h prod_k w_k^a_k>, a_k <= 4, are one
+    contraction with all five, from which <h q> and <h q q^T> are read; no
+    (r, N) array is formed.  At sample points, q(w) is the sample's cached
+    rows, and one product with them gives <h q> and <h q q^T>.  Any other
+    model sums its score columns and its ``curvature``, and calls them only
+    when ``moments`` and ``second`` are.
     """
     sample = isinstance(data, Sample)
     if isinstance(g, GridDensity):
@@ -424,7 +429,13 @@ def _log_and_gradient_rows(data, g):
     if model.dim != data.dim:
         raise StructuralError(f"points have dimension {data.dim}, model expects {model.dim}")
     theta = np.asarray(theta, dtype=float)
-    if sample or model.log_quadratic is None:
+    quadratic = model.log_quadratic is not None
+    if quadratic:
+        center, lift = data.monomial_lift
+        eta, jac, curv = model.log_quadratic(theta, center)
+    # a coefficient that overflowed (a scale near 1e-310) leaves the value to
+    # log_density, finite wherever that is
+    if not (quadratic and np.isfinite(eta).all()):
         nodes = data.points if sample else data.points()
 
         def score_moments(t, totals):
@@ -432,9 +443,19 @@ def _log_and_gradient_rows(data, g):
             return t @ s, lambda w_ss, w_cv: _second_moments(model, theta, nodes, s,
                                                              np.dot(w_ss, t), np.dot(w_cv, t))
         return model.log_density(theta, nodes), score_moments
-    center, lift = data.monomial_lift
-    eta, jac, curv = model.log_quadratic(theta, center)
     eta, jac = eta @ lift, jac @ lift
+    # <h s s^T> = jac <h q q^T> jac^T, and curv reads <h q(u)> = lift <h q(w)>
+    if sample:
+        rows = data.monomials
+
+        def sample_moments(t, _):
+            # numpy's pairwise sum: a fit's last Newton steps stop on
+            # gradient noise, which a BLAS product leaves twice as large
+            tq = rows * t
+            q = np.sum(tq, axis=1)
+            return jac @ q, lambda w_ss, w_cv: (w_ss * (jac @ (tq @ rows.T) @ jac.T)
+                                                + curv(lift @ (w_cv * q)))
+        return eta @ rows, sample_moments
     rows, d = data.axis_monomials, data.dim
     at3, at5, pairs5 = _MONOMIAL_AT[d]
     coef = np.zeros(3 ** d)
@@ -450,7 +471,6 @@ def _log_and_gradient_rows(data, g):
         for k in reversed(range(d - 1)):
             x = np.matmul(rows[k].T, x.reshape(-1, rows[k].shape[0], 5 ** (d - 1 - k)))
         x = x.reshape(2, -1)
-        # <h s s^T> = jac <h q q^T> jac^T, and curv reads <h q(u)> = lift <h q(w)>
         return (np.outer(totals, jac[:, 0]) + x[:, at5[1:]] @ jac[:, 1:].T,
                 lambda w_ss, w_cv: (jac @ (np.dot(w_ss, x)[pairs5] @ jac.T)
                                     + curv(lift @ np.dot(w_cv, x)[at5])))

@@ -1,14 +1,17 @@
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from holderscores import (ConfigError, DomainError, Sample, StructuralError,
-                          contaminate, draw_contaminated_sample, draw_sample,
-                          integrate, make_parametric, read_samples, render_density,
-                          rng_for, write_samples)
+from holderscores import (KL, ConfigError, DomainError, FitConfig, GammaScore, HolderScore,
+                          Sample, StructuralError, contaminate, draw_contaminated_sample,
+                          draw_sample, fit, integrate, make_parametric, phi_cubic_tail,
+                          phi_kappa, read_samples, render_density, rng_for, write_samples)
+from holderscores import models
 from holderscores.models import check_points
 from holderscores.scores import _log_and_gradient_rows
 
@@ -397,6 +400,130 @@ class TestSample:
         path.write_text(text)
         with pytest.raises(StructuralError):
             read_samples(path)
+
+
+class TestSampleFrame:
+    """The frame and monomials a Sample caches on first use, which the
+    Gaussians' moments at sample points read."""
+
+    FAMILIES = [KL(), GammaScore(0.5), HolderScore(phi_kappa(0.5, 1.5))]
+
+    def test_monomials_are_those_of_the_whitened_points(self):
+        model = make_parametric("gaussian-full-d", dim=3)
+        theta = [0.081, 0.261, 0.453, 1.373, 1.027, 0.943, -0.191, 0.722, 0.178]
+        sample = draw_sample(model, theta, 400, seed=5)
+        center, lift = sample.monomial_lift
+        rows = sample.monomials
+        sigma, w = lift[1:4, 1:4], rows[1:4]
+        low, high = np.tril_indices(3)
+        assert np.max(np.abs(center - sample.points.mean(axis=0))) <= 1e-15
+        # sigma is the Cholesky factor of the covariance, so w is white
+        assert np.array_equal(sigma, np.tril(sigma))
+        assert np.max(np.abs(w @ w.T / sample.n - np.eye(3))) <= 1e-12
+        assert np.max(np.abs((sigma @ w).T + center - sample.points)) <= 1e-13
+        assert np.array_equal(rows[0], np.ones(sample.n))
+        assert np.array_equal(rows[4:], w[low] * w[high])
+        # the lift carries q(w) to q(u), u = x - c = sigma w
+        u = (sample.points - center).T
+        q_u = np.vstack([np.ones(sample.n), u, u[low] * u[high]])
+        assert np.max(np.abs(lift @ rows - q_u)) <= 1e-12 * np.max(np.abs(q_u))
+
+    def test_cached_arrays_are_read_only(self):
+        model = make_parametric("gaussian-full-d", dim=2)
+        theta = np.array([0.2, -0.1, 1.1, 0.3, 0.8])
+        sample = draw_sample(model, theta, 100, seed=2)
+        GammaScore(0.5).empirical_with_hessian(sample, (model, theta))
+        for arr in (sample.points, *sample.monomial_lift, sample.monomials):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_points_are_the_sample_own(self):
+        # a write to the caller's array would leave the cached monomials stale
+        pts = np.array([0.1, 0.5, -0.3])
+        sample = Sample(points=pts)
+        pts[0] = 9.0
+        assert sample.points[0, 0] == 0.1 and pts.flags.writeable
+
+    def test_sample_dies_with_its_last_reference(self):
+        # the frame and rows it caches refer to nothing that refers back to
+        # it, so no cycle collection is needed to free it
+        model = make_parametric("gaussian-full-d", dim=2)
+        theta = np.array([0.2, -0.1, 1.1, 0.3, 0.8])
+        sample = draw_sample(model, theta, 100, seed=2)
+        alive = weakref.ref(sample)
+        gc.disable()
+        try:
+            GammaScore(0.5).empirical_with_hessian(sample, (model, 1.05 * theta))
+            assert "monomials" in vars(sample)
+            del sample
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_a_second_fit_builds_nothing_again(self, monkeypatch):
+        # the mc-empirical benchmark fits both shape functions to one sample
+        lifts = []
+
+        def counted(sigma):
+            lifts.append(sigma)
+            return lift(sigma)
+        lift = models._monomial_lift
+        monkeypatch.setattr(models, "_monomial_lift", counted)
+        model = make_parametric("gaussian-mean-scale")
+        sample = draw_sample(model, [0.0, 1.0], 2000, seed=401)
+        cfg = FitConfig(init_theta=[0.0, 1.0], step_tol=1e-7, grad_tol=1e-2)
+        assert fit(HolderScore(phi_kappa(0.5, 1.0)), model, sample, cfg).converged
+        rows = sample.monomials
+        assert fit(HolderScore(phi_cubic_tail(0.5, 0.5)), model, sample, cfg).converged
+        assert len(lifts) == 1 and vars(sample)["monomials"] is rows
+
+    @pytest.mark.parametrize("kind,theta,points", [
+        ("gaussian-mean-scale", [0.1, 1.2], [0.3]),
+        ("gaussian-mean-scale", [0.1, 1.2], np.full(40, 0.7)),
+        # equal points whose mean rounds off them
+        ("gaussian-mean-scale", [0.1, 1.2], [0.1, 0.1, 0.1]),
+        ("gaussian-full-d", [0.2, -0.1, 1.1, 0.3, 0.8], [[0.3, -0.2]]),
+        ("gaussian-full-d", [0.2, -0.1, 1.1, 0.3, 0.8], np.full((30, 2), [0.5, -1.0])),
+        # collinear: the Cholesky factorization fails, or its last pivot is
+        # rounding noise
+        ("gaussian-full-d", [0.2, -0.1, 1.1, 0.3, 0.8],
+         np.column_stack([np.linspace(-1, 1, 20), 0.5 + 0.3 * np.linspace(-1, 1, 20)])),
+        ("gaussian-full-d", [0.2, -0.1, 1.1, 0.3, 0.8],
+         np.column_stack([np.linspace(-1, 1, 50), 0.5 - 0.3 * np.linspace(-1, 1, 50)])),
+    ], ids=["one", "equal", "equal-rounded", "one-2d", "equal-2d", "collinear-2d",
+            "collinear-2d-pivot"])
+    def test_degenerate_samples_evaluate_as_the_score_columns(self, kind, theta, points):
+        # without a Cholesky factor each axis is scaled by its largest
+        # distance from the mean
+        model = make_parametric(kind, **({"dim": 2} if kind == "gaussian-full-d" else {}))
+        whitened = replace(model, log_quadratic=None)
+        sample = Sample(points=points)
+        for score in self.FAMILIES:
+            got = score.empirical_with_hessian(sample, (model, theta))
+            ref = score.empirical_with_hessian(sample, (whitened, theta))
+            assert got[0] == pytest.approx(ref[0], rel=1e-12)
+            for a, b in zip(got[1:], ref[1:]):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        assert np.all(np.isfinite(sample.monomials))
+
+    @pytest.mark.parametrize("points", [
+        [1e160, -1e160, 0.0],
+        [[1e160, 0.0], [-1e160, 0.0], [0.0, 1e160], [0.0, -1e160], [0.0, 0.0]],
+    ], ids=["1d", "2d"])
+    def test_a_spread_that_overflows_the_covariance_keeps_a_finite_value(self, points):
+        # the covariance of a spread near 1e160 overflows, and the lift of
+        # its largest distances from the mean would; nothing warns
+        sample = Sample(points=points)
+        d = sample.dim
+        model = make_parametric("gaussian-full-d", dim=d)
+        whitened = replace(model, log_quadratic=None)
+        theta = np.concatenate([np.zeros(d), 1e150 * np.eye(d)[np.tril_indices(d)]])
+        assert np.all(np.isfinite(sample.monomial_lift[1]))
+        for score in self.FAMILIES:
+            value = score.empirical(sample, (model, theta))
+            assert math.isfinite(value)
+            assert value == pytest.approx(score.empirical(sample, (whitened, theta)), rel=1e-12)
 
 
 class TestMakeParametric:

@@ -442,6 +442,60 @@ class TestExactGradient:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("kind,hyper,theta", [
+        ("gaussian-mean", {}, [0.3]),
+        ("gaussian-full-d", {"dim": 1}, [0.3, 1.1]),
+        ("gaussian-full-d", {"dim": 2}, [0.2, -0.1, 1.1, 0.3, 0.8]),
+        ("gaussian-full-d", {"dim": 3}, [0.2, -0.1, 0.1, 1.1, 0.3, 0.8, -0.2, 0.1, 0.9]),
+        # the ill-conditioned theta* of CI's 3-D redescending check
+        ("gaussian-full-d", {"dim": 3},
+         [0.081, 0.261, 0.453, 1.373, 1.027, 0.943, -0.191, 0.722, 0.178]),
+    ], ids=["mean", "full-1", "full-2", "full-3", "full-3-ci"])
+    @pytest.mark.parametrize("score", [KL(), GammaScore(0.5), HolderScore(phi_kappa(0.5, 1.5))],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("loc,scale", [(0.0, 1.0), (1e4, 1e-6)], ids=["unit", "far-small"])
+    def test_sample_triple_matches_the_score_columns(self, kind, hyper, theta, score, loc,
+                                                     scale):
+        # the monomials q(w) a sample caches in its own frame against
+        # log_density, score columns and curvature at every point, on a draw
+        # and on its image through a sheared map, also far from the origin
+        # at a small scale
+        if kind == "gaussian-mean":
+            hyper = {"scale": scale}
+        model = make_parametric(kind, **hyper)
+        whitened = replace(model, log_quadratic=None)
+        d = model.dim
+        theta = np.asarray(theta, dtype=float)
+        theta = np.concatenate([loc + scale * theta[:d], scale * theta[d:]])
+        sample = draw_sample(model, theta, 500, seed=3)
+        cand = np.concatenate([theta[:d] + 0.05 * scale, 1.05 * theta[d:]])
+        sigma = {1: [[-1.7]], 2: [[1.2, 0.3], [-0.4, 0.9]],
+                 3: [[1.3, 0.4, -0.2], [0.1, -0.8, 0.3], [-0.3, 0.2, 1.1]]}[d]
+        amap = AffineMap(np.array(sigma), np.full(d, loc + 0.2 * scale))
+        pushed = amap.apply(cand)[0] if kind == "gaussian-mean" else \
+            model.push_params(cand, amap.sigma, amap.mu)
+        for data, g in ((sample, cand), (Sample(amap.apply(sample.points)), pushed)):
+            value, grad, hess = score.empirical_with_hessian(data, (model, g))
+            ref_value, ref_grad, ref_hess = score.empirical_with_hessian(data, (whitened, g))
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+            assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
+
+    @pytest.mark.parametrize("score", [KL(), GammaScore(0.5), HolderScore(phi_kappa(0.5, 1.5))],
+                             ids=lambda s: s.name)
+    def test_sample_triple_calls_neither_score_nor_curvature(self, score):
+        # one log_quadratic call per evaluation: the sample's rows stand in
+        # for the score columns and curvature at its points
+        def refuse(*_):
+            raise AssertionError("called at sample points")
+        model = make_parametric("gaussian-full-d", dim=2)
+        theta = np.array([0.2, -0.1, 1.1, 0.3, 0.8])
+        sample = draw_sample(model, theta, 200, seed=4)
+        strict = replace(model, score=refuse, curvature=refuse)
+        got = score.empirical_with_hessian(sample, (strict, 1.05 * theta))
+        ref = score.empirical_with_hessian(sample, (model, 1.05 * theta))
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
     @pytest.mark.parametrize("score", [GammaScore(0.5), KL()], ids=lambda s: s.name)
     def test_grid_target_has_no_gradient(self, score):
         p, q = gaussian_pair([0.0, 1.0], [0.2, 1.1])
