@@ -29,6 +29,7 @@ grid density, which is also how Fisher consistency is verified.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,13 +55,13 @@ class FitConfig:
 
     Newton's method starts at ``init_theta``, which must be finite, and
     stops once the largest gradient component is at most ``step_tol``, once
-    its line search fails, or after ``max_iters`` iterations, which is
-    reported as non-convergence.  ``polish`` (on by default) then takes up to
-    three more Newton steps, each kept while the value rises by no more than
-    1e-13 of itself, its rounding noise: it tightens smooth objectives to
-    near machine accuracy.  A fit has ``converged`` when it stopped on its
-    tolerance (or on a failed line search) and the exact gradient norm is
-    below ``grad_tol``.
+    its line search fails, or after ``max_iters`` iterations, a whole
+    number, which is reported as non-convergence.  ``polish`` (on by
+    default) then takes up to three more Newton steps, each kept while the
+    value rises by no more than 1e-13 of itself, its rounding noise: it
+    tightens smooth objectives to near machine accuracy.  A fit has
+    ``converged`` when it stopped on its tolerance (or on a failed line
+    search) and the exact gradient norm is below ``grad_tol``.
     """
 
     init_theta: np.ndarray
@@ -74,8 +75,9 @@ class FitConfig:
                            np.atleast_1d(np.asarray(self.init_theta, dtype=float)))
         if not np.all(np.isfinite(self.init_theta)):
             raise ConfigError(f"the start theta={self.init_theta.tolist()!r} must be finite")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
+        if not (isinstance(self.max_iters, numbers.Real) and float(self.max_iters).is_integer()
+                and self.max_iters >= 1):
+            raise ConfigError(f"max_iters must be a whole number >= 1, got {self.max_iters!r}")
         if not (0 < self.grad_tol < math.inf and 0 < self.step_tol < math.inf):
             raise ConfigError("tolerances must be finite and positive")
 

@@ -316,9 +316,10 @@ def asymptotic_variance_sameness(gamma, model, theta_star, phi_list, n_mc, seed,
     Every phi must have gamma as its own, meet the premises phi(1) = -1 and
     phi'(1) = -(1+gamma), and have phi''(1) = -gamma(1+gamma) (the conditions
     under which the influence functions coincide); violators are rejected up
-    front with the failed condition named.  Each replicate reuses one
-    simulated data set across all shape functions, which sharpens the
-    variance-ratio comparison considerably.
+    front with the failed condition named, as are fewer than two shape
+    functions or two replicates, which leave no ratio or variance to compare.
+    Each replicate reuses one simulated data set across all shape functions,
+    which sharpens the variance-ratio comparison considerably.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     for phi in phi_list:
@@ -328,6 +329,9 @@ def asymptotic_variance_sameness(gamma, model, theta_star, phi_list, n_mc, seed,
             raise DomainError(
                 f"{phi.label}: phi''(1) = {d2:.8g} violates the premise "
                 f"phi''(1) = -gamma(1+gamma) = {-gamma * (1.0 + gamma):.8g}")
+    if len(phi_list) < 2 or int(replicates) < 2:
+        raise DomainError(f"variance sameness needs at least 2 shape functions and 2 "
+                          f"replicates, got {len(phi_list)} and {int(replicates)}")
     if cfg is None:
         cfg = FitConfig(init_theta=theta_star, step_tol=1e-7, grad_tol=1e-2)
     estimates = np.empty((len(phi_list), int(replicates), theta_star.size))
@@ -343,8 +347,6 @@ def asymptotic_variance_sameness(gamma, model, theta_star, phi_list, n_mc, seed,
         for b in range(len(phi_list)):
             if a != b:
                 ratios.extend(variances[a] / variances[b])
-    if not ratios:
-        ratios = [1.0]
     return VarianceSamenessReport(
         labels=tuple(p.label for p in phi_list),
         variances=variances,

@@ -26,22 +26,23 @@ Empirical forms replace the cross term with a sample average, which is what
 the optimum-score estimators in :mod:`holderscores.estimators` minimize.
 
 For a candidate ``(model, theta)`` the theta-gradient and theta-Hessian are
-exact: each family gives its partials ``(dS/dcross, dS/dpower)`` and its
-second partials ``(S_CC, S_CP, S_PP)``, and the moments differentiate through
-the model score s = d log g / dtheta,
+exact: each family gives its value ``_combine(C, P)`` and, from
+``_derivatives(C, P)``, its partials ``(S_C, S_P)`` and second partials
+``(S_CC, S_CP, S_PP)``, and the moments differentiate through the model
+score s = d log g / dtheta,
 
     d<f g^gamma>/dtheta = gamma <f g^gamma s>,
     d<g^(1+gamma)>/dtheta = (1+gamma) <g^(1+gamma) s>,
     d^2<f g^gamma>/dtheta^2 = gamma^2 <f g^gamma s s^T> + gamma <f g^gamma ds>,
 
-and likewise for the power term (KL: gradient ``-<f s> + <g s>``, Hessian
-``<g s s^T> + <(g - f) ds>``).  A moment and its derivatives share their
-weighted terms: ``_moments(data, g)``, against a data grid or a ``Sample``,
-gives C, P and a function for (dC, dP, a d2C + b d2P), and ``_chain`` alone
-holds the chain rule, gradient a dC + b dP and Hessian
-a d2C + b d2P + [dC dP] S2 [dC dP]^T.  Each family's private
-``_evaluate(data, g)`` is those two calls (KL has its own): the value and a
-function that forms the gradient and the Hessian.  The four entry points
+and likewise for the power term (KL: C = <-f log g> and P = <g>, so
+dC = -<f s>, d2C = -<f ds> and S = C + P).  A moment and its derivatives
+share their weighted terms: ``_moments(data, g)``, against a data grid or a
+``Sample``, gives C, P and a function for (dC, dP, a d2C + b d2P), and
+``_chain`` alone holds the chain rule, gradient a dC + b dP and Hessian
+a d2C + b d2P + [dC dP] S2 [dC dP]^T.  Every family's private
+``_evaluate(data, g)`` is those two calls: the value and a function that
+forms the gradient and the Hessian.  The four entry points
 (``expected``, ``empirical`` and their ``*_with_hessian`` triples) all call
 it, so a triple's value is that of ``expected`` or ``empirical`` bit for bit,
 and only derivatives ever call the model's ``score`` or ``curvature``.
@@ -216,10 +217,10 @@ class CompositeScore:
     """Base class for the score families.
 
     Subclasses provide ``_combine(cross, g_power)`` mapping the two moments
-    of the target to the score value, ``_partials(cross, g_power)``, its two
-    partial derivatives, and ``_second_partials(cross, g_power)``, its three
-    second partials (S_CC, S_CP, S_PP); the KL family overrides
-    ``_evaluate`` because it uses logarithmic moments.
+    of the target to the score value and ``_derivatives(cross, g_power)``,
+    its partials and second partials ``((S_C, S_P), (S_CC, S_CP, S_PP))``,
+    which only derivatives call; the KL family overrides ``_moments``
+    because its moments are <-f log g> and <g>.
     """
 
     name = "composite"
@@ -238,10 +239,7 @@ class CompositeScore:
     def _combine(self, cross, g_power):
         raise NotImplementedError
 
-    def _partials(self, cross, g_power):
-        raise NotImplementedError
-
-    def _second_partials(self, cross, g_power):
+    def _derivatives(self, cross, g_power):
         raise NotImplementedError
 
     # entry points ---------------------------------------------------------------
@@ -310,8 +308,7 @@ class CompositeScore:
         """``(gradient, Hessian)`` of S(C, P) from the moments' derivatives:
         a dC + b dP and second(a, b) + [dC dP] S2 [dC dP]^T, with (a, b) the
         family's partials and S2 its second partials at (C, P)."""
-        a, b = self._partials(cross, power)
-        s_cc, s_cp, s_pp = self._second_partials(cross, power)
+        (a, b), (s_cc, s_cp, s_pp) = self._derivatives(cross, power)
         dc, dp = d_c[:, None], d_p[:, None]
         cp = dc * d_p
         return (a * d_c + b * d_p,
@@ -330,27 +327,32 @@ class KL(CompositeScore):
     def __repr__(self):
         return "KL()"
 
-    def _evaluate(self, data, g):
-        # the Hessian is <g s s^T> + <g ds> - <f ds>, or at sample points the
-        # power term's less the mean of ds
+    def _combine(self, cross, g_power):
+        return cross + g_power
+
+    def _derivatives(self, cross, g_power):
+        return (1.0, 1.0), (0.0, 0.0, 0.0)
+
+    def _moments(self, data, g):
+        # C = <-f log g>: dC = -<f s> and d2C = -<f ds>; P = <g> as for gamma = 0
         log_g, rows = _log_and_gradient_rows(data, g)
         if isinstance(data, Sample):
             power, power_moments = _candidate_power(g, 1.0)
 
-            def derivatives():
+            def moments():
                 (d_power, second_power), (d_log, second) = \
                     power_moments(), rows(np.full(data.n, 1.0 / data.n), None)
-                return d_power - d_log, second_power(1.0) - second(0.0, 1.0)
-            return -float(np.mean(log_g)) + power, derivatives
+                return -d_log, d_power, lambda a, b: second(0.0, -a) + second_power(b)
+            return -float(np.mean(log_g)), power, moments
         weights, values = data.weights.ravel(), data.values.ravel()
         t = np.empty((2, log_g.size))
         np.multiply(values, weights, out=t[0])
         power = float(_power_sum(weights, log_g, 1.0, out=t[1]))
 
-        def derivatives():
+        def moments():
             (d_cross, d_power), second = rows(t, (float(np.sum(t[0])), power))
-            return d_power - d_cross, second((0.0, 1.0), (-1.0, 1.0))
-        return _kl_cross(t[0], values, log_g) + power, derivatives
+            return -d_cross, d_power, lambda a, b: second((0.0, b), (-a, b))
+        return _kl_cross(t[0], values, log_g), power, moments
 
 
 def _kl_cross(fw, values, log_g):
@@ -517,11 +519,8 @@ class DensityPower(CompositeScore):
     def _combine(self, cross, g_power):
         return g_power - (1.0 + self.gamma) / self.gamma * cross
 
-    def _partials(self, cross, g_power):
-        return -(1.0 + self.gamma) / self.gamma, 1.0
-
-    def _second_partials(self, cross, g_power):
-        return 0.0, 0.0, 0.0
+    def _derivatives(self, cross, g_power):
+        return (-(1.0 + self.gamma) / self.gamma, 1.0), (0.0, 0.0, 0.0)
 
 
 class Pseudospherical(CompositeScore):
@@ -532,13 +531,10 @@ class Pseudospherical(CompositeScore):
     def _combine(self, cross, g_power):
         return -cross / g_power ** (self.gamma / (1.0 + self.gamma))
 
-    def _partials(self, cross, g_power):
+    def _derivatives(self, cross, g_power):
         b = self.gamma / (1.0 + self.gamma)
-        return -g_power ** -b, b * cross * g_power ** (-b - 1.0)
-
-    def _second_partials(self, cross, g_power):
-        b = self.gamma / (1.0 + self.gamma)
-        return 0.0, b * g_power ** (-b - 1.0), -b * (b + 1.0) * cross * g_power ** (-b - 2.0)
+        return ((-g_power ** -b, b * cross * g_power ** (-b - 1.0)),
+                (0.0, b * g_power ** (-b - 1.0), -b * (b + 1.0) * cross * g_power ** (-b - 2.0)))
 
 
 class GammaScore(CompositeScore):
@@ -557,15 +553,12 @@ class GammaScore(CompositeScore):
             return math.inf
         return -math.log(-ps) / self.gamma
 
-    def _partials(self, cross, g_power):
+    def _derivatives(self, cross, g_power):
         if cross <= 0.0:  # where the value is +inf
-            return math.nan, math.nan
-        return -1.0 / (self.gamma * cross), 1.0 / ((1.0 + self.gamma) * g_power)
-
-    def _second_partials(self, cross, g_power):
-        if cross <= 0.0:
-            return math.nan, math.nan, math.nan
-        return 1.0 / (self.gamma * cross * cross), 0.0, -1.0 / ((1.0 + self.gamma) * g_power ** 2)
+            return (math.nan,) * 2, (math.nan,) * 3
+        return ((-1.0 / (self.gamma * cross), 1.0 / ((1.0 + self.gamma) * g_power)),
+                (1.0 / (self.gamma * cross * cross), 0.0,
+                 -1.0 / ((1.0 + self.gamma) * g_power ** 2)))
 
 
 class HolderScore(CompositeScore):
@@ -589,15 +582,10 @@ class HolderScore(CompositeScore):
     def _combine(self, cross, g_power):
         return float(self.phi.value(cross / g_power)) * g_power
 
-    def _partials(self, cross, g_power):
+    def _derivatives(self, cross, g_power):
         r = cross / g_power
-        d1 = self.phi.d1(r)
-        return d1, self.phi.value(r) - r * d1
-
-    def _second_partials(self, cross, g_power):
-        r = cross / g_power
-        d2 = self.phi.d2(r) / g_power
-        return d2, -r * d2, r * r * d2
+        d1, d2 = self.phi.d1(r), self.phi.d2(r) / g_power
+        return (d1, self.phi.value(r) - r * d1), (d2, -r * d2, r * r * d2)
 
 
 class BregmanHolder(CompositeScore):
@@ -624,15 +612,12 @@ class BregmanHolder(CompositeScore):
         return g_power ** (self.kappa / (1.0 + self.gamma)) * \
             (1.0 - 1.0 / self.kappa - cross / g_power)
 
-    def _partials(self, cross, g_power):
+    def _derivatives(self, cross, g_power):
         e = self.kappa / (1.0 + self.gamma)
-        scale = g_power ** (e - 1.0)
-        return -scale, scale * (e * (1.0 - 1.0 / self.kappa) - (e - 1.0) * cross / g_power)
-
-    def _second_partials(self, cross, g_power):
-        e = self.kappa / (1.0 + self.gamma)
-        scale = (e - 1.0) * g_power ** (e - 2.0)
-        return 0.0, -scale, scale * (e * (1.0 - 1.0 / self.kappa) - (e - 2.0) * cross / g_power)
+        k = e * (1.0 - 1.0 / self.kappa)
+        scale, bend = g_power ** (e - 1.0), (e - 1.0) * g_power ** (e - 2.0)
+        return ((-scale, scale * (k - (e - 1.0) * cross / g_power)),
+                (0.0, -bend, bend * (k - (e - 2.0) * cross / g_power)))
 
 
 def bregman_to_holder_value(value, gamma, kappa):
@@ -702,10 +687,12 @@ def validate_phi(phi, z_max=10.0, n_test=10000, tol=1e-12):
     """Scan a shape function for the anchor and lower-bound conditions.
 
     Checks phi(1) = -1 and phi(z) >= -z^(1+gamma) on a lattice of ``n_test``
-    points covering [0, z_max]; any violation beyond ``tol`` is reported.
+    >= 2 points covering [0, z_max]; any violation beyond ``tol`` is reported.
     """
     if z_max <= 1.0:
         raise DomainError("z_max must exceed 1 so the lattice crosses the anchor")
+    if int(n_test) < 2:
+        raise DomainError(f"n_test = {n_test!r}: a lattice covering [0, z_max] needs 2 points")
     z = np.linspace(0.0, z_max, int(n_test))
     vals = np.asarray(phi.value(z), dtype=float)
     bound = -z ** (1.0 + phi.gamma)
@@ -759,6 +746,8 @@ def check_equivalence_in_probability(score_a, score_b, trials=200, seed=0):
     for random triples (p, q, q') the orderings of S(p, q) versus S(p, q')
     agree.  Ties below 1e-12 relative are treated as order-neutral.
     """
+    if int(trials) < 1:
+        raise DomainError(f"trials = {trials!r}: the check needs at least 1 sampled triple")
     rng = rng_for(seed)
     violations = []
     for _ in range(int(trials)):

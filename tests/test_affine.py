@@ -337,6 +337,23 @@ class TestFitScaleExponent:
         report = fit_scale_exponent(BregmanHolder(gamma, kappa), p, q, self.make_maps())
         assert report.exponent == pytest.approx(gamma * kappa / (1 + gamma), abs=2e-5)
 
+    def unit_maps(self):
+        return [AffineMap(sigma=np.array([[s]]), mu=np.array([m]))
+                for s, m in ((1.0, 0.4), (-1.0, 0.0))]
+
+    def test_unit_determinant_maps_are_skipped(self):
+        # a shift and a reflection leave log |det sigma| = 0: no exponent to read
+        p, q = gauss_grid(0.0, 1.0), gauss_grid(0.7, 1.3)
+        report = fit_scale_exponent(GammaScore(0.5), p, q, self.make_maps())
+        mixed = fit_scale_exponent(GammaScore(0.5), p, q, self.unit_maps() + self.make_maps())
+        assert mixed == report
+        assert len(mixed.per_map) == 4
+
+    def test_only_unit_determinant_maps_rejected(self):
+        p, q = gauss_grid(0.0, 1.0), gauss_grid(0.7, 1.3)
+        with pytest.raises(DomainError, match="vary the determinant"):
+            fit_scale_exponent(GammaScore(0.5), p, q, self.unit_maps())
+
 
 class TestArgminInvariance:
     def test_candidate_ranking_preserved(self):

@@ -52,6 +52,19 @@ class TestFitConfig:
             with pytest.raises(ConfigError, match="must be finite"):
                 FitConfig(init_theta=[bad, 1.0])
 
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf])
+    def test_non_integral_max_iters_rejected(self, bad):
+        # the loop stops on iters == max_iters, which a fractional cap never meets
+        with pytest.raises(ConfigError, match="max_iters"):
+            FitConfig(init_theta=[0.5, 2.0], max_iters=bad)
+
+    @pytest.mark.parametrize("cap", [2, 2.0, np.int64(2)], ids=["int", "float", "int64"])
+    def test_integral_max_iters_caps_the_fit(self, cap):
+        sample = draw_sample(GAUSS_MS, [0.0, 1.0], 500, 0)
+        res = fit(GammaScore(0.5), GAUSS_MS, sample, FitConfig(init_theta=[0.5, 2.0],
+                                                                max_iters=cap))
+        assert res.iterations == 2 and not res.converged
+
     def test_polish_on_by_default(self):
         assert FitConfig(init_theta=[0.0]).polish is True
 

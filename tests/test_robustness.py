@@ -398,6 +398,49 @@ class TestGrossErrorSensitivity:
         assert np.max(np.abs(norms - mirrored)) < 1e-6 * norms.max()
 
 
+def influence_covariance(phi, gamma):
+    """V = sum over the nodes of the render of p* = N(0, 1) of p* w IF IF^T:
+    the estimator's asymptotic covariance <p* IF IF^T> (Hampel et al., *Robust
+    Statistics*, 1986, section 2.1) on the quadrature of every analysis."""
+    render = render_density(GAUSS_MS, [0.0, 1.0])
+    rows = influence_curve(phi, gamma, GAUSS_MS, [0.0, 1.0], z_grid=render.points())
+    infl = np.array([row.if_vector for row in rows])
+    return ((render.values * render.weights).ravel()[:, None] * infl).T @ infl
+
+
+class TestAsymptoticCovariance:
+    """The deterministic counterpart of the Monte-Carlo variance sameness."""
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
+    def test_gamma_score_covariance_meets_closed_form(self, gamma):
+        # the gamma-score estimating function p^gamma (s - <p^(1+gamma) s> /
+        # <p^(1+gamma)>) on N(0, 1): Gaussian moments give the mean entry
+        # (1+g)^3 / (1+2g)^(3/2) and the scale entry
+        # (1+g)^3 (2 + 4g + 3g^2) / (4 (1+2g)^(5/2)); g = 0 is the MLE's (1, 1/2)
+        v = influence_covariance(phi_kappa(gamma, 1.0), gamma)
+        mean = (1 + gamma) ** 3 / (1 + 2 * gamma) ** 1.5
+        scale = (1 + gamma) ** 3 * (2 + 4 * gamma + 3 * gamma ** 2) / (4 * (1 + 2 * gamma) ** 2.5)
+        assert v[0, 0] == pytest.approx(mean, rel=1e-12, abs=0)
+        assert v[1, 1] == pytest.approx(scale, rel=1e-12, abs=0)
+        assert abs(v[0, 1]) < 1e-12 and abs(v[1, 0]) < 1e-12
+
+    def test_matched_pair_shares_the_covariance(self):
+        # phi''(1) = -gamma(1+gamma) for both: V = diag(1.19324269, 0.70848785)
+        matched = influence_covariance(phi_kappa(0.5, 1.0), 0.5)
+        cubic = influence_covariance(phi_cubic_tail(0.5, 0.5), 0.5)
+        assert np.max(np.abs(cubic - matched)) <= 1e-14 * np.max(np.abs(matched))
+        assert np.diag(matched) == pytest.approx([1.19324269, 0.70848785], rel=1e-8)
+
+    def test_unmatched_shape_moves_the_scale_entry(self):
+        # phi_kappa(0.5, 1.5) meets phi(1) = -1 and phi'(1) = -1.5 but not phi''(1):
+        # its scale entry reads 0.68438402, 3.4% below the matched one, which a
+        # 200-replicate Monte Carlo (~10% standard error) cannot resolve
+        matched = influence_covariance(phi_kappa(0.5, 1.0), 0.5)
+        unmatched = influence_covariance(phi_kappa(0.5, 1.5), 0.5)
+        assert abs(unmatched[1, 1] / matched[1, 1] - 1.0) > 0.01
+        assert unmatched[0, 0] == pytest.approx(matched[0, 0], rel=1e-12)
+
+
 class TestVarianceSameness:
     def test_premise_violation_rejected_before_simulation(self):
         gamma = 0.5
@@ -406,12 +449,21 @@ class TestVarianceSameness:
                                          [phi_kappa(gamma, 1 + gamma)],
                                          n_mc=100, seed=0, replicates=2)
 
-    def test_single_element_list_trivially_passes(self):
-        gamma = 0.5
-        report = asymptotic_variance_sameness(gamma, GAUSS_M, [0.0],
-                                              [phi_kappa(gamma, 1.0)],
-                                              n_mc=200, seed=1, replicates=8)
-        assert report.ratio_min == report.ratio_max == 1.0
+    @pytest.mark.parametrize("phis,replicates", [
+        ((), 8), ((phi_kappa(0.5, 1.0),), 8),
+        ((phi_kappa(0.5, 1.0), phi_cubic_tail(0.5, 0.5)), 1),
+        ((phi_kappa(0.5, 1.0), phi_cubic_tail(0.5, 0.5)), 0),
+    ], ids=["no-shape", "one-shape", "one-replicate", "no-replicate"])
+    def test_nothing_to_compare_rejected_before_simulation(self, monkeypatch, phis,
+                                                           replicates):
+        # one shape has no ratio and one replicate no variance (ddof = 1)
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the count check")
+        for name in ("draw_sample", "fit"):
+            monkeypatch.setattr(robustness, name, refuse)
+        with pytest.raises(DomainError, match="at least 2 shape functions and 2 replicates"):
+            asymptotic_variance_sameness(0.5, GAUSS_M, [0.0], list(phis), n_mc=200, seed=1,
+                                         replicates=replicates)
 
     def test_matched_pair_small_run(self):
         gamma = 0.5

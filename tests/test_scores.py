@@ -760,6 +760,12 @@ class TestValidatePhi:
         with pytest.raises(DomainError):
             validate_phi(phi_kappa(0.5, 1.0), z_max=0.5)
 
+    @pytest.mark.parametrize("n_test", [0, 1])
+    def test_lattice_of_fewer_than_two_points_rejected(self, n_test):
+        # 0 or 1 points cannot cover [0, z_max]; the scan would pass vacuously
+        with pytest.raises(DomainError, match="n_test"):
+            validate_phi(phi_kappa(0.5, 1.0), n_test=n_test)
+
 
 class TestEquivalence:
     def test_density_power_vs_linear_holder(self):
@@ -804,6 +810,11 @@ class TestEquivalence:
         assert str(check_equivalence_in_probability(
             KL(), DensityPower(0.5), trials=20, seed=2)) == \
             "FAIL: 2 order disagreements in 20 sampled triples"
+
+    def test_no_trials_rejected(self):
+        # zero sampled triples would report PASS with nothing compared
+        with pytest.raises(DomainError, match="trials"):
+            check_equivalence_in_probability(GammaScore(0.5), Pseudospherical(0.5), trials=0)
 
     def test_kappa_one_bregman_is_pseudospherical_exactly(self):
         p, q = gaussian_pair([0.0, 1.0], [0.5, 0.8])
